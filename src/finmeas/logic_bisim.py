@@ -7,7 +7,6 @@ are transportation LPs solved by the exact simplex, with a Hall-style cut
 certificate (via max flow) when infeasible.
 """
 
-from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,6 +18,7 @@ from .errors import (
     NotBisimilar,
     SpaceMismatch,
 )
+from .flow import max_flow
 from .kernels import AtomMap, Kernel, pushforward
 from .measures import Measure
 from .rational import as_fraction, atom_cap, format_fraction
@@ -472,53 +472,12 @@ def _hall_certificate(problem):
     n2 = len(right.space.atoms)
     total = left.total()
     source, sink = 0, n1 + n2 + 1
-    capacity = {}
-    adjacency = {u: [] for u in range(n1 + n2 + 2)}
-
-    def add_edge(u, v, cap):
-        if (u, v) not in capacity:
-            capacity[(u, v)] = Fraction(0)
-            capacity[(v, u)] = Fraction(0)
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        capacity[(u, v)] += cap
-
-    for i in range(n1):
-        add_edge(source, 1 + i, left.weights[i])
-    for j in range(n2):
-        add_edge(n1 + 1 + j, sink, right.weights[j])
-    for i, j in problem.support:
-        # strictly above total so support edges never saturate
-        add_edge(1 + i, n1 + 1 + j, total + 1)
-
-    flow = Fraction(0)
-    while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in parent and capacity[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            break
-        bottleneck = None
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            res = capacity[(u, v)]
-            bottleneck = res if bottleneck is None else min(bottleneck, res)
-            v = u
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            capacity[(u, v)] -= bottleneck
-            capacity[(v, u)] += bottleneck
-            v = u
-        flow += bottleneck
+    arcs = [(source, 1 + i, left.weights[i]) for i in range(n1)]
+    arcs += [(n1 + 1 + j, sink, right.weights[j]) for j in range(n2)]
+    arcs += [(1 + i, n1 + 1 + j, None) for i, j in problem.support]
+    flow, reached = max_flow(n1 + n2 + 2, arcs, source, sink)
     assert flow < total, "certificate requested for a feasible problem"
-    rows = sorted(i for i in range(n1) if 1 + i in parent)
+    rows = sorted(i for i in range(n1) if 1 + i in reached)
     row_set = set(rows)
     neighborhood = sorted({j for i, j in problem.support if i in row_set})
     row_mass = sum((left.weights[i] for i in rows), start=Fraction(0))

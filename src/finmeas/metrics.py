@@ -1,17 +1,21 @@
 """Metrics on measures over finite metric spaces.
 
-The Lévy-Prohorov distance is computed exactly by scanning, for every
-subset and both directions, the breakpoints of the neighborhood-mass step
-function.  The Hutchinson (Kantorovich-type) distance is an exact linear
-program over bounded Lipschitz witnesses, solved by the embedded simplex.
+Everything is exact and runs on the network-flow core in ``flow``.  The
+Lévy-Prohorov distance bisects the breakpoint pieces of the distinct
+distances, pricing each piece with one max flow per direction (Strassen's
+coupling characterisation of the subset constraints).  The Hutchinson
+distance is a min-cost transshipment to a ground point, whose shortest-path
+potentials are the optimal Lipschitz witness.  The weak-limit check's
+portmanteau excess is the largest sum of positive parts of the tail's
+per-atom differences.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
-from .errors import CapacityExceeded, InvalidGamma, SpaceMismatch
-from .rational import as_fraction, atom_cap
-from .simplex import OPTIMAL, maximize
+from .errors import InvalidGamma, SpaceMismatch
+from .flow import max_flow, min_cost_transshipment
+from .rational import as_fraction
+from .simplex import maximize  # noqa: F401  bench/spans.py wraps this attribute
 from .spaces import FiniteMeasurableSpace
 
 
@@ -108,19 +112,52 @@ def _check_metric_pair(mu, nu, metric):
         raise SpaceMismatch("measures must live on the metric's space")
 
 
-def _one_sided_min_eps(rho_b, sigma_masses, thresholds):
-    """Least eps > 0 with rho(B) <= sigma(B^eps) + eps for one subset.
+def _deficit(rho, sigma, metric, joined):
+    """max over B of rho(B) - sigma(N(B)), the empty B included.
 
-    thresholds are the sorted distinct values of d(., B); on the piece
-    (thresholds[k], thresholds[k+1]] the open-neighborhood mass is
-    sigma_masses[k], so the constraint is linear per piece.
+    N(B) holds the points j with joined(d(i, j)) for some i in B.  By the
+    deficiency form of Hall's theorem (Strassen 1965) this is rho(X) minus
+    the max flow from rho to sigma over the joined pairs.
     """
-    for k, v in enumerate(thresholds):
-        upper = thresholds[k + 1] if k + 1 < len(thresholds) else None
-        lower_bound = rho_b - sigma_masses[k]
-        if upper is None or lower_bound <= upper:
-            return max(lower_bound, v)
-    raise AssertionError("last piece is always feasible")
+    n = len(rho)
+    source, sink = 2 * n, 2 * n + 1
+    rows = [i for i in range(n) if rho[i] > 0]
+    cols = [j for j in range(n) if sigma[j] > 0]
+    arcs = [(source, i, rho[i]) for i in rows]
+    arcs += [
+        (i, n + j, None) for i in rows for j in cols if joined(metric.dist[i][j])
+    ]
+    arcs += [(n + j, sink, sigma[j]) for j in cols]
+    flow, _ = max_flow(2 * n + 2, arcs, source, sink)
+    return sum(rho, start=Fraction(0)) - flow
+
+
+def _one_sided_min_eps(rho, sigma, metric, thresholds):
+    """Least eps > 0 with rho(B) <= sigma(B^eps) + eps for every subset B.
+
+    On the piece (thresholds[k], thresholds[k+1]] the open neighborhood
+    B^eps is {x : d(x, B) <= thresholds[k]}, so the worst deficit G_k is
+    constant there and the piece holds a feasible eps iff
+    G_k <= thresholds[k+1].  G_k does not increase with k, so the first
+    such piece is found by bisection, and the infimum on it is
+    max(G_k, thresholds[k]).
+    """
+    deficits = {}
+
+    def deficit(k):
+        if k not in deficits:
+            bound = thresholds[k]
+            deficits[k] = _deficit(rho, sigma, metric, lambda d: d <= bound)
+        return deficits[k]
+
+    lo, hi = 0, len(thresholds) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if deficit(mid) <= thresholds[mid + 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(deficit(lo), thresholds[lo])
 
 
 def prohorov_distance(mu, nu, metric):
@@ -128,61 +165,35 @@ def prohorov_distance(mu, nu, metric):
 
     d_P is the infimum of eps such that for every subset B, each measure's
     value on B is at most the other's value on the open eps-neighborhood
-    B^eps = {x : d(x, B) < eps} plus eps.  Per subset and direction the
-    minimal feasible eps has a closed form on each breakpoint piece; d_P is
-    the maximum of those minima.  The feasible set may be open at d_P (the
-    infimum is a limit), which the internal probes assert.
+    B^eps = {x : d(x, B) < eps} plus eps.  Per direction the worst subset
+    is found by a max flow (Strassen's coupling characterisation), and the
+    least feasible eps by bisection over the breakpoint pieces of the
+    distinct distances; d_P is the larger of the two directions.  The
+    feasible set may be open at d_P (the infimum is a limit), which the
+    internal probe checks.
     """
     _check_metric_pair(mu, nu, metric)
-    n = len(metric.space.points)
-    if n > atom_cap():
-        raise CapacityExceeded(
-            f"{n} points exceed the subset-enumeration cap {atom_cap()}"
-        )
-    best = Fraction(0)
-    indices = range(n)
-    for size in range(1, n + 1):
-        for subset in combinations(indices, size):
-            dists = [metric.d_to_set(i, subset) for i in indices]
-            thresholds = sorted(set(dists) | {Fraction(0)})
-            mu_masses = []
-            nu_masses = []
-            for v in thresholds:
-                inside = [i for i in indices if dists[i] <= v]
-                mu_masses.append(
-                    sum((mu.weights[i] for i in inside), start=Fraction(0))
-                )
-                nu_masses.append(
-                    sum((nu.weights[i] for i in inside), start=Fraction(0))
-                )
-            mu_b = sum((mu.weights[i] for i in subset), start=Fraction(0))
-            nu_b = sum((nu.weights[i] for i in subset), start=Fraction(0))
-            best = max(
-                best,
-                _one_sided_min_eps(nu_b, mu_masses, thresholds),
-                _one_sided_min_eps(mu_b, nu_masses, thresholds),
-            )
-    assert _prohorov_feasible_above(mu, nu, metric, best)
+    thresholds = sorted({d for row in metric.dist for d in row} | {Fraction(0)})
+    best = max(
+        _one_sided_min_eps(nu.weights, mu.weights, metric, thresholds),
+        _one_sided_min_eps(mu.weights, nu.weights, metric, thresholds),
+    )
+    if not _prohorov_feasible_above(mu, nu, metric, best):
+        raise AssertionError(f"Prohorov value {best} is not the infimum")
     return best
 
 
 def prohorov_feasible(mu, nu, metric, eps):
     """Whether eps satisfies both Prohorov constraints for every subset."""
     _check_metric_pair(mu, nu, metric)
-    n = len(metric.space.points)
-    indices = range(n)
-    for size in range(1, n + 1):
-        for subset in combinations(indices, size):
-            neighborhood = [
-                i for i in indices if metric.d_to_set(i, subset) < eps
-            ]
-            mu_b = sum((mu.weights[i] for i in subset), start=Fraction(0))
-            nu_b = sum((nu.weights[i] for i in subset), start=Fraction(0))
-            mu_n = sum((mu.weights[i] for i in neighborhood), start=Fraction(0))
-            nu_n = sum((nu.weights[i] for i in neighborhood), start=Fraction(0))
-            if nu_b > mu_n + eps or mu_b > nu_n + eps:
-                return False
-    return True
+
+    def joined(d):
+        return d < eps
+
+    return all(
+        _deficit(rho, sigma, metric, joined) <= eps
+        for rho, sigma in ((nu.weights, mu.weights), (mu.weights, nu.weights))
+    )
 
 
 def _prohorov_feasible_above(mu, nu, metric, value):
@@ -213,37 +224,39 @@ def hutchinson_distance(mu, nu, metric, gamma):
     """Exact Hutchinson distance with an optimal witness.
 
     H_gamma(mu, nu) is the supremum of integral f dmu - integral f dnu over
-    1-Lipschitz f bounded by gamma.  Solved as an exact LP in the shifted
-    variables x_i = f(x_i) + gamma, so all constraints are <= with
-    nonnegative right-hand sides.  Returns (value, LipschitzWitness).
+    1-Lipschitz f bounded by gamma.  By Kantorovich-Rubinstein duality with
+    a ground point g (Hanin 1992) this is the cheapest transshipment of the
+    supplies mu - nu, with g absorbing or supplying the mass gap, over arcs
+    of cost d(x, y) between points and gamma between each point and g;
+    arcs of cost 2 gamma or more are left out, since the route through g is
+    as cheap.  The witness is f(x) = pi(g) - pi(x) for the residual
+    shortest-path distances pi from g.  Returns (value, LipschitzWitness).
     """
     _check_metric_pair(mu, nu, metric)
     gamma = as_fraction(gamma)
     if gamma <= 0:
         raise InvalidGamma(f"gamma must be positive, got {gamma}")
     n = len(metric.space.points)
-    c = [mu.weights[i] - nu.weights[i] for i in range(n)]
-    a_ub = []
-    b_ub = []
+    supply = [mu.weights[i] - nu.weights[i] for i in range(n)]
+    supply.append(-sum(supply, start=Fraction(0)))
+    ground = n
+    arcs = [
+        (i, j, metric.dist[i][j])
+        for i in range(n)
+        for j in range(n)
+        if i != j and metric.dist[i][j] < 2 * gamma
+    ]
     for i in range(n):
-        for j in range(i + 1, n):
-            row = [Fraction(0)] * n
-            row[i], row[j] = Fraction(1), Fraction(-1)
-            a_ub.append(row)
-            b_ub.append(metric.dist[i][j])
-            a_ub.append([-v for v in row])
-            b_ub.append(metric.dist[i][j])
-    for i in range(n):
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
-        a_ub.append(row)
-        b_ub.append(2 * gamma)
-    result = maximize(c, a_ub=a_ub, b_ub=b_ub)
-    assert result.status == OPTIMAL
-    shift = gamma * sum(c, start=Fraction(0))
-    value = result.value - shift
-    witness = LipschitzWitness(metric, [x - gamma for x in result.x], gamma)
-    assert witness.objective(mu, nu) == value
+        arcs += [(i, ground, gamma), (ground, i, gamma)]
+    flows, potentials = min_cost_transshipment(n + 1, arcs, supply, ground)
+    value = sum((f * cost for f, (_, _, cost) in zip(flows, arcs)), start=Fraction(0))
+    witness = LipschitzWitness(
+        metric, [potentials[ground] - potentials[i] for i in range(n)], gamma
+    )
+    if witness.objective(mu, nu) != value:
+        raise AssertionError(
+            f"Hutchinson witness attains {witness.objective(mu, nu)}, not {value}"
+        )
     return value, witness
 
 
@@ -298,10 +311,6 @@ def check_weak_limit(sequence, limit, metric, tol):
     if limit.space != metric.space:
         raise SpaceMismatch("limit must live on the metric's space")
     n = len(metric.space.atoms)
-    if n > atom_cap():
-        raise CapacityExceeded(
-            f"{n} atoms exceed the subset-enumeration cap {atom_cap()}"
-        )
     tol = Fraction(tol) if not isinstance(tol, float) else tol
     tail = sequence[len(sequence) // 2 :]
 
@@ -312,18 +321,21 @@ def check_weak_limit(sequence, limit, metric, tol):
     )
     mass_residual = max(abs(float(m.total() - limit.total())) for m in tail)
 
-    portmanteau_excess = 0.0
-    witness_set = None
-    for mset in metric.space.measurable_sets():
-        limit_mass = limit.eval(mset)
-        for m in tail:
-            excess = float(m.eval(mset) - limit_mass)
-            if excess > portmanteau_excess:
-                portmanteau_excess = excess
-                witness_set = mset
+    diffs = [
+        [a - b for a, b in zip(m.weights, limit.weights)] for m in tail
+    ]
+    portmanteau_excess = max(
+        float(sum((d for d in row if d > 0), start=Fraction(0))) for row in diffs
+    )
     per_atom_ok = per_atom_residual <= tol
     portmanteau_ok = portmanteau_excess <= tol
     mass_ok = mass_residual <= tol
+    witness_set = None
+    if not portmanteau_ok and portmanteau_excess > 0:
+        mask = min(_first_mask(row, portmanteau_excess) for row in diffs)
+        witness_set = metric.space.set_of_atoms(
+            [k for k in range(n) if mask >> k & 1]
+        )
     return WeakLimitReport(
         per_atom_ok,
         portmanteau_ok,
@@ -331,5 +343,27 @@ def check_weak_limit(sequence, limit, metric, tol):
         per_atom_residual,
         portmanteau_excess,
         mass_residual,
-        witness_set if not portmanteau_ok else None,
+        witness_set,
     )
+
+
+def _first_mask(diffs, excess):
+    """Least atom mask S with float(sum of diffs over S) == excess, if any.
+
+    This is the set a scan of all atom masks in counting order would keep.
+    The positive diffs give the largest sum and float rounding is monotone,
+    so, from the top bit down, a bit may stay clear exactly when the best
+    completion below it still rounds to excess.  Returns 1 << len(diffs),
+    above every mask, when this row never reaches excess.
+    """
+    below = [Fraction(0)]
+    for d in diffs:
+        below.append(below[-1] + max(d, Fraction(0)))
+    if float(below[-1]) != excess:
+        return 1 << len(diffs)
+    mask, fixed = 0, Fraction(0)
+    for k in reversed(range(len(diffs))):
+        if float(fixed + below[k]) != excess:
+            mask |= 1 << k
+            fixed += diffs[k]
+    return mask
