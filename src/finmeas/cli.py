@@ -120,6 +120,12 @@ def _require_dict(entry, context):
     return entry
 
 
+def _strings(value, context):
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ModelError(f"{context} must be a list of strings")
+    return value
+
+
 def _atom_weights(space, mapping, context):
     """Resolve a point-keyed weight mapping to one value per atom."""
     weights = [Fraction(0)] * len(space.atoms)
@@ -159,14 +165,14 @@ def parse_model(doc):
             continue
         if "points" not in entry:
             raise ModelError(f"space {name!r} needs points")
-        points = entry["points"]
         try:
+            points = _strings(entry["points"], "points")
             if "atoms" in entry:
-                space = FiniteMeasurableSpace(points, entry["atoms"])
+                atoms = [_strings(a, "atom") for a in entry["atoms"]]
+                space = FiniteMeasurableSpace(points, atoms)
             elif "generator" in entry:
-                space = sigma_from_generator(
-                    points, [frozenset(g) for g in entry["generator"]]
-                )
+                generator = [_strings(g, "generator set") for g in entry["generator"]]
+                space = sigma_from_generator(points, [frozenset(g) for g in generator])
             else:
                 space = FiniteMeasurableSpace.discrete(points)
         except (FinmeasError, ValueError, TypeError) as err:
@@ -180,7 +186,7 @@ def parse_model(doc):
             raise ModelError(f"metric {name!r} collides with a space name")
         try:
             metric = FiniteMetric.from_points(
-                entry["points"],
+                _strings(entry["points"], "points"),
                 [
                     [_rational(v, f"metric {name!r}") for v in row]
                     for row in entry["dist"]
@@ -269,7 +275,7 @@ def parse_model(doc):
         right = model.space(right_name)
         pairs = set()
         for pair in entry.get("pairs", []):
-            if not (isinstance(pair, list) and len(pair) == 2):
+            if len(_strings(pair, f"relation {name!r}: pair")) != 2:
                 raise ModelError(f"relation {name!r}: pairs must be 2-lists")
             p, q = pair
             try:

@@ -9,7 +9,8 @@ are given:
 
 The metrics layer builds the Prohorov constraint (a Hall deficiency) and
 the Hutchinson program (a transshipment to a ground point) on these, and
-the coupling layer reads its Hall cut off the max-flow residual.  See
+the coupling layer reads a coupling off the max-flow arc flows, or its
+Hall cut off the residual when the flow falls short.  See
 Ahuja, Magnanti and Orlin, *Network Flows*, chapters 7 and 9.
 """
 
@@ -46,6 +47,10 @@ class _Residual:
         if self.cap[e ^ 1] is not None:
             self.cap[e ^ 1] += amount
 
+    def flows(self, count):
+        """The flow on each of the first count arcs added: its reverse capacity."""
+        return [self.cap[2 * k + 1] for k in range(count)]
+
     def path_to(self, parent, v):
         """The arcs of the search tree path ending at v, sink end first."""
         path = []
@@ -60,9 +65,10 @@ def max_flow(n, arcs, source, sink):
     """Maximum flow from source to sink over nodes 0..n-1.
 
     ``arcs`` is a sequence of (u, v, capacity); a capacity of None is
-    unbounded.  Returns (value, source_side): source_side is the set of
-    nodes reachable from the source in the final residual graph, the source
-    side of the minimum cut nearest the source.
+    unbounded.  Returns (value, source_side, flows): source_side is the set
+    of nodes reachable from the source in the final residual graph, the
+    source side of the minimum cut nearest the source, and flows[k] is the
+    flow on arcs[k].
     """
     graph = _Residual(n)
     for u, v, cap in arcs:
@@ -79,7 +85,7 @@ def max_flow(n, arcs, source, sink):
                     parent[v] = e
                     queue.append(v)
         if sink not in parent:
-            return value, set(parent)
+            return value, set(parent), graph.flows(len(arcs))
         path = graph.path_to(parent, sink)
         caps = [graph.cap[e] for e in path if graph.cap[e] is not None]
         if not caps:
@@ -162,5 +168,4 @@ def min_cost_transshipment(n, arcs, supply, root):
     if len(dist) < n:
         raise ValueError("a node is unreachable from the root")
     potentials = [dist[v] + potential[v] - potential[root] for v in range(n)]
-    flows = [graph.cap[2 * k + 1] for k in range(len(arcs))]
-    return flows, potentials
+    return graph.flows(len(arcs)), potentials

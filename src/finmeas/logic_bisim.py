@@ -2,9 +2,10 @@
 
 The logic is negation-free: T, conjunction, and the threshold modality
 dia>=q.  Logical equivalence is computed by block-mass partition
-refinement; formula enumeration serves as a test oracle only.  Couplings
-are transportation LPs solved by the exact simplex, with a Hall-style cut
-certificate (via max flow) when infeasible.
+refinement; formula enumeration serves as a test oracle only.  A coupling
+of two marginals inside a support is one max flow: a full flow is the
+coupling, and a short one yields a Hall-style cut certificate from the
+residual graph.
 """
 
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .flow import max_flow
 from .kernels import AtomMap, Kernel, pushforward
 from .measures import Measure
 from .rational import as_fraction, atom_cap, format_fraction
-from .simplex import OPTIMAL, maximize
+from .simplex import maximize  # noqa: F401  bench/spans.py wraps this attribute
 from .spaces import (
     FiniteMeasurableSpace,
     Partition,
@@ -464,71 +465,45 @@ class Infeasible:
         )
 
 
-def _hall_certificate(problem):
-    """Extract a violating row set from a max-flow residual cut."""
-    left = problem.left_marginal
-    right = problem.right_marginal
-    n1 = len(left.space.atoms)
-    n2 = len(right.space.atoms)
-    total = left.total()
-    source, sink = 0, n1 + n2 + 1
-    arcs = [(source, 1 + i, left.weights[i]) for i in range(n1)]
-    arcs += [(n1 + 1 + j, sink, right.weights[j]) for j in range(n2)]
-    arcs += [(1 + i, n1 + 1 + j, None) for i, j in problem.support]
-    flow, reached = max_flow(n1 + n2 + 2, arcs, source, sink)
-    assert flow < total, "certificate requested for a feasible problem"
-    rows = sorted(i for i in range(n1) if 1 + i in reached)
-    row_set = set(rows)
-    neighborhood = sorted({j for i, j in problem.support if i in row_set})
-    row_mass = sum((left.weights[i] for i in rows), start=Fraction(0))
-    neighborhood_mass = sum(
-        (right.weights[j] for j in neighborhood), start=Fraction(0)
-    )
-    assert row_mass > neighborhood_mass
-    return Infeasible(
-        left.space.set_of_atoms(rows),
-        right.space.set_of_atoms(neighborhood),
-        row_mass,
-        neighborhood_mass,
-    )
-
-
 def solve_coupling(problem):
     """A joint measure with the given marginals inside the given support.
 
-    Returns the deterministic basic feasible solution found by the exact
-    phase-1 simplex under canonical variable order, as a measure on the
-    full product (zero off the support); or an Infeasible certificate.
+    One max flow decides it (Strassen 1965): source -> left atom i with
+    capacity mu_i, support arcs i -> j unbounded and in sorted order, right
+    atom j -> sink with capacity nu_j.  A flow of value mu(X) is the
+    coupling, a measure on the full product (zero off the support); a
+    shorter one leaves the rows reachable in the residual graph, returned
+    as an Infeasible certificate whose deficit is the shortfall.
     """
     left = problem.left_marginal
     right = problem.right_marginal
-    if left.total() != right.total():
-        raise MassMismatch(
-            f"marginal totals differ: {left.total()} vs {right.total()}"
-        )
+    total = left.total()
+    if total != right.total():
+        raise MassMismatch(f"marginal totals differ: {total} vs {right.total()}")
     n1 = len(left.space.atoms)
     n2 = len(right.space.atoms)
-    prod = product_space(left.space, right.space)
-    variables = sorted(problem.support)
-    if not variables:
-        if left.total() == 0:
-            return Measure.zero(prod)
-        return _hall_certificate(problem)
-    a_eq = []
-    b_eq = []
-    for i in range(n1):
-        a_eq.append([Fraction(int(v[0] == i)) for v in variables])
-        b_eq.append(left.weights[i])
-    for j in range(n2):
-        a_eq.append([Fraction(int(v[1] == j)) for v in variables])
-        b_eq.append(right.weights[j])
-    result = maximize([Fraction(0)] * len(variables), a_eq=a_eq, b_eq=b_eq)
-    if result.status != OPTIMAL:
-        return _hall_certificate(problem)
-    weights = [Fraction(0)] * (n1 * n2)
-    for x, (i, j) in zip(result.x, variables):
-        weights[i * n2 + j] = x
-    return Measure(prod, weights)
+    support = sorted(problem.support)
+    source, sink = 0, n1 + n2 + 1
+    arcs = [(source, 1 + i, left.weights[i]) for i in range(n1)]
+    arcs += [(1 + i, 1 + n1 + j, None) for i, j in support]
+    arcs += [(1 + n1 + j, sink, right.weights[j]) for j in range(n2)]
+    flow, reached, flows = max_flow(n1 + n2 + 2, arcs, source, sink)
+    if flow == total:
+        weights = [Fraction(0)] * (n1 * n2)
+        for (i, j), x in zip(support, flows[n1:]):
+            weights[i * n2 + j] = x
+        return Measure(product_space(left.space, right.space), weights)
+    rows = [i for i in range(n1) if 1 + i in reached]
+    neighborhood = sorted({j for i, j in support if 1 + i in reached})
+    certificate = Infeasible(
+        left.space.set_of_atoms(rows),
+        right.space.set_of_atoms(neighborhood),
+        sum((left.weights[i] for i in rows), start=Fraction(0)),
+        sum((right.weights[j] for j in neighborhood), start=Fraction(0)),
+    )
+    if certificate.deficit != total - flow:
+        raise AssertionError("Hall cut deficit differs from the flow shortfall")
+    return certificate
 
 
 class MediationResult:
@@ -665,19 +640,22 @@ def mediate(k1, k2, q1, q2, iso):
         row = Measure(
             b_space, [coupling.weights[j1 * n2 + j2] for j1, j2 in b_pairs]
         )
-        assert row.total() == k1.rows[i1].total()
+        if row.total() != k1.rows[i1].total():
+            raise AssertionError("mediating row lost mass")
         rows.append(row)
     mediating = Kernel(a_space, b_space, rows)
     for (i1, i2), row in zip(a_pairs, rows):
-        assert pushforward(zeta1, row) == k1.rows[i1]
-        assert pushforward(zeta2, row) == k2.rows[i2]
+        images = (pushforward(zeta1, row), pushforward(zeta2, row))
+        if images != (k1.rows[i1], k2.rows[i2]):
+            raise AssertionError("mediating row misses a marginal")
     if len(q1c.blocks) >= 2:
         u1 = k1.codomain.set_of_atoms(q1c.block_atom_indices(0))
         image = q2c.block_index_of_point(cod_iso[q1c.blocks[0][0]])
         u2 = k2.codomain.set_of_atoms(q2c.block_atom_indices(image))
         for point in b_space.points:
             x, y = split_pair_label(point)
-            assert (x in u1) == (y in u2)
+            if (x in u1) != (y in u2):
+                raise AssertionError("common events disagree on B")
         common_events = (u1, u2)
     else:
         common_events = None

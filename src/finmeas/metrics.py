@@ -128,7 +128,7 @@ def _deficit(rho, sigma, metric, joined):
         (i, n + j, None) for i in rows for j in cols if joined(metric.dist[i][j])
     ]
     arcs += [(n + j, sink, sigma[j]) for j in cols]
-    flow, _ = max_flow(2 * n + 2, arcs, source, sink)
+    flow, _, _ = max_flow(2 * n + 2, arcs, source, sink)
     return sum(rho, start=Fraction(0)) - flow
 
 

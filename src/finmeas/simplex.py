@@ -1,12 +1,14 @@
 """Dense exact-rational simplex with Bland's anti-cycling rule.
 
-Small embedded solver for the linear programs in this package: the
-Hutchinson metric (box plus difference constraints) and coupling
-feasibility (transportation equalities).  Maximizes c.x subject to
-A_ub x <= b_ub, A_eq x = b_eq, x >= 0, everything a Fraction.  Bland's
-rule (lowest eligible index enters, lowest basic index breaks ratio
-ties) guarantees termination and makes the returned basic solution
-deterministic under the given variable order.
+No library path calls it: it is kept as the reference the flow core is
+tested against (``tests/oracles.py``), and stays in the package only
+because ``bench/spans.py`` wraps the ``maximize`` names that ``metrics``
+and ``logic_bisim`` import.
+
+Maximizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0,
+everything a Fraction.  Bland's rule (lowest eligible index enters,
+lowest basic index breaks ratio ties) guarantees termination and makes
+the returned basic solution deterministic under the given variable order.
 """
 
 from fractions import Fraction

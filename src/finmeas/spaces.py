@@ -297,7 +297,8 @@ def product_space(left, right):
             atoms.append(tuple(join_pair_label(p, q) for p in a for q in b))
     space = FiniteMeasurableSpace(points, atoms, factors=(left, right))
     # canonical order of rectangle atoms is row-major in (left, right)
-    assert len(space.atoms) == len(left.atoms) * len(right.atoms)
+    if len(space.atoms) != len(left.atoms) * len(right.atoms):
+        raise AssertionError("product atoms are not the rectangles of atoms")
     return space
 
 
@@ -314,7 +315,9 @@ def check_pi_system_uniqueness(space, mu, nu, generator):
     The generator must be an intersection-closed family containing the full
     set (a pi-system); when mu and nu agree on such a generator of the
     sigma-algebra, agreement everywhere is forced.  Returns (True, None)
-    on full agreement, else (False, witness_set).
+    on full agreement, else (False, witness_set): measures agree on every
+    set iff they agree on every atom, and the first set in mask order where
+    they disagree is the singleton of the first atom where they disagree.
     """
     full = space.full_set()
     gen = list(generator)
@@ -332,7 +335,7 @@ def check_pi_system_uniqueness(space, mu, nu, generator):
             )
     if mu.space != space or nu.space != space:
         raise SpaceMismatch("measures live on a different space")
-    for candidate in space.measurable_sets():
-        if mu.eval(candidate) != nu.eval(candidate):
-            return False, candidate
+    for k, (a, b) in enumerate(zip(mu.weights, nu.weights)):
+        if a != b:
+            return False, space.set_of_atoms([k])
     return True, None

@@ -1,20 +1,26 @@
-"""The subset-scan and dense-LP algorithms the metrics layer used to run.
+"""The subset-scan and dense-LP algorithms the library used to run.
 
 The library now computes these quantities with network flows and closed
 forms.  The scans below are the earlier implementations, kept unchanged
 apart from their names, as independent oracles for small spaces: the
 Prohorov distance and feasibility by enumerating every subset, the
-weak-limit check by enumerating every measurable set, and the Hutchinson
-distance as the dense bounded-Lipschitz LP for the rational simplex.
+weak-limit check and the pi-system uniqueness witness by enumerating every
+measurable set, the Hutchinson distance as the dense bounded-Lipschitz LP
+for the rational simplex, and coupling feasibility as the transportation
+LP for the rational simplex with a separate max-flow Hall cut.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from finmeas.errors import CapacityExceeded
+from finmeas.errors import CapacityExceeded, MassMismatch
+from finmeas.flow import max_flow
+from finmeas.logic_bisim import Infeasible
+from finmeas.measures import Measure
 from finmeas.metrics import WeakLimitReport
 from finmeas.rational import atom_cap
 from finmeas.simplex import OPTIMAL, maximize
+from finmeas.spaces import product_space
 
 
 def _one_sided_min_eps(rho_b, sigma_masses, thresholds):
@@ -147,3 +153,76 @@ def hutchinson_lp(mu, nu, metric, gamma):
     assert result.status == OPTIMAL
     shift = gamma * sum(c, start=Fraction(0))
     return result.value - shift, [x - gamma for x in result.x]
+
+
+def pi_system_witness_scan(space, mu, nu):
+    """The first measurable set in mask order where mu and nu disagree,
+    as (False, witness), or (True, None) when they agree on every set."""
+    for candidate in space.measurable_sets():
+        if mu.eval(candidate) != nu.eval(candidate):
+            return False, candidate
+    return True, None
+
+
+def _hall_certificate(problem):
+    """Extract a violating row set from a max-flow residual cut."""
+    left = problem.left_marginal
+    right = problem.right_marginal
+    n1 = len(left.space.atoms)
+    n2 = len(right.space.atoms)
+    total = left.total()
+    source, sink = 0, n1 + n2 + 1
+    arcs = [(source, 1 + i, left.weights[i]) for i in range(n1)]
+    arcs += [(n1 + 1 + j, sink, right.weights[j]) for j in range(n2)]
+    arcs += [(1 + i, n1 + 1 + j, None) for i, j in problem.support]
+    flow, reached, _ = max_flow(n1 + n2 + 2, arcs, source, sink)
+    assert flow < total, "certificate requested for a feasible problem"
+    rows = sorted(i for i in range(n1) if 1 + i in reached)
+    row_set = set(rows)
+    neighborhood = sorted({j for i, j in problem.support if i in row_set})
+    row_mass = sum((left.weights[i] for i in rows), start=Fraction(0))
+    neighborhood_mass = sum(
+        (right.weights[j] for j in neighborhood), start=Fraction(0)
+    )
+    assert row_mass > neighborhood_mass
+    return Infeasible(
+        left.space.set_of_atoms(rows),
+        right.space.set_of_atoms(neighborhood),
+        row_mass,
+        neighborhood_mass,
+    )
+
+
+def solve_coupling_lp(problem):
+    """A coupling as the basic feasible solution of the transportation LP
+    under the exact phase-1 simplex, or the max-flow Hall cut when the LP
+    is infeasible."""
+    left = problem.left_marginal
+    right = problem.right_marginal
+    if left.total() != right.total():
+        raise MassMismatch(
+            f"marginal totals differ: {left.total()} vs {right.total()}"
+        )
+    n1 = len(left.space.atoms)
+    n2 = len(right.space.atoms)
+    prod = product_space(left.space, right.space)
+    variables = sorted(problem.support)
+    if not variables:
+        if left.total() == 0:
+            return Measure.zero(prod)
+        return _hall_certificate(problem)
+    a_eq = []
+    b_eq = []
+    for i in range(n1):
+        a_eq.append([Fraction(int(v[0] == i)) for v in variables])
+        b_eq.append(left.weights[i])
+    for j in range(n2):
+        a_eq.append([Fraction(int(v[1] == j)) for v in variables])
+        b_eq.append(right.weights[j])
+    result = maximize([Fraction(0)] * len(variables), a_eq=a_eq, b_eq=b_eq)
+    if result.status != OPTIMAL:
+        return _hall_certificate(problem)
+    weights = [Fraction(0)] * (n1 * n2)
+    for x, (i, j) in zip(result.x, variables):
+        weights[i * n2 + j] = x
+    return Measure(prod, weights)

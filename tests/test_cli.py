@@ -139,6 +139,26 @@ def test_hutchinson_example(capsys):
     assert out.splitlines()[0] == "1/2"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"spaces": {"X": {"points": [1, 2]}}},
+        {"spaces": {"X": {"points": "abc"}}},
+        {
+            "spaces": {"X": {"points": ["a"]}},
+            "relations": {"r": {"left": "X", "right": "X", "pairs": [[["a"], "a"]]}},
+        },
+    ],
+    ids=["integer-points", "string-points", "list-in-relation-pair"],
+)
+def test_model_rejects_non_string_names(capsys, tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "space", "-m", str(path), "--name", "X")
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]")
+
+
 def test_model_rejects_unknown_section():
     with pytest.raises(ModelError):
         parse_model({"spacess": {}})

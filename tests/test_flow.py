@@ -56,8 +56,15 @@ def test_max_flow_matches_networkx():
             else:
                 graph.add_edge(u, v, capacity=cap)
         expected, flows = nx.maximum_flow(graph, 0, n - 1)
-        value, side = max_flow(n, arcs, 0, n - 1)
+        value, side, arc_flows = max_flow(n, arcs, 0, n - 1)
         assert value == expected
+        # the arc flows are a feasible flow of that value
+        for f, (_, _, cap) in zip(arc_flows, arcs):
+            assert f >= 0 and (cap is None or f <= cap)
+        for v in range(n):
+            out = sum((f for f, (a, _, _) in zip(arc_flows, arcs) if a == v), start=Fraction(0))
+            into = sum((f for f, (_, b, _) in zip(arc_flows, arcs) if b == v), start=Fraction(0))
+            assert out - into == {0: value, n - 1: -value}.get(v, 0)
         # the residual source side is the same for every maximum flow
         assert side == residual_reach(graph, flows, 0)
         cut = sum(

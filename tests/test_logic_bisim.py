@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finmeas.errors import (
     CapacityExceeded,
@@ -33,6 +35,7 @@ from finmeas.measures import Measure
 from finmeas.spaces import FiniteMeasurableSpace, Partition, sigma_from_generator
 
 from conftest import rand_kernel, rand_probability, rand_space
+from oracles import solve_coupling_lp
 
 S = FiniteMeasurableSpace.discrete("ab")
 M = Kernel.from_matrix(
@@ -262,6 +265,59 @@ def test_solve_coupling_random_feasible():
             if (i, j) not in problem.support
         ]
         assert all(coupling.weights[i * n2 + j] == 0 for i, j in off)
+
+
+@st.composite
+def coupling_problems(draw):
+    """Marginals of equal mass (zero, a sub-probability or one) on up to 6
+    atoms a side, zero-mass atoms included, inside a support that is empty,
+    full or of random density."""
+    n1 = draw(st.integers(1, 6))
+    n2 = draw(st.integers(1, 6))
+    mass = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(3, 4), 1]))
+    marginals = []
+    for n, name in ((n1, "l"), (n2, "r")):
+        raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if mass and not any(raw):
+            raw[draw(st.integers(0, n - 1))] = 1
+        weights = [mass * Fraction(x, sum(raw)) if mass else 0 for x in raw]
+        space = FiniteMeasurableSpace.discrete([f"{name}{k}" for k in range(n)])
+        marginals.append(Measure(space, weights))
+    density = draw(st.integers(0, 4))
+    support = [
+        (i, j)
+        for i in range(n1)
+        for j in range(n2)
+        if draw(st.integers(0, 3)) < density
+    ]
+    return CouplingProblem(*marginals, support)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coupling_problems())
+def test_solve_coupling_matches_the_transportation_lp(problem):
+    mu = problem.left_marginal
+    nu = problem.right_marginal
+    n1 = len(mu.weights)
+    n2 = len(nu.weights)
+    result = solve_coupling(problem)
+    expected = solve_coupling_lp(problem)
+    assert isinstance(result, Infeasible) == isinstance(expected, Infeasible)
+    if isinstance(result, Infeasible):
+        # the residual source side is the same for every maximum flow
+        assert result.rows == expected.rows
+        assert result.neighborhood == expected.neighborhood
+        assert result.row_mass == expected.row_mass
+        assert result.neighborhood_mass == expected.neighborhood_mass
+        return
+    for i in range(n1):
+        for j in range(n2):
+            w = result.weights[i * n2 + j]
+            assert w >= 0 and (w == 0 or (i, j) in problem.support)
+    for i in range(n1):
+        assert sum(result.weights[i * n2:(i + 1) * n2]) == mu.weights[i]
+    for j in range(n2):
+        assert sum(result.weights[j::n2]) == nu.weights[j]
 
 
 def test_mediate_uniform_pair():

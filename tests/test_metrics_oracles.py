@@ -182,6 +182,20 @@ try:
     metrics.hutchinson_distance(mu, nu, metric, 1)
 except AssertionError:
     print("hutchinson check raised")
+from finmeas import logic_bisim
+from finmeas.kernels import Kernel
+from finmeas.spaces import FiniteMeasurableSpace
+space = FiniteMeasurableSpace.discrete("ab")
+half = Fraction(1, 2)
+kernel = Kernel.from_matrix(space, space, [[half, half], [half, half]])
+part = logic_bisim.logical_equivalence(kernel)
+quotient = logic_bisim.quotient_kernel(kernel, part)
+iso = logic_bisim.find_quotient_iso(quotient, quotient)
+logic_bisim.pushforward = lambda *args: None
+try:
+    logic_bisim.mediate(kernel, kernel, part, part, iso)
+except AssertionError:
+    print("mediate check raised")
 """
     src = str(Path(metrics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -190,4 +204,6 @@ except AssertionError:
         capture_output=True, text=True, env=env, timeout=60, check=False,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["prohorov probe raised", "hutchinson check raised"]
+    assert done.stdout.splitlines() == [
+        "prohorov probe raised", "hutchinson check raised", "mediate check raised",
+    ]

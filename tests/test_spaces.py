@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from finmeas.spaces import (
 )
 
 from conftest import rand_generator_sets, sigma_closure_bruteforce
+from oracles import pi_system_witness_scan
 
 
 def test_atom_order_follows_least_point():
@@ -143,6 +145,37 @@ def test_pi_system_uniqueness_witness_on_coarse_generator():
     ok, witness = check_pi_system_uniqueness(space, mu, nu, [space.full_set()])
     assert not ok
     assert witness.sorted_points() in (["a"], ["b"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pi_system_witness_matches_mask_scan(data):
+    n = data.draw(st.integers(1, 8))
+    points = [f"p{k}" for k in range(n)]
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    atoms = [
+        tuple(p for p, b in zip(points, labels) if b == block)
+        for block in sorted(set(labels))
+    ]
+    space = FiniteMeasurableSpace(points, atoms)
+    weights = st.lists(
+        st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1]),
+        min_size=len(atoms), max_size=len(atoms),
+    )
+    mu = Measure(space, data.draw(weights))
+    nu = Measure(space, data.draw(weights)) if data.draw(st.booleans()) else mu
+    got = check_pi_system_uniqueness(space, mu, nu, [space.full_set()])
+    assert got == pi_system_witness_scan(space, mu, nu)
+
+
+def test_pi_system_uniqueness_past_the_atom_cap():
+    space = FiniteMeasurableSpace.discrete([f"p{k:02d}" for k in range(40)])
+    mu = Measure(space, [1] * 40)
+    nu = Measure(space, [1] * 37 + [2, 1, 2])
+    full = space.full_set()
+    assert check_pi_system_uniqueness(space, mu, mu, [full]) == (True, None)
+    ok, witness = check_pi_system_uniqueness(space, mu, nu, [full])
+    assert not ok and witness.sorted_points() == ["p37"]
 
 
 @settings(max_examples=60, deadline=None)
