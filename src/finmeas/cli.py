@@ -291,10 +291,20 @@ def parse_model(doc):
     return model
 
 
+def _unique_keys(pairs):
+    """A JSON object hook that refuses a key given twice in one object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ModelError(f"duplicate JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_model(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as err:
             raise ModelError(f"invalid JSON in {path}: {err}") from None
     return parse_model(doc)

@@ -5,9 +5,17 @@ on atoms make measurability automatic.  Convolution is Kleisli composition,
 the lift acts on measures, products and disintegration translate between
 joints and (marginal, kernel) pairs, and path measures iterate a kernel to
 a finite horizon.
+
+The arithmetic-heavy operations (convolution, the lift, path measures and
+the refinement code in logic_bisim) work on sparse integer rows: each row
+is scaled by the lcm of its nonzero denominators, sums and products run on
+Python ints over the nonzero entries only, and every result entry becomes
+one Fraction at the end.  The rows are built per call, never stored on the
+kernel.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     HorizonTooLarge,
@@ -103,6 +111,37 @@ class Kernel:
         )
 
 
+def _sparse_rows(kernel):
+    """Each row as (D, [(j, numerator_j)]) over its nonzero entries only.
+
+    D is the lcm of the row's nonzero denominators (1 for a zero row), so
+    entry j of the row is numerator_j / D.
+    """
+    rows = []
+    for row in kernel.rows:
+        entries = [(j, w) for j, w in enumerate(row.weights) if w]
+        d = lcm(*(w.denominator for _, w in entries))
+        rows.append((d, [(j, w.numerator * (d // w.denominator)) for j, w in entries]))
+    return rows
+
+
+def _mix(masses, rows, n_out):
+    """The weights of sum_k masses[k] * row_k, for sparse integer rows.
+
+    Every term is scaled to the lcm Q of mass denominator times row scale
+    over the nonzero masses, accumulated as ints, and divided by Q once.
+    """
+    terms = [(m, rows[k]) for k, m in enumerate(masses) if m]
+    q = lcm(*(m.denominator * d for m, (d, _) in terms))
+    acc = [0] * n_out
+    for m, (d, entries) in terms:
+        factor = m.numerator * (q // (m.denominator * d))
+        for j, num in entries:
+            acc[j] += factor * num
+    zero = Fraction(0)
+    return [Fraction(a, q) if a else zero for a in acc]
+
+
 def identity_kernel(space):
     """The neutral element for convolution: rows are unit point masses."""
     n = len(space.atoms)
@@ -117,20 +156,17 @@ def convolve(left, right):
     """Kleisli composition (left * right)(x)(C) = integral left(y)(C) d right(x)(y).
 
     right feeds left: right.codomain must equal left.domain.  Reduces to
-    stochastic matrix multiplication of the row matrices.
+    stochastic matrix multiplication of the row matrices, run over the
+    nonzero entries of sparse integer rows.
     """
     if right.codomain != left.domain:
         raise SpaceMismatch("right.codomain must equal left.domain")
     n_out = len(left.codomain.atoms)
-    rows = []
-    for row in right.rows:
-        weights = [Fraction(0)] * n_out
-        for k, mass in enumerate(row.weights):
-            if mass != 0:
-                inner = left.rows[k]
-                for j in range(n_out):
-                    weights[j] += mass * inner.weights[j]
-        rows.append(Measure(left.codomain, weights))
+    inner = _sparse_rows(left)
+    rows = [
+        Measure(left.codomain, _mix(row.weights, inner, n_out))
+        for row in right.rows
+    ]
     return Kernel(
         right.domain, left.codomain, rows, _join_kind(left.kind, right.kind)
     )
@@ -141,12 +177,9 @@ def kleisli_lift(kernel, mu):
     if mu.space != kernel.domain:
         raise SpaceMismatch("measure lives on a different space than the domain")
     n_out = len(kernel.codomain.atoms)
-    weights = [Fraction(0)] * n_out
-    for w, row in zip(mu.weights, kernel.rows):
-        if w != 0:
-            for j in range(n_out):
-                weights[j] += w * row.weights[j]
-    return Measure(kernel.codomain, weights)
+    return Measure(
+        kernel.codomain, _mix(mu.weights, _sparse_rows(kernel), n_out)
+    )
 
 
 def measure_kernel_product(mu, kernel):
@@ -266,7 +299,8 @@ def path_measure(kernel, start_point, horizon):
     (left associated) of T x S; each extension weights a path by the kernel
     row of the state component of its last coordinate.  Projectivity holds:
     summing out the last coordinate of the horizon n+1 measure gives the
-    horizon n measure.
+    horizon n measure.  Path weights are carried as ints over D^t, with D
+    the lcm of the kernel's row scales, and divided out at the horizon.
     """
     step_space = kernel.codomain
     factors = step_space.factors
@@ -282,25 +316,30 @@ def path_measure(kernel, start_point, horizon):
         raise HorizonTooLarge(
             f"{n_step}^{horizon} path atoms exceed the cap {atom_cap()}"
         )
-    # state component of each step atom; rectangle atoms are row-major
-    s_of_step = [k % n_s for k in range(n_step)]
+    rows = _sparse_rows(kernel)
+    scale = lcm(*(d for d, _ in rows))
+    dense = []
+    for d, entries in rows:
+        row = [0] * n_step
+        for k, num in entries:
+            row[k] = num * (scale // d)
+        dense.append(row)
 
     start = kernel.domain.atom_index_of_point(start_point)
     space = step_space
-    weights = list(kernel.rows[start].weights)
-    last_s = list(s_of_step)
+    weights = dense[start]
     for _ in range(horizon - 1):
         space = product_space(space, step_space)
-        new_weights = []
-        new_last = []
-        for w, s in zip(weights, last_s):
-            row = kernel.rows[s]
-            for k in range(n_step):
-                new_weights.append(w * row.weights[k])
-                new_last.append(s_of_step[k])
-        weights = new_weights
-        last_s = new_last
-    return Measure(space, weights)
+        # rectangle atoms are row-major, so the state component of path
+        # atom idx (the state of its last step) is idx % n_s
+        weights = [
+            w * v
+            for idx, w in enumerate(weights)
+            for v in dense[idx % n_s]
+        ]
+    den = scale**horizon
+    zero = Fraction(0)
+    return Measure(space, [Fraction(w, den) if w else zero for w in weights])
 
 
 def path_marginal(measure):

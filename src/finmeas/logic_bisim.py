@@ -1,15 +1,19 @@
 """Modal logic over kernels, quotients, couplings and mediating kernels.
 
 The logic is negation-free: T, conjunction, and the threshold modality
-dia>=q.  Logical equivalence is computed by block-mass partition
-refinement; formula enumeration serves as a test oracle only.  A coupling
-of two marginals inside a support is one max flow: a full flow is the
-coupling, and a short one yields a Hall-style cut certificate from the
-residual graph.
+dia>=q.  Logical equivalence is computed by splitter-based partition
+refinement (lumping) over sparse integer rows; validity sets and quotient
+kernels sum only the nonzero row entries, and formulas are parsed and
+evaluated with explicit stacks, so nesting depth costs no recursion.
+Round-based refinement and formula enumeration serve as test oracles
+only.  A coupling of two marginals inside a support is one max flow: a
+full flow is the coupling, and a short one yields a Hall-style cut
+certificate from the residual graph.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 from .errors import (
     CapacityExceeded,
@@ -20,7 +24,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .flow import max_flow
-from .kernels import AtomMap, Kernel, pushforward
+from .kernels import AtomMap, Kernel, _sparse_rows, pushforward
 from .measures import Measure
 from .rational import as_fraction, atom_cap, format_fraction
 from .simplex import maximize  # noqa: F401  bench/spans.py wraps this attribute
@@ -35,22 +39,50 @@ from .spaces import (
 
 
 class Formula:
-    """AST base; concrete nodes are Top, And and Dia."""
+    """AST base; concrete nodes are Top, And and Dia.
+
+    Printing, depth, equality and hashing walk the tree with an explicit
+    stack, so formulas nested thousands deep need no recursion.  Equality
+    and hashing go through the printed form, which is injective.
+    """
 
     def depth(self):
-        raise NotImplementedError
+        deepest = 0
+        stack = [(self, 0)]
+        while stack:
+            node, d = stack.pop()
+            if isinstance(node, Dia):
+                stack.append((node.body, d + 1))
+            elif isinstance(node, And):
+                stack += [(node.left, d), (node.right, d)]
+            else:
+                deepest = max(deepest, d)
+        return deepest
+
+    def __eq__(self, other):
+        return isinstance(other, Formula) and repr(self) == repr(other)
+
+    def __hash__(self):
+        return hash(repr(self))
+
+    def __repr__(self):
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+            elif isinstance(node, And):
+                stack += [")", node.right, " & ", node.left, "("]
+            elif isinstance(node, Dia):
+                out.append(f"dia>={format_fraction(node.threshold)} ")
+                stack.append(node.body)
+            else:
+                out.append(repr(node))
+        return "".join(out)
 
 
 class Top(Formula):
-    def depth(self):
-        return 0
-
-    def __eq__(self, other):
-        return isinstance(other, Top)
-
-    def __hash__(self):
-        return hash("T")
-
     def __repr__(self):
         return "T"
 
@@ -59,22 +91,6 @@ class And(Formula):
     def __init__(self, left, right):
         self.left = left
         self.right = right
-
-    def depth(self):
-        return max(self.left.depth(), self.right.depth())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, And)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash(("&", self.left, self.right))
-
-    def __repr__(self):
-        return f"({self.left!r} & {self.right!r})"
 
 
 class Dia(Formula):
@@ -86,22 +102,6 @@ class Dia(Formula):
             raise ValueError(f"dia threshold must lie in [0, 1], got {threshold}")
         self.threshold = threshold
         self.body = body
-
-    def depth(self):
-        return self.body.depth() + 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Dia)
-            and self.threshold == other.threshold
-            and self.body == other.body
-        )
-
-    def __hash__(self):
-        return hash(("dia", self.threshold, self.body))
-
-    def __repr__(self):
-        return f"dia>={format_fraction(self.threshold)} {self.body!r}"
 
 
 def format_formula(phi):
@@ -163,22 +163,38 @@ class _Parser:
         return Fraction(int(num))
 
     def formula(self):
-        tok = self.peek()
-        if tok == "T":
-            self.take()
-            return Top()
-        if tok == "dia>=":
-            self.take()
-            return Dia(self.rational(), self.formula())
-        if tok == "(":
-            self.take()
-            node = self.formula()
-            while self.peek() == "&":
+        """One formula, parsed with an explicit stack of open dia>= and
+        conjunction frames instead of recursion."""
+        frames = []
+        while True:
+            tok = self.peek()
+            if tok == "dia>=":
                 self.take()
-                node = And(node, self.formula())
-            self.take(")")
-            return node
-        raise ValueError(f"unexpected token {tok!r}")
+                frames.append(self.rational())
+                continue
+            if tok == "(":
+                self.take()
+                frames.append([None])
+                continue
+            if tok != "T":
+                raise ValueError(f"unexpected token {tok!r}")
+            self.take()
+            node = Top()
+            while frames:
+                frame = frames[-1]
+                if isinstance(frame, Fraction):
+                    frames.pop()
+                    node = Dia(frame, node)
+                    continue
+                frame[0] = node if frame[0] is None else And(frame[0], node)
+                if self.peek() == "&":
+                    self.take()
+                    break
+                self.take(")")
+                frames.pop()
+                node = frame[0]
+            else:
+                return node
 
 
 def parse_formula(text):
@@ -199,73 +215,131 @@ def _require_endo(kernel):
         raise SpaceMismatch("this operation needs an endokernel")
 
 
-def _dia_atoms(kernel, inner, q):
-    """Atoms whose row puts mass at least q on the inner atom set."""
+def _dia_atoms(rows, inner, q):
+    """Atoms whose sparse integer row puts mass at least q on the inner
+    atom set."""
     out = []
-    for k, row in enumerate(kernel.rows):
-        mass = sum((row.weights[j] for j in inner), start=Fraction(0))
-        if mass >= q:
+    for k, (d, entries) in enumerate(rows):
+        mass = sum(num for j, num in entries if j in inner)
+        if mass * q.denominator >= q.numerator * d:
             out.append(k)
     return frozenset(out)
 
 
-def _validity_atoms(kernel, phi):
-    if isinstance(phi, Top):
-        return frozenset(range(len(kernel.domain.atoms)))
-    if isinstance(phi, And):
-        return _validity_atoms(kernel, phi.left) & _validity_atoms(kernel, phi.right)
-    if isinstance(phi, Dia):
-        return _dia_atoms(kernel, _validity_atoms(kernel, phi.body), phi.threshold)
-    raise TypeError(f"not a formula: {phi!r}")
+def _validity_atoms(rows, phi):
+    """The atoms where phi holds, evaluated bottom-up with an explicit stack."""
+    values = []
+    stack = [(phi, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Top):
+            values.append(frozenset(range(len(rows))))
+        elif isinstance(node, And):
+            if ready:
+                right = values.pop()
+                values.append(values.pop() & right)
+            else:
+                stack += [(node, True), (node.right, False), (node.left, False)]
+        elif isinstance(node, Dia):
+            if ready:
+                values.append(_dia_atoms(rows, values.pop(), node.threshold))
+            else:
+                stack += [(node, True), (node.body, False)]
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return values.pop()
 
 
 def validity_set(kernel, phi):
     """The set where phi holds, always a union of atoms."""
     _require_endo(kernel)
-    return kernel.domain.set_of_atoms(sorted(_validity_atoms(kernel, phi)))
+    atoms = _validity_atoms(_sparse_rows(kernel), phi)
+    return kernel.domain.set_of_atoms(sorted(atoms))
+
+
+def _initial_blocks(space, labels):
+    """The atom-index blocks refinement starts from: one block, or the
+    label classes in order of their first atom."""
+    if labels is None:
+        return [list(range(len(space.atoms)))]
+    by_label = {}
+    for k, atom in enumerate(space.atoms):
+        values = {labels[p] for p in atom}
+        if len(values) != 1:
+            raise ValueError(f"label map splits atom {atom!r}")
+        by_label.setdefault(values.pop(), []).append(k)
+    return list(by_label.values())
 
 
 def logical_equivalence(kernel, labels=None):
     """Coarsest partition whose blocks see equal row masses on every block.
 
-    Block-mass refinement from the trivial partition; the fixed point
-    coincides with the partition induced by validity sets of all formulas.
-    ``labels`` optionally seeds the initial partition with point label
-    classes (an extension hook; the core logic has no atomic propositions).
+    Splitter refinement (Paige-Tarjan, in the lumping form of Valmari and
+    Franceschinis, TACAS 2010) over predecessor lists of sparse integer
+    rows.  Every block starts on a worklist; popping a splitter S sums each
+    predecessor's mass into S and splits the touched states of each touched
+    block by that mass, the untouched states (mass 0) keeping the block.
+    The pieces of a split block are queued, except the largest when the
+    block itself is not queued: its mass is then the block's minus the
+    others'.  The fixed point coincides with the partition induced by the
+    validity sets of all formulas.  ``labels`` optionally seeds the initial
+    partition with point label classes (an extension hook; the core logic
+    has no atomic propositions).
     """
     _require_endo(kernel)
     space = kernel.domain
-    n = len(space.atoms)
-    if labels is None:
-        blocks = [tuple(range(n))]
-    else:
-        by_label = {}
-        for k, atom in enumerate(space.atoms):
-            values = {labels[p] for p in atom}
-            if len(values) != 1:
-                raise ValueError(f"label map splits atom {atom!r}")
-            by_label.setdefault(values.pop(), []).append(k)
-        blocks = sorted((tuple(v) for v in by_label.values()), key=lambda b: b[0])
-    while True:
-        index_of = {}
-        for b, members in enumerate(blocks):
-            for k in members:
-                index_of[k] = b
-        split = {}
-        for k in range(n):
-            row = kernel.rows[k]
-            signature = tuple(
-                sum((row.weights[j] for j in members), start=Fraction(0))
-                for members in blocks
-            )
-            split.setdefault((index_of[k], signature), []).append(k)
-        refined = sorted((tuple(v) for v in split.values()), key=lambda b: b[0])
-        if len(refined) == len(blocks):
-            break
-        blocks = refined
+    rows = _sparse_rows(kernel)
+    scale = [d for d, _ in rows]
+    pred = [[] for _ in rows]
+    for i, (_, entries) in enumerate(rows):
+        for j, num in entries:
+            pred[j].append((i, num))
+    members = [set(block) for block in _initial_blocks(space, labels)]
+    block_of = [0] * len(rows)
+    for b, block in enumerate(members):
+        for k in block:
+            block_of[k] = b
+    queue = list(range(len(members)))
+    queued = [True] * len(members)
+    while queue:
+        splitter = queue.pop()
+        queued[splitter] = False
+        mass = {}
+        for j in members[splitter]:
+            for i, num in pred[j]:
+                mass[i] = mass.get(i, 0) + num
+        touched = {}
+        for i in mass:
+            touched.setdefault(block_of[i], []).append(i)
+        for b, states in touched.items():
+            # masses of different rows compare as reduced fractions of
+            # their own row scales, never over one common denominator
+            groups = {}
+            for i in states:
+                g = gcd(mass[i], scale[i])
+                groups.setdefault((mass[i] // g, scale[i] // g), []).append(i)
+            pieces = list(groups.values())
+            if len(states) == len(members[b]):
+                if len(pieces) == 1:
+                    continue
+                pieces.remove(max(pieces, key=len))
+            ids = [b]
+            for piece in pieces:
+                ids.append(len(members))
+                members.append(set(piece))
+                members[b].difference_update(piece)
+                for i in piece:
+                    block_of[i] = ids[-1]
+                queued.append(False)
+            if not queued[b]:
+                ids.remove(max(ids, key=lambda x: len(members[x])))
+            for x in ids:
+                if not queued[x]:
+                    queued[x] = True
+                    queue.append(x)
     return Partition(
         space,
-        [[p for k in members for p in space.atoms[k]] for members in blocks],
+        [[p for k in block for p in space.atoms[k]] for block in members],
     )
 
 
@@ -286,17 +360,18 @@ def invariant_sigma_algebra(kernel, depth):
         raise CapacityExceeded(
             f"{n} atoms exceed the subset-enumeration cap {atom_cap()}"
         )
+    rows = _sparse_rows(kernel)
     sets = {frozenset(range(n))}
     for _ in range(depth):
         layer = set(sets)
         for inner in sets:
             masses = {
-                sum((row.weights[j] for j in inner), start=Fraction(0))
-                for row in kernel.rows
+                Fraction(sum(num for j, num in entries if j in inner), d)
+                for d, entries in rows
             }
             for q in masses:
                 if 0 < q <= 1:
-                    layer.add(_dia_atoms(kernel, inner, q))
+                    layer.add(_dia_atoms(rows, inner, q))
         frontier = layer
         closed = set(layer)
         while frontier:
@@ -334,7 +409,16 @@ def factor_map(partition):
     return quotient, AtomMap(partition.space, quotient, mapping)
 
 
-def _congruence_witness(kernel, dom_partition, cod_partition):
+def _block_masses(entries, block_of_atom):
+    """Integer masses of a sparse row per codomain block (nonzero only)."""
+    masses = {}
+    for j, num in entries:
+        c = block_of_atom[j]
+        masses[c] = masses.get(c, 0) + num
+    return masses
+
+
+def _congruence_witness(rows, dom_partition, cod_partition):
     """None when the partition pair is a congruence, else a witness pair."""
     for partition in (dom_partition, cod_partition):
         if not partition.refines_atoms:
@@ -348,28 +432,18 @@ def _congruence_witness(kernel, dom_partition, cod_partition):
                         if partition.block_index_of_point(p) != first
                     )
                     return atom[0], other
-    cod_blocks = [
-        cod_partition.block_atom_indices(c)
-        for c in range(len(cod_partition.blocks))
-    ]
-    for block in dom_partition.blocks:
-        members = dom_partition.block_atom_indices(
-            dom_partition.block_index_of_point(block[0])
-        )
-        base = kernel.rows[members[0]]
-        base_masses = [
-            sum((base.weights[j] for j in atoms), start=Fraction(0))
-            for atoms in cod_blocks
-        ]
+    atoms = dom_partition.space.atoms
+    for b in range(len(dom_partition.blocks)):
+        members = dom_partition.block_atom_indices(b)
+        base_scale, base_entries = rows[members[0]]
+        base = _block_masses(base_entries, cod_partition.block_of_atom)
         for k in members[1:]:
-            row = kernel.rows[k]
-            for atoms, expected in zip(cod_blocks, base_masses):
-                mass = sum((row.weights[j] for j in atoms), start=Fraction(0))
-                if mass != expected:
-                    return (
-                        kernel.domain.atoms[members[0]][0],
-                        kernel.domain.atoms[k][0],
-                    )
+            scale, entries = rows[k]
+            masses = _block_masses(entries, cod_partition.block_of_atom)
+            if masses.keys() != base.keys() or any(
+                m * base_scale != base[c] * scale for c, m in masses.items()
+            ):
+                return atoms[members[0]][0], atoms[k][0]
     return None
 
 
@@ -379,7 +453,8 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
         raise SpaceMismatch("domain partition lives on a different space")
     if cod_partition.space != kernel.codomain:
         raise SpaceMismatch("codomain partition lives on a different space")
-    witness = _congruence_witness(kernel, dom_partition, cod_partition)
+    rows = _sparse_rows(kernel)
+    witness = _congruence_witness(rows, dom_partition, cod_partition)
     if witness is not None:
         raise NotACongruence(
             f"rows of {witness[0]!r} and {witness[1]!r} differ at block "
@@ -388,23 +463,15 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
         )
     dom_space, _ = factor_map(dom_partition)
     cod_space, _ = factor_map(cod_partition)
-    cod_blocks = [
-        cod_partition.block_atom_indices(c)
-        for c in range(len(cod_partition.blocks))
-    ]
-    rows = []
-    for block in dom_partition.blocks:
-        row = kernel.rows[kernel.domain.atom_index_of_point(block[0])]
-        rows.append(
-            Measure(
-                cod_space,
-                [
-                    sum((row.weights[j] for j in atoms), start=Fraction(0))
-                    for atoms in cod_blocks
-                ],
-            )
-        )
-    return Kernel(dom_space, cod_space, rows, kernel.kind)
+    zero = Fraction(0)
+    quotient_rows = []
+    for b in range(len(dom_partition.blocks)):
+        scale, entries = rows[dom_partition.block_atom_indices(b)[0]]
+        weights = [zero] * len(cod_partition.blocks)
+        for c, m in _block_masses(entries, cod_partition.block_of_atom).items():
+            weights[c] = Fraction(m, scale)
+        quotient_rows.append(Measure(cod_space, weights))
+    return Kernel(dom_space, cod_space, quotient_rows, kernel.kind)
 
 
 def quotient_kernel(kernel, partition):

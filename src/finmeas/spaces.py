@@ -216,9 +216,19 @@ class Partition:
         for k, block in enumerate(self.blocks):
             for p in block:
                 self._block_of[p] = k
-        self.refines_atoms = all(
-            len({self._block_of[p] for p in atom}) == 1 for atom in space.atoms
-        )
+        # block_of_atom[k] is the block holding atom k, or None when the
+        # atom is split across blocks
+        block_of_atom = []
+        atoms_of_block = [[] for _ in self.blocks]
+        for k, atom in enumerate(space.atoms):
+            owners = {self._block_of[p] for p in atom}
+            owner = owners.pop() if len(owners) == 1 else None
+            block_of_atom.append(owner)
+            if owner is not None:
+                atoms_of_block[owner].append(k)
+        self.block_of_atom = tuple(block_of_atom)
+        self._atoms_of_block = tuple(map(tuple, atoms_of_block))
+        self.refines_atoms = None not in block_of_atom
 
     def block_index_of_point(self, point):
         self.space.point_index(point)
@@ -226,10 +236,7 @@ class Partition:
 
     def block_atom_indices(self, block_index):
         """Atom indices contained in a block (requires refines_atoms)."""
-        block = set(self.blocks[block_index])
-        return tuple(
-            k for k, atom in enumerate(self.space.atoms) if block.issuperset(atom)
-        )
+        return self._atoms_of_block[block_index]
 
     def __eq__(self, other):
         return (

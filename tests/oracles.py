@@ -8,19 +8,26 @@ weak-limit check and the pi-system uniqueness witness by enumerating every
 measurable set, the Hutchinson distance as the dense bounded-Lipschitz LP
 for the rational simplex, and coupling feasibility as the transportation
 LP for the rational simplex with a separate max-flow Hall cut.
+
+The kernel and refinement layers now run on sparse integer rows with
+splitter-based lumping.  Their dense Fraction loops are kept here too:
+round-based logical equivalence (every atom against every block, until no
+block splits), the dense Kleisli composition and lift, recursive formula
+evaluation, the quotient block sums and the path-measure recursion.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from finmeas.errors import CapacityExceeded, MassMismatch
+from finmeas.errors import CapacityExceeded, MassMismatch, SpaceMismatch
 from finmeas.flow import max_flow
-from finmeas.logic_bisim import Infeasible
+from finmeas.kernels import Kernel, _join_kind
+from finmeas.logic_bisim import And, Dia, Infeasible, Top, factor_map
 from finmeas.measures import Measure
 from finmeas.metrics import WeakLimitReport
 from finmeas.rational import atom_cap
 from finmeas.simplex import OPTIMAL, maximize
-from finmeas.spaces import product_space
+from finmeas.spaces import Partition, product_space
 
 
 def _one_sided_min_eps(rho_b, sigma_masses, thresholds):
@@ -226,3 +233,177 @@ def solve_coupling_lp(problem):
     for x, (i, j) in zip(result.x, variables):
         weights[i * n2 + j] = x
     return Measure(prod, weights)
+
+
+# ------------------------------------------------- kernels and refinement
+
+
+def convolve_dense(left, right):
+    """Kleisli composition as the dense row-by-matrix product."""
+    if right.codomain != left.domain:
+        raise SpaceMismatch("right.codomain must equal left.domain")
+    n_out = len(left.codomain.atoms)
+    rows = []
+    for row in right.rows:
+        weights = [Fraction(0)] * n_out
+        for k, mass in enumerate(row.weights):
+            if mass != 0:
+                inner = left.rows[k]
+                for j in range(n_out):
+                    weights[j] += mass * inner.weights[j]
+        rows.append(Measure(left.codomain, weights))
+    return Kernel(
+        right.domain, left.codomain, rows, _join_kind(left.kind, right.kind)
+    )
+
+
+def kleisli_lift_dense(kernel, mu):
+    """The lifted measure as the dense vector-by-matrix product."""
+    if mu.space != kernel.domain:
+        raise SpaceMismatch("measure lives on a different space than the domain")
+    n_out = len(kernel.codomain.atoms)
+    weights = [Fraction(0)] * n_out
+    for w, row in zip(mu.weights, kernel.rows):
+        if w != 0:
+            for j in range(n_out):
+                weights[j] += w * row.weights[j]
+    return Measure(kernel.codomain, weights)
+
+
+def path_measure_dense(kernel, start_point, horizon):
+    """The path measure with one Fraction product per path extension."""
+    step_space = kernel.codomain
+    n_step = len(step_space.atoms)
+    n_s = len(step_space.factors[1].atoms)
+    s_of_step = [k % n_s for k in range(n_step)]
+    start = kernel.domain.atom_index_of_point(start_point)
+    space = step_space
+    weights = list(kernel.rows[start].weights)
+    last_s = list(s_of_step)
+    for _ in range(horizon - 1):
+        space = product_space(space, step_space)
+        new_weights = []
+        new_last = []
+        for w, s in zip(weights, last_s):
+            row = kernel.rows[s]
+            for k in range(n_step):
+                new_weights.append(w * row.weights[k])
+                new_last.append(s_of_step[k])
+        weights = new_weights
+        last_s = new_last
+    return Measure(space, weights)
+
+
+def _dia_atoms_dense(kernel, inner, q):
+    out = []
+    for k, row in enumerate(kernel.rows):
+        mass = sum((row.weights[j] for j in inner), start=Fraction(0))
+        if mass >= q:
+            out.append(k)
+    return frozenset(out)
+
+
+def validity_atoms_dense(kernel, phi):
+    """The atoms where phi holds, by structural recursion over the formula."""
+    if isinstance(phi, Top):
+        return frozenset(range(len(kernel.domain.atoms)))
+    if isinstance(phi, And):
+        return validity_atoms_dense(kernel, phi.left) & validity_atoms_dense(
+            kernel, phi.right
+        )
+    if isinstance(phi, Dia):
+        return _dia_atoms_dense(
+            kernel, validity_atoms_dense(kernel, phi.body), phi.threshold
+        )
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def logical_equivalence_rounds(kernel, labels=None):
+    """Round-based block-mass refinement from the trivial partition (or the
+    label classes): each round splits every block by the row masses of its
+    atoms on every current block, until a round splits nothing."""
+    space = kernel.domain
+    n = len(space.atoms)
+    if labels is None:
+        blocks = [tuple(range(n))]
+    else:
+        by_label = {}
+        for k, atom in enumerate(space.atoms):
+            values = {labels[p] for p in atom}
+            if len(values) != 1:
+                raise ValueError(f"label map splits atom {atom!r}")
+            by_label.setdefault(values.pop(), []).append(k)
+        blocks = sorted((tuple(v) for v in by_label.values()), key=lambda b: b[0])
+    while True:
+        index_of = {}
+        for b, members in enumerate(blocks):
+            for k in members:
+                index_of[k] = b
+        split = {}
+        for k in range(n):
+            row = kernel.rows[k]
+            signature = tuple(
+                sum((row.weights[j] for j in members), start=Fraction(0))
+                for members in blocks
+            )
+            split.setdefault((index_of[k], signature), []).append(k)
+        refined = sorted((tuple(v) for v in split.values()), key=lambda b: b[0])
+        if len(refined) == len(blocks):
+            break
+        blocks = refined
+    return Partition(
+        space,
+        [[p for k in members for p in space.atoms[k]] for members in blocks],
+    )
+
+
+def congruence_witness_dense(kernel, dom_partition, cod_partition):
+    """The first (representative, other) pair of a domain block whose rows
+    differ on some codomain block, by dense Fraction sums; None when the
+    pair is a congruence.  Both partitions must refine the atoms."""
+    cod_blocks = [
+        cod_partition.block_atom_indices(c)
+        for c in range(len(cod_partition.blocks))
+    ]
+    for block in dom_partition.blocks:
+        members = dom_partition.block_atom_indices(
+            dom_partition.block_index_of_point(block[0])
+        )
+        base = kernel.rows[members[0]]
+        base_masses = [
+            sum((base.weights[j] for j in atoms), start=Fraction(0))
+            for atoms in cod_blocks
+        ]
+        for k in members[1:]:
+            row = kernel.rows[k]
+            for atoms, expected in zip(cod_blocks, base_masses):
+                mass = sum((row.weights[j] for j in atoms), start=Fraction(0))
+                if mass != expected:
+                    return (
+                        kernel.domain.atoms[members[0]][0],
+                        kernel.domain.atoms[k][0],
+                    )
+    return None
+
+
+def quotient_rows_dense(kernel, dom_partition, cod_partition):
+    """The quotient kernel of a congruence pair, by dense block sums."""
+    dom_space, _ = factor_map(dom_partition)
+    cod_space, _ = factor_map(cod_partition)
+    cod_blocks = [
+        cod_partition.block_atom_indices(c)
+        for c in range(len(cod_partition.blocks))
+    ]
+    rows = []
+    for block in dom_partition.blocks:
+        row = kernel.rows[kernel.domain.atom_index_of_point(block[0])]
+        rows.append(
+            Measure(
+                cod_space,
+                [
+                    sum((row.weights[j] for j in atoms), start=Fraction(0))
+                    for atoms in cod_blocks
+                ],
+            )
+        )
+    return Kernel(dom_space, cod_space, rows, kernel.kind)

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 from finmeas.cli import ModelError, load_model, main, parse_model, serialize_model
+from finmeas.spaces import MeasurableSet
 
 
 def model_path(name):
@@ -155,6 +157,46 @@ def test_model_rejects_non_string_names(capsys, tmp_path, doc):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "space", "-m", str(path), "--name", "X")
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]")
+
+
+def test_model_rejects_duplicate_json_keys(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(
+        '{"spaces": {"X": {"points": ["a"]}, "X": {"points": ["b", "c"]}}}',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "space", "-m", str(path), "--name", "X")
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]") and "duplicate JSON key 'X'" in err
+
+
+def test_deep_formula_runs_without_recursion():
+    depth = 3000
+    argv = [
+        sys.executable, "-m", "finmeas", "logic", "check", "-m", PROC,
+        "--kernel", "M", "--formula", "dia>=1/2 " * depth + "T",
+    ]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    # the fixed point loop S_0 = X, S_{k+1} = {x : K(x)(S_k) >= 1/2}
+    kernel = load_model(PROC).kernel("M")
+    current = kernel.domain.full_set()
+    for _ in range(depth):
+        current = MeasurableSet(kernel.domain, [
+            x for x in kernel.domain.points
+            if kernel.row_at_point(x).eval(current) >= Fraction(1, 2)
+        ])
+    label = "{" + ",".join(current.sorted_points()) + "}"
+    assert done.stdout == f"[[{'dia>=1/2 ' * depth}T]] = {label}\n"
+
+
+def test_malformed_deep_formula_is_an_input_error(capsys):
+    code, out, err = run(
+        capsys,
+        "logic", "check", "-m", PROC, "--kernel", "M", "--formula", "dia>=1/2 " * 3000,
+    )
     assert code == 2 and out == ""
     assert err.startswith("error[input]")
 

@@ -117,6 +117,18 @@ def test_logical_equivalence_label_seed():
     assert stable.blocks == (("a", "b"), ("c",))
 
 
+def test_logical_equivalence_queues_every_piece_of_a_queued_block():
+    # the splitter {c, d} cuts the still-queued label class {a, b, f} into
+    # {a, b} and {f}; {a, b} is the larger piece but must still be queued,
+    # since only it separates c (mass 1 into it) from d (mass 0)
+    space = FiniteMeasurableSpace.discrete("abfcd")
+    rows = [[0, 0, 0, 1, 0], [0, 0, 0, 1, 0], [0] * 5, [1, 0, 0, 0, 0], [0] * 5]
+    kernel = Kernel.from_matrix(space, space, rows)
+    labels = {"a": "u", "b": "u", "f": "u", "c": "v", "d": "v"}
+    part = logical_equivalence(kernel, labels=labels)
+    assert part.blocks == (("a", "b"), ("f",), ("c",), ("d",))
+
+
 def test_invariant_sigma_algebra_growth():
     assert invariant_sigma_algebra(M, 0).atoms == (("a", "b"),)
     assert invariant_sigma_algebra(M, 1).atoms == (("a",), ("b",))
