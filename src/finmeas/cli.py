@@ -83,7 +83,8 @@ class Model:
     def _get(self, collection, kind, name):
         try:
             return collection[name]
-        except KeyError:
+        except (KeyError, TypeError):
+            # TypeError: a model reference that is a JSON list or object
             raise ModelError(f"unknown {kind} {name!r}") from None
 
     def space(self, name):
@@ -159,7 +160,11 @@ def parse_model(doc):
         _require_dict(entry, f"space {name!r}")
         if "product" in entry:
             refs = entry["product"]
-            if not (isinstance(refs, list) and len(refs) == 2):
+            if not (
+                isinstance(refs, list)
+                and len(refs) == 2
+                and all(isinstance(r, str) for r in refs)
+            ):
                 raise ModelError(f"space {name!r}: product needs two references")
             pending_products[name] = tuple(refs)
             continue
@@ -202,9 +207,12 @@ def parse_model(doc):
         progressed = False
         for name, (left, right) in sorted(pending_products.items()):
             if left in model.spaces and right in model.spaces:
-                model.spaces[name] = product_space(
-                    model.spaces[left], model.spaces[right]
-                )
+                try:
+                    model.spaces[name] = product_space(
+                        model.spaces[left], model.spaces[right]
+                    )
+                except ValueError as err:
+                    raise ModelError(f"space {name!r}: {err}") from None
                 model.space_origin[name] = ("product", left, right)
                 del pending_products[name]
                 progressed = True
@@ -221,7 +229,7 @@ def parse_model(doc):
             space, _require_dict(entry.get("weights", {}), "weights"),
             f"measure {name!r}",
         )
-        cls = Measure if all(w >= 0 for w in weights) else SignedMeasure
+        cls = Measure if all(w.numerator >= 0 for w in weights) else SignedMeasure
         model.measures[name] = (space_name, cls(space, weights))
 
     for name, entry in sorted(doc.get("functions", {}).items()):
@@ -256,12 +264,15 @@ def parse_model(doc):
             )
         if len(row_by_atom) != len(domain.atoms):
             raise ModelError(f"kernel {name!r}: needs one row per domain atom")
+        kind = entry.get("kind")
+        if kind is not None and not isinstance(kind, str):
+            raise ModelError(f"kernel {name!r}: kind must be a string")
         try:
             kernel = Kernel(
                 domain,
                 codomain,
                 [Measure(codomain, row_by_atom[k]) for k in range(len(domain.atoms))],
-                entry.get("kind"),
+                kind,
             )
         except (FinmeasError, ValueError) as err:
             raise ModelError(f"kernel {name!r}: {err}") from None
@@ -307,6 +318,8 @@ def load_model(path):
             doc = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as err:
             raise ModelError(f"invalid JSON in {path}: {err}") from None
+        except UnicodeDecodeError as err:
+            raise ModelError(f"{path} is not UTF-8: {err}") from None
     return parse_model(doc)
 
 

@@ -36,12 +36,20 @@ _KIND_ORDER = {FINITE: 0, SUB_MARKOV: 1, MARKOV: 2}
 
 
 def _inferred_kind(rows):
-    totals = [row.total() for row in rows]
-    if all(t == 1 for t in totals):
-        return MARKOV
-    if all(t <= 1 for t in totals):
-        return SUB_MARKOV
-    return FINITE
+    """The strongest kind the row masses support.
+
+    Each row mass is summed as an int over the row's nonzero entries,
+    scaled by the lcm d of their denominators, and compared with d.
+    """
+    markov = True
+    for row in rows:
+        entries = [w for w in row.weights if w]
+        d = lcm(*(w.denominator for w in entries))
+        total = sum(w.numerator * (d // w.denominator) for w in entries)
+        if total > d:
+            return FINITE
+        markov = markov and total == d
+    return MARKOV if markov else SUB_MARKOV
 
 
 def _join_kind(*kinds):

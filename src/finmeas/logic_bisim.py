@@ -159,6 +159,8 @@ class _Parser:
             den = self.take()
             if not den.isdigit():
                 raise ValueError(f"expected a denominator, got {den!r}")
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in {num}/{den}")
             return Fraction(int(num), int(den))
         return Fraction(int(num))
 

@@ -28,7 +28,7 @@ class SignedMeasure:
             raise ValueError(
                 f"expected {len(space.atoms)} atom weights, got {len(weights)}"
             )
-        if self._require_nonnegative and any(w < 0 for w in weights):
+        if self._require_nonnegative and any(w.numerator < 0 for w in weights):
             raise ValueError("measure weights must be nonnegative")
         self.space = space
         self.weights = weights

@@ -15,7 +15,10 @@ def as_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"not a rational: {value!r} (zero denominator)") from None
     raise ValueError(f"not a rational: {value!r} (floats are not exact, use 'p/q')")
 
 

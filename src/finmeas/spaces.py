@@ -12,9 +12,13 @@ from .errors import CapacityExceeded, EmptyCarrier, GeneratorNotPiSystem, SpaceM
 from .rational import atom_cap
 
 
+def _escape(label):
+    return label.replace("|", "||")
+
+
 def join_pair_label(left, right):
     """Serialize a product point as 'left|right', doubling any literal '|'."""
-    return left.replace("|", "||") + "|" + right.replace("|", "||")
+    return _escape(left) + "|" + _escape(right)
 
 
 def split_pair_label(label):
@@ -43,30 +47,39 @@ class FiniteMeasurableSpace:
         points = tuple(points)
         if not points:
             raise EmptyCarrier("a measurable space needs at least one point")
-        if len(set(points)) != len(points):
-            raise ValueError("points must be distinct")
         index = {p: i for i, p in enumerate(points)}
-        seen = set()
+        if len(index) != len(points):
+            raise ValueError("points must be distinct")
+        # one pass over the atoms: owner[p] is the position, in the order
+        # given, of the atom holding p; it checks disjointness and coverage
+        owner = {}
         normalized = []
         for atom in atoms:
-            atom = tuple(sorted(set(atom), key=index.__getitem__))
+            atom = tuple(atom)
+            for p in atom:
+                if p not in index:
+                    raise ValueError(f"atom point {p!r} is not in points")
+            if len(atom) > 1:
+                atom = tuple(sorted(set(atom), key=index.__getitem__))
             if not atom:
                 raise ValueError("atoms must be nonempty")
+            k = len(normalized)
             for p in atom:
-                if p in seen:
+                if p in owner:
                     raise ValueError(f"atoms must be disjoint, {p!r} repeats")
-                seen.add(p)
+                owner[p] = k
             normalized.append(atom)
-        if seen != set(points):
+        if len(owner) != len(points):
             raise ValueError("atoms must cover the carrier")
-        normalized.sort(key=lambda atom: index[atom[0]])
+        firsts = [index[atom[0]] for atom in normalized]
+        order = sorted(range(len(normalized)), key=firsts.__getitem__)
         self.points = points
-        self.atoms = tuple(normalized)
+        self.atoms = tuple(normalized[k] for k in order)
         self._index = index
-        self._atom_of = {}
-        for k, atom in enumerate(self.atoms):
-            for p in atom:
-                self._atom_of[p] = k
+        rank = [0] * len(order)
+        for r, k in enumerate(order):
+            rank[k] = r
+        self._atom_of = {p: rank[k] for p, k in owner.items()}
         # factors is set for spaces built by product_space and is ignored
         # by equality; it only enables product-aware operations.
         self.factors = factors
@@ -293,15 +306,21 @@ def generated_equivalence(points, family):
 
 
 def product_space(left, right):
-    """Product space; atoms are all rectangles of atoms."""
-    points = [
-        join_pair_label(p, q) for p in left.points for q in right.points
-    ]
+    """Product space; atoms are all rectangles of atoms.
+
+    Point labels are join_pair_label(p, q), with each factor's points
+    escaped once; the rectangle atoms reuse the label strings by index.
+    """
+    left_parts = [_escape(p) for p in left.points]
+    right_parts = ["|" + _escape(q) for q in right.points]
+    points = [lp + rp for lp in left_parts for rp in right_parts]
     nr = len(right.points)
-    atoms = []
-    for a in left.atoms:
-        for b in right.atoms:
-            atoms.append(tuple(join_pair_label(p, q) for p in a for q in b))
+    li, ri = left._index, right._index
+    atoms = [
+        tuple([points[li[p] * nr + ri[q]] for p in a for q in b])
+        for a in left.atoms
+        for b in right.atoms
+    ]
     space = FiniteMeasurableSpace(points, atoms, factors=(left, right))
     # canonical order of rectangle atoms is row-major in (left, right)
     if len(space.atoms) != len(left.atoms) * len(right.atoms):

@@ -14,20 +14,30 @@ splitter-based lumping.  Their dense Fraction loops are kept here too:
 round-based logical equivalence (every atom against every block, until no
 block splits), the dense Kleisli composition and lift, recursive formula
 evaluation, the quotient block sums and the path-measure recursion.
+
+The space constructor validates in one pass, the product space escapes
+each factor's labels once, and the kernel kind is inferred from integer
+row sums.  The earlier constructor, the label-by-label product and the
+Fraction row totals are kept here as well.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from finmeas.errors import CapacityExceeded, MassMismatch, SpaceMismatch
+from finmeas.errors import CapacityExceeded, EmptyCarrier, MassMismatch, SpaceMismatch
 from finmeas.flow import max_flow
-from finmeas.kernels import Kernel, _join_kind
+from finmeas.kernels import FINITE, MARKOV, SUB_MARKOV, Kernel, _join_kind
 from finmeas.logic_bisim import And, Dia, Infeasible, Top, factor_map
 from finmeas.measures import Measure
 from finmeas.metrics import WeakLimitReport
 from finmeas.rational import atom_cap
 from finmeas.simplex import OPTIMAL, maximize
-from finmeas.spaces import Partition, product_space
+from finmeas.spaces import (
+    FiniteMeasurableSpace,
+    Partition,
+    join_pair_label,
+    product_space,
+)
 
 
 def _one_sided_min_eps(rho_b, sigma_masses, thresholds):
@@ -407,3 +417,68 @@ def quotient_rows_dense(kernel, dom_partition, cod_partition):
             )
         )
     return Kernel(dom_space, cod_space, rows, kernel.kind)
+
+
+# ------------------------------------------- space constructors and kinds
+
+
+def space_reference(points, atoms, factors=None):
+    """A FiniteMeasurableSpace built by the earlier constructor: a set for
+    distinctness, every atom sorted through a set, a seen-set for
+    disjointness and coverage, and a second pass for the atom of each point.
+    """
+    space = FiniteMeasurableSpace.__new__(FiniteMeasurableSpace)
+    points = tuple(points)
+    if not points:
+        raise EmptyCarrier("a measurable space needs at least one point")
+    if len(set(points)) != len(points):
+        raise ValueError("points must be distinct")
+    index = {p: i for i, p in enumerate(points)}
+    seen = set()
+    normalized = []
+    for atom in atoms:
+        atom = tuple(sorted(set(atom), key=index.__getitem__))
+        if not atom:
+            raise ValueError("atoms must be nonempty")
+        for p in atom:
+            if p in seen:
+                raise ValueError(f"atoms must be disjoint, {p!r} repeats")
+            seen.add(p)
+        normalized.append(atom)
+    if seen != set(points):
+        raise ValueError("atoms must cover the carrier")
+    normalized.sort(key=lambda atom: index[atom[0]])
+    space.points = points
+    space.atoms = tuple(normalized)
+    space._index = index
+    space._atom_of = {}
+    for k, atom in enumerate(space.atoms):
+        for p in atom:
+            space._atom_of[p] = k
+    space.factors = factors
+    return space
+
+
+def product_space_reference(left, right):
+    """The product with every point and atom label built by join_pair_label."""
+    points = [
+        join_pair_label(p, q) for p in left.points for q in right.points
+    ]
+    atoms = []
+    for a in left.atoms:
+        for b in right.atoms:
+            atoms.append(tuple(join_pair_label(p, q) for p in a for q in b))
+    space = space_reference(points, atoms, factors=(left, right))
+    if len(space.atoms) != len(left.atoms) * len(right.atoms):
+        raise AssertionError("product atoms are not the rectangles of atoms")
+    return space
+
+
+def inferred_kind_sums(rows):
+    """The kernel kind from each row's Fraction total."""
+    totals = [row.total() for row in rows]
+    if all(t == 1 for t in totals):
+        return MARKOV
+    if all(t <= 1 for t in totals):
+        return SUB_MARKOV
+    return FINITE

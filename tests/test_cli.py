@@ -172,6 +172,98 @@ def test_model_rejects_duplicate_json_keys(capsys, tmp_path):
     assert err.startswith("error[input]") and "duplicate JSON key 'X'" in err
 
 
+def test_model_rejects_atom_point_outside_the_carrier(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(
+        json.dumps({"spaces": {"X": {"points": ["a", "b"], "atoms": [["a"], ["b", "c"]]}}}),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "space", "-m", str(path), "--name", "X")
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]") and "'c'" in err
+
+
+def test_model_rejects_zero_denominator(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(
+        json.dumps({
+            "spaces": {"X": {"points": ["a"]}},
+            "measures": {"m": {"space": "X", "weights": {"a": "1/0"}}},
+        }),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "space", "-m", str(path), "--name", "X")
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]") and "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "hutchinson", "-m", METRIC, "--left", "dirac_a", "--right",
+         "dirac_b", "--metric", "d2", "--gamma", "1/0"],
+        ["lp-norm", "-m", DECOMP, "--function", "f12", "--measure", "eta",
+         "--p", "1/0"],
+        ["logic", "check", "-m", PROC, "--kernel", "M", "--formula", "dia>=1/0 T"],
+    ],
+    ids=["gamma", "p", "formula-threshold"],
+)
+def test_argv_rejects_zero_denominator(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]") and "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {
+            "spaces": {"X": {"points": ["a"]}},
+            "measures": {"m": {"space": ["X"], "weights": {}}},
+        },
+        {
+            "spaces": {"X": {"points": ["a"]}},
+            "kernels": {"K": {"domain": {}, "codomain": "X", "rows": {}}},
+        },
+        {
+            "spaces": {"X": {"points": ["a"]}},
+            "kernels": {
+                "K": {"domain": "X", "codomain": "X", "rows": {"a": {"a": "1"}},
+                      "kind": ["x"]},
+            },
+        },
+        {"spaces": {"X": {"points": ["a"]}, "P": {"product": ["X", ["X"]]}}},
+    ],
+    ids=["list-space", "object-domain", "list-kind", "list-product-factor"],
+)
+def test_model_rejects_non_string_references(capsys, tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "space", "-m", str(path), "--name", "X")
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]")
+
+
+def test_model_rejects_colliding_product_labels(capsys, tmp_path):
+    # join_pair_label("", "|") == join_pair_label("|", "") == "|||"
+    path = tmp_path / "model.json"
+    path.write_text(
+        json.dumps({"spaces": {"X": {"points": ["", "|"]}, "P": {"product": ["X", "X"]}}}),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "space", "-m", str(path), "--name", "X")
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]: space 'P'") and "points must be distinct" in err
+
+
+def test_model_rejects_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes('{"spaces": {"X": {"points": ["\u00e9"]}}}'.encode("latin-1"))
+    code, out, err = run(capsys, "space", "-m", str(path), "--name", "X")
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]") and "not UTF-8" in err
+
+
 def test_deep_formula_runs_without_recursion():
     depth = 3000
     argv = [

@@ -1,5 +1,6 @@
-"""Sparse integer-row kernels and splitter refinement against the dense
-Fraction loops they replaced (kept in ``oracles``), for n <= 10."""
+"""Sparse integer-row kernels, splitter refinement and integer kind
+inference against the dense Fraction loops they replaced (kept in
+``oracles``), for n <= 10."""
 
 import os
 from fractions import Fraction
@@ -15,6 +16,7 @@ from finmeas.kernels import (
     MARKOV,
     SUB_MARKOV,
     Kernel,
+    _inferred_kind,
     convolve,
     kleisli_lift,
     path_measure,
@@ -34,6 +36,7 @@ from finmeas.spaces import FiniteMeasurableSpace, Partition, product_space
 from oracles import (
     congruence_witness_dense,
     convolve_dense,
+    inferred_kind_sums,
     kleisli_lift_dense,
     logical_equivalence_rounds,
     path_measure_dense,
@@ -248,3 +251,25 @@ def test_integer_path_weights_equal_fraction_products(data):
     with mock.patch.dict(os.environ, {"FINMEAS_ATOM_CAP": "4096"}):
         result = path_measure(kernel, start, horizon)
     assert result == path_measure_dense(kernel, start, horizon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_kind_inference_equals_fraction_sums(data):
+    """Rows of mixed kinds (Markov, subMarkov, finite, all zero), dense or
+    sparse, with small or pairwise coprime denominators per row."""
+    space = data.draw(spaces())
+    dens = COPRIME if data.draw(st.booleans()) else (1, 2, 3, 4, 6, 12)
+    sparse = data.draw(st.booleans())
+    rows = [
+        data.draw(
+            rows_on(
+                space,
+                data.draw(st.sampled_from([MARKOV, SUB_MARKOV, FINITE])),
+                data.draw(st.sampled_from(dens)),
+                sparse,
+            )
+        )
+        for _ in range(data.draw(st.integers(1, 6)))
+    ]
+    assert _inferred_kind(rows) == inferred_kind_sums(rows)

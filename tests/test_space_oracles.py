@@ -1,0 +1,130 @@
+"""The one-pass space constructor and the escape-once product space against
+the constructor and the label-by-label product they replaced (kept in
+``oracles``)."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from finmeas.spaces import FiniteMeasurableSpace, product_space
+
+from oracles import product_space_reference, space_reference
+
+# labels over an alphabet with the escape character, so points include
+# "", "|", "||", "a|", "|b" and the like
+LABELS = st.text(alphabet="ab|", max_size=4)
+POOL = ["", "a", "b", "|", "||", "a|b", "|a", "b||"]
+
+
+def fields(space):
+    return (
+        space.points,
+        space.atoms,
+        space.factors,
+        space._index,
+        space._atom_of,
+    )
+
+
+def outcome(build, *args):
+    """The fields of the space built, or the type and message of the error."""
+    try:
+        return fields(build(*args))
+    except Exception as err:
+        return type(err), str(err)
+
+
+@st.composite
+def valid_spaces(draw, max_points=5):
+    """Distinct labels dealt into atoms: singletons, multi-point atoms given
+    in any order, with a point repeated inside its atom now and then, as
+    tuples, lists or sets."""
+    points = draw(st.lists(LABELS, min_size=1, max_size=max_points, unique=True))
+    owners = draw(
+        st.lists(st.integers(0, len(points) - 1), min_size=len(points), max_size=len(points))
+    )
+    atoms = {}
+    for p, owner in zip(points, owners):
+        atoms.setdefault(owner, []).append(p)
+    atoms = [draw(st.permutations(a)) for a in atoms.values()]
+    atoms = draw(st.permutations(atoms))
+    if draw(st.booleans()):
+        atoms = [a + a[:1] for a in atoms]
+    wrap = draw(st.sampled_from([tuple, list, set]))
+    return points, [wrap(a) for a in atoms]
+
+
+@st.composite
+def any_cases(draw, unknown=False):
+    """Points that may repeat or be empty, and atoms that may overlap, miss
+    points, be empty or (when unknown) name points outside the carrier."""
+    points = draw(st.lists(st.sampled_from(POOL), max_size=5))
+    names = POOL if unknown or not points else points
+    atoms = draw(st.lists(st.lists(st.sampled_from(names), max_size=3), max_size=4))
+    return points, atoms
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_spaces())
+def test_one_pass_constructor_equals_reference(case):
+    points, atoms = case
+    assert fields(FiniteMeasurableSpace(points, atoms)) == fields(
+        space_reference(points, atoms)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_cases())
+@example(([], []))
+@example((["a", "b", "a"], [["a"], ["b"]]))
+@example((["a", "b"], [["a", "b"], ["b"]]))
+@example((["a", "b", "|"], [["a"], ["b"]]))
+@example((["a", "b"], [["a"], [], ["b"]]))
+def test_invalid_inputs_raise_as_before(case):
+    points, atoms = case
+    assert outcome(FiniteMeasurableSpace, points, atoms) == outcome(
+        space_reference, points, atoms
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_cases(unknown=True))
+@example((["a", "b"], [["a"], ["b", "||"]]))
+def test_unknown_atom_point_is_a_value_error(case):
+    """The earlier constructor raised KeyError from its sort key on the
+    first atom naming a point outside the carrier; the one-pass constructor
+    raises ValueError naming that atom's first such point.  Every other
+    outcome is unchanged."""
+    points, atoms = case
+    expected = outcome(space_reference, points, atoms)
+    result = outcome(FiniteMeasurableSpace, points, atoms)
+    if expected[0] is not KeyError:
+        assert result == expected
+        return
+    bad_atom = next(a for a in atoms if any(p not in points for p in a))
+    first_unknown = next(p for p in bad_atom if p not in points)
+    assert result == (ValueError, f"atom point {first_unknown!r} is not in points")
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_spaces(max_points=4), valid_spaces(max_points=4), valid_spaces(max_points=3))
+def test_product_labels_equal_reference(a, b, c):
+    """Flat and nested products, in both associations: the same labels,
+    atoms and factors as the label-by-label product.  Labels that start or
+    end with '|' can collide (join_pair_label("", "|") and
+    join_pair_label("|", "") are both "|||"); both then refuse the product
+    with the same error."""
+    x = FiniteMeasurableSpace(*a)
+    y = FiniteMeasurableSpace(*b)
+    z = FiniteMeasurableSpace(*c)
+    for new, old in [
+        (lambda: product_space(x, y), lambda: product_space_reference(x, y)),
+        (
+            lambda: product_space(product_space(x, y), z),
+            lambda: product_space_reference(product_space_reference(x, y), z),
+        ),
+        (
+            lambda: product_space(x, product_space(y, z)),
+            lambda: product_space_reference(x, product_space_reference(y, z)),
+        ),
+    ]:
+        assert outcome(new) == outcome(old)
