@@ -14,6 +14,7 @@ from .errors import (
     CouplingFailed,
     EmptyCarrier,
     FinmeasError,
+    FloatRange,
     GeneratorNotPiSystem,
     HorizonTooLarge,
     InvalidExponent,
@@ -105,7 +106,7 @@ from .metrics import (
     prohorov_feasible,
     support,
 )
-from .rational import as_fraction, atom_cap, format_float, format_fraction
+from .rational import as_fraction, atom_cap, format_float, format_fraction, to_float
 from .spaces import (
     FiniteMeasurableSpace,
     MeasurableSet,

@@ -8,8 +8,11 @@ error.
 """
 
 import argparse
+import functools
 import json
+import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import FinmeasError, NotBisimilar
@@ -57,7 +60,7 @@ from .metrics import (
     hutchinson_distance,
     prohorov_distance,
 )
-from .rational import as_fraction, format_float, format_fraction
+from .rational import as_fraction, format_float, format_fraction, to_float
 from .spaces import FiniteMeasurableSpace, MeasurableSet, product_space, sigma_from_generator
 
 
@@ -386,32 +389,6 @@ def serialize_model(model):
     return {section: doc[section] for section in _SECTIONS if doc[section]}
 
 
-def _atom_label(atom):
-    return "{" + ",".join(atom) + "}"
-
-
-def _num(value, args):
-    """One numeric value as (json form, text form) under the output mode."""
-    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
-        if args.float_mode:
-            text = format_float(float(value))
-            return float(text), text
-        text = format_fraction(value)
-        return text, text
-    text = format_float(float(value))
-    return float(text), text
-
-
-def _weights_report(space, weights, args):
-    items = []
-    lines = []
-    for atom, w in zip(space.atoms, weights):
-        value, text = _num(w, args)
-        items.append({"atom": list(atom), "value": value})
-        lines.append(f"  {_atom_label(atom)}: {text}")
-    return items, lines
-
-
 def _parse_exponent(text):
     if text in ("inf", "infinity", "oo"):
         return INF
@@ -419,6 +396,10 @@ def _parse_exponent(text):
         return as_fraction(text)
     except (ValueError, TypeError) as err:
         raise ModelError(f"bad exponent {text!r}: {err}") from None
+
+
+def _exponent_text(p):
+    return "inf" if p == INF else format_fraction(p)
 
 
 def _parse_point_set(space, text):
@@ -431,500 +412,508 @@ def _parse_point_set(space, text):
     return MeasurableSet(space, points)
 
 
-# ---------------------------------------------------------------- handlers
+def _names(text):
+    return [n for n in text.split(",") if n]
 
 
-def _cmd_space(args, model):
+# ---------------------------------------------------------------- commands
+#
+# Each handler returns its results as exact values (Fractions, bools and
+# library objects), keyed and ordered as in the JSON report.  _run puts the
+# command name and the echoed arguments in front and renders the report
+# once, as JSON and as text.
+
+Command = namedtuple("Command", "path handler flags text help echo options")
+
+_COMMANDS = []
+
+# flags whose parsed value the handler reports itself, so they are not echoed
+_PARSED = ("--set", "--p", "--gamma", "--formula")
+
+_GROUPS = {
+    "measure": "measure operations",
+    "decompose": "measure decompositions",
+    "ineq": "integral inequalities",
+    "kernel": "kernel operations",
+    "dist": "distances between measures",
+    "logic": "modal logic",
+    "bisim": "bisimilarity",
+    "functional": "linear functionals",
+}
+
+
+def _command(path, flags, text, help=None, echo=None, options=None):
+    """Add a handler to the command table.
+
+    flags: the command's flags, required unless ``options`` (add_argument
+    options per flag) say otherwise.  text: the text report; its {key} and
+    {key:spec} fields name report keys (see _text), and a line naming a
+    missing or null key is left out.  echo: the echoed flags, if not all
+    but _PARSED.
+    """
+    flags = flags.split()
+    echo = echo or tuple(flag[2:] for flag in flags if flag not in _PARSED)
+
+    def register(handler):
+        _COMMANDS.append(Command(path, handler, flags, text, help, echo, options or {}))
+        return handler
+
+    return register
+
+
+@_command(
+    "space",
+    "--name",
+    "space {name}: {points:count} points, {atoms:count} atoms\n"
+    "  points: {points}\n  atoms: {atoms}",
+    help="describe a space",
+)
+def _space(args, model):
     space = model.space(args.name)
-    payload = {
-        "command": "space",
-        "name": args.name,
-        "points": list(space.points),
-        "atoms": [list(atom) for atom in space.atoms],
-    }
-    lines = [
-        f"space {args.name}: {len(space.points)} points, {len(space.atoms)} atoms",
-        "  points: " + ", ".join(space.points),
-        "  atoms: " + ", ".join(_atom_label(a) for a in space.atoms),
-    ]
-    return payload, lines
+    return {"points": space.points, "atoms": space.atoms}
 
 
-def _cmd_measure_eval(args, model):
+@_command(
+    "measure eval",
+    "--measure --set",
+    "{measure}({set:set}) = {value}",
+    options={"--set": {"help": "comma separated points"}},
+)
+def _measure_eval(args, model):
     measure = model.measure(args.measure)
     subset = _parse_point_set(measure.space, args.set)
-    value, text = _num(measure.eval(subset), args)
-    label = "{" + ",".join(subset.sorted_points()) + "}"
-    payload = {
-        "command": "measure eval",
-        "measure": args.measure,
-        "set": subset.sorted_points(),
-        "value": value,
+    return {"set": subset, "value": measure.eval(subset)}
+
+
+@_command(
+    "decompose jordan",
+    "--measure",
+    "plus:\n{plus}\nminus:\n{minus}\nvariation:\n{variation}\n"
+    "total variation = {total_variation}",
+)
+def _decompose_jordan(args, model):
+    plus, minus, variation = jordan_decompose(model.measure(args.measure))
+    return {
+        "plus": plus,
+        "minus": minus,
+        "variation": variation,
+        "total_variation": variation.total(),
     }
-    return payload, [f"{args.measure}({label}) = {text}"]
 
 
-def _cmd_decompose_jordan(args, model):
-    measure = model.measure(args.measure)
-    plus, minus, variation = jordan_decompose(measure)
-    payload = {"command": "decompose jordan", "measure": args.measure}
-    lines = []
-    for key, part in (("plus", plus), ("minus", minus), ("variation", variation)):
-        items, part_lines = _weights_report(part.space, part.weights, args)
-        payload[key] = items
-        lines.append(f"{key}:")
-        lines.extend(part_lines)
-    total, total_text = _num(variation.total(), args)
-    payload["total_variation"] = total
-    lines.append(f"total variation = {total_text}")
-    return payload, lines
-
-
-def _cmd_decompose_lebesgue(args, model):
+@_command(
+    "decompose lebesgue",
+    "--num --den",
+    "absolutely continuous:\n{absolutely_continuous}\nsingular:\n{singular}\n"
+    "density:\n{density}",
+)
+def _decompose_lebesgue(args, model):
     mu = model.measure(args.num, nonneg=True)
     nu = model.measure(args.den, nonneg=True)
-    absolutely, singular, density = lebesgue_decompose(mu, nu)
-    payload = {"command": "decompose lebesgue", "num": args.num, "den": args.den}
-    lines = []
-    for key, space, values in (
-        ("absolutely_continuous", absolutely.space, absolutely.weights),
-        ("singular", singular.space, singular.weights),
-        ("density", density.space, density.values),
-    ):
-        items, part_lines = _weights_report(space, values, args)
-        payload[key] = items
-        lines.append(key.replace("_", " ") + ":")
-        lines.extend(part_lines)
-    return payload, lines
+    ac, singular, density = lebesgue_decompose(mu, nu)
+    return {"absolutely_continuous": ac, "singular": singular, "density": density}
 
 
-def _cmd_rn(args, model):
+@_command(
+    "rn", "--num --den", "d{num}/d{den}:\n{density}", help="Radon-Nikodym density"
+)
+def _rn(args, model):
     mu = model.measure(args.num, nonneg=True)
     nu = model.measure(args.den, nonneg=True)
-    density = radon_nikodym(mu, nu)
-    items, lines = _weights_report(density.space, density.values, args)
-    payload = {
-        "command": "rn",
-        "num": args.num,
-        "den": args.den,
-        "density": items,
-    }
-    return payload, [f"d{args.num}/d{args.den}:"] + lines
+    return {"density": radon_nikodym(mu, nu)}
 
 
-def _cmd_integrate(args, model):
+@_command(
+    "integrate",
+    "--function --measure --layered",
+    "{layered:?layered }integral {function} d{measure} = {value}",
+    help="integrate a step function",
+    options={
+        "--layered": {
+            "action": "store_true",
+            "required": False,
+            "help": "use the layer-cake formula",
+        }
+    },
+)
+def _integrate(args, model):
     f = model.function(args.function)
     mu = model.measure(args.measure, nonneg=True)
-    result = layered_integral(f, mu) if args.layered else integral(f, mu)
-    value, text = _num(result, args)
-    how = "layered integral" if args.layered else "integral"
-    payload = {
-        "command": "integrate",
-        "function": args.function,
-        "measure": args.measure,
-        "layered": bool(args.layered),
-        "value": value,
-    }
-    return payload, [f"{how} {args.function} d{args.measure} = {text}"]
+    return {"value": layered_integral(f, mu) if args.layered else integral(f, mu)}
 
 
-def _cmd_lp_norm(args, model):
+@_command(
+    "lp-norm",
+    "--function --measure --p",
+    "lp-norm p={p}: {value}\n  exact squared norm = {squared}",
+    help="Lp norm",
+)
+def _lp_norm(args, model):
     f = model.function(args.function)
     mu = model.measure(args.measure, nonneg=True)
     p = _parse_exponent(args.p)
-    norm = lp_norm(f, mu, p)
-    payload = {
-        "command": "lp-norm",
-        "function": args.function,
-        "measure": args.measure,
-        "p": "inf" if p == INF else format_fraction(p),
-    }
-    value, text = _num(norm, args)
-    payload["value"] = value
-    lines = [f"lp-norm p={payload['p']}: {text}"]
+    result = {"p": _exponent_text(p), "value": lp_norm(f, mu, p)}
     if p == 2 and not args.float_mode:
-        squared, squared_text = _num(lp_norm_squared(f, mu), args)
-        payload["squared"] = squared
-        lines.append(f"  exact squared norm = {squared_text}")
-    return payload, lines
+        result["squared"] = lp_norm_squared(f, mu)
+    return result
 
 
-def _ineq_common(args, model, checker, label):
+def _inequality(args, model, checker):
     f = model.function(args.left)
     g = model.function(args.right)
     mu = model.measure(args.measure, nonneg=True)
     p = _parse_exponent(args.p)
     lhs, rhs, holds = checker(f, g, mu, p)
-    lhs_value, lhs_text = _num(lhs, args)
-    rhs_value, rhs_text = _num(rhs, args)
-    payload = {
-        "command": f"ineq {label}",
-        "left": args.left,
-        "right": args.right,
-        "measure": args.measure,
-        "p": "inf" if p == INF else format_fraction(p),
-        "lhs": lhs_value,
-        "rhs": rhs_value,
-        "holds": bool(holds),
-    }
-    lines = [
-        f"{label} p={payload['p']}: lhs = {lhs_text}, rhs = {rhs_text}, "
-        f"holds = {str(bool(holds)).lower()}"
-    ]
-    return payload, lines
+    return {"p": _exponent_text(p), "lhs": lhs, "rhs": rhs, "holds": bool(holds)}
 
 
-def _cmd_ineq_hoelder(args, model):
-    return _ineq_common(args, model, check_hoelder, "hoelder")
+_INEQUALITY = "--left --right --measure --p"
+_BOUND = " p={p}: lhs = {lhs}, rhs = {rhs}, holds = {holds}"
 
 
-def _cmd_ineq_minkowski(args, model):
-    return _ineq_common(args, model, check_minkowski, "minkowski")
+@_command("ineq hoelder", _INEQUALITY, "hoelder" + _BOUND)
+def _ineq_hoelder(args, model):
+    return _inequality(args, model, check_hoelder)
 
 
-def _cmd_delta(args, model):
+@_command("ineq minkowski", _INEQUALITY, "minkowski" + _BOUND)
+def _ineq_minkowski(args, model):
+    return _inequality(args, model, check_minkowski)
+
+
+@_command(
+    "delta",
+    "--left --right --measure",
+    "delta({left}, {right}) = {value}",
+    help="convergence-in-measure distance",
+)
+def _delta(args, model):
     f = model.function(args.left)
     g = model.function(args.right)
     mu = model.measure(args.measure, nonneg=True)
-    value, text = _num(conv_in_measure_distance(f, g, mu), args)
-    payload = {
-        "command": "delta",
-        "left": args.left,
-        "right": args.right,
-        "measure": args.measure,
-        "value": value,
-    }
-    return payload, [f"delta({args.left}, {args.right}) = {text}"]
+    return {"value": conv_in_measure_distance(f, g, mu)}
 
 
-def _cmd_product(args, model):
+@_command(
+    "product",
+    "--left --right",
+    "product measure {left} x {right}:\n{weights}",
+    help="product measure",
+)
+def _product(args, model):
     mu = model.measure(args.left, nonneg=True)
     nu = model.measure(args.right, nonneg=True)
-    product = product_measure(mu, nu)
-    items, lines = _weights_report(product.space, product.weights, args)
-    payload = {
-        "command": "product",
-        "left": args.left,
-        "right": args.right,
-        "weights": items,
-    }
-    return payload, [f"product measure {args.left} x {args.right}:"] + lines
+    return {"weights": product_measure(mu, nu)}
 
 
-def _cmd_fubini(args, model):
+@_command(
+    "fubini",
+    "--function --left --right",
+    "direct = {direct}\niterated xy = {iterated_xy}\niterated yx = {iterated_yx}\n"
+    "agree = {agree}",
+    help="direct vs iterated integrals",
+    echo=("function",),
+)
+def _fubini(args, model):
     f = model.function(args.function)
     mu = model.measure(args.left, nonneg=True)
     nu = model.measure(args.right, nonneg=True)
-    direct, iterated_xy, iterated_yx = fubini(f, mu, nu)
-    payload = {"command": "fubini", "function": args.function}
-    lines = []
-    for key, value in (
-        ("direct", direct),
-        ("iterated_xy", iterated_xy),
-        ("iterated_yx", iterated_yx),
-    ):
-        jvalue, text = _num(value, args)
-        payload[key] = jvalue
-        lines.append(f"{key.replace('_', ' ')} = {text}")
-    agree = direct == iterated_xy == iterated_yx
-    payload["agree"] = agree
-    lines.append(f"agree = {str(agree).lower()}")
-    return payload, lines
+    direct, xy, yx = fubini(f, mu, nu)
+    agree = direct == xy == yx
+    return {"direct": direct, "iterated_xy": xy, "iterated_yx": yx, "agree": agree}
 
 
-def _kernel_report(kernel, args):
-    items = []
-    lines = [
-        "  columns: " + ", ".join(_atom_label(a) for a in kernel.codomain.atoms)
-    ]
-    for atom, row in zip(kernel.domain.atoms, kernel.rows):
-        values = []
-        texts = []
-        for w in row.weights:
-            value, text = _num(w, args)
-            values.append(value)
-            texts.append(text)
-        items.append({"atom": list(atom), "weights": values})
-        lines.append(f"  row {_atom_label(atom)}: [" + ", ".join(texts) + "]")
-    return items, lines
+@_command(
+    "kernel compose",
+    "--left --right",
+    "{left} * {right} (kind {kind}):\n{rows}",
+    options={
+        "--left": {"help": "applied second"},
+        "--right": {"help": "applied first"},
+    },
+)
+def _kernel_compose(args, model):
+    result = convolve(model.kernel(args.left), model.kernel(args.right))
+    return {"kind": result.kind, "rows": result}
 
 
-def _cmd_kernel_compose(args, model):
-    left = model.kernel(args.left)
-    right = model.kernel(args.right)
-    result = convolve(left, right)
-    items, lines = _kernel_report(result, args)
-    payload = {
-        "command": "kernel compose",
-        "left": args.left,
-        "right": args.right,
-        "kind": result.kind,
-        "rows": items,
-    }
-    header = f"{args.left} * {args.right} (kind {result.kind}):"
-    return payload, [header] + lines
-
-
-def _cmd_kernel_lift(args, model):
+@_command(
+    "kernel lift",
+    "--kernel --measure",
+    "lift of {measure} through {kernel}:\n{weights}",
+)
+def _kernel_lift(args, model):
     kernel = model.kernel(args.kernel)
     mu = model.measure(args.measure, nonneg=True)
-    lifted = kleisli_lift(kernel, mu)
-    items, lines = _weights_report(lifted.space, lifted.weights, args)
-    payload = {
-        "command": "kernel lift",
-        "kernel": args.kernel,
-        "measure": args.measure,
-        "weights": items,
-    }
-    return payload, [f"lift of {args.measure} through {args.kernel}:"] + lines
+    return {"weights": kleisli_lift(kernel, mu)}
 
 
-def _cmd_kernel_path(args, model):
-    kernel = model.kernel(args.kernel)
-    result = path_measure(kernel, args.start, args.horizon)
-    items, lines = _weights_report(result.space, result.weights, args)
-    total, total_text = _num(result.total(), args)
-    payload = {
-        "command": "kernel path",
-        "kernel": args.kernel,
-        "start": args.start,
-        "horizon": args.horizon,
-        "weights": items,
-        "total": total,
-    }
-    header = f"path measure from {args.start}, horizon {args.horizon}:"
-    return payload, [header] + lines + [f"total = {total_text}"]
+@_command(
+    "kernel path",
+    "--kernel --start --horizon",
+    "path measure from {start}, horizon {horizon}:\n{weights}\ntotal = {total}",
+    options={"--horizon": {"type": int}},
+)
+def _kernel_path(args, model):
+    result = path_measure(model.kernel(args.kernel), args.start, args.horizon)
+    return {"weights": result, "total": result.total()}
 
 
-def _cmd_disintegrate(args, model):
+@_command(
+    "disintegrate",
+    "--measure",
+    "marginal:\n{marginal}\nconditional kernel (kind {kernel_kind}):\n{kernel}\n"
+    "null fibers: {null_fibers}",
+    help="joint to marginal and kernel",
+)
+def _disintegrate(args, model):
     joint = model.measure(args.measure, nonneg=True)
-    marginal, conditional, null_fibers = disintegrate(joint)
-    marginal_items, marginal_lines = _weights_report(
-        marginal.space, marginal.weights, args
-    )
-    kernel_items, kernel_lines = _kernel_report(conditional, args)
-    payload = {
-        "command": "disintegrate",
-        "measure": args.measure,
-        "marginal": marginal_items,
-        "kernel_kind": conditional.kind,
-        "kernel": kernel_items,
-        "null_fibers": [list(atom) for atom in null_fibers],
+    marginal, kernel, null_fibers = disintegrate(joint)
+    return {
+        "marginal": marginal,
+        "kernel_kind": kernel.kind,
+        "kernel": kernel,
+        "null_fibers": null_fibers,
     }
-    lines = ["marginal:"] + marginal_lines
-    lines.append(f"conditional kernel (kind {conditional.kind}):")
-    lines.extend(kernel_lines)
-    fibers = ", ".join(_atom_label(a) for a in null_fibers) or "none"
-    lines.append(f"null fibers: {fibers}")
-    return payload, lines
 
 
-def _cmd_dist_prohorov(args, model):
+@_command("dist prohorov", "--left --right --metric", "{value}")
+def _dist_prohorov(args, model):
     metric = model.metric(args.metric)
     mu = model.measure(args.left, nonneg=True)
     nu = model.measure(args.right, nonneg=True)
-    value, text = _num(prohorov_distance(mu, nu, metric), args)
-    payload = {
-        "command": "dist prohorov",
-        "left": args.left,
-        "right": args.right,
-        "metric": args.metric,
-        "value": value,
-    }
-    return payload, [text]
+    return {"value": prohorov_distance(mu, nu, metric)}
 
 
-def _cmd_dist_hutchinson(args, model):
+@_command(
+    "dist hutchinson",
+    "--left --right --metric --gamma",
+    "{value}\nwitness: {witness:[]}",
+)
+def _dist_hutchinson(args, model):
     metric = model.metric(args.metric)
     mu = model.measure(args.left, nonneg=True)
     nu = model.measure(args.right, nonneg=True)
     gamma = _rational(args.gamma, "--gamma")
     value, witness = hutchinson_distance(mu, nu, metric, gamma)
-    jvalue, text = _num(value, args)
-    witness_values = []
-    witness_texts = []
-    for v in witness.values:
-        wv, wt = _num(v, args)
-        witness_values.append(wv)
-        witness_texts.append(wt)
-    payload = {
-        "command": "dist hutchinson",
-        "left": args.left,
-        "right": args.right,
-        "metric": args.metric,
-        "gamma": format_fraction(gamma),
-        "value": jvalue,
-        "witness": witness_values,
-    }
-    lines = [text, "witness: [" + ", ".join(witness_texts) + "]"]
-    return payload, lines
+    return {"gamma": format_fraction(gamma), "value": value, "witness": witness.values}
 
 
-def _cmd_weak_check(args, model):
+@_command(
+    "weak-check",
+    "--sequence --limit --metric --tol",
+    "converges = {converges}\n"
+    "per-atom ok = {per_atom_ok} (residual {per_atom_residual})\n"
+    "portmanteau ok = {portmanteau_ok} (excess {portmanteau_excess})\n"
+    "mass ok = {mass_ok} (residual {mass_residual})\n"
+    "criteria agree = {criteria_agree}\n"
+    "witness set: {witness_set:set}",
+    help="weak-convergence report",
+    echo=("sequence", "limit", "tol"),
+    options={
+        "--sequence": {"type": _names, "help": "comma separated measure names"},
+        "--tol": {"type": float},
+    },
+)
+def _weak_check(args, model):
     metric = model.metric(args.metric)
-    names = [n for n in args.sequence.split(",") if n]
-    sequence = [model.measure(n, nonneg=True) for n in names]
+    sequence = [model.measure(n, nonneg=True) for n in args.sequence]
     limit = model.measure(args.limit, nonneg=True)
     report = check_weak_limit(sequence, limit, metric, args.tol)
-    payload = {
-        "command": "weak-check",
-        "sequence": names,
-        "limit": args.limit,
-        "tol": args.tol,
+    return {
         "converges": report.converges,
         "per_atom_ok": report.per_atom_ok,
         "portmanteau_ok": report.portmanteau_ok,
         "mass_ok": report.mass_ok,
         "criteria_agree": report.criteria_agree(),
-        "per_atom_residual": float(format_float(report.per_atom_residual)),
-        "portmanteau_excess": float(format_float(report.portmanteau_excess)),
-        "mass_residual": float(format_float(report.mass_residual)),
-        "witness_set": (
-            report.witness_set.sorted_points() if report.witness_set else None
-        ),
+        "per_atom_residual": report.per_atom_residual,
+        "portmanteau_excess": report.portmanteau_excess,
+        "mass_residual": report.mass_residual,
+        "witness_set": report.witness_set,
     }
-    lines = [
-        f"converges = {str(report.converges).lower()}",
-        f"per-atom ok = {str(report.per_atom_ok).lower()} "
-        f"(residual {format_float(report.per_atom_residual)})",
-        f"portmanteau ok = {str(report.portmanteau_ok).lower()} "
-        f"(excess {format_float(report.portmanteau_excess)})",
-        f"mass ok = {str(report.mass_ok).lower()} "
-        f"(residual {format_float(report.mass_residual)})",
-        f"criteria agree = {str(report.criteria_agree()).lower()}",
-    ]
-    if report.witness_set is not None:
-        lines.append(
-            "witness set: {" + ",".join(report.witness_set.sorted_points()) + "}"
-        )
-    return payload, lines
 
 
-def _cmd_logic_check(args, model):
+@_command("logic check", "--kernel --formula", "[[{formula}]] = {validity_set:set}")
+def _logic_check(args, model):
     kernel = model.kernel(args.kernel)
     phi = parse_formula(args.formula)
-    result = validity_set(kernel, phi)
-    payload = {
-        "command": "logic check",
-        "kernel": args.kernel,
-        "formula": repr(phi),
-        "validity_set": result.sorted_points(),
-    }
-    label = "{" + ",".join(result.sorted_points()) + "}"
-    return payload, [f"[[{phi!r}]] = {label}"]
+    return {"formula": repr(phi), "validity_set": validity_set(kernel, phi)}
 
 
-def _cmd_logic_quotient(args, model):
+@_command(
+    "logic quotient",
+    "--kernel",
+    "blocks: {blocks}\nquotient kernel (kind {kind}):\n{rows}",
+)
+def _logic_quotient(args, model):
     kernel = model.kernel(args.kernel)
     partition = logical_equivalence(kernel)
     quotient = quotient_kernel(kernel, partition)
-    items, kernel_lines = _kernel_report(quotient, args)
-    payload = {
-        "command": "logic quotient",
-        "kernel": args.kernel,
-        "blocks": [list(b) for b in partition.blocks],
-        "kind": quotient.kind,
-        "rows": items,
-    }
-    lines = [
-        "blocks: " + ", ".join(_atom_label(b) for b in partition.blocks),
-        f"quotient kernel (kind {quotient.kind}):",
-    ]
-    return payload, lines + kernel_lines
+    return {"blocks": partition.blocks, "kind": quotient.kind, "rows": quotient}
 
 
-def _cmd_bisim_mediate(args, model):
+@_command(
+    "bisim mediate",
+    "--left --right",
+    "bisimilar: yes\niso: {iso}\nmediating kernel (kind {kind}):\n{rows}\n"
+    "common events: {common_events:~}",
+)
+def _bisim_mediate(args, model):
     k1 = model.kernel(args.left)
     k2 = model.kernel(args.right)
     if not (k1.is_endo() and k2.is_endo()):
         raise ModelError("bisim mediate works on endokernels")
     p1 = logical_equivalence(k1)
     p2 = logical_equivalence(k2)
-    q1 = quotient_kernel(k1, p1)
-    q2 = quotient_kernel(k2, p2)
-    iso = find_quotient_iso(q1, q2)
+    iso = find_quotient_iso(quotient_kernel(k1, p1), quotient_kernel(k2, p2))
     if iso is None:
         raise NotBisimilar("logical quotients are not isomorphic")
     result = mediate(k1, k2, p1, p2, iso)
-    items, kernel_lines = _kernel_report(result.kernel, args)
-    payload = {
-        "command": "bisim mediate",
-        "left": args.left,
-        "right": args.right,
-        "iso": {k: v for k, v in sorted(iso[0].items())},
-        "a_atoms": [list(a) for a in result.kernel.domain.atoms],
-        "b_atoms": [list(a) for a in result.kernel.codomain.atoms],
-        "kind": result.kernel.kind,
-        "rows": items,
-        "common_events": (
-            None
-            if result.common_events_trivial
-            else [
-                result.common_events[0].sorted_points(),
-                result.common_events[1].sorted_points(),
-            ]
-        ),
+    kernel = result.kernel
+    return {
+        "iso": dict(sorted(iso[0].items())),
+        "a_atoms": kernel.domain.atoms,
+        "b_atoms": kernel.codomain.atoms,
+        "kind": kernel.kind,
+        "rows": kernel,
+        "common_events": None if result.common_events_trivial else result.common_events,
     }
-    lines = [
-        "bisimilar: yes",
-        "iso: "
-        + ", ".join(f"{k}->{v}" for k, v in sorted(iso[0].items())),
-        f"mediating kernel (kind {result.kernel.kind}):",
-    ]
-    lines.extend(kernel_lines)
-    if result.common_events_trivial:
-        lines.append("common events: trivial")
-    else:
-        u1, u2 = result.common_events
-        lines.append(
-            "common events: {"
-            + ",".join(u1.sorted_points())
-            + "} ~ {"
-            + ",".join(u2.sorted_points())
-            + "}"
-        )
-    return payload, lines
 
 
-def _cmd_functional_to_measure(args, model):
+_FUNCTIONAL = {"--functional": {"help": "a functions entry"}}
+
+
+@_command(
+    "functional to-measure",
+    "--functional",
+    "represented measure:\n{weights}\ntotal = {total}",
+    options=_FUNCTIONAL,
+)
+def _functional_to_measure(args, model):
     f = model.function(args.functional)
-    functional = LinearFunctional(f.space, f.values)
-    measure = measure_from_functional(functional)
-    items, lines = _weights_report(measure.space, measure.weights, args)
-    total, total_text = _num(measure.total(), args)
-    payload = {
-        "command": "functional to-measure",
-        "functional": args.functional,
-        "weights": items,
-        "total": total,
-    }
-    return payload, ["represented measure:"] + lines + [f"total = {total_text}"]
+    measure = measure_from_functional(LinearFunctional(f.space, f.values))
+    return {"weights": measure, "total": measure.total()}
 
 
-def _cmd_functional_dual(args, model):
+@_command(
+    "functional dual",
+    "--functional --measure --p",
+    "density g:\n{density}\noperator norm (q={q}) = {norm}\n"
+    "  exact squared norm = {norm_squared}",
+    options=_FUNCTIONAL,
+)
+def _functional_dual(args, model):
     f = model.function(args.functional)
     mu = model.measure(args.measure, nonneg=True)
     functional = LinearFunctional(f.space, f.values)
     p = _parse_exponent(args.p)
     density, norm = lp_dual_density(functional, mu, p)
-    items, lines = _weights_report(density.space, density.values, args)
-    norm_value, norm_text = _num(norm, args)
     q = "inf" if p == 1 else ("1" if p == INF else format_fraction(p / (p - 1)))
-    payload = {
-        "command": "functional dual",
-        "functional": args.functional,
-        "measure": args.measure,
-        "p": "inf" if p == INF else format_fraction(p),
-        "q": q,
-        "density": items,
-        "norm": norm_value,
-    }
-    out = ["density g:"] + lines + [f"operator norm (q={q}) = {norm_text}"]
+    result = {"p": _exponent_text(p), "q": q, "density": density, "norm": norm}
     if q == "2" and not args.float_mode:
-        squared, squared_text = _num(lp_norm_squared(density, mu), args)
-        payload["norm_squared"] = squared
-        out.append(f"  exact squared norm = {squared_text}")
-    return payload, out
+        result["norm_squared"] = lp_norm_squared(density, mu)
+    return result
+
+
+# ----------------------------------------------------------------- render
+
+
+class _Rows(list):
+    """A kernel's JSON rows; ``columns`` keeps its codomain atoms for the text."""
+
+
+def _plain(value, float_mode):
+    """The JSON form of an exact result, with each number formatted once."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (Fraction, int, float)):
+        if float_mode or isinstance(value, float):
+            return float(format_float(to_float(value)))
+        return format_fraction(value)
+    if isinstance(value, Kernel):
+        rows = _Rows(
+            {"atom": list(atom), "weights": _plain(row.weights, float_mode)}
+            for atom, row in zip(value.domain.atoms, value.rows)
+        )
+        rows.columns = _plain(value.codomain.atoms, float_mode)
+        return rows
+    if isinstance(value, (SignedMeasure, StepFunction)):
+        values = value.values if isinstance(value, StepFunction) else value.weights
+        return [
+            {"atom": list(atom), "value": _plain(v, float_mode)}
+            for atom, v in zip(value.space.atoms, values)
+        ]
+    if isinstance(value, MeasurableSet):
+        return value.sorted_points()
+    if isinstance(value, dict):
+        return {key: _plain(v, float_mode) for key, v in value.items()}
+    return [_plain(v, float_mode) for v in value]
+
+
+class _Absent(Exception):
+    """A template line names a missing or null report value."""
+
+
+_FIELD = re.compile(r"\{(\w+)(?::([^}]*))?\}")
+
+
+def _set(points):
+    return "{" + ",".join(points) + "}"
+
+
+def _text(value, spec=""):
+    """The text of one JSON report value under a template field's spec.
+
+    Specs: "count" (length), "?words" (words when true), "~" (a pair of
+    sets, or trivial when null), "set" ({a,b}) and "[]" ([x, y]).  Without
+    a spec, lists of points are comma separated, lists of atoms are sets,
+    weights and kernel rows are indented blocks and dicts are k->v pairs.
+    """
+    if isinstance(value, str):
+        return value
+    if spec == "count":
+        return str(len(value))
+    if spec.startswith("?"):
+        return spec[1:] if value else ""
+    if spec == "~":
+        return " ~ ".join(map(_set, value)) if value else "trivial"
+    if value is None:
+        raise _Absent
+    if spec == "set":
+        return _set(value)
+    if spec == "[]":
+        return "[" + ", ".join(map(_text, value)) + "]"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, dict):
+        return ", ".join(f"{key}->{v}" for key, v in value.items())
+    if isinstance(value, _Rows):
+        rows = [f"  row {_set(r['atom'])}: {_text(r['weights'], '[]')}" for r in value]
+        return "\n".join(["  columns: " + _text(value.columns)] + rows)
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return "\n".join(f"  {_set(w['atom'])}: {_text(w['value'])}" for w in value)
+    if isinstance(value, list):
+        return ", ".join(_set(v) if isinstance(v, list) else v for v in value) or "none"
+    return str(value)
+
+
+def _run(command, args, model):
+    """Run one command: the JSON payload and the text lines of its report."""
+    result = command.handler(args, model)
+    payload = {"command": command.path}
+    payload.update((dest, getattr(args, dest)) for dest in command.echo)
+    payload.update((key, _plain(v, args.float_mode)) for key, v in result.items())
+    lines = []
+    for template in command.text.split("\n"):
+        try:
+            lines.append(
+                _FIELD.sub(lambda m: _text(payload.get(m[1]), m[2] or ""), template)
+            )
+        except _Absent:
+            pass
+    return payload, lines
 
 
 # ----------------------------------------------------------------- parser
@@ -954,150 +943,25 @@ def _common_parent():
 
 
 def build_parser():
+    """The argparse tree of the command table; each leaf's func runs _run."""
     parent = _common_parent()
     parser = argparse.ArgumentParser(
         prog="finmeas",
         description="Exact measure theory on finite spaces, batch interface.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("space", parents=[parent], help="describe a space")
-    p.add_argument("--name", required=True)
-    p.set_defaults(func=_cmd_space)
-
-    measure = sub.add_parser("measure", help="measure operations")
-    measure_sub = measure.add_subparsers(dest="subcommand", required=True)
-    p = measure_sub.add_parser("eval", parents=[parent])
-    p.add_argument("--measure", required=True)
-    p.add_argument("--set", required=True, help="comma separated points")
-    p.set_defaults(func=_cmd_measure_eval)
-
-    decompose = sub.add_parser("decompose", help="measure decompositions")
-    decompose_sub = decompose.add_subparsers(dest="subcommand", required=True)
-    p = decompose_sub.add_parser("jordan", parents=[parent])
-    p.add_argument("--measure", required=True)
-    p.set_defaults(func=_cmd_decompose_jordan)
-    p = decompose_sub.add_parser("lebesgue", parents=[parent])
-    p.add_argument("--num", required=True)
-    p.add_argument("--den", required=True)
-    p.set_defaults(func=_cmd_decompose_lebesgue)
-
-    p = sub.add_parser("rn", parents=[parent], help="Radon-Nikodym density")
-    p.add_argument("--num", required=True)
-    p.add_argument("--den", required=True)
-    p.set_defaults(func=_cmd_rn)
-
-    p = sub.add_parser("integrate", parents=[parent], help="integrate a step function")
-    p.add_argument("--function", required=True)
-    p.add_argument("--measure", required=True)
-    p.add_argument("--layered", action="store_true", help="use the layer-cake formula")
-    p.set_defaults(func=_cmd_integrate)
-
-    p = sub.add_parser("lp-norm", parents=[parent], help="Lp norm")
-    p.add_argument("--function", required=True)
-    p.add_argument("--measure", required=True)
-    p.add_argument("--p", required=True)
-    p.set_defaults(func=_cmd_lp_norm)
-
-    ineq = sub.add_parser("ineq", help="integral inequalities")
-    ineq_sub = ineq.add_subparsers(dest="subcommand", required=True)
-    for label, handler in (
-        ("hoelder", _cmd_ineq_hoelder),
-        ("minkowski", _cmd_ineq_minkowski),
-    ):
-        p = ineq_sub.add_parser(label, parents=[parent])
-        p.add_argument("--left", required=True)
-        p.add_argument("--right", required=True)
-        p.add_argument("--measure", required=True)
-        p.add_argument("--p", required=True)
-        p.set_defaults(func=handler)
-
-    p = sub.add_parser("delta", parents=[parent], help="convergence-in-measure distance")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--measure", required=True)
-    p.set_defaults(func=_cmd_delta)
-
-    p = sub.add_parser("product", parents=[parent], help="product measure")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("fubini", parents=[parent], help="direct vs iterated integrals")
-    p.add_argument("--function", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(func=_cmd_fubini)
-
-    kernel = sub.add_parser("kernel", help="kernel operations")
-    kernel_sub = kernel.add_subparsers(dest="subcommand", required=True)
-    p = kernel_sub.add_parser("compose", parents=[parent])
-    p.add_argument("--left", required=True, help="applied second")
-    p.add_argument("--right", required=True, help="applied first")
-    p.set_defaults(func=_cmd_kernel_compose)
-    p = kernel_sub.add_parser("lift", parents=[parent])
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--measure", required=True)
-    p.set_defaults(func=_cmd_kernel_lift)
-    p = kernel_sub.add_parser("path", parents=[parent])
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--horizon", required=True, type=int)
-    p.set_defaults(func=_cmd_kernel_path)
-
-    p = sub.add_parser("disintegrate", parents=[parent], help="joint to marginal and kernel")
-    p.add_argument("--measure", required=True)
-    p.set_defaults(func=_cmd_disintegrate)
-
-    dist = sub.add_parser("dist", help="distances between measures")
-    dist_sub = dist.add_subparsers(dest="subcommand", required=True)
-    p = dist_sub.add_parser("prohorov", parents=[parent])
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--metric", required=True)
-    p.set_defaults(func=_cmd_dist_prohorov)
-    p = dist_sub.add_parser("hutchinson", parents=[parent])
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--metric", required=True)
-    p.add_argument("--gamma", required=True)
-    p.set_defaults(func=_cmd_dist_hutchinson)
-
-    p = sub.add_parser("weak-check", parents=[parent], help="weak-convergence report")
-    p.add_argument("--sequence", required=True, help="comma separated measure names")
-    p.add_argument("--limit", required=True)
-    p.add_argument("--metric", required=True)
-    p.add_argument("--tol", required=True, type=float)
-    p.set_defaults(func=_cmd_weak_check)
-
-    logic = sub.add_parser("logic", help="modal logic")
-    logic_sub = logic.add_subparsers(dest="subcommand", required=True)
-    p = logic_sub.add_parser("check", parents=[parent])
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--formula", required=True)
-    p.set_defaults(func=_cmd_logic_check)
-    p = logic_sub.add_parser("quotient", parents=[parent])
-    p.add_argument("--kernel", required=True)
-    p.set_defaults(func=_cmd_logic_quotient)
-
-    bisim = sub.add_parser("bisim", help="bisimilarity")
-    bisim_sub = bisim.add_subparsers(dest="subcommand", required=True)
-    p = bisim_sub.add_parser("mediate", parents=[parent])
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(func=_cmd_bisim_mediate)
-
-    functional = sub.add_parser("functional", help="linear functionals")
-    functional_sub = functional.add_subparsers(dest="subcommand", required=True)
-    p = functional_sub.add_parser("to-measure", parents=[parent])
-    p.add_argument("--functional", required=True, help="a functions entry")
-    p.set_defaults(func=_cmd_functional_to_measure)
-    p = functional_sub.add_parser("dual", parents=[parent])
-    p.add_argument("--functional", required=True, help="a functions entry")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--p", required=True)
-    p.set_defaults(func=_cmd_functional_dual)
-
+    groups = {"": sub}
+    for command in _COMMANDS:
+        group, _, name = command.path.rpartition(" ")
+        if group not in groups:
+            groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True
+            )
+        described = {"help": command.help} if command.help else {}
+        p = groups[group].add_parser(name, parents=[parent], **described)
+        for flag in command.flags:
+            p.add_argument(flag, **{"required": True, **command.options.get(flag, {})})
+        p.set_defaults(func=functools.partial(_run, command))
     return parser
 
 

@@ -85,3 +85,7 @@ class NotBisimilar(FinmeasError):
 
 class CouplingFailed(FinmeasError):
     code = "CouplingFailed"
+
+
+class FloatRange(FinmeasError):
+    code = "FloatRange"

@@ -6,10 +6,11 @@ norms are exact; p-th roots fall back to floats.
 """
 
 import math
+import sys
 from fractions import Fraction
 
-from .errors import InvalidExponent, NegativeFunction, SpaceMismatch
-from .rational import as_fraction
+from .errors import FloatRange, InvalidExponent, NegativeFunction, SpaceMismatch
+from .rational import as_fraction, to_float
 
 INF = math.inf
 
@@ -137,6 +138,9 @@ def lp_norm(f, mu, p):
     Exact Fraction for p = 1 and p = infinity (essential sup on positive
     atoms); a float for every other exponent, where the p-th root is
     generally irrational.  See lp_norm_power for the exact p-th power.
+    When the p-th power leaves the normal float range, the norm is taken
+    as M (integral (|f|/M)^p dmu)^(1/p) with M = max |f| on the support;
+    FloatRange when the norm itself is beyond the largest float.
     """
     _check_pair(f, mu)
     p = _validate_exponent(p)
@@ -145,13 +149,46 @@ def lp_norm(f, mu, p):
         return max(support_values, default=Fraction(0))
     if p == 1:
         return integral(abs(f), mu)
-    if p.denominator == 1:
-        power = lp_norm_power(f, mu, p)
-        return float(power) ** (1.0 / int(p))
-    total = sum(
-        abs(float(v)) ** float(p) * float(w) for v, w in zip(f.values, mu.weights)
+    support = [(abs(v), w) for v, w in zip(f.values, mu.weights) if v and w]
+    if not support:
+        return 0.0
+    q = to_float(p)
+    m, w_m = max(support)
+    # the p-th power has its log between q log m + log w_m and q log m + log
+    # mu(support); beyond the float range it is not worth computing
+    mass = sum((w for _, w in support), start=Fraction(0))
+    low, high = (q * _log(m) + _log(x) for x in (w_m, mass))
+    total = _float_power(support, p) if _LOG_MIN < high and low < _LOG_MAX else 0.0
+    if sys.float_info.min <= total < math.inf:
+        return total ** (1.0 / q)
+    scaled = sum(
+        (Fraction(float(v / m) ** q) * w for v, w in support), start=Fraction(0)
     )
-    return total ** (1.0 / float(p))
+    try:
+        return math.exp(_log(m) + _log(scaled) / q)
+    except OverflowError:
+        raise FloatRange("the Lp norm is beyond the largest float") from None
+
+
+# natural logs just outside the normal float range
+_LOG_MAX = math.log(sys.float_info.max) + 1
+_LOG_MIN = math.log(sys.float_info.min) - 1
+
+
+def _float_power(support, p):
+    """integral |f|^p dmu as a float, inf when it overflows."""
+    try:
+        if p.denominator == 1:
+            k = int(p)
+            return float(sum((v**k * w for v, w in support), start=Fraction(0)))
+        return sum(float(v) ** float(p) * float(w) for v, w in support)
+    except OverflowError:
+        return math.inf
+
+
+def _log(x):
+    """Natural log of a positive Fraction of any size."""
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def lp_norm_power(f, mu, p):
@@ -196,12 +233,12 @@ def check_hoelder(f, g, mu, p):
     if p == 2:
         rhs_sq = lp_norm_squared(f, mu) * lp_norm_squared(g, mu)
         holds = lhs * lhs <= rhs_sq
-        return lhs, math.sqrt(float(rhs_sq)), holds
+        return lhs, math.sqrt(to_float(rhs_sq)), holds
     if p == INF:
         rhs = lp_norm(f, mu, INF) * lp_norm(g, mu, 1)
         return lhs, rhs, lhs <= rhs
     rhs = lp_norm(f, mu, p) * lp_norm(g, mu, q)
-    return lhs, rhs, float(lhs) <= rhs + 1e-9
+    return lhs, rhs, to_float(lhs) <= rhs + 1e-9
 
 
 def check_minkowski(f, g, mu, p):
@@ -226,7 +263,8 @@ def check_minkowski(f, g, mu, p):
         # lhs <= rhs  iff  a - b - c <= 2 sqrt(b c), squared once more
         gap = a - b - c
         holds = gap <= 0 or gap * gap <= 4 * b * c
-        return math.sqrt(float(a)), math.sqrt(float(b)) + math.sqrt(float(c)), holds
+        lhs = math.sqrt(to_float(a))
+        return lhs, math.sqrt(to_float(b)) + math.sqrt(to_float(c)), holds
     lhs = lp_norm(s, mu, p)
     rhs = lp_norm(f, mu, p) + lp_norm(g, mu, p)
     return lhs, rhs, lhs <= rhs + 1e-9

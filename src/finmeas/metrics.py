@@ -10,11 +10,12 @@ portmanteau excess is the largest sum of positive parts of the tail's
 per-atom differences.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import InvalidGamma, SpaceMismatch
 from .flow import max_flow, min_cost_transshipment
-from .rational import as_fraction
+from .rational import as_fraction, to_float
 from .simplex import maximize  # noqa: F401  bench/spans.py wraps this attribute
 from .spaces import FiniteMeasurableSpace
 
@@ -300,8 +301,10 @@ def check_weak_limit(sequence, limit, metric, tol):
     (ii) every subset F has tail mass at most limit(F) + tol,
     (iii) total masses of the tail stay within tol of the limit's.
     Returns a WeakLimitReport; witness_set is a maximally violating subset
-    when (ii) fails.
+    when (ii) fails.  tol must be finite and nonnegative (ValueError).
     """
+    if (isinstance(tol, float) and not math.isfinite(tol)) or tol < 0:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     sequence = list(sequence)
     if not sequence:
         raise ValueError("need at least one element in the sequence")
@@ -315,17 +318,17 @@ def check_weak_limit(sequence, limit, metric, tol):
     tail = sequence[len(sequence) // 2 :]
 
     per_atom_residual = max(
-        abs(float(m.weights[k] - limit.weights[k]))
+        abs(to_float(m.weights[k] - limit.weights[k]))
         for m in tail
         for k in range(n)
     )
-    mass_residual = max(abs(float(m.total() - limit.total())) for m in tail)
+    mass_residual = max(abs(to_float(m.total() - limit.total())) for m in tail)
 
     diffs = [
         [a - b for a, b in zip(m.weights, limit.weights)] for m in tail
     ]
     portmanteau_excess = max(
-        float(sum((d for d in row if d > 0), start=Fraction(0))) for row in diffs
+        to_float(sum((d for d in row if d > 0), start=Fraction(0))) for row in diffs
     )
     per_atom_ok = per_atom_residual <= tol
     portmanteau_ok = portmanteau_excess <= tol

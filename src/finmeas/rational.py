@@ -1,7 +1,10 @@
 """Exact rational plumbing: parsing, formatting, and the subset-enumeration cap."""
 
+import math
 import os
 from fractions import Fraction
+
+from .errors import FloatRange
 
 DEFAULT_ATOM_CAP = 16
 
@@ -28,6 +31,18 @@ def format_fraction(value):
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def to_float(value):
+    """float(value), or FloatRange when the value is beyond the largest float."""
+    try:
+        return float(value)
+    except OverflowError:
+        value = Fraction(value)
+        exponent = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        raise FloatRange(
+            f"a value of magnitude about 10^{exponent:.0f} is outside the float range"
+        ) from None
 
 
 def format_float(value):

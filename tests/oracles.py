@@ -19,6 +19,10 @@ The space constructor validates in one pass, the product space escapes
 each factor's labels once, and the kernel kind is inferred from integer
 row sums.  The earlier constructor, the label-by-label product and the
 Fraction row totals are kept here as well.
+
+Lp norms for a non-integer or finite exponent other than 1 used to be
+taken in plain floats only; that form is kept for the exponents where it
+stays in the normal float range.
 """
 
 from fractions import Fraction
@@ -482,3 +486,20 @@ def inferred_kind_sums(rows):
     if all(t <= 1 for t in totals):
         return SUB_MARKOV
     return FINITE
+
+
+# ------------------------------------------------------------------ Lp norms
+
+
+def lp_norm_float(f, mu, p):
+    """The plain float Lp norm for a rational 1 < p < infinity."""
+    if p.denominator == 1:
+        power = sum(
+            (abs(v) ** int(p) * w for v, w in zip(f.values, mu.weights)),
+            start=Fraction(0),
+        )
+        return float(power) ** (1.0 / int(p))
+    total = sum(
+        abs(float(v)) ** float(p) * float(w) for v, w in zip(f.values, mu.weights)
+    )
+    return total ** (1.0 / float(p))

@@ -264,6 +264,61 @@ def test_model_rejects_non_utf8_file(capsys, tmp_path):
     assert err.startswith("error[input]") and "not UTF-8" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1e400", "-0.5"])
+def test_weak_check_rejects_a_non_finite_or_negative_tol(capsys, tol):
+    code, out, err = run(
+        capsys,
+        "weak-check", "-m", METRIC, "--sequence", "w1,w2,w3", "--limit", "wlim",
+        "--metric", "d3", "--tol", tol,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]: tol must be a finite number >= 0")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["lp-norm", "--function", "f12", "--measure", "eta", "--p", "100000"],
+         "lp-norm p=100000: 1.9999861371\n"),
+        (["lp-norm", "--function", "f12", "--measure", "eta", "--p", "100001/3"],
+         "lp-norm p=100001/3: 1.99995841202\n"),
+        (["ineq", "hoelder", "--left", "f12", "--right", "g31", "--measure", "eta",
+          "--p", "100000"],
+         "hoelder p=100000: lhs = 5/2, rhs = 3.9999775067, holds = true\n"),
+        (["ineq", "minkowski", "--left", "f12", "--right", "g31", "--measure", "eta",
+          "--p", "100001/3"],
+         "minkowski p=100001/3: lhs = 3.99991682403, rhs = 4.99989603004, "
+         "holds = true\n"),
+    ],
+    ids=["lp-int", "lp-ratio", "hoelder", "minkowski"],
+)
+def test_lp_norms_with_a_large_exponent(capsys, argv, expected):
+    assert run(capsys, *argv, "-m", DECOMP) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--function", "big", "--measure", "eta", "--float"],
+        ["lp-norm", "--function", "big", "--measure", "eta", "--p", "2"],
+        ["lp-norm", "--function", "big", "--measure", "eta", "--p", "3"],
+        ["lp-norm", "--function", "f12", "--measure", "eta", "--p", "1e400"],
+    ],
+    ids=["integrate", "lp-2", "lp-3", "huge-p"],
+)
+def test_values_beyond_the_float_range_are_a_domain_error(capsys, tmp_path, argv):
+    doc = json.loads(open(DECOMP, encoding="utf-8").read())
+    doc["functions"]["big"] = {"space": "X2", "values": {"a": "1e340", "b": 1}}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "-m", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error[FloatRange]: ") and "Traceback" not in err
+    exact = run(capsys, "integrate", "--function", "big", "--measure", "eta",
+                "-m", str(path))
+    assert exact == (0, f"integral big deta = {Fraction(10**340 + 1, 2)}\n", "")
+
+
 def test_deep_formula_runs_without_recursion():
     depth = 3000
     argv = [

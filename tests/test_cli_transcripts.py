@@ -10,8 +10,10 @@ change of output, with
     PYTHONPATH=src python tests/test_cli_transcripts.py
 """
 
+import contextlib
+import io
 import json
-import sys
+import os
 from importlib import resources
 from pathlib import Path
 
@@ -72,9 +74,12 @@ COMMANDS = [
     (METRIC, "dist prohorov --left w1 --right wlim --metric d3"),
     (METRIC, "dist hutchinson --left dirac_a --right dirac_b --metric d2 --gamma 1"),
     (METRIC, "dist hutchinson --left w2 --right wlim --metric d3 --gamma 1/3"),
-    (METRIC, "weak-check --sequence w1,w2,w3,w4,w5,w6 --limit wlim --metric d3 --tol 0.01"),
-    (METRIC, "weak-check --sequence dirac_a,dirac_b --limit dirac_a --metric d2 --tol 1e-3"),
-    (METRIC, "weak-check --sequence ,w6, --limit wlim --metric d3 --tol 0.123456789012345"),
+    (METRIC, "weak-check --sequence w1,w2,w3,w4,w5,w6 --limit wlim --metric d3 "
+     "--tol 0.01"),
+    (METRIC, "weak-check --sequence dirac_a,dirac_b --limit dirac_a --metric d2 "
+     "--tol 1e-3"),
+    (METRIC, "weak-check --sequence ,w6, --limit wlim --metric d3 "
+     "--tol 0.123456789012345"),
     # domain errors, exit 1
     (DECOMP, "rn --num nu_leb --den mu_leb"),
     (DECOMP, "lp-norm --function f12 --measure eta --p 1/2"),
@@ -121,16 +126,17 @@ def cases():
         yield f"help {text}".strip(), None, text.split() + ["--help"]
 
 
-def transcript(model, argv, capsys):
+def transcript(model, argv):
     if model is not None:
         path = str(resources.files("finmeas") / "examples" / f"{model}.json")
         argv = argv + ["-m", path]
-    try:
-        code = main(argv)
-    except SystemExit as exit_:
-        code = exit_.code
-    out = capsys.readouterr()
-    return {"stdout": out.out, "stderr": out.err, "code": code}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +153,8 @@ def columns(monkeypatch):
 @pytest.mark.parametrize(
     "key, model, argv", [pytest.param(*case, id=case[0]) for case in cases()]
 )
-def test_transcript(key, model, argv, golden, capsys, columns):
-    assert transcript(model, argv, capsys) == golden[key]
+def test_transcript(key, model, argv, golden, columns):
+    assert transcript(model, argv) == golden[key]
 
 
 def test_every_subcommand_succeeds_in_a_transcript(golden):
@@ -163,27 +169,9 @@ def test_every_subcommand_succeeds_in_a_transcript(golden):
         ), leaf
 
 
-class _Capture:
-    """A stand-in for pytest's capsys when recording from the shell."""
-
-    def readouterr(self):
-        out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
-        sys.stdout.seek(0), sys.stdout.truncate()
-        sys.stderr.seek(0), sys.stderr.truncate()
-        return type("Out", (), {"out": out, "err": err})
-
-
 def record():
-    import io
-    import os
-
     os.environ["COLUMNS"] = "80"
-    real = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-    try:
-        found = {key: transcript(model, argv, _Capture()) for key, model, argv in cases()}
-    finally:
-        sys.stdout, sys.stderr = real
+    found = {key: transcript(model, argv) for key, model, argv in cases()}
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
     print(f"{len(found)} transcripts written to {DATA}")

@@ -1,11 +1,13 @@
 import random
+import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finmeas.errors import InvalidExponent, NegativeFunction, SpaceMismatch
+from finmeas.errors import FloatRange, InvalidExponent, NegativeFunction, SpaceMismatch
 from finmeas.integrate import (
     INF,
     StepFunction,
@@ -24,6 +26,7 @@ from finmeas.measures import Measure
 from finmeas.spaces import FiniteMeasurableSpace, MeasurableSet
 
 from conftest import rand_measure, rand_space
+from oracles import lp_norm_float
 
 TWO = FiniteMeasurableSpace.discrete("ab")
 QUARTER = Measure(TWO, [Fraction(1, 4), Fraction(3, 4)])
@@ -180,3 +183,86 @@ def test_integral_is_linear(fv, gv):
     f = StepFunction(TWO, fv)
     g = StepFunction(TWO, gv)
     assert integral(f + g, ETA) == integral(f, ETA) + integral(g, ETA)
+
+
+def _decimal_lp_norm(values, weights, p):
+    """(sum |v|^p w)^(1/p) in 60-digit decimals with an unbounded exponent."""
+    ctx = Context(prec=60, Emax=10**15, Emin=-(10**15))
+
+    def dec(x):
+        return ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
+
+    q = dec(Fraction(p))
+    total = Decimal(0)
+    for v, w in zip(values, weights):
+        total = ctx.add(total, ctx.multiply(ctx.power(abs(dec(v)), q), dec(w)))
+    return float(ctx.power(total, ctx.divide(Decimal(1), q)))
+
+
+@pytest.mark.parametrize(
+    "values, p",
+    [
+        ([1, 2], 100000),
+        ([1, 2], Fraction(100001, 3)),
+        ([Fraction(1, 4), Fraction(3, 4)], 100000),
+        ([Fraction(1, 4), Fraction(3, 4)], Fraction(100001, 3)),
+        ([0, 10**200], 100000),
+        ([0, 10**200], Fraction(100001, 3)),
+        ([0, 10**200], 2),
+        ([Fraction(1, 10**200), Fraction(3, 10**200)], 1200),
+        ([Fraction(1, 10**200), Fraction(3, 10**200)], Fraction(2401, 2)),
+    ],
+)
+def test_lp_norm_outside_the_float_range_is_finite(values, p):
+    f = StepFunction(TWO, values)
+    expected = _decimal_lp_norm(values, QUARTER.weights, p)
+    assert lp_norm(f, QUARTER, p) == pytest.approx(expected, rel=1e-12)
+
+
+def test_lp_norm_below_the_float_range_is_not_zero():
+    tiny = StepFunction(TWO, [Fraction(1, 10**200), Fraction(1, 10**200)])
+    assert lp_norm(tiny, ETA, 2) == pytest.approx(1e-200, rel=1e-12)
+    assert lp_norm(tiny, ETA, Fraction(5, 2)) == pytest.approx(1e-200, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3, Fraction(5, 2)])
+def test_lp_norm_beyond_the_float_range_raises_float_range(p):
+    huge = StepFunction(TWO, [10**340, 1])
+    with pytest.raises(FloatRange):
+        lp_norm(huge, ETA, p)
+
+
+def test_inequalities_with_a_large_exponent():
+    f, g = StepFunction(TWO, [1, 2]), StepFunction(TWO, [3, 1])
+    lhs, rhs, holds = check_hoelder(f, g, ETA, 100000)
+    assert holds and rhs == pytest.approx(4, rel=1e-4)
+    lhs, rhs, holds = check_minkowski(f, g, ETA, Fraction(100001, 3))
+    assert holds and lhs == pytest.approx(4, rel=1e-3)
+    with pytest.raises(FloatRange):
+        check_hoelder(StepFunction(TWO, [10**200, 1]), g, ETA, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(-50, 50, max_denominator=40), min_size=2, max_size=2),
+    st.lists(st.fractions(0, 3, max_denominator=40), min_size=2, max_size=2),
+    st.one_of(
+        st.integers(2, 400).map(Fraction),
+        st.fractions(1, 400, max_denominator=12).filter(lambda p: p > 1),
+    ),
+)
+@example([1, 2], [Fraction(1, 2), Fraction(1, 2)], Fraction(3, 2))
+@example([0, 0], [1, 1], Fraction(2))
+@example([Fraction(1, 3), 0], [0, 1], Fraction(7, 3))
+def test_lp_norm_in_the_float_range_is_unchanged(values, weights, p):
+    """Where the plain float form stays in the normal range, it is the result."""
+    f, mu = StepFunction(TWO, values), Measure(TWO, weights)
+    try:
+        old = lp_norm_float(f, mu, p)
+    except OverflowError:
+        return
+    if old == 0 and any(v and w for v, w in zip(values, weights)):
+        return
+    if 0 < old ** float(p) < sys.float_info.min:
+        return
+    assert lp_norm(f, mu, p) == old

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -179,3 +180,12 @@ def test_weak_limit_mass_escapes():
     assert not report.converges
     assert not report.mass_ok
     assert report.criteria_agree()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1, -1e-9, Fraction(-1, 3)])
+def test_weak_limit_rejects_a_non_finite_or_negative_tol(tol):
+    space = HALF.space
+    limit = Measure(space, [1, 0])
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        check_weak_limit([limit], limit, HALF, tol)
+    assert check_weak_limit([limit], limit, HALF, 0).converges
