@@ -402,18 +402,18 @@ def _exponent_text(p):
     return "inf" if p == INF else format_fraction(p)
 
 
+def _names(text):
+    return [n for n in text.split(",") if n]
+
+
 def _parse_point_set(space, text):
-    points = [p for p in text.split(",") if p] if text else []
+    points = _names(text)
     for p in points:
         try:
             space.point_index(p)
         except ValueError:
             raise ModelError(f"unknown point {p!r}") from None
     return MeasurableSet(space, points)
-
-
-def _names(text):
-    return [n for n in text.split(",") if n]
 
 
 # ---------------------------------------------------------------- commands

@@ -14,6 +14,10 @@ from .rational import as_fraction, to_float
 
 INF = math.inf
 
+# natural logs just outside the normal float range
+_LOG_MAX = math.log(sys.float_info.max) + 1
+_LOG_MIN = math.log(sys.float_info.min) - 1
+
 
 class StepFunction:
     """An atom-constant rational function on a finite measurable space."""
@@ -168,11 +172,6 @@ def lp_norm(f, mu, p):
         return math.exp(_log(m) + _log(scaled) / q)
     except OverflowError:
         raise FloatRange("the Lp norm is beyond the largest float") from None
-
-
-# natural logs just outside the normal float range
-_LOG_MAX = math.log(sys.float_info.max) + 1
-_LOG_MIN = math.log(sys.float_info.min) - 1
 
 
 def _float_power(support, p):

@@ -6,9 +6,12 @@ rationals and are deliberately written from first principles so they can
 serve as oracles for the library's own solvers.
 """
 
+import contextlib
+import io
 from fractions import Fraction
 from itertools import combinations
 
+from finmeas.cli import main
 from finmeas.kernels import Kernel
 from finmeas.measures import Measure, SignedMeasure
 from finmeas.metrics import FiniteMetric
@@ -236,3 +239,20 @@ def atoms_of_family(points, sets):
                 atom = atom & s
         atoms.add(atom)
     return atoms
+
+
+# ---------------------------------------------------------------------- CLI
+
+
+def run_main(argv):
+    """Run the CLI in-process: (exit code, stdout, stderr).
+
+    argparse's own exits (usage errors, --help) count with their code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()

@@ -5,8 +5,6 @@ with exit code 0, 1 or 2, argparse's own exit counting as 2, and no
 exception may escape it.
 """
 
-import contextlib
-import io
 import json
 from importlib import resources
 
@@ -14,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from finmeas.cli import main
+from conftest import run_main
 
 MODELS = {
     name: json.loads(
@@ -135,16 +133,6 @@ def model_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "model.json"
 
 
-def _exit_code(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exit_:
-            code = exit_.code
-    return code, err.getvalue()
-
-
 BIG_F12 = [("set", ("functions", "f12", "values", "a"), "1e340")]
 WEAK = ["weak-check", "--sequence", "w1,w2,w3", "--limit", "wlim", "--metric", "d3"]
 LP = ["lp-norm", "--function", "f12", "--measure", "eta"]
@@ -174,6 +162,6 @@ INEQ = ["--left", "f12", "--right", "g31", "--measure", "eta"]
 def test_cli_exits_0_1_or_2_without_an_escaping_exception(model_file, case):
     model, mutations, argv = case
     model_file.write_text(json.dumps(_mutate(MODELS[model], mutations)), "utf-8")
-    code, err = _exit_code([*argv, "-m", str(model_file)])
+    code, _, err = run_main([*argv, "-m", str(model_file)])
     assert code in (0, 1, 2)
     assert code == 0 or err.startswith(("error[", "usage: "))

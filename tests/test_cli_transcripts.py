@@ -10,8 +10,6 @@ change of output, with
     PYTHONPATH=src python tests/test_cli_transcripts.py
 """
 
-import contextlib
-import io
 import json
 import os
 from importlib import resources
@@ -19,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from finmeas.cli import main
+from conftest import run_main
 
 DATA = Path(__file__).with_name("data") / "cli_transcripts.json"
 
@@ -130,13 +128,8 @@ def transcript(model, argv):
     if model is not None:
         path = str(resources.files("finmeas") / "examples" / f"{model}.json")
         argv = argv + ["-m", path]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exit_:
-            code = exit_.code
-    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
+    code, out, err = run_main(argv)
+    return {"stdout": out, "stderr": err, "code": code}
 
 
 @pytest.fixture(scope="module")
