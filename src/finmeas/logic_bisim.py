@@ -8,7 +8,8 @@ evaluated with explicit stacks, so nesting depth costs no recursion.
 Round-based refinement and formula enumeration serve as test oracles
 only.  A coupling of two marginals inside a support is one max flow: a
 full flow is the coupling, and a short one yields a Hall-style cut
-certificate from the residual graph.
+certificate from the residual graph.  A mediating kernel needs no flow:
+given the matched quotient class, each row is the product of the two.
 """
 
 from fractions import Fraction
@@ -17,7 +18,6 @@ from math import gcd
 
 from .errors import (
     CapacityExceeded,
-    CouplingFailed,
     MassMismatch,
     NotACongruence,
     NotBisimilar,
@@ -34,7 +34,6 @@ from .spaces import (
     join_pair_label,
     product_space,
     sigma_from_generator,
-    split_pair_label,
 )
 
 
@@ -597,42 +596,27 @@ class MediationResult:
 
 
 def _matching_pair_space(s1, s2, p1, p2, iso):
-    """The subspace of s1 x s2 where quotient classes match under iso."""
-    rep1 = [p1.blocks[p1.block_index_of_point(atom[0])][0] for atom in s1.atoms]
-    rep2 = [p2.blocks[p2.block_index_of_point(atom[0])][0] for atom in s2.atoms]
-    matches = [
-        (i, j)
-        for i in range(len(s1.atoms))
-        for j in range(len(s2.atoms))
-        if iso[rep1[i]] == rep2[j]
-    ]
-    matched = set(matches)
-    points = []
+    """The subspace of s1 x s2 where quotient classes match under iso, its
+    two coordinate maps and its atoms as atom-index pairs (i, j), which in
+    lexicographic order are its canonical atom order."""
+    image = [p2.block_index_of_point(iso[block[0]]) for block in p1.blocks]
+    label = {}
     for x in s1.points:
-        i = s1.atom_index_of_point(x)
-        for y in s2.points:
-            if (i, s2.atom_index_of_point(y)) in matched:
-                points.append(join_pair_label(x, y))
-    atoms = [
-        tuple(
-            join_pair_label(x, y) for x in s1.atoms[i] for y in s2.atoms[j]
-        )
-        for i, j in matches
+        for y in p2.blocks[image[p1.block_index_of_point(x)]]:
+            label[x, y] = join_pair_label(x, y)
+    pairs = [
+        (i, j)
+        for i, b in enumerate(p1.block_of_atom)
+        for j in p2.block_atom_indices(image[b])
     ]
-    space = FiniteMeasurableSpace(points, atoms)
-    pair_of_atom = []
-    for atom in space.atoms:
-        x, y = split_pair_label(atom[0])
-        pair_of_atom.append(
-            (s1.atom_index_of_point(x), s2.atom_index_of_point(y))
-        )
-    first = AtomMap(
-        space, s1, {q: split_pair_label(q)[0] for q in space.points}
-    )
-    second = AtomMap(
-        space, s2, {q: split_pair_label(q)[1] for q in space.points}
-    )
-    return space, first, second, pair_of_atom
+    atoms = [
+        tuple(label[x, y] for x in s1.atoms[i] for y in s2.atoms[j])
+        for i, j in pairs
+    ]
+    space = FiniteMeasurableSpace(label.values(), atoms)
+    first = AtomMap(space, s1, {q: x for (x, _), q in label.items()})
+    second = AtomMap(space, s2, {q: y for (_, y), q in label.items()})
+    return space, first, second, pairs
 
 
 def _as_partition_pair(kernel, q):
@@ -665,9 +649,13 @@ def mediate(k1, k2, q1, q2, iso):
     q1 and q2 are congruence partitions (a single Partition for an
     endokernel, else a (domain, codomain) pair); iso is the block bijection
     (or pair of bijections) equating the quotient kernels.  A is the
-    matching-class subspace of X1 x X2, B of Y1 x Y2; each row of the
-    mediating kernel is a coupling of the corresponding rows of k1 and k2
-    supported inside B, and both projection equations hold exactly.
+    matching-class subspace of X1 x X2, B of Y1 x Y2.  The row of a matched
+    pair (x, y) couples k1(x) and k2(y) independently given the class:
+    w(j1, j2) = k1(x)(j1) * k2(y)(j2) / m_C for j1 in a class C and j2 in
+    iso(C), where m_C = k1(x)(C) is the quotient row's mass on C (w = 0
+    when m_C = 0).  The quotient kernels agree, so k2(y)(iso(C)) = m_C too:
+    summing out j2 gives k1(x)(j1) and summing out j1 gives k2(y)(j2), so
+    each row is a coupling inside B and both projection equations hold.
     """
     q1d, q1c = _as_partition_pair(k1, q1)
     q2d, q2c = _as_partition_pair(k2, q2)
@@ -698,36 +686,34 @@ def mediate(k1, k2, q1, q2, iso):
     )
     rows = []
     for i1, i2 in a_pairs:
-        problem = CouplingProblem(k1.rows[i1], k2.rows[i2], b_pairs)
-        coupling = solve_coupling(problem)
-        if isinstance(coupling, Infeasible):
-            raise CouplingFailed(
-                f"no coupling for matched pair {k1.domain.atoms[i1]!r}, "
-                f"{k2.domain.atoms[i2]!r}: {coupling!r}"
-            )
-        n2 = len(k2.codomain.atoms)
-        row = Measure(
-            b_space, [coupling.weights[j1 * n2 + j2] for j1, j2 in b_pairs]
-        )
+        mass = quot1.rows[q1d.block_of_atom[i1]].weights
+        # k1(x)(j1) / m_C; a zero entry stays zero, so m_C = 0 never divides
+        scaled = [
+            w / mass[c] if w else w
+            for w, c in zip(k1.rows[i1].weights, q1c.block_of_atom)
+        ]
+        right = k2.rows[i2].weights
+        row = Measure(b_space, [scaled[j1] * right[j2] for j1, j2 in b_pairs])
         if row.total() != k1.rows[i1].total():
             raise AssertionError("mediating row lost mass")
-        rows.append(row)
-    mediating = Kernel(a_space, b_space, rows)
-    for (i1, i2), row in zip(a_pairs, rows):
         images = (pushforward(zeta1, row), pushforward(zeta2, row))
         if images != (k1.rows[i1], k2.rows[i2]):
             raise AssertionError("mediating row misses a marginal")
+        rows.append(row)
     if len(q1c.blocks) >= 2:
-        u1 = k1.codomain.set_of_atoms(q1c.block_atom_indices(0))
         image = q2c.block_index_of_point(cod_iso[q1c.blocks[0][0]])
-        u2 = k2.codomain.set_of_atoms(q2c.block_atom_indices(image))
-        for point in b_space.points:
-            x, y = split_pair_label(point)
-            if (x in u1) != (y in u2):
-                raise AssertionError("common events disagree on B")
-        common_events = (u1, u2)
+        if any(
+            (q1c.block_of_atom[j1] == 0) != (q2c.block_of_atom[j2] == image)
+            for j1, j2 in b_pairs
+        ):
+            raise AssertionError("common events disagree on B")
+        common_events = (
+            k1.codomain.set_of_atoms(q1c.block_atom_indices(0)),
+            k2.codomain.set_of_atoms(q2c.block_atom_indices(image)),
+        )
     else:
         common_events = None
+    mediating = Kernel(a_space, b_space, rows)
     return MediationResult(mediating, pi1, pi2, zeta1, zeta2, common_events)
 
 

@@ -2,9 +2,10 @@
 
 import math
 import os
+import sys
 from fractions import Fraction
 
-from .errors import FloatRange
+from .errors import CapacityExceeded, FloatRange
 
 DEFAULT_ATOM_CAP = 16
 
@@ -26,11 +27,20 @@ def as_fraction(value):
 
 
 def format_fraction(value):
-    """Render a Fraction as 'p/q' (or a bare integer when q = 1)."""
+    """Render a Fraction as 'p/q' (or a bare integer when q = 1); a part
+    past the interpreter's digit limit raises CapacityExceeded."""
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        n = max(abs(value.numerator), value.denominator)
+        d = int((n.bit_length() - 1) * math.log10(2))  # n has d + 1 or d + 2 digits
+        raise CapacityExceeded(
+            f"an exact result of {d + 1 + (n >= 10 ** (d + 1))} digits exceeds "
+            f"the limit of {sys.get_int_max_str_digits()} digits for printing an integer"
+        ) from None
 
 
 def to_float(value):

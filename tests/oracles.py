@@ -20,6 +20,10 @@ each factor's labels once, and the kernel kind is inferred from integer
 row sums.  The earlier constructor, the label-by-label product and the
 Fraction row totals are kept here as well.
 
+A mediating kernel is now the class-conditional product of the two rows.
+The earlier construction is kept: one max-flow coupling per matched pair,
+over spaces whose pair labels are joined and then split again.
+
 Lp norms for a non-integer or finite exponent other than 1 used to be
 taken in plain floats only; that form is kept for the exponents where it
 stays in the normal float range.
@@ -28,10 +32,39 @@ stays in the normal float range.
 from fractions import Fraction
 from itertools import combinations
 
-from finmeas.errors import CapacityExceeded, EmptyCarrier, MassMismatch, SpaceMismatch
+from finmeas.errors import (
+    CapacityExceeded,
+    CouplingFailed,
+    EmptyCarrier,
+    MassMismatch,
+    NotACongruence,
+    NotBisimilar,
+    SpaceMismatch,
+)
 from finmeas.flow import max_flow
-from finmeas.kernels import FINITE, MARKOV, SUB_MARKOV, Kernel, _join_kind
-from finmeas.logic_bisim import And, Dia, Infeasible, Top, factor_map
+from finmeas.kernels import (
+    FINITE,
+    MARKOV,
+    SUB_MARKOV,
+    AtomMap,
+    Kernel,
+    _join_kind,
+    pushforward,
+)
+from finmeas.logic_bisim import (
+    And,
+    CouplingProblem,
+    Dia,
+    Infeasible,
+    MediationResult,
+    Top,
+    _as_iso_pair,
+    _as_partition_pair,
+    _check_bijection,
+    factor_map,
+    quotient_kernel_pair,
+    solve_coupling,
+)
 from finmeas.measures import Measure
 from finmeas.metrics import WeakLimitReport
 from finmeas.rational import atom_cap
@@ -41,6 +74,7 @@ from finmeas.spaces import (
     Partition,
     join_pair_label,
     product_space,
+    split_pair_label,
 )
 
 
@@ -486,6 +520,119 @@ def inferred_kind_sums(rows):
     if all(t <= 1 for t in totals):
         return SUB_MARKOV
     return FINITE
+
+
+# -------------------------------------------------------------- mediation
+
+
+def matching_pair_space_labels(s1, s2, p1, p2, iso):
+    """The subspace of s1 x s2 where quotient classes match under iso."""
+    rep1 = [p1.blocks[p1.block_index_of_point(atom[0])][0] for atom in s1.atoms]
+    rep2 = [p2.blocks[p2.block_index_of_point(atom[0])][0] for atom in s2.atoms]
+    matches = [
+        (i, j)
+        for i in range(len(s1.atoms))
+        for j in range(len(s2.atoms))
+        if iso[rep1[i]] == rep2[j]
+    ]
+    matched = set(matches)
+    points = []
+    for x in s1.points:
+        i = s1.atom_index_of_point(x)
+        for y in s2.points:
+            if (i, s2.atom_index_of_point(y)) in matched:
+                points.append(join_pair_label(x, y))
+    atoms = [
+        tuple(
+            join_pair_label(x, y) for x in s1.atoms[i] for y in s2.atoms[j]
+        )
+        for i, j in matches
+    ]
+    space = FiniteMeasurableSpace(points, atoms)
+    pair_of_atom = []
+    for atom in space.atoms:
+        x, y = split_pair_label(atom[0])
+        pair_of_atom.append(
+            (s1.atom_index_of_point(x), s2.atom_index_of_point(y))
+        )
+    first = AtomMap(
+        space, s1, {q: split_pair_label(q)[0] for q in space.points}
+    )
+    second = AtomMap(
+        space, s2, {q: split_pair_label(q)[1] for q in space.points}
+    )
+    return space, first, second, pair_of_atom
+
+def mediate_flow(k1, k2, q1, q2, iso):
+    """Build the mediating kernel showing two processes bisimilar.
+
+    q1 and q2 are congruence partitions (a single Partition for an
+    endokernel, else a (domain, codomain) pair); iso is the block bijection
+    (or pair of bijections) equating the quotient kernels.  A is the
+    matching-class subspace of X1 x X2, B of Y1 x Y2; each row of the
+    mediating kernel is a coupling of the corresponding rows of k1 and k2
+    supported inside B, and both projection equations hold exactly.
+    """
+    q1d, q1c = _as_partition_pair(k1, q1)
+    q2d, q2c = _as_partition_pair(k2, q2)
+    try:
+        quot1 = quotient_kernel_pair(k1, q1d, q1c)
+        quot2 = quotient_kernel_pair(k2, q2d, q2c)
+    except NotACongruence as err:
+        raise NotBisimilar(f"partition is not a congruence: {err}") from err
+    if len(quot1.domain.atoms) != len(quot2.domain.atoms) or len(
+        quot1.codomain.atoms
+    ) != len(quot2.codomain.atoms):
+        raise NotBisimilar("quotient block counts differ")
+    dom_iso, cod_iso = _as_iso_pair(iso)
+    _check_bijection(dom_iso, quot1.domain.points, quot2.domain.points)
+    _check_bijection(cod_iso, quot1.codomain.points, quot2.codomain.points)
+    for b, row in zip(quot1.domain.points, quot1.rows):
+        other = quot2.row_at_point(dom_iso[b])
+        for c, w in zip(quot1.codomain.points, row.weights):
+            if w != other.weights[quot2.codomain.atom_index_of_point(cod_iso[c])]:
+                raise NotBisimilar(
+                    f"quotient kernels disagree at block {b!r} on class {c!r}"
+                )
+    a_space, pi1, pi2, a_pairs = matching_pair_space_labels(
+        k1.domain, k2.domain, q1d, q2d, dom_iso
+    )
+    b_space, zeta1, zeta2, b_pairs = matching_pair_space_labels(
+        k1.codomain, k2.codomain, q1c, q2c, cod_iso
+    )
+    rows = []
+    for i1, i2 in a_pairs:
+        problem = CouplingProblem(k1.rows[i1], k2.rows[i2], b_pairs)
+        coupling = solve_coupling(problem)
+        if isinstance(coupling, Infeasible):
+            raise CouplingFailed(
+                f"no coupling for matched pair {k1.domain.atoms[i1]!r}, "
+                f"{k2.domain.atoms[i2]!r}: {coupling!r}"
+            )
+        n2 = len(k2.codomain.atoms)
+        row = Measure(
+            b_space, [coupling.weights[j1 * n2 + j2] for j1, j2 in b_pairs]
+        )
+        if row.total() != k1.rows[i1].total():
+            raise AssertionError("mediating row lost mass")
+        rows.append(row)
+    mediating = Kernel(a_space, b_space, rows)
+    for (i1, i2), row in zip(a_pairs, rows):
+        images = (pushforward(zeta1, row), pushforward(zeta2, row))
+        if images != (k1.rows[i1], k2.rows[i2]):
+            raise AssertionError("mediating row misses a marginal")
+    if len(q1c.blocks) >= 2:
+        u1 = k1.codomain.set_of_atoms(q1c.block_atom_indices(0))
+        image = q2c.block_index_of_point(cod_iso[q1c.blocks[0][0]])
+        u2 = k2.codomain.set_of_atoms(q2c.block_atom_indices(image))
+        for point in b_space.points:
+            x, y = split_pair_label(point)
+            if (x in u1) != (y in u2):
+                raise AssertionError("common events disagree on B")
+        common_events = (u1, u2)
+    else:
+        common_events = None
+    return MediationResult(mediating, pi1, pi2, zeta1, zeta2, common_events)
 
 
 # ------------------------------------------------------------------ Lp norms

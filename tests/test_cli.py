@@ -197,6 +197,26 @@ def test_model_rejects_zero_denominator(capsys, tmp_path):
     assert err.startswith("error[input]") and "zero denominator" in err
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_result_too_long_to_print_is_a_capacity_error(capsys, tmp_path, mode):
+    # a valid 5,001-digit integral, past the interpreter's printing limit
+    path = tmp_path / "model.json"
+    path.write_text(
+        json.dumps({
+            "spaces": {"X": {"points": ["a", "b"]}},
+            "measures": {"eta": {"space": "X", "weights": {"a": 1, "b": 0}}},
+            "functions": {"big": {"space": "X", "values": {"a": "1e5000", "b": 0}}},
+        }),
+        encoding="utf-8",
+    )
+    code, out, err = run(
+        capsys, "integrate", "-m", str(path), "--function", "big", "--measure", "eta",
+        *mode,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error[CapacityExceeded]") and "5001 digits" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -35,7 +35,7 @@ from finmeas.measures import Measure
 from finmeas.spaces import FiniteMeasurableSpace, Partition, sigma_from_generator
 
 from conftest import rand_kernel, rand_probability, rand_space
-from oracles import solve_coupling_lp
+from oracles import mediate_flow, solve_coupling_lp
 
 S = FiniteMeasurableSpace.discrete("ab")
 M = Kernel.from_matrix(
@@ -346,11 +346,132 @@ def test_mediate_uniform_pair():
     assert result.kernel.kind == MARKOV
     assert result.common_events_trivial
     for i, row in enumerate(result.kernel.rows):
-        assert pushforward(result.zeta1, row) == ku.rows[
-            ku.domain.atom_index_of_point(
-                result.kernel.domain.atoms[i][0].split("|")[0]
-            )
-        ]
+        assert pushforward(result.zeta1, row) == ku.rows[result.pi1.atom_mapping[i]]
+
+
+def test_mediate_uniform_kernel_with_itself_is_the_product():
+    # one class: every row is the independent product of two uniform rows
+    half = Fraction(1, 2)
+    ku = Kernel.from_matrix(S, S, [[half, half], [half, half]])
+    p = logical_equivalence(ku)
+    iso = find_quotient_iso(quotient_kernel(ku, p), quotient_kernel(ku, p))
+    result = mediate(ku, ku, p, p, iso)
+    assert [list(row.weights) for row in result.kernel.rows] == [
+        [Fraction(1, 4)] * 4
+    ] * 4
+
+
+def test_mediate_zero_mass_class_gives_zero_entries():
+    three = FiniteMeasurableSpace.discrete("abc")
+    q = Fraction(1, 4)
+    k = Kernel.from_matrix(
+        three, three, [[Fraction(1, 2), 0, 0], [0, q, q], [0, q, q]]
+    )
+    assert k.kind == SUB_MARKOV
+    p = Partition(three, [("a",), ("b", "c")])
+    result = mediate(k, k, p, p, {"a": "a", "b": "b"})
+    assert result.kernel.codomain.points == ("a|a", "b|b", "b|c", "c|b", "c|c")
+    e = Fraction(1, 8)
+    # row a|a has mass 0 on the class {b,c}, rows from {b,c} on the class {a}
+    assert [list(row.weights) for row in result.kernel.rows] == [
+        [Fraction(1, 2), 0, 0, 0, 0]
+    ] + [[0, e, e, e, e]] * 4
+
+
+@st.composite
+def expansion_pairs(draw):
+    """Two random expansions of one random sub-Markov quotient.
+
+    The quotient has 2-4 domain and codomain classes, rows of mass at most
+    one and at least one zero-mass class.  Each expansion gives every class
+    1-3 atoms of 1-2 points, lays the classes out in a random order, and
+    splits each quotient entry over the class's atoms at random, row by
+    row.  Endo cases return one Partition and one iso dict per side; the
+    others a (domain, codomain) partition pair and an iso pair.
+    """
+    endo = draw(st.booleans())
+    nd = draw(st.integers(2, 4))
+    nc = nd if endo else draw(st.integers(2, 4))
+    entries = st.lists(st.integers(0, 4), min_size=nc, max_size=nc)
+    quotient = [[Fraction(x, 16) for x in draw(entries)] for _ in range(nd)]
+    quotient[draw(st.integers(0, nd - 1))][draw(st.integers(0, nc - 1))] = Fraction(0)
+
+    def expand(prefix, n):
+        """A space of n classes laid out in a random order: the space, its
+        class partition, each class's atom indices and least point."""
+        points, atoms, members = [], [], [[] for _ in range(n)]
+        for c in draw(st.permutations(range(n))):
+            for _ in range(draw(st.integers(1, 3))):
+                size = draw(st.integers(1, 2))
+                atom = [f"{prefix}{len(points) + k}" for k in range(size)]
+                points += atom
+                members[c].append(len(atoms))
+                atoms.append(atom)
+        space = FiniteMeasurableSpace(points, atoms)
+        blocks = [[p for k in members[c] for p in atoms[k]] for c in range(n)]
+        reps = [atoms[members[c][0]][0] for c in range(n)]
+        return space, Partition(space, blocks), members, reps
+
+    def split(mass, n):
+        raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if not any(raw):
+            raw[0] = 1
+        return [mass * Fraction(x, sum(raw)) for x in raw]
+
+    sides = []
+    for prefix in ("u", "v"):
+        dom = expand(prefix, nd)
+        cod = dom if endo else expand(prefix + "y", nc)
+        rows = [None] * len(dom[0].atoms)
+        for b in range(nd):
+            for i in dom[2][b]:
+                rows[i] = [Fraction(0)] * len(cod[0].atoms)
+                for c in range(nc):
+                    parts = split(quotient[b][c], len(cod[2][c]))
+                    for j, w in zip(cod[2][c], parts):
+                        rows[i][j] = w
+        sides.append((Kernel.from_matrix(dom[0], cod[0], rows), dom, cod))
+    (k1, d1, c1), (k2, d2, c2) = sides
+    dom_iso = dict(zip(d1[3], d2[3]))
+    cod_iso = dict(zip(c1[3], c2[3]))
+    if endo:
+        return k1, k2, d1[1], d2[1], dom_iso
+    return k1, k2, (d1[1], c1[1]), (d2[1], c2[1]), (dom_iso, cod_iso)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_pairs())
+def test_mediate_closed_form_against_the_flow_oracle(case):
+    k1, k2, q1, q2, iso = case
+    result = mediate(k1, k2, q1, q2, iso)
+    expected = mediate_flow(k1, k2, q1, q2, iso)
+    assert result.kernel.domain == expected.kernel.domain
+    assert result.kernel.codomain == expected.kernel.codomain
+    for name in ("pi1", "pi2", "zeta1", "zeta2"):
+        got, want = getattr(result, name), getattr(expected, name)
+        assert got.atom_mapping == want.atom_mapping
+    assert result.common_events == expected.common_events
+    c1 = q1[1] if isinstance(q1, tuple) else q1
+    c2 = q2[1] if isinstance(q2, tuple) else q2
+    z1, z2 = result.zeta1.atom_mapping, result.zeta2.atom_mapping
+    # within a class pair with a singleton side the coupling is forced
+    forced = [
+        len(c1.block_atom_indices(c1.block_of_atom[j1])) == 1
+        or len(c2.block_atom_indices(c2.block_of_atom[j2])) == 1
+        for j1, j2 in zip(z1, z2)
+    ]
+    for a, (row, other) in enumerate(zip(result.kernel.rows, expected.kernel.rows)):
+        assert all(w >= 0 for w in row.weights)
+        for kernel, i, z in (
+            (k1, result.pi1.atom_mapping[a], z1),
+            (k2, result.pi2.atom_mapping[a], z2),
+        ):
+            sums = [Fraction(0)] * len(kernel.codomain.atoms)
+            for j, w in zip(z, row.weights):
+                sums[j] += w
+            assert tuple(sums) == kernel.rows[i].weights
+        for w, v, unique in zip(row.weights, other.weights, forced):
+            assert not unique or w == v
 
 
 def test_mediate_reports_common_events():
