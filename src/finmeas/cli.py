@@ -19,6 +19,7 @@ from .errors import FinmeasError, NotBisimilar
 from .integrate import (
     INF,
     StepFunction,
+    _conjugate,
     check_hoelder,
     check_minkowski,
     conv_in_measure_distance,
@@ -808,7 +809,7 @@ def _functional_dual(args, model):
     functional = LinearFunctional(f.space, f.values)
     p = _parse_exponent(args.p)
     density, norm = lp_dual_density(functional, mu, p)
-    q = "inf" if p == 1 else ("1" if p == INF else format_fraction(p / (p - 1)))
+    q = _exponent_text(_conjugate(p))
     result = {"p": _exponent_text(p), "q": q, "density": density, "norm": norm}
     if q == "2" and not args.float_mode:
         result["norm_squared"] = lp_norm_squared(density, mu)

@@ -1,11 +1,16 @@
 """Modal logic over kernels, quotients, couplings and mediating kernels.
 
 The logic is negation-free: T, conjunction, and the threshold modality
-dia>=q.  Logical equivalence is computed by splitter-based partition
-refinement (lumping) over sparse integer rows; validity sets and quotient
-kernels sum only the nonzero row entries, and formulas are parsed and
-evaluated with explicit stacks, so nesting depth costs no recursion.
-Round-based refinement and formula enumeration serve as test oracles
+dia>=q with q in [0, 1].  Logical equivalence is computed by splitter-based
+partition refinement (lumping) over sparse integer rows, and the invariant
+sigma-algebra of a nesting depth by that many rounds of block-mass
+refinement.  For kernels whose rows have mass at most 1, their blocks are
+those cut out by the validity sets of all formulas (of that depth).
+Validity sets and quotient kernels sum only the nonzero row entries, and
+formulas are parsed and evaluated with explicit stacks, so nesting depth
+costs no recursion; quotient isomorphisms are found by one iterative
+backtracking search.  Round-based refinement, formula enumeration, the
+validity-set closure and the permutation search serve as test oracles
 only.  A coupling of two marginals inside a support is one max flow: a
 full flow is the coupling, and a short one yields a Hall-style cut
 certificate from the residual graph.  A mediating kernel needs no flow:
@@ -13,11 +18,9 @@ given the matched quotient class, each row is the product of the two.
 """
 
 from fractions import Fraction
-from itertools import permutations
 from math import gcd
 
 from .errors import (
-    CapacityExceeded,
     MassMismatch,
     NotACongruence,
     NotBisimilar,
@@ -26,14 +29,13 @@ from .errors import (
 from .flow import max_flow
 from .kernels import AtomMap, Kernel, _sparse_rows, pushforward
 from .measures import Measure
-from .rational import as_fraction, atom_cap, format_fraction
+from .rational import as_fraction, format_fraction
 from .simplex import maximize  # noqa: F401  bench/spans.py wraps this attribute
 from .spaces import (
     FiniteMeasurableSpace,
     Partition,
     join_pair_label,
     product_space,
-    sigma_from_generator,
 )
 
 
@@ -282,10 +284,11 @@ def logical_equivalence(kernel, labels=None):
     block by that mass, the untouched states (mass 0) keeping the block.
     The pieces of a split block are queued, except the largest when the
     block itself is not queued: its mass is then the block's minus the
-    others'.  The fixed point coincides with the partition induced by the
-    validity sets of all formulas.  ``labels`` optionally seeds the initial
-    partition with point label classes (an extension hook; the core logic
-    has no atomic propositions).
+    others'.  When every row has mass at most 1, the fixed point coincides
+    with the partition induced by the validity sets of all formulas; a
+    heavier row is told apart by masses above 1, which no threshold sees.
+    ``labels`` optionally seeds the initial partition with point label
+    classes (an extension hook; the core logic has no atomic propositions).
     """
     _require_endo(kernel)
     space = kernel.domain
@@ -347,50 +350,46 @@ def logical_equivalence(kernel, labels=None):
 def invariant_sigma_algebra(kernel, depth):
     """The space generated by validity sets up to a given dia-nesting depth.
 
-    Works on sets rather than formulas: each round applies the modality at
-    every realized row-mass threshold in (0, 1] and closes under pairwise
-    intersection (conjunction), so every depth-bounded validity set is
-    produced.  Atoms refine toward the logical_equivalence blocks.
+    At most ``depth`` rounds of block-mass refinement from one block: each
+    round keys every atom by its block and by its row's masses on the
+    current blocks, compared as reduced fractions, and stops early at a
+    fixed point.  Two rows of mass at most 1 that differ on a depth-d
+    validity set are told apart by dia>= at the larger mass; rows agreeing
+    on the intersection-stable family of those sets agree on the
+    sigma-algebra it generates (pi-lambda uniqueness), whose atoms are the
+    depth-d blocks.  Thresholds stop at 1, so a row of mass above 1 raises
+    ValueError.
     """
     _require_endo(kernel)
     if depth < 0:
         raise ValueError("depth must be at least 0")
     space = kernel.domain
-    n = len(space.atoms)
-    if n > atom_cap():
-        raise CapacityExceeded(
-            f"{n} atoms exceed the subset-enumeration cap {atom_cap()}"
-        )
     rows = _sparse_rows(kernel)
-    sets = {frozenset(range(n))}
+    for k, (d, entries) in enumerate(rows):
+        if sum(num for _, num in entries) > d:
+            raise ValueError(
+                f"the row of atom {space.atoms[k]!r} has mass above 1, which "
+                "no dia>= threshold sees"
+            )
+    block_of = [0] * len(rows)
+    count = 1
     for _ in range(depth):
-        layer = set(sets)
-        for inner in sets:
-            masses = {
-                Fraction(sum(num for j, num in entries if j in inner), d)
-                for d, entries in rows
-            }
-            for q in masses:
-                if 0 < q <= 1:
-                    layer.add(_dia_atoms(rows, inner, q))
-        frontier = layer
-        closed = set(layer)
-        while frontier:
-            fresh = set()
-            for a in frontier:
-                for b in closed:
-                    c = a & b
-                    if c not in closed and c not in fresh:
-                        fresh.add(c)
-            closed |= fresh
-            frontier = fresh
-        if closed == sets:
+        keys = {}
+        refined = []
+        for k, (d, entries) in enumerate(rows):
+            signature = []
+            for c, m in _block_masses(entries, block_of).items():
+                g = gcd(m, d)
+                signature.append((c, m // g, d // g))
+            key = (block_of[k], frozenset(signature))
+            refined.append(keys.setdefault(key, len(keys)))
+        if len(keys) == count:
             break
-        sets = closed
-    generator = [
-        frozenset(p for k in s for p in space.atoms[k]) for s in sets
-    ]
-    return sigma_from_generator(space.points, generator)
+        block_of, count = refined, len(keys)
+    blocks = [[] for _ in range(count)]
+    for k, b in enumerate(block_of):
+        blocks[b].extend(space.atoms[k])
+    return FiniteMeasurableSpace(space.points, blocks)
 
 
 def factor_map(partition):
@@ -462,8 +461,8 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
             "resolution",
             witness=witness,
         )
-    dom_space, _ = factor_map(dom_partition)
-    cod_space, _ = factor_map(cod_partition)
+    dom_space = FiniteMeasurableSpace.discrete([b[0] for b in dom_partition.blocks])
+    cod_space = FiniteMeasurableSpace.discrete([b[0] for b in cod_partition.blocks])
     zero = Fraction(0)
     quotient_rows = []
     for b in range(len(dom_partition.blocks)):
@@ -720,9 +719,14 @@ def mediate(k1, k2, q1, q2, iso):
 def find_quotient_iso(quot1, quot2):
     """Search block bijections making two quotient kernels equal.
 
-    Returns (dom_iso, cod_iso) dicts keyed by block labels, or None.  For a
-    pair of endokernels a single permutation is used on both sides.  The
-    first match in index order wins, so the result is deterministic.
+    Returns (dom_iso, cod_iso) dicts keyed by block labels, or None.  A
+    pair of endokernels is searched over its rows as they are, with one
+    permutation for both sides.  Any other pair is searched as one square
+    matrix with the codomain blocks first and the domain blocks after,
+    whose only nonzero entries are the domain rows on the codomain blocks;
+    no block may cross to the other side.  One iterative depth-first search
+    assigns the positions in order, each trying its targets in index
+    order, so the first match found is the lexicographically first.
     """
     nd = len(quot1.domain.atoms)
     nc = len(quot1.codomain.atoms)
@@ -730,64 +734,46 @@ def find_quotient_iso(quot1, quot2):
         return None
     w1 = [row.weights for row in quot1.rows]
     w2 = [row.weights for row in quot2.rows]
-    if quot1.is_endo() and quot2.is_endo():
-        perm = [None] * nd
-        used = [False] * nd
-        def extend(i):
-            if i == nd:
-                return True
-            for t in range(nd):
-                if used[t]:
-                    continue
-                perm[i] = t
-                consistent = all(
-                    w1[a][i] == w2[perm[a]][t] and w1[i][a] == w2[t][perm[a]]
-                    for a in range(i + 1)
-                )
-                if consistent:
-                    used[t] = True
-                    if extend(i + 1):
-                        return True
-                    used[t] = False
+    cut = 0
+    if not (quot1.is_endo() and quot2.is_endo()):
+        cut = nc
+        zeros = (Fraction(0),) * (nc + nd)
+        w1, w2 = ([zeros] * nc + [w + zeros[:nd] for w in m] for m in (w1, w2))
+    n = len(w1)
+    perm = [None] * n
+    used = [False] * n
+    start = [0] * n
+    i = 0
+    while 0 <= i < n:
+        if perm[i] is not None:
+            used[perm[i]] = False
             perm[i] = None
-            return False
-        if not extend(0):
-            return None
-        mapping = {
-            quot1.domain.points[i]: quot2.domain.points[perm[i]]
-            for i in range(nd)
-        }
-        return mapping, dict(mapping)
-    for cod_perm in permutations(range(nc)):
-        candidates = [
-            [
-                t
-                for t in range(nd)
-                if all(w1[i][c] == w2[t][cod_perm[c]] for c in range(nc))
-            ]
-            for i in range(nd)
-        ]
-        row_map = [None] * nd
-        taken = [False] * nd
-        def assign(i):
-            if i == nd:
-                return True
-            for t in candidates[i]:
-                if not taken[t]:
-                    row_map[i] = t
-                    taken[t] = True
-                    if assign(i + 1):
-                        return True
-                    taken[t] = False
-            return False
-        if assign(0):
-            dom_iso = {
-                quot1.domain.points[i]: quot2.domain.points[row_map[i]]
-                for i in range(nd)
-            }
-            cod_iso = {
-                quot1.codomain.points[c]: quot2.codomain.points[cod_perm[c]]
-                for c in range(nc)
-            }
-            return dom_iso, cod_iso
-    return None
+        for t in range(start[i], n):
+            if (
+                not used[t]
+                and (i < cut) == (t < cut)
+                and w1[i][i] == w2[t][t]
+                and all(
+                    w1[a][i] == w2[perm[a]][t] and w1[i][a] == w2[t][perm[a]]
+                    for a in range(i)
+                )
+            ):
+                perm[i] = t
+                used[t] = True
+                start[i] = t + 1
+                i += 1
+                break
+        else:
+            start[i] = 0
+            i -= 1
+    if i < 0:
+        return None
+    dom_iso = {
+        quot1.domain.points[i]: quot2.domain.points[perm[cut + i] - cut]
+        for i in range(nd)
+    }
+    cod_iso = {
+        quot1.codomain.points[c]: quot2.codomain.points[perm[c]]
+        for c in range(nc)
+    }
+    return dom_iso, cod_iso

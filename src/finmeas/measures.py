@@ -13,7 +13,7 @@ from .errors import (
     SpaceMismatch,
     UnsupportedFunctional,
 )
-from .integrate import INF, StepFunction, _validate_exponent, integral, lp_norm
+from .integrate import StepFunction, _conjugate, _validate_exponent, integral, lp_norm
 from .rational import as_fraction
 
 
@@ -275,13 +275,7 @@ def lp_dual_density(functional, mu, p):
         else:
             values.append(lv / mw)
     g = StepFunction(mu.space, values)
-    if p == 1:
-        q = INF
-    elif p == INF:
-        q = Fraction(1)
-    else:
-        q = p / (p - 1)
-    return g, lp_norm(g, mu, q)
+    return g, lp_norm(g, mu, _conjugate(p))
 
 
 def change_of_measure(f, mu, nu):

@@ -24,13 +24,19 @@ A mediating kernel is now the class-conditional product of the two rows.
 The earlier construction is kept: one max-flow coupling per matched pair,
 over spaces whose pair labels are joined and then split again.
 
+The invariant sigma-algebra of a depth is now that many rounds of
+block-mass refinement, and a quotient isomorphism one iterative search.
+The earlier forms are kept: the closure of the validity sets under every
+realized threshold and pairwise intersection, and the recursive search
+that tries every codomain permutation for pairs other than endokernels.
+
 Lp norms for a non-integer or finite exponent other than 1 used to be
 taken in plain floats only; that form is kept for the exponents where it
 stays in the normal float range.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from finmeas.errors import (
     CapacityExceeded,
@@ -49,6 +55,7 @@ from finmeas.kernels import (
     AtomMap,
     Kernel,
     _join_kind,
+    _sparse_rows,
     pushforward,
 )
 from finmeas.logic_bisim import (
@@ -61,6 +68,8 @@ from finmeas.logic_bisim import (
     _as_iso_pair,
     _as_partition_pair,
     _check_bijection,
+    _dia_atoms,
+    _require_endo,
     factor_map,
     quotient_kernel_pair,
     solve_coupling,
@@ -74,6 +83,7 @@ from finmeas.spaces import (
     Partition,
     join_pair_label,
     product_space,
+    sigma_from_generator,
     split_pair_label,
 )
 
@@ -633,6 +643,134 @@ def mediate_flow(k1, k2, q1, q2, iso):
     else:
         common_events = None
     return MediationResult(mediating, pi1, pi2, zeta1, zeta2, common_events)
+
+
+# -------------------------------------- invariant sigma-algebras and isos
+
+
+def invariant_sigma_algebra_closure(kernel, depth):
+    """The space generated by validity sets up to a given dia-nesting depth.
+
+    Works on sets rather than formulas: each round applies the modality at
+    every realized row-mass threshold in (0, 1] and closes under pairwise
+    intersection (conjunction), so every depth-bounded validity set is
+    produced.  Atoms refine toward the logical_equivalence blocks.
+    """
+    _require_endo(kernel)
+    if depth < 0:
+        raise ValueError("depth must be at least 0")
+    space = kernel.domain
+    n = len(space.atoms)
+    if n > atom_cap():
+        raise CapacityExceeded(
+            f"{n} atoms exceed the subset-enumeration cap {atom_cap()}"
+        )
+    rows = _sparse_rows(kernel)
+    sets = {frozenset(range(n))}
+    for _ in range(depth):
+        layer = set(sets)
+        for inner in sets:
+            masses = {
+                Fraction(sum(num for j, num in entries if j in inner), d)
+                for d, entries in rows
+            }
+            for q in masses:
+                if 0 < q <= 1:
+                    layer.add(_dia_atoms(rows, inner, q))
+        frontier = layer
+        closed = set(layer)
+        while frontier:
+            fresh = set()
+            for a in frontier:
+                for b in closed:
+                    c = a & b
+                    if c not in closed and c not in fresh:
+                        fresh.add(c)
+            closed |= fresh
+            frontier = fresh
+        if closed == sets:
+            break
+        sets = closed
+    generator = [
+        frozenset(p for k in s for p in space.atoms[k]) for s in sets
+    ]
+    return sigma_from_generator(space.points, generator)
+
+
+def find_quotient_iso_search(quot1, quot2):
+    """Search block bijections making two quotient kernels equal.
+
+    Returns (dom_iso, cod_iso) dicts keyed by block labels, or None.  For a
+    pair of endokernels a single permutation is used on both sides.  The
+    first match in index order wins, so the result is deterministic.
+    """
+    nd = len(quot1.domain.atoms)
+    nc = len(quot1.codomain.atoms)
+    if nd != len(quot2.domain.atoms) or nc != len(quot2.codomain.atoms):
+        return None
+    w1 = [row.weights for row in quot1.rows]
+    w2 = [row.weights for row in quot2.rows]
+    if quot1.is_endo() and quot2.is_endo():
+        perm = [None] * nd
+        used = [False] * nd
+        def extend(i):
+            if i == nd:
+                return True
+            for t in range(nd):
+                if used[t]:
+                    continue
+                perm[i] = t
+                consistent = all(
+                    w1[a][i] == w2[perm[a]][t] and w1[i][a] == w2[t][perm[a]]
+                    for a in range(i + 1)
+                )
+                if consistent:
+                    used[t] = True
+                    if extend(i + 1):
+                        return True
+                    used[t] = False
+            perm[i] = None
+            return False
+        if not extend(0):
+            return None
+        mapping = {
+            quot1.domain.points[i]: quot2.domain.points[perm[i]]
+            for i in range(nd)
+        }
+        return mapping, dict(mapping)
+    for cod_perm in permutations(range(nc)):
+        candidates = [
+            [
+                t
+                for t in range(nd)
+                if all(w1[i][c] == w2[t][cod_perm[c]] for c in range(nc))
+            ]
+            for i in range(nd)
+        ]
+        row_map = [None] * nd
+        taken = [False] * nd
+        def assign(i):
+            if i == nd:
+                return True
+            for t in candidates[i]:
+                if not taken[t]:
+                    row_map[i] = t
+                    taken[t] = True
+                    if assign(i + 1):
+                        return True
+                    taken[t] = False
+            return False
+        if assign(0):
+            dom_iso = {
+                quot1.domain.points[i]: quot2.domain.points[row_map[i]]
+                for i in range(nd)
+            }
+            cod_iso = {
+                quot1.codomain.points[c]: quot2.codomain.points[cod_perm[c]]
+                for c in range(nc)
+            }
+            return dom_iso, cod_iso
+    return None
 
 
 # ------------------------------------------------------------------ Lp norms

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmeas.errors import (
-    CapacityExceeded,
     MassMismatch,
     NotACongruence,
     NotBisimilar,
     SpaceMismatch,
 )
-from finmeas.kernels import MARKOV, SUB_MARKOV, Kernel, pushforward
+from finmeas.kernels import FINITE, MARKOV, SUB_MARKOV, Kernel, pushforward
 from finmeas.logic_bisim import (
     And,
     CouplingProblem,
@@ -35,7 +35,12 @@ from finmeas.measures import Measure
 from finmeas.spaces import FiniteMeasurableSpace, Partition, sigma_from_generator
 
 from conftest import rand_kernel, rand_probability, rand_space
-from oracles import mediate_flow, solve_coupling_lp
+from oracles import (
+    find_quotient_iso_search,
+    invariant_sigma_algebra_closure,
+    mediate_flow,
+    solve_coupling_lp,
+)
 
 S = FiniteMeasurableSpace.discrete("ab")
 M = Kernel.from_matrix(
@@ -137,10 +142,73 @@ def test_invariant_sigma_algebra_growth():
         invariant_sigma_algebra(M, -1)
 
 
-def test_invariant_sigma_algebra_cap(monkeypatch):
-    monkeypatch.setenv("FINMEAS_ATOM_CAP", "1")
-    with pytest.raises(CapacityExceeded):
-        invariant_sigma_algebra(M, 1)
+def shift_chain(n):
+    """States s0 -> s1 -> ... -> s(n-1), the last with a zero row."""
+    space = FiniteMeasurableSpace.discrete([f"s{i}" for i in range(n)])
+    zero, one = Fraction(0), Fraction(1)
+    rows = [
+        Measure(space, [one if j == i + 1 else zero for j in range(n)])
+        for i in range(n)
+    ]
+    return Kernel(space, space, rows)
+
+
+def test_invariant_sigma_algebra_past_forty_atoms():
+    # depth d separates the last d states from each other and the rest
+    k = shift_chain(40)
+    assert invariant_sigma_algebra(k, 3).atoms == (
+        tuple(f"s{i}" for i in range(37)),
+        ("s37",),
+        ("s38",),
+        ("s39",),
+    )
+    assert invariant_sigma_algebra(k, 40) == k.domain
+
+
+def test_invariant_sigma_algebra_refuses_row_mass_above_one():
+    three = FiniteMeasurableSpace.discrete("abc")
+    k = Kernel.from_matrix(three, three, [[0, 0, 2], [0, 0, 3], [0, 0, 0]])
+    # dia>=1 T separates {a, b} from c, but no realized mass is exactly 1
+    assert validity_set(k, parse_formula("dia>=1 T")).sorted_points() == ["a", "b"]
+    with pytest.raises(ValueError):
+        invariant_sigma_algebra(k, 1)
+    # no formula tells a from b, yet their masses 2 and 3 split them
+    assert logical_equivalence(k).blocks == (("a",), ("b",), ("c",))
+
+
+def test_invariant_sigma_algebra_reads_row_masses_not_the_kind():
+    light = Kernel(S, S, M.rows, FINITE)
+    assert light.kind == FINITE
+    assert invariant_sigma_algebra(light, 1).atoms == (("a",), ("b",))
+
+
+@st.composite
+def light_kernels(draw):
+    """An endokernel on 1-5 atoms of 1-2 points whose rows take few
+    distinct weights and have mass at most 1."""
+    points, atoms = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        atom = [f"p{len(points) + k}" for k in range(draw(st.integers(1, 2)))]
+        points += atom
+        atoms.append(atom)
+    space = FiniteMeasurableSpace(points, atoms)
+    weight = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2)])
+    rows = []
+    for _ in atoms:
+        row = draw(st.lists(weight, min_size=len(atoms), max_size=len(atoms)))
+        while sum(row) > 1:
+            row[row.index(max(row))] = Fraction(0)
+        rows.append(row)
+    return Kernel.from_matrix(space, space, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(light_kernels())
+def test_invariant_sigma_algebra_against_the_closure_oracle(k):
+    for depth in range(len(k.domain.atoms) + 2):
+        assert invariant_sigma_algebra(k, depth) == invariant_sigma_algebra_closure(
+            k, depth
+        )
 
 
 def test_invariant_sigma_algebra_matches_equivalence():
@@ -520,3 +588,75 @@ def test_find_quotient_iso_size_mismatch():
     kz = Kernel.from_matrix(u, u, [[1]])
     k = Kernel.from_matrix(S, S, [[1, 0], [0, Fraction(1, 2)]])
     assert find_quotient_iso(k, kz) is None
+
+
+@st.composite
+def quotient_pairs(draw):
+    """Two quotient kernels of up to 5 x 5 blocks with weights 0, 1/2, 1.
+
+    The second is a block-permuted copy of the first, such a copy with one
+    entry changed, or drawn afresh.  Endo pairs permute both sides alike;
+    in the others the first kernel may still be endo when it is square.
+    """
+    endo = draw(st.booleans())
+    nd = draw(st.integers(1, 5))
+    nc = nd if endo else draw(st.integers(1, 5))
+    weights = [Fraction(0), Fraction(1, 2), Fraction(1)]
+    matrix = st.lists(
+        st.lists(st.sampled_from(weights), min_size=nc, max_size=nc),
+        min_size=nd,
+        max_size=nd,
+    )
+    w1 = draw(matrix)
+    how = draw(st.sampled_from(["copy", "changed", "fresh"]))
+    if how == "fresh":
+        w2 = draw(matrix)
+    else:
+        dom_perm = draw(st.permutations(range(nd)))
+        cod_perm = dom_perm if endo else draw(st.permutations(range(nc)))
+        w2 = [[None] * nc for _ in range(nd)]
+        for i in range(nd):
+            for c in range(nc):
+                w2[dom_perm[i]][cod_perm[c]] = w1[i][c]
+        if how == "changed":
+            i, c = draw(st.integers(0, nd - 1)), draw(st.integers(0, nc - 1))
+            w2[i][c] = draw(st.sampled_from([w for w in weights if w != w2[i][c]]))
+    d1 = FiniteMeasurableSpace.discrete([f"x{i}" for i in range(nd)])
+    d2 = FiniteMeasurableSpace.discrete([f"u{i}" for i in range(nd)])
+    if endo:
+        c1, c2 = d1, d2
+    else:
+        square = nd == nc and draw(st.booleans())
+        c1 = d1 if square else FiniteMeasurableSpace.discrete(
+            [f"y{c}" for c in range(nc)]
+        )
+        c2 = FiniteMeasurableSpace.discrete([f"v{c}" for c in range(nc)])
+    k1 = Kernel.from_matrix(d1, c1, w1)
+    k2 = Kernel.from_matrix(d2, c2, w2)
+    return k1, k2, how == "copy"
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_pairs())
+def test_find_quotient_iso_against_the_search_oracle(case):
+    k1, k2, copy = case
+    found = find_quotient_iso(k1, k2)
+    assert found == find_quotient_iso_search(k1, k2)
+    if copy:
+        assert found is not None
+    if found is not None:
+        dom_iso, cod_iso = found
+        assert sorted(dom_iso.values()) == sorted(k2.domain.points)
+        assert sorted(cod_iso.values()) == sorted(k2.codomain.points)
+        for x, row in zip(k1.domain.points, k1.rows):
+            other = k2.row_at_point(dom_iso[x])
+            for y, w in zip(k1.codomain.points, row.weights):
+                assert w == other.weights[k2.codomain.atom_index_of_point(cod_iso[y])]
+
+
+def test_find_quotient_iso_deeper_than_the_recursion_limit():
+    k = shift_chain(sys.getrecursionlimit() + 100)
+    quotient = quotient_kernel(k, logical_equivalence(k))
+    assert len(quotient.domain.atoms) > sys.getrecursionlimit()
+    dom_iso, cod_iso = find_quotient_iso(quotient, quotient)
+    assert dom_iso == cod_iso == {x: x for x in quotient.domain.points}
