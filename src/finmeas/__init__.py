@@ -106,7 +106,7 @@ from .metrics import (
     prohorov_feasible,
     support,
 )
-from .rational import as_fraction, atom_cap, format_float, format_fraction, to_float
+from .rational import as_fraction, format_float, format_fraction, to_float
 from .spaces import (
     FiniteMeasurableSpace,
     MeasurableSet,

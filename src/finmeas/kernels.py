@@ -25,7 +25,6 @@ from .errors import (
 )
 from .integrate import StepFunction, integral
 from .measures import Measure
-from .rational import atom_cap
 from .spaces import product_space
 
 FINITE = "finite"
@@ -71,6 +70,8 @@ class Kernel:
                 f"expected {len(domain.atoms)} rows, got {len(rows)}"
             )
         for row in rows:
+            if not isinstance(row, Measure):
+                raise ValueError("kernel rows must be nonnegative measures")
             if row.space != codomain:
                 raise SpaceMismatch("kernel row lives on the wrong codomain")
         inferred = _inferred_kind(rows)
@@ -238,10 +239,10 @@ def fubini(f, mu, nu):
     Returns (direct, iterated_xy, iterated_yx); the three are provably equal
     on finite spaces, so any daylight between them is a bug.
     """
-    prod = product_space(mu.space, nu.space)
-    if f.space != prod:
+    product = product_measure(mu, nu)
+    if f.space != product.space:
         raise SpaceMismatch("f must live on the product of the two spaces")
-    direct = integral(f, product_measure(mu, nu))
+    direct = integral(f, product)
     inner_x = StepFunction(
         mu.space,
         [integral(cut_x(f, i), nu) for i in range(len(mu.space.atoms))],
@@ -299,6 +300,39 @@ def pushforward(f, mu):
     return Measure(f.codomain, weights)
 
 
+# the largest path space path_measure builds
+MAX_PATH_POINTS = 1 << 16
+MAX_PATH_LABEL_BYTES = 1 << 24
+
+
+def _path_space_size(step_space, horizon):
+    """(points, label bytes) of the horizon-h path space, without building it.
+
+    A product label escape(p) + "|" + escape(q) adds a byte per bar, so with
+    n points, B bytes and C bars in the step space, N points, L bytes and V
+    bars extend to n N points, n (L + V) + N (n + B + C) bytes and
+    2 n V + N (n + 2 C) bars.  The bars at least double per step, so the
+    first limit passed raises HorizonTooLarge within about 25 steps.
+    """
+    n = len(step_space.points)
+    b = sum(len(p.encode()) for p in step_space.points)
+    c = sum(p.count("|") for p in step_space.points)
+    points, size, bars = n, b, c
+    for steps in range(1, horizon + 1):
+        if points > MAX_PATH_POINTS or size > MAX_PATH_LABEL_BYTES:
+            raise HorizonTooLarge(
+                f"horizon {steps} already has {points} paths and {size} label bytes,"
+                f" past the limits {MAX_PATH_POINTS} and {MAX_PATH_LABEL_BYTES}"
+            )
+        if steps == horizon:
+            return points, size
+        points, size, bars = (
+            n * points,
+            n * (size + bars) + points * (n + b + c),
+            2 * n * bars + points * (n + 2 * c),
+        )
+
+
 def path_measure(kernel, start_point, horizon):
     """Distribution of the first `horizon` steps of the chain driven by `kernel`.
 
@@ -309,6 +343,7 @@ def path_measure(kernel, start_point, horizon):
     summing out the last coordinate of the horizon n+1 measure gives the
     horizon n measure.  Path weights are carried as ints over D^t, with D
     the lcm of the kernel's row scales, and divided out at the horizon.
+    Path spaces past the MAX_PATH_* limits raise HorizonTooLarge up front.
     """
     step_space = kernel.codomain
     factors = step_space.factors
@@ -318,12 +353,9 @@ def path_measure(kernel, start_point, horizon):
         )
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    _path_space_size(step_space, horizon)
     n_step = len(step_space.atoms)
     n_s = len(factors[1].atoms)
-    if n_step**horizon > atom_cap():
-        raise HorizonTooLarge(
-            f"{n_step}^{horizon} path atoms exceed the cap {atom_cap()}"
-        )
     rows = _sparse_rows(kernel)
     scale = lcm(*(d for d, _ in rows))
     dense = []

@@ -1,13 +1,10 @@
-"""Exact rational plumbing: parsing, formatting, and the subset-enumeration cap."""
+"""Exact rational plumbing: parsing and formatting."""
 
 import math
-import os
 import sys
 from fractions import Fraction
 
 from .errors import CapacityExceeded, FloatRange
-
-DEFAULT_ATOM_CAP = 16
 
 
 def as_fraction(value):
@@ -59,16 +56,3 @@ def format_float(value):
     """Render a float with 12 significant digits."""
     return format(float(value), ".12g")
 
-
-def atom_cap():
-    """Current subset-enumeration cap; FINMEAS_ATOM_CAP overrides the default.
-
-    Raising the cap only affects runtime, never correctness.
-    """
-    raw = os.environ.get("FINMEAS_ATOM_CAP")
-    if raw is None:
-        return DEFAULT_ATOM_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("FINMEAS_ATOM_CAP must be a positive integer")
-    return cap

@@ -9,7 +9,8 @@ sets and partitions compare structurally.
 from itertools import combinations
 
 from .errors import CapacityExceeded, EmptyCarrier, GeneratorNotPiSystem, SpaceMismatch
-from .rational import atom_cap
+
+ENUMERATION_CAP = 16  # the most atoms whose 2^n sets measurable_sets lists
 
 
 def _escape(label):
@@ -123,9 +124,9 @@ class FiniteMeasurableSpace:
     def measurable_sets(self):
         """All measurable sets, in binary-counting order of atom masks."""
         n = len(self.atoms)
-        if n > atom_cap():
+        if n > ENUMERATION_CAP:
             raise CapacityExceeded(
-                f"{n} atoms exceed the subset-enumeration cap {atom_cap()}"
+                f"{n} atoms exceed the subset-enumeration cap {ENUMERATION_CAP}"
             )
         for mask in range(1 << n):
             yield self.set_of_atoms([k for k in range(n) if mask >> k & 1])
@@ -208,33 +209,16 @@ class Partition:
     """
 
     def __init__(self, space, blocks):
-        index = space.point_index
-        seen = set()
-        normalized = []
-        for block in blocks:
-            block = tuple(sorted(set(block), key=index))
-            if not block:
-                raise ValueError("blocks must be nonempty")
-            for p in block:
-                if p in seen:
-                    raise ValueError(f"blocks must be disjoint, {p!r} repeats")
-                seen.add(p)
-            normalized.append(block)
-        if seen != set(space.points):
-            raise ValueError("blocks must cover the carrier")
-        normalized.sort(key=lambda block: index(block[0]))
+        # the blocks are validated, ordered and indexed exactly like atoms
+        self._blocks = FiniteMeasurableSpace(space.points, blocks)
         self.space = space
-        self.blocks = tuple(normalized)
-        self._block_of = {}
-        for k, block in enumerate(self.blocks):
-            for p in block:
-                self._block_of[p] = k
+        self.blocks = self._blocks.atoms
         # block_of_atom[k] is the block holding atom k, or None when the
         # atom is split across blocks
         block_of_atom = []
         atoms_of_block = [[] for _ in self.blocks]
         for k, atom in enumerate(space.atoms):
-            owners = {self._block_of[p] for p in atom}
+            owners = {self._blocks._atom_of[p] for p in atom}
             owner = owners.pop() if len(owners) == 1 else None
             block_of_atom.append(owner)
             if owner is not None:
@@ -244,8 +228,7 @@ class Partition:
         self.refines_atoms = None not in block_of_atom
 
     def block_index_of_point(self, point):
-        self.space.point_index(point)
-        return self._block_of[point]
+        return self._blocks.atom_index_of_point(point)
 
     def block_atom_indices(self, block_index):
         """Atom indices contained in a block (requires refines_atoms)."""

@@ -76,9 +76,9 @@ from finmeas.logic_bisim import (
 )
 from finmeas.measures import Measure
 from finmeas.metrics import WeakLimitReport
-from finmeas.rational import atom_cap
 from finmeas.simplex import OPTIMAL, maximize
 from finmeas.spaces import (
+    ENUMERATION_CAP,
     FiniteMeasurableSpace,
     Partition,
     join_pair_label,
@@ -156,9 +156,9 @@ def check_weak_limit_scan(sequence, limit, metric, tol):
     every measurable set in mask order."""
     sequence = list(sequence)
     n = len(metric.space.atoms)
-    if n > atom_cap():
+    if n > ENUMERATION_CAP:
         raise CapacityExceeded(
-            f"{n} atoms exceed the subset-enumeration cap {atom_cap()}"
+            f"{n} atoms exceed the subset-enumeration cap {ENUMERATION_CAP}"
         )
     tol = Fraction(tol) if not isinstance(tol, float) else tol
     tail = sequence[len(sequence) // 2 :]
@@ -661,9 +661,9 @@ def invariant_sigma_algebra_closure(kernel, depth):
         raise ValueError("depth must be at least 0")
     space = kernel.domain
     n = len(space.atoms)
-    if n > atom_cap():
+    if n > ENUMERATION_CAP:
         raise CapacityExceeded(
-            f"{n} atoms exceed the subset-enumeration cap {atom_cap()}"
+            f"{n} atoms exceed the subset-enumeration cap {ENUMERATION_CAP}"
         )
     rows = _sparse_rows(kernel)
     sets = {frozenset(range(n))}

@@ -340,8 +340,7 @@ def test_c06_kleisli_category_laws():
             )
 
 
-def test_c07_path_projectivity(monkeypatch):
-    monkeypatch.setenv("FINMEAS_ATOM_CAP", "512")
+def test_c07_path_projectivity():
     rng = random.Random(107)
     with criterion(7, "path measures are projective for horizons up to 3, 100 kernels"):
         for case in range(100):

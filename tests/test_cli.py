@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -119,6 +120,30 @@ def test_bisim_mediate_not_bisimilar_is_domain_error(capsys):
     )
     assert code == 1
     assert err.startswith("error[NotBisimilar]")
+
+
+def test_path_horizon_five_builds(capsys, monkeypatch):
+    # 32 path points; refused while the limit counted atoms, 16 at most
+    monkeypatch.delenv("FINMEAS_ATOM_CAP", raising=False)
+    code, out, err = run(
+        capsys,
+        "kernel", "path", "-m", PROC, "--kernel", "MP", "--start", "a", "--horizon", "5",
+    )
+    assert code == 0 and err == ""
+    assert out.endswith("total = 1\n")
+
+
+def test_huge_path_horizon_is_refused_at_once(capsys, monkeypatch):
+    monkeypatch.delenv("FINMEAS_ATOM_CAP", raising=False)
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "kernel", "path", "-m", PROC, "--kernel", "MP", "--start", "a",
+        "--horizon", "1000000000",
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error[HorizonTooLarge]: ")
 
 
 def test_logic_check_example(capsys):

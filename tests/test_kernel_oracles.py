@@ -2,9 +2,7 @@
 inference against the dense Fraction loops they replaced (kept in
 ``oracles``), for n <= 10."""
 
-import os
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -248,9 +246,8 @@ def test_integer_path_weights_equal_fraction_products(data):
     kernel = data.draw(kernels(s, product_space(t, s)))
     start = data.draw(st.sampled_from(s.points))
     horizon = data.draw(st.integers(1, 3))
-    with mock.patch.dict(os.environ, {"FINMEAS_ATOM_CAP": "4096"}):
-        result = path_measure(kernel, start, horizon)
-    assert result == path_measure_dense(kernel, start, horizon)
+    expected = path_measure_dense(kernel, start, horizon)
+    assert path_measure(kernel, start, horizon) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,11 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finmeas.errors import (
     HorizonTooLarge,
@@ -13,6 +17,8 @@ from finmeas.integrate import StepFunction, integral
 from finmeas.kernels import (
     FINITE,
     MARKOV,
+    MAX_PATH_LABEL_BYTES,
+    MAX_PATH_POINTS,
     SUB_MARKOV,
     AtomMap,
     Kernel,
@@ -28,8 +34,9 @@ from finmeas.kernels import (
     path_measure,
     product_measure,
     pushforward,
+    _path_space_size,
 )
-from finmeas.measures import Measure
+from finmeas.measures import Measure, SignedMeasure
 from finmeas.spaces import (
     FiniteMeasurableSpace,
     product_space,
@@ -52,6 +59,14 @@ def test_kind_inference_and_validation():
         Kernel.from_matrix(S, S, [[2, 0], [0, 1]], kind=MARKOV)
     with pytest.raises(ValueError):
         Kernel.from_matrix(S, S, [[Fraction(1, 2), 0], [0, 1]], kind=MARKOV)
+
+
+def test_kernel_rows_must_be_nonnegative():
+    # a signed row of mass 1 used to pass as Markov, and dia>=1 T then
+    # held at both points
+    signed = SignedMeasure(S, [Fraction(3, 2), Fraction(-1, 2)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Kernel(S, S, [signed, Measure(S, [0, 1])])
 
 
 def test_convolution_example():
@@ -185,12 +200,85 @@ def test_path_measure_example_and_cap():
     assert two_steps.weights[1] == Fraction(1, 4)
     assert label == "t||a|t||b"
     assert sum(two_steps.weights) == 1
+    assert path_measure(M, "a", 5).total() == 1
     with pytest.raises(HorizonTooLarge):
-        path_measure(M, "a", 5)
+        path_measure(M, "a", 17)  # 2^17 points
     with pytest.raises(ValueError):
         path_measure(M, "a", 0)
     with pytest.raises(SpaceMismatch):
         path_measure(K, "a", 1)
+
+
+def _one_atom_chain(s_points):
+    """The chain on a single-atom S that observes t and stays in its atom."""
+    s_space = FiniteMeasurableSpace(s_points, [s_points])
+    step = product_space(FiniteMeasurableSpace.discrete("t"), s_space)
+    return Kernel.from_matrix(s_space, step, [[1]])
+
+
+def test_path_measure_counts_points_not_atoms(monkeypatch):
+    monkeypatch.delenv("FINMEAS_ATOM_CAP", raising=False)
+    kernel = _one_atom_chain([f"s{k}" for k in range(300)])
+    assert len(path_measure(kernel, "s0", 1).space.points) == 300
+    with pytest.raises(HorizonTooLarge, match="90000 paths"):
+        path_measure(kernel, "s0", 2)  # 90,000 points in one atom
+
+
+def test_path_measure_bounds_label_bytes(monkeypatch):
+    monkeypatch.delenv("FINMEAS_ATOM_CAP", raising=False)
+    kernel = _one_atom_chain(["s"])
+    # the one path's label doubles per step: about 8 MB at horizon 22
+    assert len(path_measure(kernel, "s", 22).space.points[0]) > 1 << 23
+    with pytest.raises(HorizonTooLarge, match="horizon 23 already has 1 paths"):
+        path_measure(kernel, "s", 24)
+
+
+def test_path_measure_refuses_a_huge_horizon_at_once(monkeypatch):
+    monkeypatch.delenv("FINMEAS_ATOM_CAP", raising=False)
+    kernel = _one_atom_chain(["s"])
+    started = time.perf_counter()
+    with pytest.raises(HorizonTooLarge):
+        path_measure(kernel, "s", 10**9)
+    assert time.perf_counter() - started < 1
+
+
+def test_path_space_limits_are_inclusive():
+    side = math.isqrt(MAX_PATH_POINTS)
+    labels = [f"s{k}" for k in range(side + 1)]
+    square = _path_space_size(FiniteMeasurableSpace.discrete(labels[:side]), 2)
+    assert square[0] == MAX_PATH_POINTS
+    with pytest.raises(HorizonTooLarge):
+        _path_space_size(FiniteMeasurableSpace.discrete(labels), 2)
+    longest = FiniteMeasurableSpace.discrete(["x" * MAX_PATH_LABEL_BYTES])
+    assert _path_space_size(longest, 1) == (1, MAX_PATH_LABEL_BYTES)
+    # a two-byte character
+    too_long = FiniteMeasurableSpace.discrete(["é" * (MAX_PATH_LABEL_BYTES // 2 + 1)])
+    with pytest.raises(HorizonTooLarge):
+        _path_space_size(too_long, 1)
+
+
+# labels with bars, doubled bars and a two-byte character; no label begins
+# or ends with a bar, so product labels stay distinct
+LABELS = st.text(alphabet="a|é", max_size=4).map(lambda body: "x" + body + "y")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(LABELS, min_size=1, max_size=2, unique=True),
+    st.lists(LABELS, min_size=1, max_size=3, unique=True),
+    st.integers(1, 4),
+)
+def test_path_space_size_matches_the_built_labels(t_points, s_points, horizon):
+    t_space = FiniteMeasurableSpace.discrete(t_points)
+    step = product_space(t_space, FiniteMeasurableSpace.discrete(s_points))
+    space = step
+    for h in range(1, horizon + 1):
+        if h > 1:
+            space = product_space(space, step)
+        assert _path_space_size(step, h) == (
+            len(space.points),
+            sum(len(p.encode()) for p in space.points),
+        )
 
 
 def test_path_projectivity_small():

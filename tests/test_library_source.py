@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import finmeas
@@ -17,4 +18,37 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert len(MODULES) > 1
+    assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # the library is stdlib-only: every import is relative or a stdlib module
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert found == []
+
+
+def test_library_reads_no_environment_variable():
+    # results depend on the arguments only: no os.environ, os.getenv or
+    # `from os import environ`
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in readers
+        or isinstance(node, ast.alias) and node.name in readers
+    ]
     assert found == []

@@ -71,15 +71,15 @@ def test_set_algebra():
     assert "a" in s and "c" not in s
 
 
-def test_measurable_sets_enumeration_and_cap(monkeypatch):
+def test_measurable_sets_enumeration_and_cap():
     space = sigma_from_generator("abcd", [{"a", "b"}])
     assert space.atoms == (("a", "b"), ("c", "d"))
     sets = list(space.measurable_sets())
     assert len(sets) == 4
     assert sets[0].members == frozenset()
-    monkeypatch.setenv("FINMEAS_ATOM_CAP", "1")
-    with pytest.raises(CapacityExceeded):
-        list(space.measurable_sets())
+    big = FiniteMeasurableSpace.discrete([f"p{k:02d}" for k in range(17)])
+    with pytest.raises(CapacityExceeded, match="17 atoms exceed"):
+        next(big.measurable_sets())
 
 
 def test_pair_label_escaping():
@@ -116,6 +116,20 @@ def test_partition_refinement():
     assert part.block_atom_indices(1) == (1,)
     splitter = Partition(space, [("a", "c"), ("b", "d")])
     assert not splitter.refines_atoms
+
+
+def test_partition_validates_blocks_like_atoms():
+    space = sigma_from_generator("abcd", [{"a", "b"}])
+    part = Partition(space, [("d", "c", "d"), ("b", "a")])
+    assert part.blocks == (("a", "b"), ("c", "d"))
+    for blocks in (
+        [("a", "b"), ("c", "d"), ()],  # empty block
+        [("a", "b"), ("b", "c", "d")],  # overlapping blocks
+        [("a", "b"), ("c",)],  # d is not covered
+        [("a", "b"), ("c", "d", "e")],  # e is not a point
+    ):
+        with pytest.raises(ValueError):
+            Partition(space, blocks)
 
 
 def test_generated_equivalence_blocks_are_atoms():
