@@ -19,9 +19,9 @@ from .errors import FinmeasError, NotBisimilar
 from .integrate import (
     INF,
     StepFunction,
-    _conjugate,
     check_hoelder,
     check_minkowski,
+    conjugate_exponent,
     conv_in_measure_distance,
     integral,
     layered_integral,
@@ -288,8 +288,11 @@ def parse_model(doc):
         right_name = entry.get("right")
         left = model.space(left_name)
         right = model.space(right_name)
+        pairs_doc = entry.get("pairs", [])
+        if not isinstance(pairs_doc, list):
+            raise ModelError(f"relation {name!r}: pairs must be a JSON list")
         pairs = set()
-        for pair in entry.get("pairs", []):
+        for pair in pairs_doc:
             if len(_strings(pair, f"relation {name!r}: pair")) != 2:
                 raise ModelError(f"relation {name!r}: pairs must be 2-lists")
             p, q = pair
@@ -809,7 +812,7 @@ def _functional_dual(args, model):
     functional = LinearFunctional(f.space, f.values)
     p = _parse_exponent(args.p)
     density, norm = lp_dual_density(functional, mu, p)
-    q = _exponent_text(_conjugate(p))
+    q = _exponent_text(conjugate_exponent(p))
     result = {"p": _exponent_text(p), "q": q, "density": density, "norm": norm}
     if q == "2" and not args.float_mode:
         result["norm_squared"] = lp_norm_squared(density, mu)

@@ -127,7 +127,8 @@ def integral(f, mu):
     )
 
 
-def _validate_exponent(p):
+def validate_exponent(p):
+    """The exponent as a Fraction >= 1, or INF; InvalidExponent otherwise."""
     if p == INF:
         return INF
     p = as_fraction(p)
@@ -147,7 +148,7 @@ def lp_norm(f, mu, p):
     FloatRange when the norm itself is beyond the largest float.
     """
     _check_pair(f, mu)
-    p = _validate_exponent(p)
+    p = validate_exponent(p)
     if p == INF:
         support_values = [abs(v) for v, w in zip(f.values, mu.weights) if w > 0]
         return max(support_values, default=Fraction(0))
@@ -193,7 +194,7 @@ def _log(x):
 def lp_norm_power(f, mu, p):
     """Exact value of integral |f|^p dmu for integer exponents p >= 1."""
     _check_pair(f, mu)
-    p = _validate_exponent(p)
+    p = validate_exponent(p)
     if p == INF or p.denominator != 1:
         raise InvalidExponent("exact powers need an integer exponent")
     k = int(p)
@@ -207,7 +208,8 @@ def lp_norm_squared(f, mu):
     return lp_norm_power(f, mu, 2)
 
 
-def _conjugate(p):
+def conjugate_exponent(p):
+    """The q with 1/p + 1/q = 1 for a validated exponent p."""
     if p == INF:
         return Fraction(1)
     if p == 1:
@@ -224,10 +226,10 @@ def check_hoelder(f, g, mu, p):
     """
     _check_pair(f, mu)
     _check_pair(g, mu)
-    p = _validate_exponent(p)
+    p = validate_exponent(p)
     if p == 1:
         raise InvalidExponent("Hoelder here needs p > 1; p = 1 pairs with q = inf")
-    q = _conjugate(p)
+    q = conjugate_exponent(p)
     lhs = integral(abs(f * g), mu)
     if p == 2:
         rhs_sq = lp_norm_squared(f, mu) * lp_norm_squared(g, mu)
@@ -249,7 +251,7 @@ def check_minkowski(f, g, mu, p):
     """
     _check_pair(f, mu)
     _check_pair(g, mu)
-    p = _validate_exponent(p)
+    p = validate_exponent(p)
     s = f + g
     if p == 1 or p == INF:
         lhs = lp_norm(s, mu, p)

@@ -10,11 +10,12 @@ The arithmetic-heavy operations (convolution, the lift, path measures and
 the refinement code in logic_bisim) work on sparse integer rows: each row
 is scaled by the lcm of its nonzero denominators, sums and products run on
 Python ints over the nonzero entries only, and every result entry becomes
-one Fraction at the end.  The rows are built per call, never stored on the
-kernel.
+one Fraction at the end.  A kernel builds these rows once, in its
+constructor, as ``scaled_rows``, and reads its kind off the same pass.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from .errors import (
@@ -34,23 +35,6 @@ MARKOV = "Markov"
 _KIND_ORDER = {FINITE: 0, SUB_MARKOV: 1, MARKOV: 2}
 
 
-def _inferred_kind(rows):
-    """The strongest kind the row masses support.
-
-    Each row mass is summed as an int over the row's nonzero entries,
-    scaled by the lcm d of their denominators, and compared with d.
-    """
-    markov = True
-    for row in rows:
-        entries = [w for w in row.weights if w]
-        d = lcm(*(w.denominator for w in entries))
-        total = sum(w.numerator * (d // w.denominator) for w in entries)
-        if total > d:
-            return FINITE
-        markov = markov and total == d
-    return MARKOV if markov else SUB_MARKOV
-
-
 def _join_kind(*kinds):
     return min(kinds, key=_KIND_ORDER.__getitem__)
 
@@ -58,9 +42,12 @@ def _join_kind(*kinds):
 class Kernel:
     """One measure on the codomain per domain atom, tagged by kind.
 
-    The kind flag is validated eagerly: Markov needs every row mass equal
-    to one, subMarkov at most one.  Operations propagate the weakest kind
-    that is sound for their operands.
+    ``scaled_rows`` holds each row as integers: a tuple (D, cols, nums)
+    over its nonzero entries, where D is the lcm of their denominators (1
+    for a zero row) and entry cols[i] is nums[i] / D.  The kind flag is
+    validated eagerly against the row masses sum(nums) / D: Markov needs
+    every one equal to one, subMarkov at most one.  Operations propagate
+    the weakest kind that is sound for their operands.
     """
 
     def __init__(self, domain, codomain, rows, kind=None):
@@ -69,12 +56,24 @@ class Kernel:
             raise ValueError(
                 f"expected {len(domain.atoms)} rows, got {len(rows)}"
             )
+        scaled_rows = []
+        inferred = MARKOV
         for row in rows:
             if not isinstance(row, Measure):
                 raise ValueError("kernel rows must be nonnegative measures")
             if row.space != codomain:
                 raise SpaceMismatch("kernel row lives on the wrong codomain")
-        inferred = _inferred_kind(rows)
+            weights = row.weights
+            cols = tuple(compress(range(len(weights)), weights))
+            entries = [weights[j] for j in cols]
+            d = lcm(*(w.denominator for w in entries))
+            nums = tuple(w.numerator * (d // w.denominator) for w in entries)
+            total = sum(nums)
+            if total > d:
+                inferred = FINITE
+            elif total < d and inferred == MARKOV:
+                inferred = SUB_MARKOV
+            scaled_rows.append((d, cols, nums))
         if kind is None:
             kind = inferred
         elif kind not in _KIND_ORDER:
@@ -86,6 +85,7 @@ class Kernel:
         self.domain = domain
         self.codomain = codomain
         self.rows = rows
+        self.scaled_rows = tuple(scaled_rows)
         self.kind = kind
 
     @classmethod
@@ -120,32 +120,18 @@ class Kernel:
         )
 
 
-def _sparse_rows(kernel):
-    """Each row as (D, [(j, numerator_j)]) over its nonzero entries only.
-
-    D is the lcm of the row's nonzero denominators (1 for a zero row), so
-    entry j of the row is numerator_j / D.
-    """
-    rows = []
-    for row in kernel.rows:
-        entries = [(j, w) for j, w in enumerate(row.weights) if w]
-        d = lcm(*(w.denominator for _, w in entries))
-        rows.append((d, [(j, w.numerator * (d // w.denominator)) for j, w in entries]))
-    return rows
-
-
 def _mix(masses, rows, n_out):
-    """The weights of sum_k masses[k] * row_k, for sparse integer rows.
+    """The weights of sum_k masses[k] * row_k, for a kernel's scaled rows.
 
     Every term is scaled to the lcm Q of mass denominator times row scale
     over the nonzero masses, accumulated as ints, and divided by Q once.
     """
     terms = [(m, rows[k]) for k, m in enumerate(masses) if m]
-    q = lcm(*(m.denominator * d for m, (d, _) in terms))
+    q = lcm(*(m.denominator * d for m, (d, _, _) in terms))
     acc = [0] * n_out
-    for m, (d, entries) in terms:
+    for m, (d, cols, nums) in terms:
         factor = m.numerator * (q // (m.denominator * d))
-        for j, num in entries:
+        for j, num in zip(cols, nums):
             acc[j] += factor * num
     zero = Fraction(0)
     return [Fraction(a, q) if a else zero for a in acc]
@@ -166,14 +152,13 @@ def convolve(left, right):
 
     right feeds left: right.codomain must equal left.domain.  Reduces to
     stochastic matrix multiplication of the row matrices, run over the
-    nonzero entries of sparse integer rows.
+    nonzero entries of left's scaled rows.
     """
     if right.codomain != left.domain:
         raise SpaceMismatch("right.codomain must equal left.domain")
     n_out = len(left.codomain.atoms)
-    inner = _sparse_rows(left)
     rows = [
-        Measure(left.codomain, _mix(row.weights, inner, n_out))
+        Measure(left.codomain, _mix(row.weights, left.scaled_rows, n_out))
         for row in right.rows
     ]
     return Kernel(
@@ -187,7 +172,7 @@ def kleisli_lift(kernel, mu):
         raise SpaceMismatch("measure lives on a different space than the domain")
     n_out = len(kernel.codomain.atoms)
     return Measure(
-        kernel.codomain, _mix(mu.weights, _sparse_rows(kernel), n_out)
+        kernel.codomain, _mix(mu.weights, kernel.scaled_rows, n_out)
     )
 
 
@@ -356,12 +341,12 @@ def path_measure(kernel, start_point, horizon):
     _path_space_size(step_space, horizon)
     n_step = len(step_space.atoms)
     n_s = len(factors[1].atoms)
-    rows = _sparse_rows(kernel)
-    scale = lcm(*(d for d, _ in rows))
+    rows = kernel.scaled_rows
+    scale = lcm(*(d for d, _, _ in rows))
     dense = []
-    for d, entries in rows:
+    for d, cols, nums in rows:
         row = [0] * n_step
-        for k, num in entries:
+        for k, num in zip(cols, nums):
             row[k] = num * (scale // d)
         dense.append(row)
 

@@ -2,7 +2,8 @@
 
 The logic is negation-free: T, conjunction, and the threshold modality
 dia>=q with q in [0, 1].  Logical equivalence is computed by splitter-based
-partition refinement (lumping) over sparse integer rows, and the invariant
+partition refinement (lumping) over the kernel's sparse integer rows
+(``Kernel.scaled_rows``, built once by the kernel), and the invariant
 sigma-algebra of a nesting depth by that many rounds of block-mass
 refinement.  For kernels whose rows have mass at most 1, their blocks are
 those cut out by the validity sets of all formulas (of that depth).
@@ -27,7 +28,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .flow import max_flow
-from .kernels import AtomMap, Kernel, _sparse_rows, pushforward
+from .kernels import AtomMap, Kernel, pushforward
 from .measures import Measure
 from .rational import as_fraction, format_fraction
 from .simplex import maximize  # noqa: F401  bench/spans.py wraps this attribute
@@ -219,11 +220,10 @@ def _require_endo(kernel):
 
 
 def _dia_atoms(rows, inner, q):
-    """Atoms whose sparse integer row puts mass at least q on the inner
-    atom set."""
+    """Atoms whose scaled row puts mass at least q on the inner atom set."""
     out = []
-    for k, (d, entries) in enumerate(rows):
-        mass = sum(num for j, num in entries if j in inner)
+    for k, (d, cols, nums) in enumerate(rows):
+        mass = sum(num for j, num in zip(cols, nums) if j in inner)
         if mass * q.denominator >= q.numerator * d:
             out.append(k)
     return frozenset(out)
@@ -256,7 +256,7 @@ def _validity_atoms(rows, phi):
 def validity_set(kernel, phi):
     """The set where phi holds, always a union of atoms."""
     _require_endo(kernel)
-    atoms = _validity_atoms(_sparse_rows(kernel), phi)
+    atoms = _validity_atoms(kernel.scaled_rows, phi)
     return kernel.domain.set_of_atoms(sorted(atoms))
 
 
@@ -278,8 +278,8 @@ def logical_equivalence(kernel, labels=None):
     """Coarsest partition whose blocks see equal row masses on every block.
 
     Splitter refinement (Paige-Tarjan, in the lumping form of Valmari and
-    Franceschinis, TACAS 2010) over predecessor lists of sparse integer
-    rows.  Every block starts on a worklist; popping a splitter S sums each
+    Franceschinis, TACAS 2010) over predecessor lists of the scaled rows.
+    Every block starts on a worklist; popping a splitter S sums each
     predecessor's mass into S and splits the touched states of each touched
     block by that mass, the untouched states (mass 0) keeping the block.
     The pieces of a split block are queued, except the largest when the
@@ -292,11 +292,11 @@ def logical_equivalence(kernel, labels=None):
     """
     _require_endo(kernel)
     space = kernel.domain
-    rows = _sparse_rows(kernel)
-    scale = [d for d, _ in rows]
+    rows = kernel.scaled_rows
+    scale = [d for d, _, _ in rows]
     pred = [[] for _ in rows]
-    for i, (_, entries) in enumerate(rows):
-        for j, num in entries:
+    for i, (_, cols, nums) in enumerate(rows):
+        for j, num in zip(cols, nums):
             pred[j].append((i, num))
     members = [set(block) for block in _initial_blocks(space, labels)]
     block_of = [0] * len(rows)
@@ -364,9 +364,9 @@ def invariant_sigma_algebra(kernel, depth):
     if depth < 0:
         raise ValueError("depth must be at least 0")
     space = kernel.domain
-    rows = _sparse_rows(kernel)
-    for k, (d, entries) in enumerate(rows):
-        if sum(num for _, num in entries) > d:
+    rows = kernel.scaled_rows
+    for k, (d, _, nums) in enumerate(rows):
+        if sum(nums) > d:
             raise ValueError(
                 f"the row of atom {space.atoms[k]!r} has mass above 1, which "
                 "no dia>= threshold sees"
@@ -376,9 +376,9 @@ def invariant_sigma_algebra(kernel, depth):
     for _ in range(depth):
         keys = {}
         refined = []
-        for k, (d, entries) in enumerate(rows):
+        for k, (d, cols, nums) in enumerate(rows):
             signature = []
-            for c, m in _block_masses(entries, block_of).items():
+            for c, m in _block_masses(cols, nums, block_of).items():
                 g = gcd(m, d)
                 signature.append((c, m // g, d // g))
             key = (block_of[k], frozenset(signature))
@@ -409,10 +409,10 @@ def factor_map(partition):
     return quotient, AtomMap(partition.space, quotient, mapping)
 
 
-def _block_masses(entries, block_of_atom):
-    """Integer masses of a sparse row per codomain block (nonzero only)."""
+def _block_masses(cols, nums, block_of_atom):
+    """Integer masses of a scaled row per codomain block (nonzero only)."""
     masses = {}
-    for j, num in entries:
+    for j, num in zip(cols, nums):
         c = block_of_atom[j]
         masses[c] = masses.get(c, 0) + num
     return masses
@@ -422,24 +422,22 @@ def _congruence_witness(rows, dom_partition, cod_partition):
     """None when the partition pair is a congruence, else a witness pair."""
     for partition in (dom_partition, cod_partition):
         if not partition.refines_atoms:
-            for atom in partition.space.atoms:
-                blocks = {partition.block_index_of_point(p) for p in atom}
-                if len(blocks) > 1:
-                    first = partition.block_index_of_point(atom[0])
-                    other = next(
-                        p
-                        for p in atom
-                        if partition.block_index_of_point(p) != first
-                    )
-                    return atom[0], other
+            # the first atom the partition splits, and its first point
+            # outside the block of its first point
+            atom = partition.space.atoms[partition.block_of_atom.index(None)]
+            first = partition.block_index_of_point(atom[0])
+            other = next(
+                p for p in atom if partition.block_index_of_point(p) != first
+            )
+            return atom[0], other
     atoms = dom_partition.space.atoms
     for b in range(len(dom_partition.blocks)):
         members = dom_partition.block_atom_indices(b)
-        base_scale, base_entries = rows[members[0]]
-        base = _block_masses(base_entries, cod_partition.block_of_atom)
+        base_scale, base_cols, base_nums = rows[members[0]]
+        base = _block_masses(base_cols, base_nums, cod_partition.block_of_atom)
         for k in members[1:]:
-            scale, entries = rows[k]
-            masses = _block_masses(entries, cod_partition.block_of_atom)
+            scale, cols, nums = rows[k]
+            masses = _block_masses(cols, nums, cod_partition.block_of_atom)
             if masses.keys() != base.keys() or any(
                 m * base_scale != base[c] * scale for c, m in masses.items()
             ):
@@ -453,7 +451,7 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
         raise SpaceMismatch("domain partition lives on a different space")
     if cod_partition.space != kernel.codomain:
         raise SpaceMismatch("codomain partition lives on a different space")
-    rows = _sparse_rows(kernel)
+    rows = kernel.scaled_rows
     witness = _congruence_witness(rows, dom_partition, cod_partition)
     if witness is not None:
         raise NotACongruence(
@@ -466,9 +464,10 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
     zero = Fraction(0)
     quotient_rows = []
     for b in range(len(dom_partition.blocks)):
-        scale, entries = rows[dom_partition.block_atom_indices(b)[0]]
+        scale, cols, nums = rows[dom_partition.block_atom_indices(b)[0]]
+        masses = _block_masses(cols, nums, cod_partition.block_of_atom)
         weights = [zero] * len(cod_partition.blocks)
-        for c, m in _block_masses(entries, cod_partition.block_of_atom).items():
+        for c, m in masses.items():
             weights[c] = Fraction(m, scale)
         quotient_rows.append(Measure(cod_space, weights))
     return Kernel(dom_space, cod_space, quotient_rows, kernel.kind)

@@ -13,7 +13,13 @@ from .errors import (
     SpaceMismatch,
     UnsupportedFunctional,
 )
-from .integrate import StepFunction, _conjugate, _validate_exponent, integral, lp_norm
+from .integrate import (
+    StepFunction,
+    conjugate_exponent,
+    integral,
+    lp_norm,
+    validate_exponent,
+)
 from .rational import as_fraction
 
 
@@ -261,7 +267,7 @@ def lp_dual_density(functional, mu, p):
         raise SpaceMismatch("functional and measure live on different spaces")
     if not functional.is_positive():
         raise NegativeFunctional("functional is negative on an atom indicator")
-    p = _validate_exponent(p)
+    p = validate_exponent(p)
     values = []
     for k, (lv, mw) in enumerate(
         zip(functional.values_on_atom_indicators, mu.weights)
@@ -275,7 +281,7 @@ def lp_dual_density(functional, mu, p):
         else:
             values.append(lv / mw)
     g = StepFunction(mu.space, values)
-    return g, lp_norm(g, mu, _conjugate(p))
+    return g, lp_norm(g, mu, conjugate_exponent(p))
 
 
 def change_of_measure(f, mu, nu):

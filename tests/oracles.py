@@ -55,7 +55,6 @@ from finmeas.kernels import (
     AtomMap,
     Kernel,
     _join_kind,
-    _sparse_rows,
     pushforward,
 )
 from finmeas.logic_bisim import (
@@ -665,14 +664,14 @@ def invariant_sigma_algebra_closure(kernel, depth):
         raise CapacityExceeded(
             f"{n} atoms exceed the subset-enumeration cap {ENUMERATION_CAP}"
         )
-    rows = _sparse_rows(kernel)
+    rows = kernel.scaled_rows
     sets = {frozenset(range(n))}
     for _ in range(depth):
         layer = set(sets)
         for inner in sets:
             masses = {
-                Fraction(sum(num for j, num in entries if j in inner), d)
-                for d, entries in rows
+                Fraction(sum(num for j, num in zip(cols, nums) if j in inner), d)
+                for d, cols, nums in rows
             }
             for q in masses:
                 if 0 < q <= 1:

@@ -186,6 +186,19 @@ def test_model_rejects_non_string_names(capsys, tmp_path, doc):
     assert err.startswith("error[input]")
 
 
+@pytest.mark.parametrize("pairs", [None, 5, {}], ids=["null", "number", "object"])
+def test_model_rejects_relation_pairs_that_are_not_a_list(capsys, tmp_path, pairs):
+    doc = {
+        "spaces": {"X": {"points": ["a"]}},
+        "relations": {"r": {"left": "X", "right": "X", "pairs": pairs}},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "space", "-m", str(path), "--name", "X")
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]: relation 'r': pairs must be a JSON list")
+
+
 def test_model_rejects_duplicate_json_keys(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(

@@ -3,6 +3,7 @@ inference against the dense Fraction loops they replaced (kept in
 ``oracles``), for n <= 10."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from finmeas.kernels import (
     MARKOV,
     SUB_MARKOV,
     Kernel,
-    _inferred_kind,
     convolve,
     kleisli_lift,
     path_measure,
@@ -254,7 +254,9 @@ def test_integer_path_weights_equal_fraction_products(data):
 @given(st.data())
 def test_integer_kind_inference_equals_fraction_sums(data):
     """Rows of mixed kinds (Markov, subMarkov, finite, all zero), dense or
-    sparse, with small or pairwise coprime denominators per row."""
+    sparse, with small or pairwise coprime denominators per row: the
+    kernel's scaled rows hold exactly its nonzero Fractions over the lcm
+    of their denominators, and its inferred kind is the Fraction one."""
     space = data.draw(spaces())
     dens = COPRIME if data.draw(st.booleans()) else (1, 2, 3, 4, 6, 12)
     sparse = data.draw(st.booleans())
@@ -269,4 +271,11 @@ def test_integer_kind_inference_equals_fraction_sums(data):
         )
         for _ in range(data.draw(st.integers(1, 6)))
     ]
-    assert _inferred_kind(rows) == inferred_kind_sums(rows)
+    domain = FiniteMeasurableSpace.discrete([f"x{k}" for k in range(len(rows))])
+    kernel = Kernel(domain, space, rows)
+    for row, (d, cols, nums) in zip(rows, kernel.scaled_rows):
+        nonzero = [(j, w) for j, w in enumerate(row.weights) if w != 0]
+        assert d == lcm(*(w.denominator for _, w in nonzero))
+        assert cols == tuple(j for j, _ in nonzero)
+        assert [Fraction(num, d) for num in nums] == [w for _, w in nonzero]
+    assert kernel.kind == inferred_kind_sums(rows)

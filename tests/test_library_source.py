@@ -52,3 +52,16 @@ def test_library_reads_no_environment_variable():
         or isinstance(node, ast.alias) and node.name in readers
     ]
     assert found == []
+
+
+def test_library_imports_no_private_name_from_a_sibling_module():
+    # a name another module needs is public: `from .x import _y` is refused
+    found = [
+        f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []

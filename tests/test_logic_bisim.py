@@ -248,6 +248,21 @@ def test_quotient_kernel_rejects_non_congruence():
     assert err.value.witness is not None
 
 
+@pytest.mark.parametrize("side", ["both", "domain", "codomain"])
+def test_quotient_kernel_names_the_first_split_atom(side):
+    # atoms {a,b},{c}; the partition {a},{b,c} splits the first atom, so the
+    # witness is that atom's first point and its first point in another block
+    space = FiniteMeasurableSpace("abc", [("a", "b"), ("c",)])
+    k = Kernel.from_matrix(space, space, [[1, 0], [0, 1]])
+    split = Partition(space, [("a",), ("b", "c")])
+    whole = Partition(space, [("a", "b", "c")])
+    dom = whole if side == "codomain" else split
+    cod = whole if side == "domain" else split
+    with pytest.raises(NotACongruence) as err:
+        quotient_kernel_pair(k, dom, cod)
+    assert err.value.witness == ("a", "b")
+
+
 def test_quotient_kernel_pair_different_sides():
     rng = random.Random(5)
     dom = FiniteMeasurableSpace.discrete("abcd")
