@@ -4,12 +4,13 @@ Loads a JSON model file of named spaces, metrics, measures, functions,
 kernels and relations, dispatches one subcommand, and prints a
 deterministic report (text, or JSON under --json).  Exit codes: 0 success,
 1 domain error (with the machine-readable error code), 2 input or parse
-error.
+error, 141 stdout closed early by its reader (a broken pipe).
 """
 
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from collections import namedtuple
@@ -132,8 +133,8 @@ def _strings(value, context):
 
 
 def _atom_weights(space, mapping, context):
-    """Resolve a point-keyed weight mapping to one value per atom."""
-    weights = [Fraction(0)] * len(space.atoms)
+    """Resolve a point-keyed weight mapping to {atom index: value}."""
+    weights = {}
     seen = {}
     for point, value in mapping.items():
         try:
@@ -233,8 +234,8 @@ def parse_model(doc):
             space, _require_dict(entry.get("weights", {}), "weights"),
             f"measure {name!r}",
         )
-        cls = Measure if all(w.numerator >= 0 for w in weights) else SignedMeasure
-        model.measures[name] = (space_name, cls(space, weights))
+        cls = Measure if all(w >= 0 for w in weights.values()) else SignedMeasure
+        model.measures[name] = (space_name, cls.from_atom_weights(space, weights))
 
     for name, entry in sorted(doc.get("functions", {}).items()):
         _require_dict(entry, f"function {name!r}")
@@ -244,6 +245,7 @@ def parse_model(doc):
             space, _require_dict(entry.get("values", {}), "values"),
             f"function {name!r}",
         )
+        values = [values.get(k, 0) for k in range(len(space.atoms))]
         model.functions[name] = (space_name, StepFunction(space, values))
 
     for name, entry in sorted(doc.get("kernels", {}).items()):
@@ -275,7 +277,10 @@ def parse_model(doc):
             kernel = Kernel(
                 domain,
                 codomain,
-                [Measure(codomain, row_by_atom[k]) for k in range(len(domain.atoms))],
+                [
+                    Measure.from_atom_weights(codomain, row_by_atom[k])
+                    for k in range(len(domain.atoms))
+                ],
                 kind,
             )
         except (FinmeasError, ValueError) as err:
@@ -985,8 +990,11 @@ def main(argv=None):
     except (ModelError, ValueError) as err:
         print(f"error[input]: {err}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
+    try:
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # exit as a shell reports SIGPIPE, stdout on devnull for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0

@@ -298,10 +298,11 @@ def conv_in_measure_distance(f, g, mu):
     _check_pair(f, mu)
     _check_pair(g, mu)
     diff = abs(f - g)
+    weights = mu.weights
 
     def tail(eps):
         return sum(
-            (w for v, w in zip(diff.values, mu.weights) if v > eps),
+            (w for v, w in zip(diff.values, weights) if v > eps),
             start=Fraction(0),
         )
 

@@ -6,16 +6,12 @@ the lift acts on measures, products and disintegration translate between
 joints and (marginal, kernel) pairs, and path measures iterate a kernel to
 a finite horizon.
 
-The arithmetic-heavy operations (convolution, the lift, path measures and
-the refinement code in logic_bisim) work on sparse integer rows: each row
-is scaled by the lcm of its nonzero denominators, sums and products run on
-Python ints over the nonzero entries only, and every result entry becomes
-one Fraction at the end.  A kernel builds these rows once, in its
-constructor, as ``scaled_rows``, and reads its kind off the same pass.
+Every row is a measure in its integer form (D, cols, nums) over its
+nonzero atoms.  Convolution, the lift, product measures, pushforwards, path
+measures and the refinement in logic_bisim run on ints over those nonzeros
+only and build their results from ints, so none makes a Fraction.
 """
 
-from fractions import Fraction
-from itertools import compress
 from math import lcm
 
 from .errors import (
@@ -42,12 +38,10 @@ def _join_kind(*kinds):
 class Kernel:
     """One measure on the codomain per domain atom, tagged by kind.
 
-    ``scaled_rows`` holds each row as integers: a tuple (D, cols, nums)
-    over its nonzero entries, where D is the lcm of their denominators (1
-    for a zero row) and entry cols[i] is nums[i] / D.  The kind flag is
-    validated eagerly against the row masses sum(nums) / D: Markov needs
-    every one equal to one, subMarkov at most one.  Operations propagate
-    the weakest kind that is sound for their operands.
+    The kind flag is validated eagerly against the row masses
+    sum(nums) / D of the rows' forms: Markov needs every one equal to one,
+    subMarkov at most one.  Operations propagate the weakest kind that is
+    sound for their operands.
     """
 
     def __init__(self, domain, codomain, rows, kind=None):
@@ -56,24 +50,18 @@ class Kernel:
             raise ValueError(
                 f"expected {len(domain.atoms)} rows, got {len(rows)}"
             )
-        scaled_rows = []
         inferred = MARKOV
         for row in rows:
             if not isinstance(row, Measure):
                 raise ValueError("kernel rows must be nonnegative measures")
             if row.space != codomain:
                 raise SpaceMismatch("kernel row lives on the wrong codomain")
-            weights = row.weights
-            cols = tuple(compress(range(len(weights)), weights))
-            entries = [weights[j] for j in cols]
-            d = lcm(*(w.denominator for w in entries))
-            nums = tuple(w.numerator * (d // w.denominator) for w in entries)
+            d, _, nums = row.form
             total = sum(nums)
             if total > d:
                 inferred = FINITE
             elif total < d and inferred == MARKOV:
                 inferred = SUB_MARKOV
-            scaled_rows.append((d, cols, nums))
         if kind is None:
             kind = inferred
         elif kind not in _KIND_ORDER:
@@ -85,16 +73,12 @@ class Kernel:
         self.domain = domain
         self.codomain = codomain
         self.rows = rows
-        self.scaled_rows = tuple(scaled_rows)
         self.kind = kind
 
     @classmethod
     def from_matrix(cls, domain, codomain, matrix, kind=None):
         rows = [Measure(codomain, row) for row in matrix]
         return cls(domain, codomain, rows, kind)
-
-    def row(self, atom_index):
-        return self.rows[atom_index]
 
     def row_at_point(self, point):
         return self.rows[self.domain.atom_index_of_point(point)]
@@ -120,30 +104,23 @@ class Kernel:
         )
 
 
-def _mix(masses, rows, n_out):
-    """The weights of sum_k masses[k] * row_k, for a kernel's scaled rows.
-
-    Every term is scaled to the lcm Q of mass denominator times row scale
-    over the nonzero masses, accumulated as ints, and divided by Q once.
-    """
-    terms = [(m, rows[k]) for k, m in enumerate(masses) if m]
-    q = lcm(*(m.denominator * d for m, (d, _, _) in terms))
-    acc = [0] * n_out
-    for m, (d, cols, nums) in terms:
-        factor = m.numerator * (q // (m.denominator * d))
-        for j, num in zip(cols, nums):
+def _mix(mu, rows, space):
+    """The measure sum_k mu(k) rows[k] on space, as ints over D Q: mu(k) is
+    m_k / D and Q is the lcm of the scales of the rows that mu charges."""
+    d, cols, masses = mu.form
+    terms = [(m, rows[k].form) for k, m in zip(cols, masses)]
+    q = lcm(*(e for _, (e, _, _) in terms))
+    acc = [0] * len(space.atoms)
+    for m, (e, row_cols, nums) in terms:
+        factor = m * (q // e)
+        for j, num in zip(row_cols, nums):
             acc[j] += factor * num
-    zero = Fraction(0)
-    return [Fraction(a, q) if a else zero for a in acc]
+    return Measure.from_ints(space, d * q, enumerate(acc))
 
 
 def identity_kernel(space):
     """The neutral element for convolution: rows are unit point masses."""
-    n = len(space.atoms)
-    rows = [
-        Measure(space, [Fraction(int(i == k)) for i in range(n)])
-        for k in range(n)
-    ]
+    rows = [Measure.from_ints(space, 1, [(k, 1)]) for k in range(len(space.atoms))]
     return Kernel(space, space, rows, MARKOV)
 
 
@@ -152,15 +129,11 @@ def convolve(left, right):
 
     right feeds left: right.codomain must equal left.domain.  Reduces to
     stochastic matrix multiplication of the row matrices, run over the
-    nonzero entries of left's scaled rows.
+    nonzero entries of the rows.
     """
     if right.codomain != left.domain:
         raise SpaceMismatch("right.codomain must equal left.domain")
-    n_out = len(left.codomain.atoms)
-    rows = [
-        Measure(left.codomain, _mix(row.weights, left.scaled_rows, n_out))
-        for row in right.rows
-    ]
+    rows = [_mix(row, left.rows, left.codomain) for row in right.rows]
     return Kernel(
         right.domain, left.codomain, rows, _join_kind(left.kind, right.kind)
     )
@@ -170,10 +143,7 @@ def kleisli_lift(kernel, mu):
     """The lifted map on measures: (K bar)(mu)(B) = integral K(x)(B) dmu(x)."""
     if mu.space != kernel.domain:
         raise SpaceMismatch("measure lives on a different space than the domain")
-    n_out = len(kernel.codomain.atoms)
-    return Measure(
-        kernel.codomain, _mix(mu.weights, kernel.scaled_rows, n_out)
-    )
+    return _mix(mu, kernel.rows, kernel.codomain)
 
 
 def measure_kernel_product(mu, kernel):
@@ -191,8 +161,12 @@ def measure_kernel_product(mu, kernel):
 def product_measure(mu, nu):
     """The product measure with weight mu(A) nu(B) on each rectangle atom."""
     prod = product_space(mu.space, nu.space)
-    weights = [w * v for w in mu.weights for v in nu.weights]
-    return Measure(prod, weights)
+    (d1, cols1, nums1), (d2, cols2, nums2) = mu.form, nu.form
+    n = len(nu.space.atoms)
+    entries = [
+        (i * n + j, a * b) for i, a in zip(cols1, nums1) for j, b in zip(cols2, nums2)
+    ]
+    return Measure.from_ints(prod, d1 * d2, entries)
 
 
 def _require_product(space):
@@ -279,10 +253,11 @@ def pushforward(f, mu):
         raise TypeError("wrap the point map in AtomMap(domain, codomain, mapping)")
     if mu.space != f.domain:
         raise SpaceMismatch("measure lives on a different space than the map domain")
-    weights = [Fraction(0)] * len(f.codomain.atoms)
-    for w, target in zip(mu.weights, f.atom_mapping):
-        weights[target] += w
-    return Measure(f.codomain, weights)
+    d, cols, nums = mu.form
+    acc = {}
+    for j, num in zip(cols, nums):
+        acc[f.atom_mapping[j]] = acc.get(f.atom_mapping[j], 0) + num
+    return Measure.from_ints(f.codomain, d, acc.items())
 
 
 # the largest path space path_measure builds
@@ -327,7 +302,7 @@ def path_measure(kernel, start_point, horizon):
     row of the state component of its last coordinate.  Projectivity holds:
     summing out the last coordinate of the horizon n+1 measure gives the
     horizon n measure.  Path weights are carried as ints over D^t, with D
-    the lcm of the kernel's row scales, and divided out at the horizon.
+    the lcm of the kernel's row scales, over the nonzero paths only.
     Path spaces past the MAX_PATH_* limits raise HorizonTooLarge up front.
     """
     step_space = kernel.codomain
@@ -341,30 +316,21 @@ def path_measure(kernel, start_point, horizon):
     _path_space_size(step_space, horizon)
     n_step = len(step_space.atoms)
     n_s = len(factors[1].atoms)
-    rows = kernel.scaled_rows
-    scale = lcm(*(d for d, _, _ in rows))
-    dense = []
-    for d, cols, nums in rows:
-        row = [0] * n_step
-        for k, num in zip(cols, nums):
-            row[k] = num * (scale // d)
-        dense.append(row)
-
-    start = kernel.domain.atom_index_of_point(start_point)
+    scale = lcm(*(row.form[0] for row in kernel.rows))
+    rows = [
+        [(k, num * (scale // d)) for k, num in zip(cols, nums)]
+        for d, cols, nums in (row.form for row in kernel.rows)
+    ]
     space = step_space
-    weights = dense[start]
+    paths = rows[kernel.domain.atom_index_of_point(start_point)]
     for _ in range(horizon - 1):
         space = product_space(space, step_space)
         # rectangle atoms are row-major, so the state component of path
         # atom idx (the state of its last step) is idx % n_s
-        weights = [
-            w * v
-            for idx, w in enumerate(weights)
-            for v in dense[idx % n_s]
+        paths = [
+            (idx * n_step + k, w * v) for idx, w in paths for k, v in rows[idx % n_s]
         ]
-    den = scale**horizon
-    zero = Fraction(0)
-    return Measure(space, [Fraction(w, den) if w else zero for w in weights])
+    return Measure.from_ints(space, scale**horizon, paths)
 
 
 def path_marginal(measure):
@@ -372,10 +338,11 @@ def path_marginal(measure):
     factors = _require_product(measure.space)
     prefix, step = factors
     n_step = len(step.atoms)
-    weights = [Fraction(0)] * len(prefix.atoms)
-    for idx, w in enumerate(measure.weights):
-        weights[idx // n_step] += w
-    return Measure(prefix, weights)
+    d, cols, nums = measure.form
+    acc = {}
+    for idx, num in zip(cols, nums):
+        acc[idx // n_step] = acc.get(idx // n_step, 0) + num
+    return Measure.from_ints(prefix, d, acc.items())
 
 
 def disintegrate(joint):
@@ -387,20 +354,22 @@ def disintegrate(joint):
     """
     left, right = _require_product(joint.space)
     n_r = len(right.atoms)
-    marginal_weights = []
+    d, cols, nums = joint.form
+    fibers = [[] for _ in left.atoms]
+    for idx, num in zip(cols, nums):
+        fibers[idx // n_r].append((idx % n_r, num))
+    # fiber i has the weights num / d and the mass masses[i] / d
+    masses = [sum(num for _, num in fiber) for fiber in fibers]
+    marginal = Measure.from_ints(left, d, enumerate(masses))
     rows = []
     null_fibers = []
-    for i, atom in enumerate(left.atoms):
-        fiber = joint.weights[i * n_r : (i + 1) * n_r]
-        mass = sum(fiber, start=Fraction(0))
-        marginal_weights.append(mass)
+    for atom, mass, fiber in zip(left.atoms, masses, fibers):
         if mass == 0:
-            if any(w != 0 for w in fiber):
+            if fiber:
                 raise ValueError("joint has a zero-mass fiber with nonzero weights")
             rows.append(Measure.zero(right))
             null_fibers.append(atom)
         else:
-            rows.append(Measure(right, [w / mass for w in fiber]))
-    marginal = Measure(left, marginal_weights)
+            rows.append(Measure.from_ints(right, mass, fiber))
     kind = MARKOV if not null_fibers else SUB_MARKOV
     return marginal, Kernel(left, right, rows, kind), tuple(null_fibers)

@@ -2,8 +2,8 @@
 
 The logic is negation-free: T, conjunction, and the threshold modality
 dia>=q with q in [0, 1].  Logical equivalence is computed by splitter-based
-partition refinement (lumping) over the kernel's sparse integer rows
-(``Kernel.scaled_rows``, built once by the kernel), and the invariant
+partition refinement (lumping) over the integer forms (D, cols, nums) of
+the kernel's rows, which list only their nonzero atoms, and the invariant
 sigma-algebra of a nesting depth by that many rounds of block-mass
 refinement.  For kernels whose rows have mass at most 1, their blocks are
 those cut out by the validity sets of all formulas (of that depth).
@@ -15,11 +15,11 @@ validity-set closure and the permutation search serve as test oracles
 only.  A coupling of two marginals inside a support is one max flow: a
 full flow is the coupling, and a short one yields a Hall-style cut
 certificate from the residual graph.  A mediating kernel needs no flow:
-given the matched quotient class, each row is the product of the two.
+each row is the class-conditional product of the two, over nonzero entries.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     MassMismatch,
@@ -256,7 +256,7 @@ def _validity_atoms(rows, phi):
 def validity_set(kernel, phi):
     """The set where phi holds, always a union of atoms."""
     _require_endo(kernel)
-    atoms = _validity_atoms(kernel.scaled_rows, phi)
+    atoms = _validity_atoms([row.form for row in kernel.rows], phi)
     return kernel.domain.set_of_atoms(sorted(atoms))
 
 
@@ -292,7 +292,7 @@ def logical_equivalence(kernel, labels=None):
     """
     _require_endo(kernel)
     space = kernel.domain
-    rows = kernel.scaled_rows
+    rows = [row.form for row in kernel.rows]
     scale = [d for d, _, _ in rows]
     pred = [[] for _ in rows]
     for i, (_, cols, nums) in enumerate(rows):
@@ -364,7 +364,7 @@ def invariant_sigma_algebra(kernel, depth):
     if depth < 0:
         raise ValueError("depth must be at least 0")
     space = kernel.domain
-    rows = kernel.scaled_rows
+    rows = [row.form for row in kernel.rows]
     for k, (d, _, nums) in enumerate(rows):
         if sum(nums) > d:
             raise ValueError(
@@ -451,7 +451,7 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
         raise SpaceMismatch("domain partition lives on a different space")
     if cod_partition.space != kernel.codomain:
         raise SpaceMismatch("codomain partition lives on a different space")
-    rows = kernel.scaled_rows
+    rows = [row.form for row in kernel.rows]
     witness = _congruence_witness(rows, dom_partition, cod_partition)
     if witness is not None:
         raise NotACongruence(
@@ -461,15 +461,11 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
         )
     dom_space = FiniteMeasurableSpace.discrete([b[0] for b in dom_partition.blocks])
     cod_space = FiniteMeasurableSpace.discrete([b[0] for b in cod_partition.blocks])
-    zero = Fraction(0)
     quotient_rows = []
     for b in range(len(dom_partition.blocks)):
         scale, cols, nums = rows[dom_partition.block_atom_indices(b)[0]]
         masses = _block_masses(cols, nums, cod_partition.block_of_atom)
-        weights = [zero] * len(cod_partition.blocks)
-        for c, m in masses.items():
-            weights[c] = Fraction(m, scale)
-        quotient_rows.append(Measure(cod_space, weights))
+        quotient_rows.append(Measure.from_ints(cod_space, scale, masses.items()))
     return Kernel(dom_space, cod_space, quotient_rows, kernel.kind)
 
 
@@ -546,13 +542,13 @@ def solve_coupling(problem):
     total = left.total()
     if total != right.total():
         raise MassMismatch(f"marginal totals differ: {total} vs {right.total()}")
-    n1 = len(left.space.atoms)
-    n2 = len(right.space.atoms)
+    mu, nu = left.weights, right.weights
+    n1, n2 = len(mu), len(nu)
     support = sorted(problem.support)
     source, sink = 0, n1 + n2 + 1
-    arcs = [(source, 1 + i, left.weights[i]) for i in range(n1)]
+    arcs = [(source, 1 + i, mu[i]) for i in range(n1)]
     arcs += [(1 + i, 1 + n1 + j, None) for i, j in support]
-    arcs += [(1 + n1 + j, sink, right.weights[j]) for j in range(n2)]
+    arcs += [(1 + n1 + j, sink, nu[j]) for j in range(n2)]
     flow, reached, flows = max_flow(n1 + n2 + 2, arcs, source, sink)
     if flow == total:
         weights = [Fraction(0)] * (n1 * n2)
@@ -564,8 +560,8 @@ def solve_coupling(problem):
     certificate = Infeasible(
         left.space.set_of_atoms(rows),
         right.space.set_of_atoms(neighborhood),
-        sum((left.weights[i] for i in rows), start=Fraction(0)),
-        sum((right.weights[j] for j in neighborhood), start=Fraction(0)),
+        sum((mu[i] for i in rows), start=Fraction(0)),
+        sum((nu[j] for j in neighborhood), start=Fraction(0)),
     )
     if certificate.deficit != total - flow:
         raise AssertionError("Hall cut deficit differs from the flow shortfall")
@@ -669,45 +665,62 @@ def mediate(k1, k2, q1, q2, iso):
     dom_iso, cod_iso = _as_iso_pair(iso)
     _check_bijection(dom_iso, quot1.domain.points, quot2.domain.points)
     _check_bijection(cod_iso, quot1.codomain.points, quot2.codomain.points)
+    # quotient codomain atom c is q1c's block c; image[c] is its q2c block
+    image = [q2c.block_index_of_point(cod_iso[block[0]]) for block in q1c.blocks]
     for b, row in zip(quot1.domain.points, quot1.rows):
+        d, cols, nums = row.form
         other = quot2.row_at_point(dom_iso[b])
-        for c, w in zip(quot1.codomain.points, row.weights):
-            if w != other.weights[quot2.codomain.atom_index_of_point(cod_iso[c])]:
-                raise NotBisimilar(
-                    f"quotient kernels disagree at block {b!r} on class {c!r}"
-                )
+        renamed = [(image[c], num) for c, num in zip(cols, nums)]
+        if Measure.from_ints(other.space, d, renamed) != other:
+            theirs = other.weights
+            c = next(
+                c
+                for c, w, k in zip(quot1.codomain.points, row.weights, image)
+                if w != theirs[k]
+            )
+            raise NotBisimilar(
+                f"quotient kernels disagree at block {b!r} on class {c!r}"
+            )
     a_space, pi1, pi2, a_pairs = _matching_pair_space(
         k1.domain, k2.domain, q1d, q2d, dom_iso
     )
     b_space, zeta1, zeta2, b_pairs = _matching_pair_space(
         k1.codomain, k2.codomain, q1c, q2c, cod_iso
     )
+    b_index = {pair: k for k, pair in enumerate(b_pairs)}
     rows = []
     for i1, i2 in a_pairs:
-        mass = quot1.rows[q1d.block_of_atom[i1]].weights
-        # k1(x)(j1) / m_C; a zero entry stays zero, so m_C = 0 never divides
-        scaled = [
-            w / mass[c] if w else w
-            for w, c in zip(k1.rows[i1].weights, q1c.block_of_atom)
-        ]
-        right = k2.rows[i2].weights
-        row = Measure(b_space, [scaled[j1] * right[j2] for j1, j2 in b_pairs])
-        if row.total() != k1.rows[i1].total():
+        d1, cols1, nums1 = k1.rows[i1].form
+        d2, cols2, nums2 = k2.rows[i2].form
+        right = {}
+        for j2, n2 in zip(cols2, nums2):
+            right.setdefault(q2c.block_of_atom[j2], []).append((j2, n2))
+        # m_C = S_C / d1 for the integer class masses S_C of the k1 row, so
+        # w(j1, j2) = n1 n2 / (d2 S_C), taken over d2 times the lcm of the S_C
+        masses = _block_masses(cols1, nums1, q1c.block_of_atom)
+        scale = lcm(*masses.values())
+        entries = []
+        for j1, n1 in zip(cols1, nums1):
+            c = q1c.block_of_atom[j1]
+            factor = n1 * (scale // masses[c])
+            for j2, n2 in right.get(image[c], ()):
+                entries.append((b_index[j1, j2], factor * n2))
+        row = Measure.from_ints(b_space, d2 * scale, entries)
+        if sum(row.form[2]) * d1 != sum(nums1) * row.form[0]:
             raise AssertionError("mediating row lost mass")
         images = (pushforward(zeta1, row), pushforward(zeta2, row))
         if images != (k1.rows[i1], k2.rows[i2]):
             raise AssertionError("mediating row misses a marginal")
         rows.append(row)
     if len(q1c.blocks) >= 2:
-        image = q2c.block_index_of_point(cod_iso[q1c.blocks[0][0]])
         if any(
-            (q1c.block_of_atom[j1] == 0) != (q2c.block_of_atom[j2] == image)
+            (q1c.block_of_atom[j1] == 0) != (q2c.block_of_atom[j2] == image[0])
             for j1, j2 in b_pairs
         ):
             raise AssertionError("common events disagree on B")
         common_events = (
             k1.codomain.set_of_atoms(q1c.block_atom_indices(0)),
-            k2.codomain.set_of_atoms(q2c.block_atom_indices(image)),
+            k2.codomain.set_of_atoms(q2c.block_atom_indices(image[0])),
         )
     else:
         common_events = None

@@ -1,11 +1,14 @@
 """Finite (signed) measures: decompositions, densities, functionals.
 
-Weights are exact rationals per atom.  Jordan and Lebesgue decompositions,
-Radon-Nikodym derivatives and the Daniell/Riesz correspondence are all
-computed exactly; only q-th roots of norms ever leave the rationals.
+A measure stores its weights as one canonical integer form (D, cols, nums),
+weight nums[i] / D on atom cols[i] and 0 elsewhere; only this module
+converts the form to and from Fractions.  Decompositions, Radon-Nikodym
+derivatives and the Daniell/Riesz correspondence are exact; only q-th
+roots of norms leave the rationals.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     AbsoluteContinuityViolated,
@@ -23,32 +26,74 @@ from .integrate import (
 from .rational import as_fraction
 
 
-class SignedMeasure:
-    """A rational weight per atom, any sign."""
+def _scaled(values):
+    """(D, nums): Fractions as numerators over D, the lcm of their denominators."""
+    d = lcm(*(w.denominator for w in values))
+    return d, [w.numerator * (d // w.denominator) for w in values]
 
+
+class SignedMeasure:
+    """A rational weight per atom, any sign, held as the form (D, cols, nums)."""
+
+    __slots__ = ("space", "form")
     _require_nonnegative = False
 
     def __init__(self, space, weights):
-        weights = tuple(as_fraction(w) for w in weights)
+        weights = [as_fraction(w) for w in weights]
         if len(weights) != len(space.atoms):
             raise ValueError(
                 f"expected {len(space.atoms)} atom weights, got {len(weights)}"
             )
-        if self._require_nonnegative and any(w.numerator < 0 for w in weights):
+        cols = [j for j, w in enumerate(weights) if w]
+        self._init(space, *_scaled([weights[j] for j in cols]), cols)
+
+    def _init(self, space, d, nums, cols):
+        if self._require_nonnegative and any(num < 0 for num in nums):
             raise ValueError("measure weights must be nonnegative")
         self.space = space
-        self.weights = weights
+        self.form = (d, tuple(cols), tuple(nums))
+
+    @classmethod
+    def from_ints(cls, space, d, entries):
+        """The measure with weight num / d on atom j for each int entry
+        (j, num), atoms distinct and in any order.  Zero entries are dropped
+        and the gcd of d and the nums divided out: the form is canonical."""
+        kept = sorted((j, num) for j, num in entries if num)
+        cols = [j for j, _ in kept]
+        bounds = [-1, *cols, len(space.atoms)]
+        if d <= 0 or not all(a < b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError("d must be positive and atoms distinct and in the space")
+        g = gcd(d, *(num for _, num in kept))
+        measure = cls.__new__(cls)
+        measure._init(space, d // g, [num // g for _, num in kept], cols)
+        return measure
+
+    @classmethod
+    def from_atom_weights(cls, space, weights):
+        """The measure with rational weight weights[k] on atom k, 0 elsewhere."""
+        d, nums = _scaled([as_fraction(w) for w in weights.values()])
+        return cls.from_ints(space, d, zip(weights, nums))
+
+    @property
+    def weights(self):
+        """The dense tuple of atom weights, built on each access."""
+        d, cols, nums = self.form
+        weights = [Fraction(0)] * len(self.space.atoms)
+        for j, num in zip(cols, nums):
+            weights[j] = Fraction(num, d)
+        return tuple(weights)
 
     def eval(self, mset):
         """Value on a measurable set: the sum of its atom weights."""
         if mset.space != self.space:
             raise SpaceMismatch("set lives on a different space")
-        return sum(
-            (self.weights[k] for k in mset.atom_indices), start=Fraction(0)
-        )
+        d, cols, nums = self.form
+        inside = set(mset.atom_indices)
+        return Fraction(sum(num for j, num in zip(cols, nums) if j in inside), d)
 
     def total(self):
-        return sum(self.weights, start=Fraction(0))
+        d, _, nums = self.form
+        return Fraction(sum(nums), d)
 
     def _check(self, other):
         if self.space != other.space:
@@ -58,11 +103,11 @@ class SignedMeasure:
         return (
             isinstance(other, SignedMeasure)
             and self.space == other.space
-            and self.weights == other.weights
+            and self.form == other.form
         )
 
     def __hash__(self):
-        return hash((self.space, self.weights))
+        return hash((self.space, self.form))
 
     def __repr__(self):
         pairs = ", ".join(
@@ -75,25 +120,20 @@ class SignedMeasure:
 class Measure(SignedMeasure):
     """A nonnegative finite measure."""
 
+    __slots__ = ()
     _require_nonnegative = True
 
     @classmethod
     def zero(cls, space):
-        return cls(space, [Fraction(0)] * len(space.atoms))
+        return cls.from_ints(space, 1, ())
 
     @classmethod
     def dirac(cls, space, point):
-        k = space.atom_index_of_point(point)
-        return cls(
-            space,
-            [Fraction(int(i == k)) for i in range(len(space.atoms))],
-        )
+        return cls.from_ints(space, 1, [(space.atom_index_of_point(point), 1)])
 
     def is_probability(self):
-        return self.total() == 1
-
-    def is_subprobability(self):
-        return self.total() <= 1
+        d, _, nums = self.form
+        return sum(nums) == d
 
     def add(self, other):
         self._check(other)
@@ -108,7 +148,7 @@ class Measure(SignedMeasure):
         return Measure(self.space, [c * w for w in self.weights])
 
     def support_atoms(self):
-        return tuple(k for k, w in enumerate(self.weights) if w > 0)
+        return self.form[1]
 
 
 class LinearFunctional:
@@ -176,21 +216,14 @@ def jordan_decompose(nu):
 def absolutely_continuous(mu, nu):
     """mu << nu: every nu-null atom is mu-null."""
     mu._check(nu)
-    return all(
-        not (nw == 0 and mw != 0) for mw, nw in zip(mu.weights, nu.weights)
-    )
+    return set(mu.form[1]) <= set(nu.form[1])
 
 
 def mutually_singular(mu, nu):
     """mu and nu concentrate on disjoint sets; returns (flag, carrier_mu, carrier_nu)."""
     mu._check(nu)
-    space = mu.space
-    sup_mu = space.set_of_atoms(
-        [k for k, w in enumerate(mu.weights) if w != 0]
-    )
-    sup_nu = space.set_of_atoms(
-        [k for k, w in enumerate(nu.weights) if w != 0]
-    )
+    sup_mu = mu.space.set_of_atoms(mu.form[1])
+    sup_nu = mu.space.set_of_atoms(nu.form[1])
     return not (sup_mu.members & sup_nu.members), sup_mu, sup_nu
 
 
@@ -202,21 +235,14 @@ def lebesgue_decompose(mu, nu):
     are reproducible.
     """
     mu._check(nu)
-    absolutely = []
-    singular = []
-    density = []
-    for mw, nw in zip(mu.weights, nu.weights):
-        if nw > 0:
-            absolutely.append(mw)
-            singular.append(Fraction(0))
-            density.append(mw / nw)
-        else:
-            absolutely.append(Fraction(0))
-            singular.append(mw)
-            density.append(Fraction(0))
+    d, cols, nums = mu.form
+    carried = {j for j, num in zip(*nu.form[1:]) if num > 0}
+    absolutely = [(j, num) for j, num in zip(cols, nums) if j in carried]
+    singular = [(j, num) for j, num in zip(cols, nums) if j not in carried]
+    density = [mw / nw if nw > 0 else 0 for mw, nw in zip(mu.weights, nu.weights)]
     return (
-        Measure(mu.space, absolutely),
-        Measure(mu.space, singular),
+        Measure.from_ints(mu.space, d, absolutely),
+        Measure.from_ints(mu.space, d, singular),
         StepFunction(mu.space, density),
     )
 

@@ -103,9 +103,7 @@ def support(mu):
     For the zero measure this is the empty set by convention (classically
     the support is defined only for nonzero measures).
     """
-    return mu.space.set_of_atoms(
-        [k for k, w in enumerate(mu.weights) if w > 0]
-    )
+    return mu.space.set_of_atoms([j for j, num in zip(*mu.form[1:]) if num > 0])
 
 
 def _check_metric_pair(mu, nu, metric):
@@ -175,9 +173,10 @@ def prohorov_distance(mu, nu, metric):
     """
     _check_metric_pair(mu, nu, metric)
     thresholds = sorted({d for row in metric.dist for d in row} | {Fraction(0)})
+    mu_w, nu_w = mu.weights, nu.weights
     best = max(
-        _one_sided_min_eps(nu.weights, mu.weights, metric, thresholds),
-        _one_sided_min_eps(mu.weights, nu.weights, metric, thresholds),
+        _one_sided_min_eps(nu_w, mu_w, metric, thresholds),
+        _one_sided_min_eps(mu_w, nu_w, metric, thresholds),
     )
     if not _prohorov_feasible_above(mu, nu, metric, best):
         raise AssertionError(f"Prohorov value {best} is not the infimum")
@@ -191,9 +190,10 @@ def prohorov_feasible(mu, nu, metric, eps):
     def joined(d):
         return d < eps
 
+    mu_w, nu_w = mu.weights, nu.weights
     return all(
         _deficit(rho, sigma, metric, joined) <= eps
-        for rho, sigma in ((nu.weights, mu.weights), (mu.weights, nu.weights))
+        for rho, sigma in ((nu_w, mu_w), (mu_w, nu_w))
     )
 
 
@@ -238,7 +238,7 @@ def hutchinson_distance(mu, nu, metric, gamma):
     if gamma <= 0:
         raise InvalidGamma(f"gamma must be positive, got {gamma}")
     n = len(metric.space.points)
-    supply = [mu.weights[i] - nu.weights[i] for i in range(n)]
+    supply = [a - b for a, b in zip(mu.weights, nu.weights)]
     supply.append(-sum(supply, start=Fraction(0)))
     ground = n
     arcs = [
@@ -316,17 +316,11 @@ def check_weak_limit(sequence, limit, metric, tol):
     n = len(metric.space.atoms)
     tol = Fraction(tol) if not isinstance(tol, float) else tol
     tail = sequence[len(sequence) // 2 :]
+    limit_weights = limit.weights
+    diffs = [[a - b for a, b in zip(m.weights, limit_weights)] for m in tail]
 
-    per_atom_residual = max(
-        abs(to_float(m.weights[k] - limit.weights[k]))
-        for m in tail
-        for k in range(n)
-    )
+    per_atom_residual = max(abs(to_float(d)) for row in diffs for d in row)
     mass_residual = max(abs(to_float(m.total() - limit.total())) for m in tail)
-
-    diffs = [
-        [a - b for a, b in zip(m.weights, limit.weights)] for m in tail
-    ]
     portmanteau_excess = max(
         to_float(sum((d for d in row if d > 0), start=Fraction(0))) for row in diffs
     )

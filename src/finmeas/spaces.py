@@ -101,19 +101,8 @@ class FiniteMeasurableSpace:
         self.point_index(point)
         return self._atom_of[point]
 
-    def atom_index(self, atom):
-        """Index of an atom given as an iterable of points."""
-        want = frozenset(atom)
-        for k, a in enumerate(self.atoms):
-            if frozenset(a) == want:
-                return k
-        raise ValueError(f"not an atom of this space: {sorted(want)!r}")
-
     def full_set(self):
         return MeasurableSet(self, self.points)
-
-    def empty_set(self):
-        return MeasurableSet(self, ())
 
     def set_of_atoms(self, atom_indices):
         members = []
@@ -132,7 +121,7 @@ class FiniteMeasurableSpace:
             yield self.set_of_atoms([k for k in range(n) if mask >> k & 1])
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FiniteMeasurableSpace)
             and self.points == other.points
             and self.atoms == other.atoms

@@ -33,6 +33,11 @@ that tries every codomain permutation for pairs other than endokernels.
 Lp norms for a non-integer or finite exponent other than 1 used to be
 taken in plain floats only; that form is kept for the exponents where it
 stays in the normal float range.
+
+A measure now holds only its integer form (D, cols, nums) over its nonzero
+atoms.  The dense measure it replaced, a tuple of one Fraction per atom,
+is kept as DenseSignedMeasure and DenseMeasure, and so is the dense
+closed-form mediation, as mediate_dense.
 """
 
 from fractions import Fraction
@@ -68,12 +73,14 @@ from finmeas.logic_bisim import (
     _as_partition_pair,
     _check_bijection,
     _dia_atoms,
+    _matching_pair_space,
     _require_endo,
     factor_map,
     quotient_kernel_pair,
     solve_coupling,
 )
 from finmeas.measures import Measure
+from finmeas.rational import as_fraction
 from finmeas.metrics import WeakLimitReport
 from finmeas.simplex import OPTIMAL, maximize
 from finmeas.spaces import (
@@ -531,6 +538,97 @@ def inferred_kind_sums(rows):
     return FINITE
 
 
+# ---------------------------------------------------------- dense measures
+
+
+class DenseSignedMeasure:
+    """A rational weight per atom, any sign."""
+
+    _require_nonnegative = False
+
+    def __init__(self, space, weights):
+        weights = tuple(as_fraction(w) for w in weights)
+        if len(weights) != len(space.atoms):
+            raise ValueError(
+                f"expected {len(space.atoms)} atom weights, got {len(weights)}"
+            )
+        if self._require_nonnegative and any(w.numerator < 0 for w in weights):
+            raise ValueError("measure weights must be nonnegative")
+        self.space = space
+        self.weights = weights
+
+    def eval(self, mset):
+        """Value on a measurable set: the sum of its atom weights."""
+        if mset.space != self.space:
+            raise SpaceMismatch("set lives on a different space")
+        return sum(
+            (self.weights[k] for k in mset.atom_indices), start=Fraction(0)
+        )
+
+    def total(self):
+        return sum(self.weights, start=Fraction(0))
+
+    def _check(self, other):
+        if self.space != other.space:
+            raise SpaceMismatch("measures live on different spaces")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DenseSignedMeasure)
+            and self.space == other.space
+            and self.weights == other.weights
+        )
+
+    def __hash__(self):
+        return hash((self.space, self.weights))
+
+    def __repr__(self):
+        pairs = ", ".join(
+            "{" + ",".join(a) + "}:" + str(w)
+            for a, w in zip(self.space.atoms, self.weights)
+        )
+        return f"{type(self).__name__}({pairs})"
+
+
+class DenseMeasure(DenseSignedMeasure):
+    """A nonnegative finite measure."""
+
+    _require_nonnegative = True
+
+    @classmethod
+    def zero(cls, space):
+        return cls(space, [Fraction(0)] * len(space.atoms))
+
+    @classmethod
+    def dirac(cls, space, point):
+        k = space.atom_index_of_point(point)
+        return cls(
+            space,
+            [Fraction(int(i == k)) for i in range(len(space.atoms))],
+        )
+
+    def is_probability(self):
+        return self.total() == 1
+
+    def is_subprobability(self):
+        return self.total() <= 1
+
+    def add(self, other):
+        self._check(other)
+        return DenseMeasure(
+            self.space, [a + b for a, b in zip(self.weights, other.weights)]
+        )
+
+    def scale(self, c):
+        c = as_fraction(c)
+        if c < 0:
+            raise ValueError("use SignedMeasure for negative scalings")
+        return DenseMeasure(self.space, [c * w for w in self.weights])
+
+    def support_atoms(self):
+        return tuple(k for k, w in enumerate(self.weights) if w > 0)
+
+
 # -------------------------------------------------------------- mediation
 
 
@@ -644,6 +742,80 @@ def mediate_flow(k1, k2, q1, q2, iso):
     return MediationResult(mediating, pi1, pi2, zeta1, zeta2, common_events)
 
 
+def mediate_dense(k1, k2, q1, q2, iso):
+    """Build the mediating kernel showing two processes bisimilar.
+
+    q1 and q2 are congruence partitions (a single Partition for an
+    endokernel, else a (domain, codomain) pair); iso is the block bijection
+    (or pair of bijections) equating the quotient kernels.  A is the
+    matching-class subspace of X1 x X2, B of Y1 x Y2.  The row of a matched
+    pair (x, y) couples k1(x) and k2(y) independently given the class:
+    w(j1, j2) = k1(x)(j1) * k2(y)(j2) / m_C for j1 in a class C and j2 in
+    iso(C), where m_C = k1(x)(C) is the quotient row's mass on C (w = 0
+    when m_C = 0).  The quotient kernels agree, so k2(y)(iso(C)) = m_C too:
+    summing out j2 gives k1(x)(j1) and summing out j1 gives k2(y)(j2), so
+    each row is a coupling inside B and both projection equations hold.
+    """
+    q1d, q1c = _as_partition_pair(k1, q1)
+    q2d, q2c = _as_partition_pair(k2, q2)
+    try:
+        quot1 = quotient_kernel_pair(k1, q1d, q1c)
+        quot2 = quotient_kernel_pair(k2, q2d, q2c)
+    except NotACongruence as err:
+        raise NotBisimilar(f"partition is not a congruence: {err}") from err
+    if len(quot1.domain.atoms) != len(quot2.domain.atoms) or len(
+        quot1.codomain.atoms
+    ) != len(quot2.codomain.atoms):
+        raise NotBisimilar("quotient block counts differ")
+    dom_iso, cod_iso = _as_iso_pair(iso)
+    _check_bijection(dom_iso, quot1.domain.points, quot2.domain.points)
+    _check_bijection(cod_iso, quot1.codomain.points, quot2.codomain.points)
+    for b, row in zip(quot1.domain.points, quot1.rows):
+        other = quot2.row_at_point(dom_iso[b])
+        for c, w in zip(quot1.codomain.points, row.weights):
+            if w != other.weights[quot2.codomain.atom_index_of_point(cod_iso[c])]:
+                raise NotBisimilar(
+                    f"quotient kernels disagree at block {b!r} on class {c!r}"
+                )
+    a_space, pi1, pi2, a_pairs = _matching_pair_space(
+        k1.domain, k2.domain, q1d, q2d, dom_iso
+    )
+    b_space, zeta1, zeta2, b_pairs = _matching_pair_space(
+        k1.codomain, k2.codomain, q1c, q2c, cod_iso
+    )
+    rows = []
+    for i1, i2 in a_pairs:
+        mass = quot1.rows[q1d.block_of_atom[i1]].weights
+        # k1(x)(j1) / m_C; a zero entry stays zero, so m_C = 0 never divides
+        scaled = [
+            w / mass[c] if w else w
+            for w, c in zip(k1.rows[i1].weights, q1c.block_of_atom)
+        ]
+        right = k2.rows[i2].weights
+        row = Measure(b_space, [scaled[j1] * right[j2] for j1, j2 in b_pairs])
+        if row.total() != k1.rows[i1].total():
+            raise AssertionError("mediating row lost mass")
+        images = (pushforward(zeta1, row), pushforward(zeta2, row))
+        if images != (k1.rows[i1], k2.rows[i2]):
+            raise AssertionError("mediating row misses a marginal")
+        rows.append(row)
+    if len(q1c.blocks) >= 2:
+        image = q2c.block_index_of_point(cod_iso[q1c.blocks[0][0]])
+        if any(
+            (q1c.block_of_atom[j1] == 0) != (q2c.block_of_atom[j2] == image)
+            for j1, j2 in b_pairs
+        ):
+            raise AssertionError("common events disagree on B")
+        common_events = (
+            k1.codomain.set_of_atoms(q1c.block_atom_indices(0)),
+            k2.codomain.set_of_atoms(q2c.block_atom_indices(image)),
+        )
+    else:
+        common_events = None
+    mediating = Kernel(a_space, b_space, rows)
+    return MediationResult(mediating, pi1, pi2, zeta1, zeta2, common_events)
+
+
 # -------------------------------------- invariant sigma-algebras and isos
 
 
@@ -664,7 +836,7 @@ def invariant_sigma_algebra_closure(kernel, depth):
         raise CapacityExceeded(
             f"{n} atoms exceed the subset-enumeration cap {ENUMERATION_CAP}"
         )
-    rows = kernel.scaled_rows
+    rows = [row.form for row in kernel.rows]
     sets = {frozenset(range(n))}
     for _ in range(depth):
         layer = set(sets)

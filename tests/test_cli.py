@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -480,3 +481,47 @@ def test_cli_byte_determinism_subprocess():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+def _write_shift_chain(path, n):
+    """A model with the n-state shift chain K: state i moves to i + 1, and
+    the last state stays put, so every row has one nonzero entry."""
+    points = [f"s{i}" for i in range(n)]
+    rows = {p: {points[min(i + 1, n - 1)]: 1} for i, p in enumerate(points)}
+    doc = {
+        "spaces": {"S": {"points": points}},
+        "kernels": {"K": {"domain": "S", "codomain": "S", "rows": rows}},
+    }
+    path.write_text(json.dumps(doc))
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    """A reader that stops early, as `| head -1` does, ends the command with
+    exit 141 (128 + SIGPIPE, what a shell reports) and an empty stderr."""
+    path = tmp_path / "chain.json"
+    _write_shift_chain(path, 300)
+    argv = [
+        sys.executable, "-m", "finmeas", "kernel", "compose", "-m", str(path),
+        "--left", "K", "--right", "K", "--json",
+    ]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # the report is about 1 MB, far more than a pipe buffers
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
+def test_loading_a_sparse_chain_takes_memory_linear_in_its_entries(tmp_path):
+    """A 2,000-state shift chain has 2,000 nonzero entries.  Its load peaks
+    near 2 MB of traced memory; storing every row dense peaked at 63 MB."""
+    path = tmp_path / "chain.json"
+    _write_shift_chain(path, 2000)
+    tracemalloc.start()
+    try:
+        load_model(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

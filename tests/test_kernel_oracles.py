@@ -255,8 +255,8 @@ def test_integer_path_weights_equal_fraction_products(data):
 def test_integer_kind_inference_equals_fraction_sums(data):
     """Rows of mixed kinds (Markov, subMarkov, finite, all zero), dense or
     sparse, with small or pairwise coprime denominators per row: the
-    kernel's scaled rows hold exactly its nonzero Fractions over the lcm
-    of their denominators, and its inferred kind is the Fraction one."""
+    rows' forms hold exactly their nonzero Fractions over the lcm of their
+    denominators, and the kernel's inferred kind is the Fraction one."""
     space = data.draw(spaces())
     dens = COPRIME if data.draw(st.booleans()) else (1, 2, 3, 4, 6, 12)
     sparse = data.draw(st.booleans())
@@ -273,7 +273,7 @@ def test_integer_kind_inference_equals_fraction_sums(data):
     ]
     domain = FiniteMeasurableSpace.discrete([f"x{k}" for k in range(len(rows))])
     kernel = Kernel(domain, space, rows)
-    for row, (d, cols, nums) in zip(rows, kernel.scaled_rows):
+    for row, (d, cols, nums) in zip(rows, (row.form for row in kernel.rows)):
         nonzero = [(j, w) for j, w in enumerate(row.weights) if w != 0]
         assert d == lcm(*(w.denominator for _, w in nonzero))
         assert cols == tuple(j for j, _ in nonzero)

@@ -38,6 +38,7 @@ from conftest import rand_kernel, rand_probability, rand_space
 from oracles import (
     find_quotient_iso_search,
     invariant_sigma_algebra_closure,
+    mediate_dense,
     mediate_flow,
     solve_coupling_lp,
 )
@@ -555,6 +556,22 @@ def test_mediate_closed_form_against_the_flow_oracle(case):
             assert tuple(sums) == kernel.rows[i].weights
         for w, v, unique in zip(row.weights, other.weights, forced):
             assert not unique or w == v
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_pairs())
+def test_mediate_equals_the_dense_closed_form(case):
+    """The rows built over nonzero entries only equal, row by row, the
+    dense class-conditional products they replaced."""
+    result = mediate(*case)
+    expected = mediate_dense(*case)
+    assert result.kernel.domain == expected.kernel.domain
+    assert result.kernel.codomain == expected.kernel.codomain
+    assert result.kernel.kind == expected.kernel.kind
+    for row, other in zip(result.kernel.rows, expected.kernel.rows, strict=True):
+        assert row == other
+        assert row.weights == other.weights
+    assert result.common_events == expected.common_events
 
 
 def test_mediate_reports_common_events():

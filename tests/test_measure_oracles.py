@@ -1,0 +1,95 @@
+"""Measures held in their integer form (D, cols, nums) against the dense
+Fraction measures they replaced (kept in ``oracles``)."""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finmeas.measures import Measure, SignedMeasure
+from finmeas.spaces import FiniteMeasurableSpace
+
+from oracles import DenseMeasure, DenseSignedMeasure
+
+DENS = (1, 2, 3, 7, 11, 13)
+
+
+@st.composite
+def weight_lists(draw, n, signed):
+    """n weights: zeros, and multiples of 1/7, 1/11, 1/13 or small
+    denominators, negative too when signed."""
+    low = -20 if signed else 0
+    return [
+        Fraction(draw(st.integers(low, 20)), draw(st.sampled_from(DENS)))
+        if draw(st.integers(0, 3))
+        else Fraction(0)
+        for _ in range(n)
+    ]
+
+
+@st.composite
+def measure_cases(draw, signed=False):
+    """A discrete space and two weight lists on it, with a set of atoms."""
+    n = draw(st.integers(1, 9))
+    space = FiniteMeasurableSpace.discrete([f"p{k}" for k in range(n)])
+    first = draw(weight_lists(n, signed))
+    second = draw(weight_lists(n, signed))
+    inside = draw(st.sets(st.integers(0, n - 1)))
+    return space, first, second, space.set_of_atoms(sorted(inside))
+
+
+def _check_form(measure):
+    d, cols, nums = measure.form
+    assert d >= 1 and 0 not in nums
+    assert list(cols) == sorted(set(cols))
+    assert gcd(d, *nums) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(measure_cases(signed=True))
+def test_signed_measure_matches_the_dense_form(case):
+    space, weights, _, mset = case
+    sparse = SignedMeasure(space, weights)
+    dense = DenseSignedMeasure(space, weights)
+    _check_form(sparse)
+    assert sparse.weights == dense.weights
+    assert sparse.total() == dense.total()
+    assert sparse.eval(mset) == dense.eval(mset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(measure_cases(), st.sampled_from([0, 1, Fraction(3, 7), Fraction(22, 13), 5]))
+def test_measure_matches_the_dense_form(case, c):
+    space, first, second, mset = case
+    mu, nu = Measure(space, first), Measure(space, second)
+    dense_mu, dense_nu = DenseMeasure(space, first), DenseMeasure(space, second)
+    for sparse, dense in (
+        (mu, dense_mu),
+        (mu.add(nu), dense_mu.add(dense_nu)),
+        (mu.scale(c), dense_mu.scale(c)),
+    ):
+        _check_form(sparse)
+        assert sparse.weights == dense.weights
+        assert sparse.total() == dense.total()
+        assert sparse.eval(mset) == dense.eval(mset)
+        assert sparse.support_atoms() == dense.support_atoms()
+        assert sparse.is_probability() == dense.is_probability()
+
+
+@settings(max_examples=300, deadline=None)
+@given(measure_cases(signed=True), st.integers(1, 6))
+def test_unnormalized_integers_give_the_canonical_form(case, factor):
+    """Numerators of every atom, zeros included, over a common multiple of
+    the denominators times a common factor equal the dense constructor in
+    == and hash."""
+    space, weights, _, _ = case
+    d = factor * lcm(*(w.denominator for w in weights)) * 2
+    nums = [w.numerator * (d // w.denominator) for w in weights]
+    cls = Measure if all(w >= 0 for w in weights) else SignedMeasure
+    built = cls.from_ints(space, d, enumerate(nums))
+    expected = cls(space, weights)
+    _check_form(built)
+    assert built == expected
+    assert hash(built) == hash(expected)
+    assert built.weights == tuple(weights)
