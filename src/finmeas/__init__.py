@@ -11,7 +11,6 @@ p-th root forces them.
 from .errors import (
     AbsoluteContinuityViolated,
     CapacityExceeded,
-    CouplingFailed,
     EmptyCarrier,
     FinmeasError,
     FloatRange,
@@ -70,7 +69,6 @@ from .logic_bisim import (
     Infeasible,
     MediationResult,
     Top,
-    factor_map,
     find_quotient_iso,
     format_formula,
     invariant_sigma_algebra,
@@ -112,7 +110,6 @@ from .spaces import (
     MeasurableSet,
     Partition,
     check_pi_system_uniqueness,
-    generated_equivalence,
     product_space,
     sigma_from_generator,
 )

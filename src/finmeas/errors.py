@@ -83,9 +83,5 @@ class NotBisimilar(FinmeasError):
     code = "NotBisimilar"
 
 
-class CouplingFailed(FinmeasError):
-    code = "CouplingFailed"
-
-
 class FloatRange(FinmeasError):
     code = "FloatRange"

@@ -4,12 +4,13 @@ A kernel assigns each domain atom a measure on the codomain; rows constant
 on atoms make measurability automatic.  Convolution is Kleisli composition,
 the lift acts on measures, products and disintegration translate between
 joints and (marginal, kernel) pairs, and path measures iterate a kernel to
-a finite horizon.
+a finite horizon, on the flat product of that many copies of its codomain.
 
 Every row is a measure in its integer form (D, cols, nums) over its
-nonzero atoms.  Convolution, the lift, product measures, pushforwards, path
-measures and the refinement in logic_bisim run on ints over those nonzeros
-only and build their results from ints, so none makes a Fraction.
+nonzero atoms.  Convolution, the lift, product measures, measure-kernel
+products, pushforwards, path measures and the refinement in logic_bisim run
+on ints over those nonzeros only and build their results from ints, so
+none makes a Fraction.
 """
 
 from math import lcm
@@ -147,15 +148,20 @@ def kleisli_lift(kernel, mu):
 
 
 def measure_kernel_product(mu, kernel):
-    """The measure mu (x) K on the product of mu's space and the codomain."""
+    """The measure mu (x) K on the product of mu's space and the codomain,
+    as ints over D Q, Q the lcm of the scales of the rows that mu charges."""
     if mu.space != kernel.domain:
         raise SpaceMismatch("measure lives on a different space than the domain")
     prod = product_space(mu.space, kernel.codomain)
-    weights = []
-    for w, row in zip(mu.weights, kernel.rows):
-        for v in row.weights:
-            weights.append(w * v)
-    return Measure(prod, weights)
+    d, cols, masses = mu.form
+    q = lcm(*(kernel.rows[i].form[0] for i in cols))
+    m = len(kernel.codomain.atoms)
+    entries = []
+    for i, mass in zip(cols, masses):
+        e, row_cols, nums = kernel.rows[i].form
+        factor = mass * (q // e)
+        entries.extend((i * m + j, factor * r) for j, r in zip(row_cols, nums))
+    return Measure.from_ints(prod, d * q, entries)
 
 
 def product_measure(mu, nu):
@@ -170,9 +176,10 @@ def product_measure(mu, nu):
 
 
 def _require_product(space):
+    """(all factors but the last, as one product space; the last factor)."""
     if space.factors is None:
         raise NotProductSpace("this operation needs a space built by product_space")
-    return space.factors
+    return product_space(*space.factors[:-1]), space.factors[-1]
 
 
 def cut_x(f, left_atom_index):
@@ -198,10 +205,10 @@ def fubini(f, mu, nu):
     Returns (direct, iterated_xy, iterated_yx); the three are provably equal
     on finite spaces, so any daylight between them is a bug.
     """
-    product = product_measure(mu, nu)
-    if f.space != product.space:
+    if f.space.factors is None or _require_product(f.space) != (mu.space, nu.space):
         raise SpaceMismatch("f must live on the product of the two spaces")
-    direct = integral(f, product)
+    d, cols, nums = product_measure(mu, nu).form
+    direct = integral(f, Measure.from_ints(f.space, d, zip(cols, nums)))
     inner_x = StepFunction(
         mu.space,
         [integral(cut_x(f, i), nu) for i in range(len(mu.space.atoms))],
@@ -261,6 +268,7 @@ def pushforward(f, mu):
 
 
 # the largest path space path_measure builds
+MAX_PATH_STEPS = 1 << 6
 MAX_PATH_POINTS = 1 << 16
 MAX_PATH_LABEL_BYTES = 1 << 24
 
@@ -268,46 +276,46 @@ MAX_PATH_LABEL_BYTES = 1 << 24
 def _path_space_size(step_space, horizon):
     """(points, label bytes) of the horizon-h path space, without building it.
 
-    A product label escape(p) + "|" + escape(q) adds a byte per bar, so with
-    n points, B bytes and C bars in the step space, N points, L bytes and V
-    bars extend to n N points, n (L + V) + N (n + B + C) bytes and
-    2 n V + N (n + 2 C) bars.  The bars at least double per step, so the
-    first limit passed raises HorizonTooLarge within about 25 steps.
+    A path label is its h step labels, each escaped once, joined by bars:
+    with n step points of B label bytes, E once escaped, that is n^h points
+    and B bytes at h = 1, else h n^(h-1) E + (h - 1) n^h bytes.  The step
+    limit comes first: a one-point step space passes the byte limit only
+    after millions of steps.
     """
-    n = len(step_space.points)
-    b = sum(len(p.encode()) for p in step_space.points)
-    c = sum(p.count("|") for p in step_space.points)
-    points, size, bars = n, b, c
-    for steps in range(1, horizon + 1):
-        if points > MAX_PATH_POINTS or size > MAX_PATH_LABEL_BYTES:
-            raise HorizonTooLarge(
-                f"horizon {steps} already has {points} paths and {size} label bytes,"
-                f" past the limits {MAX_PATH_POINTS} and {MAX_PATH_LABEL_BYTES}"
-            )
-        if steps == horizon:
-            return points, size
-        points, size, bars = (
-            n * points,
-            n * (size + bars) + points * (n + b + c),
-            2 * n * bars + points * (n + 2 * c),
+    if horizon > MAX_PATH_STEPS:
+        raise HorizonTooLarge(
+            f"horizon {horizon} is past the limit of {MAX_PATH_STEPS} steps"
         )
+    n = len(step_space.points)
+    raw = sum(len(p.encode()) for p in step_space.points)
+    escaped = raw + sum(p.count("|") for p in step_space.points)
+    points = n**horizon
+    size = horizon * escaped * points // n + (horizon - 1) * points
+    if horizon == 1:
+        size = raw
+    if points > MAX_PATH_POINTS or size > MAX_PATH_LABEL_BYTES:
+        raise HorizonTooLarge(
+            f"horizon {horizon} has {points} paths and {size} label bytes,"
+            f" past the limits {MAX_PATH_POINTS} and {MAX_PATH_LABEL_BYTES}"
+        )
+    return points, size
 
 
 def path_measure(kernel, start_point, horizon):
     """Distribution of the first `horizon` steps of the chain driven by `kernel`.
 
     The kernel maps a state space S to a product T x S (an observation and
-    the next state).  The horizon-n measure lives on the n-fold product
-    (left associated) of T x S; each extension weights a path by the kernel
-    row of the state component of its last coordinate.  Projectivity holds:
-    summing out the last coordinate of the horizon n+1 measure gives the
-    horizon n measure.  Path weights are carried as ints over D^t, with D
-    the lcm of the kernel's row scales, over the nonzero paths only.
+    the next state).  The horizon-n measure lives on the flat n-fold
+    product of T x S, built once; each extension weights a path by the
+    kernel row of the state component of its last coordinate.  Projectivity
+    holds: summing out the last coordinate of the horizon n+1 measure gives
+    the horizon n measure.  Path weights are carried as ints over D^t, with
+    D the lcm of the kernel's row scales, over the nonzero paths only.
     Path spaces past the MAX_PATH_* limits raise HorizonTooLarge up front.
     """
     step_space = kernel.codomain
     factors = step_space.factors
-    if factors is None or factors[1] != kernel.domain:
+    if factors is None or factors[-1] != kernel.domain:
         raise SpaceMismatch(
             "kernel must map S into a product T x S built by product_space"
         )
@@ -315,28 +323,26 @@ def path_measure(kernel, start_point, horizon):
         raise ValueError("horizon must be at least 1")
     _path_space_size(step_space, horizon)
     n_step = len(step_space.atoms)
-    n_s = len(factors[1].atoms)
+    n_s = len(factors[-1].atoms)
     scale = lcm(*(row.form[0] for row in kernel.rows))
     rows = [
         [(k, num * (scale // d)) for k, num in zip(cols, nums)]
         for d, cols, nums in (row.form for row in kernel.rows)
     ]
-    space = step_space
     paths = rows[kernel.domain.atom_index_of_point(start_point)]
     for _ in range(horizon - 1):
-        space = product_space(space, step_space)
         # rectangle atoms are row-major, so the state component of path
         # atom idx (the state of its last step) is idx % n_s
         paths = [
             (idx * n_step + k, w * v) for idx, w in paths for k, v in rows[idx % n_s]
         ]
+    space = product_space(*[step_space] * horizon)
     return Measure.from_ints(space, scale**horizon, paths)
 
 
 def path_marginal(measure):
     """Sum out the final coordinate of a path measure (cylinder restriction)."""
-    factors = _require_product(measure.space)
-    prefix, step = factors
+    prefix, step = _require_product(measure.space)
     n_step = len(step.atoms)
     d, cols, nums = measure.form
     acc = {}

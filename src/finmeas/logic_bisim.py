@@ -18,10 +18,12 @@ certificate from the residual graph.  A mediating kernel needs no flow:
 each row is the class-conditional product of the two, over nonzero entries.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
+    CapacityExceeded,
     MassMismatch,
     NotACongruence,
     NotBisimilar,
@@ -392,23 +394,6 @@ def invariant_sigma_algebra(kernel, depth):
     return FiniteMeasurableSpace(space.points, blocks)
 
 
-def factor_map(partition):
-    """The block space and the projection sending each point to its block.
-
-    Blocks become singleton atoms labeled by their least point; requires
-    blocks to be unions of atoms.
-    """
-    if not partition.refines_atoms:
-        raise ValueError("partition blocks must be unions of atoms")
-    reps = [block[0] for block in partition.blocks]
-    quotient = FiniteMeasurableSpace.discrete(reps)
-    mapping = {
-        p: partition.blocks[partition.block_index_of_point(p)][0]
-        for p in partition.space.points
-    }
-    return quotient, AtomMap(partition.space, quotient, mapping)
-
-
 def _block_masses(cols, nums, block_of_atom):
     """Integer masses of a scaled row per codomain block (nonzero only)."""
     masses = {}
@@ -589,6 +574,35 @@ class MediationResult:
         return self.common_events is None
 
 
+# the largest mediation mediate builds: points of A and of B, and nonzeros
+MAX_MEDIATION_SIZE = 1 << 20
+
+
+def _mediation_size(k1, k2, q1d, q1c, q2d, q2c, dom_iso, cod_iso):
+    """(|A|, |B|, nonzeros) of the mediating kernel, in O(nonzeros) of k1
+    and k2: A has |D| |iso D| points per domain class D, B likewise, and
+    the rows have N1(D, C) N2(iso D, iso C) nonzeros, with N(D, C) the
+    row nonzeros of class D's atoms inside class C."""
+    images = [
+        [p2.block_index_of_point(iso[block[0]]) for block in p1.blocks]
+        for p1, p2, iso in ((q1d, q2d, dom_iso), (q1c, q2c, cod_iso))
+    ]
+    a, b = (
+        sum(len(block) * len(p2.blocks[k]) for block, k in zip(p1.blocks, image))
+        for p1, p2, image in zip((q1d, q1c), (q2d, q2c), images)
+    )
+    n1, n2 = (
+        Counter(
+            (dom.block_of_atom[i], cod.block_of_atom[j])
+            for i, row in enumerate(kernel.rows)
+            for j in row.form[1]
+        )
+        for kernel, dom, cod in ((k1, q1d, q1c), (k2, q2d, q2c))
+    )
+    nonzeros = sum(n * n2[images[0][d], images[1][c]] for (d, c), n in n1.items())
+    return a, b, nonzeros
+
+
 def _matching_pair_space(s1, s2, p1, p2, iso):
     """The subspace of s1 x s2 where quotient classes match under iso, its
     two coordinate maps and its atoms as atom-index pairs (i, j), which in
@@ -650,6 +664,8 @@ def mediate(k1, k2, q1, q2, iso):
     when m_C = 0).  The quotient kernels agree, so k2(y)(iso(C)) = m_C too:
     summing out j2 gives k1(x)(j1) and summing out j1 gives k2(y)(j2), so
     each row is a coupling inside B and both projection equations hold.
+    A, B or the rows' nonzeros past MAX_MEDIATION_SIZE raise
+    CapacityExceeded, counted before anything is built.
     """
     q1d, q1c = _as_partition_pair(k1, q1)
     q2d, q2c = _as_partition_pair(k2, q2)
@@ -681,6 +697,12 @@ def mediate(k1, k2, q1, q2, iso):
             raise NotBisimilar(
                 f"quotient kernels disagree at block {b!r} on class {c!r}"
             )
+    sizes = _mediation_size(k1, k2, q1d, q1c, q2d, q2c, dom_iso, cod_iso)
+    if max(sizes) > MAX_MEDIATION_SIZE:
+        raise CapacityExceeded(
+            "mediation needs {} and {} pairs and {} nonzeros, past the limit"
+            " {}".format(*sizes, MAX_MEDIATION_SIZE)
+        )
     a_space, pi1, pi2, a_pairs = _matching_pair_space(
         k1.domain, k2.domain, q1d, q2d, dom_iso
     )

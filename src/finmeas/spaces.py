@@ -3,10 +3,12 @@
 A sigma-algebra on a finite carrier is stored as the partition of the
 carrier into its atoms; every measurable set is a union of atoms.  Atom
 order is canonical (sorted by least contained point index), so spaces,
-sets and partitions compare structurally.
+sets and partitions compare structurally.  A product of finitely many
+spaces is built in one pass, with labels linear in the number of factors.
 """
 
 from itertools import combinations
+from math import prod
 
 from .errors import CapacityExceeded, EmptyCarrier, GeneratorNotPiSystem, SpaceMismatch
 
@@ -20,25 +22,6 @@ def _escape(label):
 def join_pair_label(left, right):
     """Serialize a product point as 'left|right', doubling any literal '|'."""
     return _escape(left) + "|" + _escape(right)
-
-
-def split_pair_label(label):
-    """Inverse of join_pair_label."""
-    chars = []
-    i = 0
-    n = len(label)
-    while i < n:
-        if label[i] == "|":
-            if i + 1 < n and label[i + 1] == "|":
-                chars.append("|")
-                i += 2
-            else:
-                left = "".join(chars)
-                return left, label[i + 1 :].replace("||", "|")
-        else:
-            chars.append(label[i])
-            i += 1
-    raise ValueError(f"not a product point label: {label!r}")
 
 
 class FiniteMeasurableSpace:
@@ -267,44 +250,37 @@ def sigma_from_generator(points, generator):
     return FiniteMeasurableSpace(points, _membership_groups(points, family))
 
 
-def generated_equivalence(points, family):
-    """The equivalence relation generated by a family of subsets.
+def product_space(*factors):
+    """Product of finitely many spaces; atoms are all rectangles of atoms.
 
-    Two points are equivalent iff no family member separates them; the
-    blocks coincide with the atoms of sigma_from_generator.
+    A point's label is its components, each escaped once (a literal '|'
+    doubled) and joined by '|', so two factors give join_pair_label(p, q).
+    Points and rectangle atoms are row-major (lexicographic) over the
+    factors, and the atoms reuse the label strings by index.  A single
+    factor is returned unchanged.
     """
-    space = sigma_from_generator(points, family)
-    return Partition(space, space.atoms)
-
-
-def product_space(left, right):
-    """Product space; atoms are all rectangles of atoms.
-
-    Point labels are join_pair_label(p, q), with each factor's points
-    escaped once; the rectangle atoms reuse the label strings by index.
-    """
-    left_parts = [_escape(p) for p in left.points]
-    right_parts = ["|" + _escape(q) for q in right.points]
-    points = [lp + rp for lp in left_parts for rp in right_parts]
-    nr = len(right.points)
-    li, ri = left._index, right._index
-    atoms = [
-        tuple([points[li[p] * nr + ri[q]] for p in a for q in b])
-        for a in left.atoms
-        for b in right.atoms
+    if len(factors) == 1:
+        return factors[0]
+    points = [_escape(p) for p in factors[0].points]
+    for factor in factors[1:]:
+        tails = ["|" + _escape(q) for q in factor.points]
+        points = [p + t for p in points for t in tails]
+    # cells[r] lists the point indices of rectangle r over the factors so
+    # far, from the one empty rectangle; the last factor indexes the labels
+    *init, (n, blocks) = [
+        (len(f.points), [[f._index[p] for p in a] for a in f.atoms]) for f in factors
     ]
-    space = FiniteMeasurableSpace(points, atoms, factors=(left, right))
-    # canonical order of rectangle atoms is row-major in (left, right)
-    if len(space.atoms) != len(left.atoms) * len(right.atoms):
+    cells = [[0]]
+    for m, factor_blocks in init:
+        cells = [[i * m + j for i in c for j in b] for c in cells for b in factor_blocks]
+    atoms = [
+        tuple([points[i * n + j] for i in c for j in b]) for c in cells for b in blocks
+    ]
+    space = FiniteMeasurableSpace(points, atoms, factors=factors)
+    # canonical order of rectangle atoms is row-major over the factors
+    if len(space.atoms) != prod(len(factor.atoms) for factor in factors):
         raise AssertionError("product atoms are not the rectangles of atoms")
     return space
-
-
-def product_atom_index(space, left_index, right_index):
-    """Atom index of the rectangle (left atom) x (right atom)."""
-    if space.factors is None:
-        raise SpaceMismatch("space was not built by product_space")
-    return left_index * len(space.factors[1].atoms) + right_index
 
 
 def check_pi_system_uniqueness(space, mu, nu, generator):

@@ -13,7 +13,8 @@ The kernel and refinement layers now run on sparse integer rows with
 splitter-based lumping.  Their dense Fraction loops are kept here too:
 round-based logical equivalence (every atom against every block, until no
 block splits), the dense Kleisli composition and lift, recursive formula
-evaluation, the quotient block sums and the path-measure recursion.
+evaluation, the quotient block sums, the path-measure recursion over
+nested binary product spaces and the dense measure-kernel product.
 
 The space constructor validates in one pass, the product space escapes
 each factor's labels once, and the kernel kind is inferred from integer
@@ -38,6 +39,10 @@ A measure now holds only its integer form (D, cols, nums) over its nonzero
 atoms.  The dense measure it replaced, a tuple of one Fraction per atom,
 is kept as DenseSignedMeasure and DenseMeasure, and so is the dense
 closed-form mediation, as mediate_dense.
+
+Four names only tests used have moved here from the library:
+split_pair_label, generated_equivalence, factor_map, and CouplingFailed,
+which only the flow mediation oracle raises.
 """
 
 from fractions import Fraction
@@ -45,8 +50,8 @@ from itertools import combinations, permutations
 
 from finmeas.errors import (
     CapacityExceeded,
-    CouplingFailed,
     EmptyCarrier,
+    FinmeasError,
     MassMismatch,
     NotACongruence,
     NotBisimilar,
@@ -75,7 +80,6 @@ from finmeas.logic_bisim import (
     _dia_atoms,
     _matching_pair_space,
     _require_endo,
-    factor_map,
     quotient_kernel_pair,
     solve_coupling,
 )
@@ -90,7 +94,6 @@ from finmeas.spaces import (
     join_pair_label,
     product_space,
     sigma_from_generator,
-    split_pair_label,
 )
 
 
@@ -302,6 +305,23 @@ def solve_coupling_lp(problem):
 # ------------------------------------------------- kernels and refinement
 
 
+def factor_map(partition):
+    """The block space and the projection sending each point to its block.
+
+    Blocks become singleton atoms labeled by their least point; requires
+    blocks to be unions of atoms.
+    """
+    if not partition.refines_atoms:
+        raise ValueError("partition blocks must be unions of atoms")
+    reps = [block[0] for block in partition.blocks]
+    quotient = FiniteMeasurableSpace.discrete(reps)
+    mapping = {
+        p: partition.blocks[partition.block_index_of_point(p)][0]
+        for p in partition.space.points
+    }
+    return quotient, AtomMap(partition.space, quotient, mapping)
+
+
 def convolve_dense(left, right):
     """Kleisli composition as the dense row-by-matrix product."""
     if right.codomain != left.domain:
@@ -332,6 +352,18 @@ def kleisli_lift_dense(kernel, mu):
             for j in range(n_out):
                 weights[j] += w * row.weights[j]
     return Measure(kernel.codomain, weights)
+
+
+def measure_kernel_product_dense(mu, kernel):
+    """The measure mu (x) K with one Fraction product per rectangle atom."""
+    if mu.space != kernel.domain:
+        raise SpaceMismatch("measure lives on a different space than the domain")
+    prod = product_space(mu.space, kernel.codomain)
+    weights = []
+    for w, row in zip(mu.weights, kernel.rows):
+        for v in row.weights:
+            weights.append(w * v)
+    return Measure(prod, weights)
 
 
 def path_measure_dense(kernel, start_point, horizon):
@@ -474,6 +506,16 @@ def quotient_rows_dense(kernel, dom_partition, cod_partition):
 
 
 # ------------------------------------------- space constructors and kinds
+
+
+def generated_equivalence(points, family):
+    """The equivalence relation generated by a family of subsets.
+
+    Two points are equivalent iff no family member separates them; the
+    blocks coincide with the atoms of sigma_from_generator.
+    """
+    space = sigma_from_generator(points, family)
+    return Partition(space, space.atoms)
 
 
 def space_reference(points, atoms, factors=None):
@@ -630,6 +672,31 @@ class DenseMeasure(DenseSignedMeasure):
 
 
 # -------------------------------------------------------------- mediation
+
+
+class CouplingFailed(FinmeasError):
+    """A matched pair of rows that the flow oracle could not couple."""
+
+    code = "CouplingFailed"
+
+
+def split_pair_label(label):
+    """Inverse of join_pair_label."""
+    chars = []
+    i = 0
+    n = len(label)
+    while i < n:
+        if label[i] == "|":
+            if i + 1 < n and label[i + 1] == "|":
+                chars.append("|")
+                i += 2
+            else:
+                left = "".join(chars)
+                return left, label[i + 1 :].replace("||", "|")
+        else:
+            chars.append(label[i])
+            i += 1
+    raise ValueError(f"not a product point label: {label!r}")
 
 
 def matching_pair_space_labels(s1, s2, p1, p2, iso):

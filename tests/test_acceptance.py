@@ -48,7 +48,6 @@ from finmeas.kernels import (
 from finmeas.logic_bisim import (
     CouplingProblem,
     Infeasible,
-    factor_map,
     find_quotient_iso,
     logical_equivalence,
     mediate,
@@ -95,6 +94,7 @@ from conftest import (
     rand_space,
     sigma_closure_bruteforce,
 )
+from oracles import factor_map
 
 
 _CAPTURE = None

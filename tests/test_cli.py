@@ -123,6 +123,25 @@ def test_bisim_mediate_not_bisimilar_is_domain_error(capsys):
     assert err.startswith("error[NotBisimilar]")
 
 
+def test_bisim_mediate_past_the_size_limit_is_refused_at_once(capsys, tmp_path):
+    # the uniform 33-state chain with itself: (33^2)^2 nonzeros
+    points = [f"s{i}" for i in range(33)]
+    row = {p: "1/33" for p in points}
+    doc = {
+        "spaces": {"S": {"points": points}},
+        "kernels": {"K": {"domain": "S", "codomain": "S", "rows": {p: row for p in points}}},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "bisim", "mediate", "-m", str(path), "--left", "K", "--right", "K"
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error[CapacityExceeded]: mediation needs 1089 and 1089")
+
+
 def test_path_horizon_five_builds(capsys, monkeypatch):
     # 32 path points; refused while the limit counted atoms, 16 at most
     monkeypatch.delenv("FINMEAS_ATOM_CAP", raising=False)

@@ -59,6 +59,7 @@ COMMANDS = [
     (PROC, "kernel compose --left MP --right K"),
     (PROC, "kernel lift --kernel K --measure mu2"),
     (PROC, "kernel path --kernel MP --start a --horizon 2"),
+    (PROC, "kernel path --kernel MP --start a --horizon 3"),
     (PROC, "kernel path --kernel K --start b --horizon 0"),
     (PROC, "disintegrate --measure joint"),
     (PROC, "fubini --function F --left mu2 --right nu2"),
@@ -163,8 +164,20 @@ def test_every_subcommand_succeeds_in_a_transcript(golden):
 
 
 def record():
+    """Re-record every transcript and print the keys added, changed and
+    removed against the file replaced."""
     os.environ["COLUMNS"] = "80"
     found = {key: transcript(model, argv) for key, model, argv in cases()}
+    old = json.loads(DATA.read_text()) if DATA.exists() else {}
+    diff = {
+        "added": sorted(found.keys() - old.keys()),
+        "changed": sorted(k for k in found.keys() & old.keys() if found[k] != old[k]),
+        "removed": sorted(old.keys() - found.keys()),
+    }
+    for what, keys in diff.items():
+        print(f"{len(keys)} {what}")
+        for key in keys:
+            print(f"  {key}")
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
     print(f"{len(found)} transcripts written to {DATA}")

@@ -10,13 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmeas.errors import NotACongruence, SpaceMismatch
+from finmeas.integrate import StepFunction
 from finmeas.kernels import (
     FINITE,
     MARKOV,
     SUB_MARKOV,
     Kernel,
     convolve,
+    cut_x,
+    cut_y,
+    disintegrate,
+    fubini,
     kleisli_lift,
+    measure_kernel_product,
+    path_marginal,
     path_measure,
 )
 from finmeas.logic_bisim import (
@@ -37,6 +44,7 @@ from oracles import (
     inferred_kind_sums,
     kleisli_lift_dense,
     logical_equivalence_rounds,
+    measure_kernel_product_dense,
     path_measure_dense,
     quotient_rows_dense,
     validity_atoms_dense,
@@ -245,9 +253,71 @@ def test_integer_path_weights_equal_fraction_products(data):
     s = data.draw(spaces(max_points=3, prefix="s"))
     kernel = data.draw(kernels(s, product_space(t, s)))
     start = data.draw(st.sampled_from(s.points))
-    horizon = data.draw(st.integers(1, 3))
+    horizon = data.draw(st.integers(1, 4))
+    # the oracle builds the nested spaces of earlier versions: the same
+    # atoms in the same order under other labels
     expected = path_measure_dense(kernel, start, horizon)
-    assert path_measure(kernel, start, horizon) == expected
+    result = path_measure(kernel, start, horizon)
+    assert result.space == product_space(*[kernel.codomain] * horizon)
+    assert len(result.space.atoms) == len(expected.space.atoms)
+    assert result.form == expected.form
+    assert result.weights == expected.weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_measure_kernel_product_equals_fraction_products(data):
+    domain = data.draw(spaces(max_points=6, prefix="x"))
+    codomain = data.draw(spaces(max_points=6, prefix="y"))
+    kernel = data.draw(kernels(domain, codomain))
+    # mu is all zero now and then, dense or on one or two atoms
+    kind = data.draw(st.sampled_from([SUB_MARKOV, FINITE]))
+    den = data.draw(st.sampled_from(COPRIME + (1, 6)))
+    mu = data.draw(rows_on(domain, kind, den, data.draw(st.booleans())))
+    result = measure_kernel_product(mu, kernel)
+    expected = measure_kernel_product_dense(mu, kernel)
+    assert result == expected
+    assert hash(result) == hash(expected)
+    assert result.space.factors == expected.space.factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_product_readers_split_off_the_last_of_three_factors(data):
+    """On a flat product of three spaces, path_marginal, disintegrate, the
+    sections and fubini take the first two factors against the third."""
+    a, b, c = (data.draw(spaces(max_points=3, prefix=x)) for x in "abc")
+    flat = product_space(a, b, c)
+    prefix = product_space(a, b)
+    n_c = len(c.atoms)
+
+    def measure_on(space):
+        kind = data.draw(st.sampled_from([SUB_MARKOV, FINITE]))
+        den = data.draw(st.sampled_from((1, 6, 7)))
+        return data.draw(rows_on(space, kind, den, data.draw(st.booleans())))
+
+    joint = measure_on(flat)
+    weights = joint.weights
+    sums = [sum(weights[i * n_c : (i + 1) * n_c]) for i in range(len(prefix.atoms))]
+    assert path_marginal(joint) == Measure(prefix, sums)
+    marginal, kernel, null_fibers = disintegrate(joint)
+    assert marginal == Measure(prefix, sums)
+    assert (kernel.domain, kernel.codomain) == (prefix, c)
+    assert len(null_fibers) == sums.count(0)
+    assert measure_kernel_product(marginal, kernel).form == joint.form
+
+    f = StepFunction(flat, [Fraction(data.draw(st.integers(-4, 4))) for _ in flat.atoms])
+    mu, nu = measure_on(prefix), measure_on(c)
+    expected = sum(
+        f.values[i * n_c + j] * m * v
+        for i, m in enumerate(mu.weights)
+        for j, v in enumerate(nu.weights)
+    )
+    assert fubini(f, mu, nu) == (expected, expected, expected)
+    assert cut_x(f, 0).values == f.values[:n_c]
+    assert cut_y(f, n_c - 1).space == prefix
+    with pytest.raises(SpaceMismatch):
+        fubini(f, measure_on(a), nu)
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finmeas import kernels as kernels_module
 from finmeas.errors import (
     HorizonTooLarge,
     NotAtomMap,
@@ -19,6 +20,7 @@ from finmeas.kernels import (
     MARKOV,
     MAX_PATH_LABEL_BYTES,
     MAX_PATH_POINTS,
+    MAX_PATH_STEPS,
     SUB_MARKOV,
     AtomMap,
     Kernel,
@@ -209,6 +211,12 @@ def test_path_measure_example_and_cap():
         path_measure(K, "a", 1)
 
 
+def _two_state_chain():
+    """(|T|, |S|) = (1, 2): from a, stay or move to b at 1/2; b stays."""
+    step = product_space(FiniteMeasurableSpace.discrete("t"), S)
+    return Kernel.from_matrix(S, step, [[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
+
+
 def _one_atom_chain(s_points):
     """The chain on a single-atom S that observes t and stays in its atom."""
     s_space = FiniteMeasurableSpace(s_points, [s_points])
@@ -227,10 +235,41 @@ def test_path_measure_counts_points_not_atoms(monkeypatch):
 def test_path_measure_bounds_label_bytes(monkeypatch):
     monkeypatch.delenv("FINMEAS_ATOM_CAP", raising=False)
     kernel = _one_atom_chain(["s"])
-    # the one path's label doubles per step: about 8 MB at horizon 22
-    assert len(path_measure(kernel, "s", 22).space.points[0]) > 1 << 23
-    with pytest.raises(HorizonTooLarge, match="horizon 23 already has 1 paths"):
-        path_measure(kernel, "s", 24)
+    # the one path's label is its steps, each escaped once, joined by bars
+    label = path_measure(kernel, "s", MAX_PATH_STEPS).space.points[0]
+    assert label == "|".join(["t||s"] * MAX_PATH_STEPS)
+    with pytest.raises(HorizonTooLarge, match="horizon 65 is past the limit of 64"):
+        path_measure(kernel, "s", MAX_PATH_STEPS + 1)
+    # a step label "t||" + m bytes, escaped, takes h (m + 4) - 1 bytes at
+    # horizon h: 2^24 - 1 at horizon 32 for m + 4 = 2^19, past it at 33
+    long_chain = _one_atom_chain(["s" * ((1 << 19) - 4)])
+    built = path_measure(long_chain, long_chain.domain.points[0], 32).space
+    assert len(built.points[0].encode()) == MAX_PATH_LABEL_BYTES - 1
+    with pytest.raises(HorizonTooLarge, match="horizon 33 has 1 paths and 17301503 label"):
+        path_measure(long_chain, long_chain.domain.points[0], 33)
+
+
+def test_path_measure_builds_sixteen_steps_of_two_states():
+    # (|T|, |S|) = (1, 2): 2^16 paths at horizon 16, labels 16 steps long
+    measure = path_measure(_two_state_chain(), "a", 16)
+    assert len(measure.space.points) == MAX_PATH_POINTS
+    assert measure.space.points[-1] == "|".join(["t||b"] * 16)
+    assert measure.total() == 1
+    with pytest.raises(HorizonTooLarge, match="131072 paths"):
+        path_measure(_two_state_chain(), "a", 17)
+
+
+def test_path_measure_builds_one_product_space(monkeypatch):
+    calls = []
+
+    def counting(*factors):
+        calls.append(len(factors))
+        return product_space(*factors)
+
+    monkeypatch.setattr(kernels_module, "product_space", counting)
+    measure = path_measure(_two_state_chain(), "a", 5)
+    assert calls == [5]
+    assert measure.space.factors == (_two_state_chain().codomain,) * 5
 
 
 def test_path_measure_refuses_a_huge_horizon_at_once(monkeypatch):
@@ -255,6 +294,18 @@ def test_path_space_limits_are_inclusive():
     too_long = FiniteMeasurableSpace.discrete(["é" * (MAX_PATH_LABEL_BYTES // 2 + 1)])
     with pytest.raises(HorizonTooLarge):
         _path_space_size(too_long, 1)
+    # two step labels of 2^22 - 1 escaped bytes (2^20 bars among them): at
+    # horizon 2, 2 (2 E + 2) = 2^24 bytes
+    bars = "|" * (1 << 20)
+    at_limit = FiniteMeasurableSpace.discrete([bars, "y" * ((1 << 21) - 1)])
+    assert _path_space_size(at_limit, 2) == (4, MAX_PATH_LABEL_BYTES)
+    past = FiniteMeasurableSpace.discrete([bars, "y" * (1 << 21)])
+    with pytest.raises(HorizonTooLarge, match="16777220 label bytes"):
+        _path_space_size(past, 2)
+    one = FiniteMeasurableSpace.discrete(["s"])
+    assert _path_space_size(one, MAX_PATH_STEPS) == (1, 2 * MAX_PATH_STEPS - 1)
+    with pytest.raises(HorizonTooLarge):
+        _path_space_size(one, MAX_PATH_STEPS + 1)
 
 
 # labels with bars, doubled bars and a two-byte character; no label begins
@@ -266,19 +317,25 @@ LABELS = st.text(alphabet="a|é", max_size=4).map(lambda body: "x" + body + "y")
 @given(
     st.lists(LABELS, min_size=1, max_size=2, unique=True),
     st.lists(LABELS, min_size=1, max_size=3, unique=True),
-    st.integers(1, 4),
+    st.integers(1, 5),
 )
 def test_path_space_size_matches_the_built_labels(t_points, s_points, horizon):
     t_space = FiniteMeasurableSpace.discrete(t_points)
     step = product_space(t_space, FiniteMeasurableSpace.discrete(s_points))
-    space = step
+    escaped = [p.replace("|", "||") for p in step.points]
+    nested = step
     for h in range(1, horizon + 1):
+        space = product_space(*[step] * h)
+        size = sum(len(p.encode()) for p in space.points)
+        assert _path_space_size(step, h) == (len(space.points), size)
         if h > 1:
-            space = product_space(space, step)
-        assert _path_space_size(step, h) == (
-            len(space.points),
-            sum(len(p.encode()) for p in space.points),
-        )
+            # each path label is its steps, escaped once, joined by bars
+            assert space.points[0] == "|".join([escaped[0]] * h)
+            assert space.points[-1] == "|".join([escaped[-1]] * h)
+            nested = product_space(nested, step)
+        # the nested build of earlier versions: its labels are no shorter,
+        # so every path space it accepted is still accepted
+        assert size <= sum(len(p.encode()) for p in nested.points)
 
 
 def test_path_projectivity_small():

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmeas.errors import (
+    CapacityExceeded,
     MassMismatch,
     NotACongruence,
     NotBisimilar,
@@ -14,12 +16,13 @@ from finmeas.errors import (
 )
 from finmeas.kernels import FINITE, MARKOV, SUB_MARKOV, Kernel, pushforward
 from finmeas.logic_bisim import (
+    MAX_MEDIATION_SIZE,
     And,
     CouplingProblem,
     Dia,
     Infeasible,
     Top,
-    factor_map,
+    _mediation_size,
     find_quotient_iso,
     format_formula,
     invariant_sigma_algebra,
@@ -36,6 +39,7 @@ from finmeas.spaces import FiniteMeasurableSpace, Partition, sigma_from_generato
 
 from conftest import rand_kernel, rand_probability, rand_space
 from oracles import (
+    factor_map,
     find_quotient_iso_search,
     invariant_sigma_algebra_closure,
     mediate_dense,
@@ -572,6 +576,49 @@ def test_mediate_equals_the_dense_closed_form(case):
         assert row == other
         assert row.weights == other.weights
     assert result.common_events == expected.common_events
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_pairs())
+def test_mediation_size_counts_the_built_kernel(case):
+    k1, k2, q1, q2, iso = case
+    q1d, q1c = q1 if isinstance(q1, tuple) else (q1, q1)
+    q2d, q2c = q2 if isinstance(q2, tuple) else (q2, q2)
+    dom_iso, cod_iso = iso if isinstance(iso, tuple) else (iso, iso)
+    kernel = mediate(*case).kernel
+    assert _mediation_size(k1, k2, q1d, q1c, q2d, q2c, dom_iso, cod_iso) == (
+        len(kernel.domain.points),
+        len(kernel.codomain.points),
+        sum(len(row.form[1]) for row in kernel.rows),
+    )
+
+
+def uniform_chain(n):
+    space = FiniteMeasurableSpace.discrete([f"s{i}" for i in range(n)])
+    return Kernel.from_matrix(space, space, [[Fraction(1, n)] * n] * n)
+
+
+def self_mediation(k):
+    p = logical_equivalence(k)
+    iso = find_quotient_iso(quotient_kernel(k, p), quotient_kernel(k, p))
+    return mediate(k, k, p, p, iso)
+
+
+def test_mediation_size_limit_is_inclusive():
+    # one class: (n^2)^2 nonzeros, 2^20 at n = 32
+    rows = self_mediation(uniform_chain(32)).kernel.rows
+    assert sum(len(row.form[1]) for row in rows) == MAX_MEDIATION_SIZE
+    started = time.perf_counter()
+    with pytest.raises(CapacityExceeded, match="1185921 nonzeros"):
+        self_mediation(uniform_chain(33))
+    assert time.perf_counter() - started < 1
+
+
+def test_mediate_a_long_shift_chain_with_itself():
+    # 1,200 classes of one state: 1,200 pairs on each side
+    result = self_mediation(shift_chain(1200))
+    assert len(result.kernel.domain.points) == 1200
+    assert sum(len(row.form[1]) for row in result.kernel.rows) == 1199
 
 
 def test_mediate_reports_common_events():

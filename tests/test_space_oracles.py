@@ -34,11 +34,11 @@ def outcome(build, *args):
 
 
 @st.composite
-def valid_spaces(draw, max_points=5):
+def valid_spaces(draw, max_points=5, labels=LABELS):
     """Distinct labels dealt into atoms: singletons, multi-point atoms given
     in any order, with a point repeated inside its atom now and then, as
     tuples, lists or sets."""
-    points = draw(st.lists(LABELS, min_size=1, max_size=max_points, unique=True))
+    points = draw(st.lists(labels, min_size=1, max_size=max_points, unique=True))
     owners = draw(
         st.lists(st.integers(0, len(points) - 1), min_size=len(points), max_size=len(points))
     )
@@ -128,3 +128,49 @@ def test_product_labels_equal_reference(a, b, c):
         ),
     ]:
         assert outcome(new) == outcome(old)
+
+
+# labels over 'a', '|' and a two-byte character, with and without the
+# bars at either end that let two-factor labels collide
+WIDE_LABELS = st.text(alphabet="a|é", max_size=4)
+# none empty and none beginning or ending with a bar: flat and nested
+# product labels stay distinct
+SPLIT_LABELS = st.text(alphabet="a|é", min_size=1, max_size=3).filter(
+    lambda label: not label.startswith("|") and not label.endswith("|")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    valid_spaces(max_points=4, labels=WIDE_LABELS),
+    valid_spaces(max_points=4, labels=WIDE_LABELS),
+)
+def test_two_factor_labels_are_unchanged(a, b):
+    x = FiniteMeasurableSpace(*a)
+    y = FiniteMeasurableSpace(*b)
+    assert outcome(product_space, x, y) == outcome(product_space_reference, x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    valid_spaces(max_points=3, labels=SPLIT_LABELS),
+    valid_spaces(max_points=3, labels=SPLIT_LABELS),
+    valid_spaces(max_points=3, labels=SPLIT_LABELS),
+)
+def test_flat_product_has_the_nested_atoms_in_order(a, b, c):
+    """A three-factor product labels each point by its three components,
+    each escaped once, and has the rectangles of the nested product as its
+    atoms, in the same order."""
+    x, y, z = (FiniteMeasurableSpace(*case) for case in (a, b, c))
+    flat = product_space(x, y, z)
+    nested = product_space(product_space(x, y), z)
+    assert flat.factors == (x, y, z)
+    assert product_space(x) is x
+    assert flat.points == tuple(
+        "|".join(part.replace("|", "||") for part in (p, q, r))
+        for p in x.points
+        for q in y.points
+        for r in z.points
+    )
+    rename = dict(zip(flat.points, nested.points))
+    assert [tuple(map(rename.get, atom)) for atom in flat.atoms] == list(nested.atoms)

