@@ -7,11 +7,11 @@ are given:
 - ``min_cost_transshipment``: successive shortest paths (Dijkstra on
   reduced costs) for uncapacitated arcs with nonnegative costs.
 
-The metrics layer builds the Prohorov constraint (a Hall deficiency) and
-the Hutchinson program (a transshipment to a ground point) on these, and
-the coupling layer reads a coupling off the max-flow arc flows, or its
-Hall cut off the residual when the flow falls short.  See
-Ahuja, Magnanti and Orlin, *Network Flows*, chapters 7 and 9.
+``transport`` is the one bipartite max flow behind Strassen's theorem
+(1965): the Prohorov constraints are Hall deficiencies of it, and a
+coupling is its pair flows, or a Hall cut off its residual graph when the
+flow falls short.  The Hutchinson program is a transshipment to a ground
+point.  See Ahuja, Magnanti and Orlin, *Network Flows*, chapters 7 and 9.
 """
 
 from collections import deque
@@ -94,6 +94,26 @@ def max_flow(n, arcs, source, sink):
         for e in path:
             graph.push(e, bottleneck)
         value += bottleneck
+
+
+def transport(supply, demand, pairs):
+    """Maximum flow from supply nodes to demand nodes over unbounded pairs.
+
+    The network is source -> supply node i with capacity supply[i], one
+    unbounded arc i -> j for each (i, j) in pairs in the order given, then
+    demand node j -> sink with capacity demand[j].  Returns (value,
+    reached, flows): reached lists, in increasing order, the supply nodes
+    reachable from the source in the final residual graph, and flows[k] is
+    the flow on pairs[k].
+    """
+    n1, n2 = len(supply), len(demand)
+    source, sink = 0, n1 + n2 + 1
+    arcs = [(source, 1 + i, cap) for i, cap in enumerate(supply)]
+    arcs += [(1 + i, 1 + n1 + j, None) for i, j in pairs]
+    arcs += [(1 + n1 + j, sink, cap) for j, cap in enumerate(demand)]
+    value, side, flows = max_flow(n1 + n2 + 2, arcs, source, sink)
+    reached = [i for i in range(n1) if 1 + i in side]
+    return value, reached, flows[n1 : n1 + len(pairs)]
 
 
 def _dijkstra(graph, costs, potential, start):

@@ -203,22 +203,20 @@ def fubini(f, mu, nu):
     """Evaluate integral f d(mu x nu) directly and via both iterated orders.
 
     Returns (direct, iterated_xy, iterated_yx); the three are provably equal
-    on finite spaces, so any daylight between them is a bug.
+    on finite spaces, so any daylight between them is a bug.  f's space is
+    split once; rows[i] holds the values of the section f(x, .) for x in
+    left atom i, and its columns are the sections f(., y).
     """
     if f.space.factors is None or _require_product(f.space) != (mu.space, nu.space):
         raise SpaceMismatch("f must live on the product of the two spaces")
     d, cols, nums = product_measure(mu, nu).form
     direct = integral(f, Measure.from_ints(f.space, d, zip(cols, nums)))
-    inner_x = StepFunction(
-        mu.space,
-        [integral(cut_x(f, i), nu) for i in range(len(mu.space.atoms))],
-    )
-    iterated_xy = integral(inner_x, mu)
-    inner_y = StepFunction(
-        nu.space,
-        [integral(cut_y(f, j), mu) for j in range(len(nu.space.atoms))],
-    )
-    iterated_yx = integral(inner_y, nu)
+    n = len(nu.space.atoms)
+    rows = [f.values[i : i + n] for i in range(0, len(f.values), n)]
+    inner_x = [integral(StepFunction(nu.space, row), nu) for row in rows]
+    iterated_xy = integral(StepFunction(mu.space, inner_x), mu)
+    inner_y = [integral(StepFunction(mu.space, col), mu) for col in zip(*rows)]
+    iterated_yx = integral(StepFunction(nu.space, inner_y), nu)
     return direct, iterated_xy, iterated_yx
 
 

@@ -12,10 +12,11 @@ formulas are parsed and evaluated with explicit stacks, so nesting depth
 costs no recursion; quotient isomorphisms are found by one iterative
 backtracking search.  Round-based refinement, formula enumeration, the
 validity-set closure and the permutation search serve as test oracles
-only.  A coupling of two marginals inside a support is one max flow: a
-full flow is the coupling, and a short one yields a Hall-style cut
-certificate from the residual graph.  A mediating kernel needs no flow:
-each row is the class-conditional product of the two, over nonzero entries.
+only.  A coupling of two marginals inside a support is one
+``flow.transport`` max flow: a full flow is the coupling, and a short one
+yields a Hall-style cut certificate from the residual graph.  A mediating
+kernel needs no flow: each row is the class-conditional product of the
+two, over nonzero entries.
 """
 
 from collections import Counter
@@ -29,7 +30,7 @@ from .errors import (
     NotBisimilar,
     SpaceMismatch,
 )
-from .flow import max_flow
+from .flow import transport
 from .kernels import AtomMap, Kernel, pushforward
 from .measures import Measure
 from .rational import as_fraction, format_fraction
@@ -515,10 +516,10 @@ class Infeasible:
 def solve_coupling(problem):
     """A joint measure with the given marginals inside the given support.
 
-    One max flow decides it (Strassen 1965): source -> left atom i with
-    capacity mu_i, support arcs i -> j unbounded and in sorted order, right
-    atom j -> sink with capacity nu_j.  A flow of value mu(X) is the
-    coupling, a measure on the full product (zero off the support); a
+    One ``transport`` max flow decides it (Strassen 1965): the left atoms
+    supply mu, the right atoms demand nu, over the support pairs in sorted
+    order.  A flow of value mu(X) is the coupling, a measure on the full
+    product (zero off the support) built from the nonzero pair flows; a
     shorter one leaves the rows reachable in the residual graph, returned
     as an Infeasible certificate whose deficit is the shortfall.
     """
@@ -528,20 +529,15 @@ def solve_coupling(problem):
     if total != right.total():
         raise MassMismatch(f"marginal totals differ: {total} vs {right.total()}")
     mu, nu = left.weights, right.weights
-    n1, n2 = len(mu), len(nu)
+    n2 = len(nu)
     support = sorted(problem.support)
-    source, sink = 0, n1 + n2 + 1
-    arcs = [(source, 1 + i, mu[i]) for i in range(n1)]
-    arcs += [(1 + i, 1 + n1 + j, None) for i, j in support]
-    arcs += [(1 + n1 + j, sink, nu[j]) for j in range(n2)]
-    flow, reached, flows = max_flow(n1 + n2 + 2, arcs, source, sink)
+    flow, rows, flows = transport(mu, nu, support)
     if flow == total:
-        weights = [Fraction(0)] * (n1 * n2)
-        for (i, j), x in zip(support, flows[n1:]):
-            weights[i * n2 + j] = x
-        return Measure(product_space(left.space, right.space), weights)
-    rows = [i for i in range(n1) if 1 + i in reached]
-    neighborhood = sorted({j for i, j in support if 1 + i in reached})
+        prod = product_space(left.space, right.space)
+        weights = {i * n2 + j: x for (i, j), x in zip(support, flows) if x}
+        return Measure.from_atom_weights(prod, weights)
+    reached = set(rows)
+    neighborhood = sorted({j for i, j in support if i in reached})
     certificate = Infeasible(
         left.space.set_of_atoms(rows),
         right.space.set_of_atoms(neighborhood),
@@ -578,15 +574,17 @@ class MediationResult:
 MAX_MEDIATION_SIZE = 1 << 20
 
 
-def _mediation_size(k1, k2, q1d, q1c, q2d, q2c, dom_iso, cod_iso):
+def _class_image(p1, p2, iso):
+    """image[c] is the p2 block that iso sends p1's block c to."""
+    return [p2.block_index_of_point(iso[block[0]]) for block in p1.blocks]
+
+
+def _mediation_size(k1, k2, q1d, q1c, q2d, q2c, images):
     """(|A|, |B|, nonzeros) of the mediating kernel, in O(nonzeros) of k1
     and k2: A has |D| |iso D| points per domain class D, B likewise, and
     the rows have N1(D, C) N2(iso D, iso C) nonzeros, with N(D, C) the
-    row nonzeros of class D's atoms inside class C."""
-    images = [
-        [p2.block_index_of_point(iso[block[0]]) for block in p1.blocks]
-        for p1, p2, iso in ((q1d, q2d, dom_iso), (q1c, q2c, cod_iso))
-    ]
+    row nonzeros of class D's atoms inside class C.  images holds the
+    domain and the codomain class images (_class_image)."""
     a, b = (
         sum(len(block) * len(p2.blocks[k]) for block, k in zip(p1.blocks, image))
         for p1, p2, image in zip((q1d, q1c), (q2d, q2c), images)
@@ -603,11 +601,11 @@ def _mediation_size(k1, k2, q1d, q1c, q2d, q2c, dom_iso, cod_iso):
     return a, b, nonzeros
 
 
-def _matching_pair_space(s1, s2, p1, p2, iso):
-    """The subspace of s1 x s2 where quotient classes match under iso, its
-    two coordinate maps and its atoms as atom-index pairs (i, j), which in
-    lexicographic order are its canonical atom order."""
-    image = [p2.block_index_of_point(iso[block[0]]) for block in p1.blocks]
+def _matching_pair_space(s1, s2, p1, p2, image):
+    """The subspace of s1 x s2 where quotient classes match under the class
+    image (_class_image), its two coordinate maps and its atoms as
+    atom-index pairs (i, j), which in lexicographic order are its
+    canonical atom order."""
     label = {}
     for x in s1.points:
         for y in p2.blocks[image[p1.block_index_of_point(x)]]:
@@ -682,7 +680,8 @@ def mediate(k1, k2, q1, q2, iso):
     _check_bijection(dom_iso, quot1.domain.points, quot2.domain.points)
     _check_bijection(cod_iso, quot1.codomain.points, quot2.codomain.points)
     # quotient codomain atom c is q1c's block c; image[c] is its q2c block
-    image = [q2c.block_index_of_point(cod_iso[block[0]]) for block in q1c.blocks]
+    dom_image = _class_image(q1d, q2d, dom_iso)
+    image = _class_image(q1c, q2c, cod_iso)
     for b, row in zip(quot1.domain.points, quot1.rows):
         d, cols, nums = row.form
         other = quot2.row_at_point(dom_iso[b])
@@ -697,17 +696,17 @@ def mediate(k1, k2, q1, q2, iso):
             raise NotBisimilar(
                 f"quotient kernels disagree at block {b!r} on class {c!r}"
             )
-    sizes = _mediation_size(k1, k2, q1d, q1c, q2d, q2c, dom_iso, cod_iso)
+    sizes = _mediation_size(k1, k2, q1d, q1c, q2d, q2c, (dom_image, image))
     if max(sizes) > MAX_MEDIATION_SIZE:
         raise CapacityExceeded(
             "mediation needs {} and {} pairs and {} nonzeros, past the limit"
             " {}".format(*sizes, MAX_MEDIATION_SIZE)
         )
     a_space, pi1, pi2, a_pairs = _matching_pair_space(
-        k1.domain, k2.domain, q1d, q2d, dom_iso
+        k1.domain, k2.domain, q1d, q2d, dom_image
     )
     b_space, zeta1, zeta2, b_pairs = _matching_pair_space(
-        k1.codomain, k2.codomain, q1c, q2c, cod_iso
+        k1.codomain, k2.codomain, q1c, q2c, image
     )
     b_index = {pair: k for k, pair in enumerate(b_pairs)}
     rows = []

@@ -2,8 +2,9 @@
 
 Everything is exact and runs on the network-flow core in ``flow``.  The
 Lévy-Prohorov distance bisects the breakpoint pieces of the distinct
-distances, pricing each piece with one max flow per direction (Strassen's
-coupling characterisation of the subset constraints).  The Hutchinson
+distances, pricing each piece with one ``transport`` max flow that serves
+both directions (Strassen's coupling characterisation of the subset
+constraints: the joined relation is symmetric).  The Hutchinson
 distance is a min-cost transshipment to a ground point, whose shortest-path
 potentials are the optimal Lipschitz witness.  The weak-limit check's
 portmanteau excess is the largest sum of positive parts of the tail's
@@ -14,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidGamma, SpaceMismatch
-from .flow import max_flow, min_cost_transshipment
+from .flow import min_cost_transshipment, transport
 from .rational import as_fraction, to_float
 from .simplex import maximize  # noqa: F401  bench/spans.py wraps this attribute
 from .spaces import FiniteMeasurableSpace
@@ -111,42 +112,47 @@ def _check_metric_pair(mu, nu, metric):
         raise SpaceMismatch("measures must live on the metric's space")
 
 
-def _deficit(rho, sigma, metric, joined):
-    """max over B of rho(B) - sigma(N(B)), the empty B included.
+def _deficit(mu_w, nu_w, metric, joined):
+    """The larger of max over B of mu(B) - nu(N(B)) and of nu(B) - mu(N(B)).
 
-    N(B) holds the points j with joined(d(i, j)) for some i in B.  By the
-    deficiency form of Hall's theorem (Strassen 1965) this is rho(X) minus
-    the max flow from rho to sigma over the joined pairs.
+    N(B) holds the points j with joined(d(i, j)) for some i in B, the
+    empty B included.  By the deficiency form of Hall's theorem (Strassen
+    1965) each direction's maximum is its measure's total minus the max
+    flow over the joined pairs of positive mass.  The relation is
+    symmetric, so both directions share that flow F, and the larger
+    deficit is max(mu(X), nu(X)) - F.
     """
-    n = len(rho)
-    source, sink = 2 * n, 2 * n + 1
-    rows = [i for i in range(n) if rho[i] > 0]
-    cols = [j for j in range(n) if sigma[j] > 0]
-    arcs = [(source, i, rho[i]) for i in rows]
-    arcs += [
-        (i, n + j, None) for i in rows for j in cols if joined(metric.dist[i][j])
-    ]
-    arcs += [(n + j, sink, sigma[j]) for j in cols]
-    flow, _, _ = max_flow(2 * n + 2, arcs, source, sink)
-    return sum(rho, start=Fraction(0)) - flow
+    rows = [i for i, w in enumerate(mu_w) if w > 0]
+    cols = [j for j, w in enumerate(nu_w) if w > 0]
+    pairs = [(i, j) for i in rows for j in cols if joined(metric.dist[i][j])]
+    flow, _, _ = transport(mu_w, nu_w, pairs)
+    return max(sum(mu_w, start=Fraction(0)), sum(nu_w, start=Fraction(0))) - flow
 
 
-def _one_sided_min_eps(rho, sigma, metric, thresholds):
-    """Least eps > 0 with rho(B) <= sigma(B^eps) + eps for every subset B.
+def prohorov_distance(mu, nu, metric):
+    """Exact Lévy-Prohorov distance.
 
-    On the piece (thresholds[k], thresholds[k+1]] the open neighborhood
-    B^eps is {x : d(x, B) <= thresholds[k]}, so the worst deficit G_k is
-    constant there and the piece holds a feasible eps iff
-    G_k <= thresholds[k+1].  G_k does not increase with k, so the first
-    such piece is found by bisection, and the infimum on it is
-    max(G_k, thresholds[k]).
+    d_P is the infimum of eps such that for every subset B, each measure's
+    value on B is at most the other's value on the open eps-neighborhood
+    B^eps = {x : d(x, B) < eps} plus eps.  Each direction's feasible eps
+    form an up-set, so d_P is the infimum of the eps feasible for both.
+    On the piece (t[k], t[k+1]] of the sorted distinct distances t (0
+    included) B^eps is {x : d(x, B) <= t[k]}, so the worst deficit G[k] of
+    both directions, one max flow, is constant there and the piece holds
+    a feasible eps iff G[k] <= t[k+1].  G[k] does not increase with k, so
+    the first such piece is found by bisection, and d_P is max(G[k], t[k])
+    on it.  The feasible set may be open at d_P (the infimum is a limit),
+    which the internal probe checks.
     """
+    _check_metric_pair(mu, nu, metric)
+    thresholds = sorted({d for row in metric.dist for d in row} | {Fraction(0)})
+    mu_w, nu_w = mu.weights, nu.weights
     deficits = {}
 
     def deficit(k):
         if k not in deficits:
             bound = thresholds[k]
-            deficits[k] = _deficit(rho, sigma, metric, lambda d: d <= bound)
+            deficits[k] = _deficit(mu_w, nu_w, metric, lambda d: d <= bound)
         return deficits[k]
 
     lo, hi = 0, len(thresholds) - 1
@@ -156,28 +162,7 @@ def _one_sided_min_eps(rho, sigma, metric, thresholds):
             hi = mid
         else:
             lo = mid + 1
-    return max(deficit(lo), thresholds[lo])
-
-
-def prohorov_distance(mu, nu, metric):
-    """Exact Lévy-Prohorov distance.
-
-    d_P is the infimum of eps such that for every subset B, each measure's
-    value on B is at most the other's value on the open eps-neighborhood
-    B^eps = {x : d(x, B) < eps} plus eps.  Per direction the worst subset
-    is found by a max flow (Strassen's coupling characterisation), and the
-    least feasible eps by bisection over the breakpoint pieces of the
-    distinct distances; d_P is the larger of the two directions.  The
-    feasible set may be open at d_P (the infimum is a limit), which the
-    internal probe checks.
-    """
-    _check_metric_pair(mu, nu, metric)
-    thresholds = sorted({d for row in metric.dist for d in row} | {Fraction(0)})
-    mu_w, nu_w = mu.weights, nu.weights
-    best = max(
-        _one_sided_min_eps(nu_w, mu_w, metric, thresholds),
-        _one_sided_min_eps(mu_w, nu_w, metric, thresholds),
-    )
+    best = max(deficit(lo), thresholds[lo])
     if not _prohorov_feasible_above(mu, nu, metric, best):
         raise AssertionError(f"Prohorov value {best} is not the infimum")
     return best
@@ -186,15 +171,7 @@ def prohorov_distance(mu, nu, metric):
 def prohorov_feasible(mu, nu, metric, eps):
     """Whether eps satisfies both Prohorov constraints for every subset."""
     _check_metric_pair(mu, nu, metric)
-
-    def joined(d):
-        return d < eps
-
-    mu_w, nu_w = mu.weights, nu.weights
-    return all(
-        _deficit(rho, sigma, metric, joined) <= eps
-        for rho, sigma in ((nu_w, mu_w), (mu_w, nu_w))
-    )
+    return _deficit(mu.weights, nu.weights, metric, lambda d: d < eps) <= eps
 
 
 def _prohorov_feasible_above(mu, nu, metric, value):

@@ -40,6 +40,12 @@ atoms.  The dense measure it replaced, a tuple of one Fraction per atom,
 is kept as DenseSignedMeasure and DenseMeasure, and so is the dense
 closed-form mediation, as mediate_dense.
 
+The Prohorov distance now prices each breakpoint piece with one max flow
+that serves both directions, and a coupling is one ``flow.transport``.
+The earlier forms are kept: one max flow per direction and piece (the
+two one-sided bisections), one per direction for the feasibility test,
+and the coupling flow with its network built by hand.
+
 Four names only tests used have moved here from the library:
 split_pair_label, generated_equivalence, factor_map, and CouplingFailed,
 which only the flow mediation oracle raises.
@@ -77,6 +83,7 @@ from finmeas.logic_bisim import (
     _as_iso_pair,
     _as_partition_pair,
     _check_bijection,
+    _class_image,
     _dia_atoms,
     _matching_pair_space,
     _require_endo,
@@ -85,7 +92,7 @@ from finmeas.logic_bisim import (
 )
 from finmeas.measures import Measure
 from finmeas.rational import as_fraction
-from finmeas.metrics import WeakLimitReport
+from finmeas.metrics import WeakLimitReport, _check_metric_pair
 from finmeas.simplex import OPTIMAL, maximize
 from finmeas.spaces import (
     ENUMERATION_CAP,
@@ -158,6 +165,82 @@ def prohorov_feasible_scan(mu, nu, metric, eps):
             if nu_b > mu_n + eps or mu_b > nu_n + eps:
                 return False
     return True
+
+
+def _deficit_per_direction(rho, sigma, metric, joined):
+    """max over B of rho(B) - sigma(N(B)), the empty B included.
+
+    N(B) holds the points j with joined(d(i, j)) for some i in B.  By the
+    deficiency form of Hall's theorem (Strassen 1965) this is rho(X) minus
+    the max flow from rho to sigma over the joined pairs.
+    """
+    n = len(rho)
+    source, sink = 2 * n, 2 * n + 1
+    rows = [i for i in range(n) if rho[i] > 0]
+    cols = [j for j in range(n) if sigma[j] > 0]
+    arcs = [(source, i, rho[i]) for i in rows]
+    arcs += [
+        (i, n + j, None) for i in rows for j in cols if joined(metric.dist[i][j])
+    ]
+    arcs += [(n + j, sink, sigma[j]) for j in cols]
+    flow, _, _ = max_flow(2 * n + 2, arcs, source, sink)
+    return sum(rho, start=Fraction(0)) - flow
+
+
+def _one_sided_min_eps_flow(rho, sigma, metric, thresholds):
+    """Least eps > 0 with rho(B) <= sigma(B^eps) + eps for every subset B.
+
+    On the piece (thresholds[k], thresholds[k+1]] the open neighborhood
+    B^eps is {x : d(x, B) <= thresholds[k]}, so the worst deficit G_k is
+    constant there and the piece holds a feasible eps iff
+    G_k <= thresholds[k+1].  G_k does not increase with k, so the first
+    such piece is found by bisection, and the infimum on it is
+    max(G_k, thresholds[k]).
+    """
+    deficits = {}
+
+    def deficit(k):
+        if k not in deficits:
+            bound = thresholds[k]
+            deficits[k] = _deficit_per_direction(
+                rho, sigma, metric, lambda d: d <= bound
+            )
+        return deficits[k]
+
+    lo, hi = 0, len(thresholds) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if deficit(mid) <= thresholds[mid + 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(deficit(lo), thresholds[lo])
+
+
+def prohorov_distance_per_direction(mu, nu, metric):
+    """Lévy-Prohorov distance as the larger of two one-sided bisections,
+    one max flow per direction and piece."""
+    _check_metric_pair(mu, nu, metric)
+    thresholds = sorted({d for row in metric.dist for d in row} | {Fraction(0)})
+    mu_w, nu_w = mu.weights, nu.weights
+    return max(
+        _one_sided_min_eps_flow(nu_w, mu_w, metric, thresholds),
+        _one_sided_min_eps_flow(mu_w, nu_w, metric, thresholds),
+    )
+
+
+def prohorov_feasible_per_direction(mu, nu, metric, eps):
+    """Whether eps satisfies both Prohorov constraints for every subset."""
+    _check_metric_pair(mu, nu, metric)
+
+    def joined(d):
+        return d < eps
+
+    mu_w, nu_w = mu.weights, nu.weights
+    return all(
+        _deficit_per_direction(rho, sigma, metric, joined) <= eps
+        for rho, sigma in ((nu_w, mu_w), (mu_w, nu_w))
+    )
 
 
 def check_weak_limit_scan(sequence, limit, metric, tol):
@@ -300,6 +383,47 @@ def solve_coupling_lp(problem):
     for x, (i, j) in zip(result.x, variables):
         weights[i * n2 + j] = x
     return Measure(prod, weights)
+
+
+def solve_coupling_max_flow(problem):
+    """A joint measure with the given marginals inside the given support.
+
+    One max flow decides it (Strassen 1965): source -> left atom i with
+    capacity mu_i, support arcs i -> j unbounded and in sorted order, right
+    atom j -> sink with capacity nu_j.  A flow of value mu(X) is the
+    coupling, a measure on the full product (zero off the support); a
+    shorter one leaves the rows reachable in the residual graph, returned
+    as an Infeasible certificate whose deficit is the shortfall.
+    """
+    left = problem.left_marginal
+    right = problem.right_marginal
+    total = left.total()
+    if total != right.total():
+        raise MassMismatch(f"marginal totals differ: {total} vs {right.total()}")
+    mu, nu = left.weights, right.weights
+    n1, n2 = len(mu), len(nu)
+    support = sorted(problem.support)
+    source, sink = 0, n1 + n2 + 1
+    arcs = [(source, 1 + i, mu[i]) for i in range(n1)]
+    arcs += [(1 + i, 1 + n1 + j, None) for i, j in support]
+    arcs += [(1 + n1 + j, sink, nu[j]) for j in range(n2)]
+    flow, reached, flows = max_flow(n1 + n2 + 2, arcs, source, sink)
+    if flow == total:
+        weights = [Fraction(0)] * (n1 * n2)
+        for (i, j), x in zip(support, flows[n1:]):
+            weights[i * n2 + j] = x
+        return Measure(product_space(left.space, right.space), weights)
+    rows = [i for i in range(n1) if 1 + i in reached]
+    neighborhood = sorted({j for i, j in support if 1 + i in reached})
+    certificate = Infeasible(
+        left.space.set_of_atoms(rows),
+        right.space.set_of_atoms(neighborhood),
+        sum((mu[i] for i in rows), start=Fraction(0)),
+        sum((nu[j] for j in neighborhood), start=Fraction(0)),
+    )
+    if certificate.deficit != total - flow:
+        raise AssertionError("Hall cut deficit differs from the flow shortfall")
+    return certificate
 
 
 # ------------------------------------------------- kernels and refinement
@@ -845,10 +969,10 @@ def mediate_dense(k1, k2, q1, q2, iso):
                     f"quotient kernels disagree at block {b!r} on class {c!r}"
                 )
     a_space, pi1, pi2, a_pairs = _matching_pair_space(
-        k1.domain, k2.domain, q1d, q2d, dom_iso
+        k1.domain, k2.domain, q1d, q2d, _class_image(q1d, q2d, dom_iso)
     )
     b_space, zeta1, zeta2, b_pairs = _matching_pair_space(
-        k1.codomain, k2.codomain, q1c, q2c, cod_iso
+        k1.codomain, k2.codomain, q1c, q2c, _class_image(q1c, q2c, cod_iso)
     )
     rows = []
     for i1, i2 in a_pairs:

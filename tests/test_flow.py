@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finmeas.flow import max_flow, min_cost_transshipment
+from finmeas.flow import max_flow, min_cost_transshipment, transport
 from finmeas.simplex import OPTIMAL, maximize
 
 
@@ -77,6 +79,34 @@ def test_max_flow_matches_networkx():
 def test_max_flow_rejects_an_unbounded_path():
     with pytest.raises(ValueError):
         max_flow(3, [(0, 1, None), (1, 2, None)], 0, 2)
+
+
+@st.composite
+def transport_cases(draw):
+    """Capacities with many zeros and pairs in any order, repeats included."""
+    n1, n2 = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    caps = st.builds(Fraction, st.integers(0, 4), st.integers(1, 3))
+    supply = draw(st.lists(caps, min_size=n1, max_size=n1))
+    demand = draw(st.lists(caps, min_size=n2, max_size=n2))
+    pair = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+    pairs = draw(st.lists(pair, max_size=12)) if n1 and n2 else []
+    return supply, demand, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(transport_cases())
+def test_transport_equals_the_network_built_by_hand(case):
+    # the same arcs in the same order, with the source and sink numbered
+    # last: node numbers do not steer the search, so the flows agree too
+    supply, demand, pairs = case
+    n1, n2 = len(supply), len(demand)
+    source, sink = n1 + n2, n1 + n2 + 1
+    arcs = [(source, i, cap) for i, cap in enumerate(supply)]
+    arcs += [(i, n1 + j, None) for i, j in pairs]
+    arcs += [(n1 + j, sink, cap) for j, cap in enumerate(demand)]
+    value, side, flows = max_flow(n1 + n2 + 2, arcs, source, sink)
+    expected = (value, [i for i in range(n1) if i in side], flows[n1 : n1 + len(pairs)])
+    assert transport(supply, demand, pairs) == expected
 
 
 def transshipment_lp(n, arcs, supply):

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +149,26 @@ def test_cuts_and_fubini():
         assert cut_y(f, j).space == left
         nr = len(right.atoms)
         assert cut_x(f, i).values == f.values[i * nr : (i + 1) * nr]
+
+
+def test_fubini_splits_a_flat_product_once():
+    # the prefix of a three-factor space is built once per call, not once
+    # per section; the iterated integrals still equal those over cut_x and
+    # cut_y
+    a, b, c = (
+        FiniteMeasurableSpace.discrete([p + "0", p + "1", p + "2"]) for p in "abc"
+    )
+    prefix = product_space(a, b)
+    values = [Fraction(k % 5, 1 + k % 2) for k in range(27)]
+    f = StepFunction(product_space(a, b, c), values)
+    mu = Measure(prefix, [Fraction(k % 4, 40) for k in range(9)])
+    nu = Measure(c, [Fraction(1, 2), 0, Fraction(1, 3)])
+    with mock.patch.object(kernels_module, "product_space", wraps=product_space) as spy:
+        direct, xy, yx = fubini(f, mu, nu)
+    assert [call.args for call in spy.call_args_list].count((a, b)) == 1
+    inner_x = StepFunction(prefix, [integral(cut_x(f, i), nu) for i in range(9)])
+    inner_y = StepFunction(c, [integral(cut_y(f, j), mu) for j in range(3)])
+    assert direct == xy == yx == integral(inner_x, mu) == integral(inner_y, nu)
 
 
 def test_fubini_rejects_mismatched_function():

@@ -65,3 +65,18 @@ def test_library_imports_no_private_name_from_a_sibling_module():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_only_the_flow_module_uses_max_flow():
+    # every Strassen question goes through flow.transport, so the network
+    # is built in one place: no other module names max_flow at all
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "flow.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Name) and node.id == "max_flow"
+        or isinstance(node, ast.Attribute) and node.attr == "max_flow"
+        or isinstance(node, ast.alias) and node.name == "max_flow"
+    ]
+    assert found == []

@@ -22,6 +22,7 @@ from finmeas.logic_bisim import (
     Dia,
     Infeasible,
     Top,
+    _class_image,
     _mediation_size,
     find_quotient_iso,
     format_formula,
@@ -45,6 +46,7 @@ from oracles import (
     mediate_dense,
     mediate_flow,
     solve_coupling_lp,
+    solve_coupling_max_flow,
 )
 
 S = FiniteMeasurableSpace.discrete("ab")
@@ -395,6 +397,22 @@ def coupling_problems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(coupling_problems())
+def test_solve_coupling_equals_the_network_built_by_hand(problem):
+    # transport adds its arcs in the same order, so even the coupling,
+    # which is not unique, is the same measure
+    result = solve_coupling(problem)
+    expected = solve_coupling_max_flow(problem)
+    assert type(result) is type(expected)
+    if isinstance(result, Infeasible):
+        for name in ("rows", "neighborhood", "row_mass", "neighborhood_mass"):
+            assert getattr(result, name) == getattr(expected, name)
+    else:
+        assert result.space == expected.space
+        assert result.form == expected.form
+
+
+@settings(max_examples=300, deadline=None)
+@given(coupling_problems())
 def test_solve_coupling_matches_the_transportation_lp(problem):
     mu = problem.left_marginal
     nu = problem.right_marginal
@@ -586,7 +604,8 @@ def test_mediation_size_counts_the_built_kernel(case):
     q2d, q2c = q2 if isinstance(q2, tuple) else (q2, q2)
     dom_iso, cod_iso = iso if isinstance(iso, tuple) else (iso, iso)
     kernel = mediate(*case).kernel
-    assert _mediation_size(k1, k2, q1d, q1c, q2d, q2c, dom_iso, cod_iso) == (
+    images = (_class_image(q1d, q2d, dom_iso), _class_image(q1c, q2c, cod_iso))
+    assert _mediation_size(k1, k2, q1d, q1c, q2d, q2c, images) == (
         len(kernel.domain.points),
         len(kernel.codomain.points),
         sum(len(row.form[1]) for row in kernel.rows),

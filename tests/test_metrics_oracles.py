@@ -1,17 +1,19 @@
 """The flow and closed-form metrics against the subset scans and dense LP
 they replaced (kept in ``oracles``)."""
 
+import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finmeas import metrics
+from finmeas import flow, metrics
 from finmeas.measures import Measure
 from finmeas.metrics import (
     FiniteMetric,
@@ -26,7 +28,9 @@ from conftest import rand_metric
 from oracles import (
     check_weak_limit_scan,
     hutchinson_lp,
+    prohorov_distance_per_direction,
     prohorov_distance_scan,
+    prohorov_feasible_per_direction,
     prohorov_feasible_scan,
 )
 
@@ -90,6 +94,51 @@ def test_prohorov_feasible_equals_subset_scan_on_breakpoints(case, data):
     candidates = breakpoints + [value, value + Fraction(1, 97), value / 2]
     eps = data.draw(st.sampled_from(candidates))
     assert prohorov_feasible(mu, nu, metric, eps) == prohorov_feasible_scan(mu, nu, metric, eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric_and_pair())
+def test_prohorov_one_flow_equals_the_per_direction_flows(case):
+    # one search over the larger deficit max(mu(X), nu(X)) - F finds the
+    # larger of the two one-sided infima, unequal totals included
+    metric, mu, nu = case
+    assert prohorov_distance(mu, nu, metric) == prohorov_distance_per_direction(
+        mu, nu, metric
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric_and_pair(), st.data())
+def test_prohorov_feasible_one_flow_equals_the_per_direction_flows(case, data):
+    metric, mu, nu = case
+    breakpoints = sorted({d for row in metric.dist for d in row})
+    weights = sorted(set(mu.weights) | set(nu.weights))
+    value = prohorov_distance_per_direction(mu, nu, metric)
+    candidates = breakpoints + weights + [value, value + Fraction(1, 97), value / 2]
+    eps = data.draw(st.sampled_from(candidates))
+    assert prohorov_feasible(mu, nu, metric, eps) == prohorov_feasible_per_direction(
+        mu, nu, metric, eps
+    )
+
+
+LINE = FiniteMetric.from_points(
+    [f"x{k}" for k in range(20)],
+    [[Fraction(abs(a - b), 32) for b in range(20)] for a in range(20)],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(metric_and_pair())
+# the two ends of a short line: the first feasible piece is the last one
+@example((LINE, Measure.dirac(LINE.space, "x0"), Measure.dirac(LINE.space, "x19")))
+def test_prohorov_runs_one_flow_per_bisection_step(case):
+    # the bisection over T distinct distances (0 included) prices at most
+    # ceil(log2 T) + 1 pieces, and the probe above and below runs 2 more
+    metric, mu, nu = case
+    count = len({d for row in metric.dist for d in row} | {Fraction(0)})
+    with mock.patch.object(flow, "max_flow", wraps=flow.max_flow) as spy:
+        prohorov_distance(mu, nu, metric)
+    assert 1 <= spy.call_count <= math.ceil(math.log2(count)) + 3
 
 
 def assert_same_report(got, want):
