@@ -1,7 +1,8 @@
-"""Exact network flows over rationals.
+"""Exact network flows.
 
-Two solvers, both over Fractions and deterministic in the order the arcs
-are given:
+Two solvers, deterministic in the order the arcs are given and exact for
+any ordered numbers that add exactly: the library scales each instance to
+ints once and passes plain ints, so the solvers build no Fraction.
 
 - ``max_flow``: Edmonds-Karp, shortest augmenting paths found by BFS.
 - ``min_cost_transshipment``: successive shortest paths (Dijkstra on
@@ -15,7 +16,6 @@ point.  See Ahuja, Magnanti and Orlin, *Network Flows*, chapters 7 and 9.
 """
 
 from collections import deque
-from fractions import Fraction
 from heapq import heappop, heappush
 
 
@@ -34,7 +34,7 @@ class _Residual:
     def add(self, u, v, cap):
         e = len(self.head)
         self.head += [v, u]
-        self.cap += [cap, Fraction(0)]
+        self.cap += [cap, 0]
         self.adj[u].append(e)
         self.adj[v].append(e + 1)
 
@@ -73,21 +73,23 @@ def max_flow(n, arcs, source, sink):
     graph = _Residual(n)
     for u, v, cap in arcs:
         graph.add(u, v, cap)
-    value = Fraction(0)
+    head, cap, adj = graph.head, graph.cap, graph.adj
+    value = 0
     while True:
         parent = {source: None}
         queue = deque([source])
         while queue and sink not in parent:
             u = queue.popleft()
-            for e in graph.adj[u]:
-                v = graph.head[e]
-                if v not in parent and graph.open(e):
+            for e in adj[u]:
+                v = head[e]
+                # graph.open(e), inlined on the hottest loop
+                if v not in parent and (cap[e] is None or cap[e] > 0):
                     parent[v] = e
                     queue.append(v)
         if sink not in parent:
             return value, set(parent), graph.flows(len(arcs))
         path = graph.path_to(parent, sink)
-        caps = [graph.cap[e] for e in path if graph.cap[e] is not None]
+        caps = [cap[e] for e in path if cap[e] is not None]
         if not caps:
             raise ValueError("a source-sink path of unbounded arcs")
         bottleneck = min(caps)
@@ -118,10 +120,10 @@ def transport(supply, demand, pairs):
 
 def _dijkstra(graph, costs, potential, start):
     """Reduced-cost distances and search-tree arcs of the residual graph."""
-    dist = {start: Fraction(0)}
+    dist = {start: 0}
     parent = {start: None}
     done = set()
-    heap = [(Fraction(0), start)]
+    heap = [(0, start)]
     while heap:
         d, u = heappop(heap)
         if u in done:
@@ -155,10 +157,10 @@ def min_cost_transshipment(n, arcs, supply, root):
     for u, v, cost in arcs:
         graph.add(u, v, None)
         costs += [cost, -cost]
-    excess = [Fraction(s) for s in supply]
+    excess = list(supply)
     if sum(excess) != 0:
         raise ValueError("supplies must sum to zero")
-    potential = [Fraction(0)] * n
+    potential = [0] * n
     while True:
         start = next((v for v in range(n) if excess[v] > 0), None)
         if start is None:

@@ -517,34 +517,38 @@ def solve_coupling(problem):
     """A joint measure with the given marginals inside the given support.
 
     One ``transport`` max flow decides it (Strassen 1965): the left atoms
-    supply mu, the right atoms demand nu, over the support pairs in sorted
-    order.  A flow of value mu(X) is the coupling, a measure on the full
-    product (zero off the support) built from the nonzero pair flows; a
-    shorter one leaves the rows reachable in the residual graph, returned
-    as an Infeasible certificate whose deficit is the shortfall.
+    supply mu, the right atoms demand nu, both as ints over the lcm of the
+    marginals' scales, over the support pairs in sorted order.  A flow of
+    value mu(X) is the coupling, a measure on the full product (zero off
+    the support) built from the nonzero pair flows; a shorter one leaves
+    the rows reachable in the residual graph, returned as an Infeasible
+    certificate whose deficit is the shortfall.
     """
     left = problem.left_marginal
     right = problem.right_marginal
-    total = left.total()
-    if total != right.total():
-        raise MassMismatch(f"marginal totals differ: {total} vs {right.total()}")
-    mu, nu = left.weights, right.weights
-    n2 = len(nu)
+    big = lcm(left.form[0], right.form[0])
+    supply, demand = left.ints_over(big), right.ints_over(big)
+    total = sum(supply)
+    if total != sum(demand):
+        raise MassMismatch(
+            f"marginal totals differ: {left.total()} vs {right.total()}"
+        )
+    n2 = len(demand)
     support = sorted(problem.support)
-    flow, rows, flows = transport(mu, nu, support)
+    flow, rows, flows = transport(supply, demand, support)
     if flow == total:
         prod = product_space(left.space, right.space)
-        weights = {i * n2 + j: x for (i, j), x in zip(support, flows) if x}
-        return Measure.from_atom_weights(prod, weights)
+        entries = [(i * n2 + j, x) for (i, j), x in zip(support, flows)]
+        return Measure.from_ints(prod, big, entries)
     reached = set(rows)
     neighborhood = sorted({j for i, j in support if i in reached})
     certificate = Infeasible(
         left.space.set_of_atoms(rows),
         right.space.set_of_atoms(neighborhood),
-        sum((mu[i] for i in rows), start=Fraction(0)),
-        sum((nu[j] for j in neighborhood), start=Fraction(0)),
+        Fraction(sum(supply[i] for i in rows), big),
+        Fraction(sum(demand[j] for j in neighborhood), big),
     )
-    if certificate.deficit != total - flow:
+    if certificate.deficit != Fraction(total - flow, big):
         raise AssertionError("Hall cut deficit differs from the flow shortfall")
     return certificate
 

@@ -83,6 +83,15 @@ class SignedMeasure:
             weights[j] = Fraction(num, d)
         return tuple(weights)
 
+    def ints_over(self, scale):
+        """The dense list of atom weights times scale, as ints; scale must
+        be a multiple of the form's D."""
+        d, cols, nums = self.form
+        ints = [0] * len(self.space.atoms)
+        for j, num in zip(cols, nums):
+            ints[j] = num * (scale // d)
+        return ints
+
     def eval(self, mset):
         """Value on a measurable set: the sum of its atom weights."""
         if mset.space != self.space:

@@ -1,6 +1,8 @@
 """Metrics on measures over finite metric spaces.
 
-Everything is exact and runs on the network-flow core in ``flow``.  The
+Everything is exact and runs on the network-flow core in ``flow``, on
+ints: each instance is scaled once from the measures' and the metric's
+integer forms, and only the results are Fractions.  The
 Lévy-Prohorov distance bisects the breakpoint pieces of the distinct
 distances, pricing each piece with one ``transport`` max flow that serves
 both directions (Strassen's coupling characterisation of the subset
@@ -13,6 +15,8 @@ per-atom differences.
 
 import math
 from fractions import Fraction
+from math import lcm
+from operator import add, sub
 
 from .errors import InvalidGamma, SpaceMismatch
 from .flow import min_cost_transshipment, transport
@@ -24,9 +28,12 @@ from .spaces import FiniteMeasurableSpace
 class FiniteMetric:
     """A metric on a finite carrier with singleton atoms.
 
-    Validates symmetry, zero diagonal, positivity off the diagonal and the
-    triangle inequality.  ``normalized`` records whether all distances are
-    at most one, which the Dirac isometry property requires.
+    The distances are held once as the integer form ``scaled`` = (D, rows):
+    d(i, j) is rows[i][j] / D over the lcm D of their denominators.
+    Validates, on those ints, symmetry, zero diagonal, positivity off the
+    diagonal and the triangle inequality.  ``normalized`` records whether
+    all distances are at most one, which the Dirac isometry property
+    requires.
     """
 
     def __init__(self, space, dist):
@@ -36,6 +43,10 @@ class FiniteMetric:
         rows = [tuple(as_fraction(v) for v in row) for row in dist]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"distance matrix must be {n}x{n}")
+        scale = lcm(*(v.denominator for row in rows for v in row))
+        rows = tuple(
+            tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows
+        )
         for i in range(n):
             if rows[i][i] != 0:
                 raise ValueError("distance matrix needs a zero diagonal")
@@ -44,31 +55,44 @@ class FiniteMetric:
                     raise ValueError("distance matrix must be symmetric")
                 if i != j and rows[i][j] <= 0:
                     raise ValueError("off-diagonal distances must be positive")
+        # rows is symmetric now, so column j is row j: the first k with
+        # d(i, j) > d(i, k) + d(k, j) is the first with rows[i][j] above
+        # rows[i][k] + rows[j][k]
         for i in range(n):
+            row_i = rows[i]
             for j in range(n):
-                for k in range(n):
-                    if rows[i][j] > rows[i][k] + rows[k][j]:
-                        raise ValueError(
-                            "triangle inequality fails at "
-                            f"({space.points[i]},{space.points[j]},{space.points[k]})"
-                        )
+                row_j = rows[j]
+                if min(map(add, row_i, row_j)) < row_i[j]:
+                    k = next(k for k in range(n) if row_i[j] > row_i[k] + row_j[k])
+                    raise ValueError(
+                        "triangle inequality fails at "
+                        f"({space.points[i]},{space.points[j]},{space.points[k]})"
+                    )
         self.space = space
-        self.dist = rows
-        self.normalized = all(v <= 1 for row in rows for v in row)
+        self.scaled = (scale, rows)
+        self.normalized = all(v <= scale for row in rows for v in row)
 
     @classmethod
     def from_points(cls, points, dist):
         return cls(FiniteMeasurableSpace.discrete(points), dist)
 
+    @property
+    def dist(self):
+        """The dense matrix of Fraction distances, built on each access."""
+        scale, rows = self.scaled
+        return [tuple(Fraction(v, scale) for v in row) for row in rows]
+
     def d(self, i, j):
-        return self.dist[i][j]
+        scale, rows = self.scaled
+        return Fraction(rows[i][j], scale)
 
     def d_points(self, p, q):
-        return self.dist[self.space.point_index(p)][self.space.point_index(q)]
+        return self.d(self.space.point_index(p), self.space.point_index(q))
 
     def d_to_set(self, i, subset):
         """Distance from point index i to a nonempty set of point indices."""
-        return min(self.dist[i][j] for j in subset)
+        scale, rows = self.scaled
+        return Fraction(min(rows[i][j] for j in subset), scale)
 
 
 class LipschitzWitness:
@@ -83,9 +107,14 @@ class LipschitzWitness:
         for v in values:
             if abs(v) > gamma:
                 raise ValueError("witness exceeds the gamma bound")
+        # the values and the distances as ints over one denominator
+        scale, rows = metric.scaled
+        common = lcm(scale, *(v.denominator for v in values))
+        ints = [v.numerator * (common // v.denominator) for v in values]
+        factor = common // scale
         for i in range(n):
             for j in range(i + 1, n):
-                if abs(values[i] - values[j]) > metric.dist[i][j]:
+                if abs(ints[i] - ints[j]) > rows[i][j] * factor:
                     raise ValueError("witness is not 1-Lipschitz")
         self.metric = metric
         self.values = values
@@ -112,21 +141,37 @@ def _check_metric_pair(mu, nu, metric):
         raise SpaceMismatch("measures must live on the metric's space")
 
 
-def _deficit(mu_w, nu_w, metric, joined):
-    """The larger of max over B of mu(B) - nu(N(B)) and of nu(B) - mu(N(B)).
+def _deficits(mu, nu, metric):
+    """(L, deficit): the worst Hall deficit of both directions, in ints.
 
-    N(B) holds the points j with joined(d(i, j)) for some i in B, the
+    Both measures go over L, the lcm of their scales.  deficit(joined) is
+    L times the larger of max over B of mu(B) - nu(N(B)) and of
+    nu(B) - mu(N(B)), where N(B) holds the points j with joined(r) for
+    some i in B and r the scaled distance of i and j (metric.scaled), the
     empty B included.  By the deficiency form of Hall's theorem (Strassen
     1965) each direction's maximum is its measure's total minus the max
-    flow over the joined pairs of positive mass.  The relation is
+    flow over the joined pairs of the two supports.  The relation is
     symmetric, so both directions share that flow F, and the larger
     deficit is max(mu(X), nu(X)) - F.
     """
+    big = lcm(mu.form[0], nu.form[0])
+    mu_w, nu_w = mu.ints_over(big), nu.ints_over(big)
     rows = [i for i, w in enumerate(mu_w) if w > 0]
     cols = [j for j, w in enumerate(nu_w) if w > 0]
-    pairs = [(i, j) for i in rows for j in cols if joined(metric.dist[i][j])]
-    flow, _, _ = transport(mu_w, nu_w, pairs)
-    return max(sum(mu_w, start=Fraction(0)), sum(nu_w, start=Fraction(0))) - flow
+    supply = [mu_w[i] for i in rows]
+    demand = [nu_w[j] for j in cols]
+    total = max(sum(mu_w), sum(nu_w))
+    dist = metric.scaled[1]
+    pairs = [
+        (r, c, dist[i][j]) for r, i in enumerate(rows) for c, j in enumerate(cols)
+    ]
+
+    def deficit(joined):
+        joined_pairs = [(r, c) for r, c, d in pairs if joined(d)]
+        flow, _, _ = transport(supply, demand, joined_pairs)
+        return total - flow
+
+    return big, deficit
 
 
 def prohorov_distance(mu, nu, metric):
@@ -141,28 +186,30 @@ def prohorov_distance(mu, nu, metric):
     both directions, one max flow, is constant there and the piece holds
     a feasible eps iff G[k] <= t[k+1].  G[k] does not increase with k, so
     the first such piece is found by bisection, and d_P is max(G[k], t[k])
-    on it.  The feasible set may be open at d_P (the infimum is a limit),
-    which the internal probe checks.
+    on it.  The search runs on ints: t as the metric's scaled distances
+    over D, G over the measures' common scale L.  The feasible set may be
+    open at d_P (the infimum is a limit), which the internal probe checks.
     """
     _check_metric_pair(mu, nu, metric)
-    thresholds = sorted({d for row in metric.dist for d in row} | {Fraction(0)})
-    mu_w, nu_w = mu.weights, nu.weights
+    scale, dist = metric.scaled
+    thresholds = sorted({d for row in dist for d in row} | {0})
+    big, deficit_of = _deficits(mu, nu, metric)
     deficits = {}
 
     def deficit(k):
         if k not in deficits:
             bound = thresholds[k]
-            deficits[k] = _deficit(mu_w, nu_w, metric, lambda d: d <= bound)
+            deficits[k] = deficit_of(lambda d: d <= bound)
         return deficits[k]
 
     lo, hi = 0, len(thresholds) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if deficit(mid) <= thresholds[mid + 1]:
+        if deficit(mid) * scale <= thresholds[mid + 1] * big:
             hi = mid
         else:
             lo = mid + 1
-    best = max(deficit(lo), thresholds[lo])
+    best = max(Fraction(deficit(lo), big), Fraction(thresholds[lo], scale))
     if not _prohorov_feasible_above(mu, nu, metric, best):
         raise AssertionError(f"Prohorov value {best} is not the infimum")
     return best
@@ -171,26 +218,28 @@ def prohorov_distance(mu, nu, metric):
 def prohorov_feasible(mu, nu, metric, eps):
     """Whether eps satisfies both Prohorov constraints for every subset."""
     _check_metric_pair(mu, nu, metric)
-    return _deficit(mu.weights, nu.weights, metric, lambda d: d < eps) <= eps
+    eps = Fraction(eps)
+    p, q = eps.numerator, eps.denominator
+    scale = metric.scaled[0]
+    big, deficit = _deficits(mu, nu, metric)
+    return deficit(lambda d: d * q < p * scale) * q <= p * big
 
 
 def _prohorov_feasible_above(mu, nu, metric, value):
     """Probe that the computed value is the true infimum.
 
     Feasibility must hold just above the value and fail just below it.
-    The probe gap is half the smallest spacing of the candidate breakpoints.
+    The probe gap is half the smallest spacing of the candidate breakpoints:
+    the value, the distances and the weights, as ints over one common
+    denominator.
     """
-    candidates = {value}
-    for row in metric.dist:
-        candidates.update(row)
-    candidates.update(mu.weights)
-    candidates.update(nu.weights)
-    gaps = [
-        b - a
-        for a, b in zip(sorted(candidates), sorted(candidates)[1:])
-        if b > a
-    ]
-    step = min(gaps, default=Fraction(1)) / 2
+    scale, dist = metric.scaled
+    common = lcm(value.denominator, scale, mu.form[0], nu.form[0])
+    candidates = {value.numerator * (common // value.denominator)}
+    candidates.update(d * (common // scale) for row in dist for d in row)
+    candidates.update(mu.ints_over(common), nu.ints_over(common))
+    ordered = sorted(candidates)
+    step = Fraction(min(map(sub, ordered[1:], ordered), default=common), 2 * common)
     if not prohorov_feasible(mu, nu, metric, value + step):
         return False
     if value > 0 and prohorov_feasible(mu, nu, metric, value - min(step, value / 2)):
@@ -208,28 +257,43 @@ def hutchinson_distance(mu, nu, metric, gamma):
     of cost d(x, y) between points and gamma between each point and g;
     arcs of cost 2 gamma or more are left out, since the route through g is
     as cheap.  The witness is f(x) = pi(g) - pi(x) for the residual
-    shortest-path distances pi from g.  Returns (value, LipschitzWitness).
+    shortest-path distances pi from g.  The transshipment runs on ints:
+    costs over the lcm of the metric's scale and gamma's denominator,
+    supplies over the lcm of the measures' scales.  Returns
+    (value, LipschitzWitness).
     """
     _check_metric_pair(mu, nu, metric)
     gamma = as_fraction(gamma)
     if gamma <= 0:
         raise InvalidGamma(f"gamma must be positive, got {gamma}")
     n = len(metric.space.points)
-    supply = [a - b for a, b in zip(mu.weights, nu.weights)]
-    supply.append(-sum(supply, start=Fraction(0)))
+    scale, dist = metric.scaled
+    cost_scale = lcm(scale, gamma.denominator)
+    factor = cost_scale // scale
+    ground_cost = gamma.numerator * (cost_scale // gamma.denominator)
+    mass_scale = lcm(mu.form[0], nu.form[0])
+    supply = [
+        a - b for a, b in zip(mu.ints_over(mass_scale), nu.ints_over(mass_scale))
+    ]
+    supply.append(-sum(supply))
     ground = n
     arcs = [
-        (i, j, metric.dist[i][j])
-        for i in range(n)
-        for j in range(n)
-        if i != j and metric.dist[i][j] < 2 * gamma
+        (i, j, d * factor)
+        for i, row in enumerate(dist)
+        for j, d in enumerate(row)
+        if i != j and d * factor < 2 * ground_cost
     ]
     for i in range(n):
-        arcs += [(i, ground, gamma), (ground, i, gamma)]
+        arcs += [(i, ground, ground_cost), (ground, i, ground_cost)]
     flows, potentials = min_cost_transshipment(n + 1, arcs, supply, ground)
-    value = sum((f * cost for f, (_, _, cost) in zip(flows, arcs)), start=Fraction(0))
+    value = Fraction(
+        sum(f * cost for f, (_, _, cost) in zip(flows, arcs) if f),
+        mass_scale * cost_scale,
+    )
     witness = LipschitzWitness(
-        metric, [potentials[ground] - potentials[i] for i in range(n)], gamma
+        metric,
+        [Fraction(potentials[ground] - potentials[i], cost_scale) for i in range(n)],
+        gamma,
     )
     if witness.objective(mu, nu) != value:
         raise AssertionError(

@@ -46,6 +46,12 @@ The earlier forms are kept: one max flow per direction and piece (the
 two one-sided bisections), one per direction for the feasibility test,
 and the coupling flow with its network built by hand.
 
+The flows, the Prohorov and Hutchinson distances and the metric checks
+now run on integer forms.  Their Fraction forms are kept: the metric
+validation on the dense Fraction matrix, the Prohorov bisection and probe
+over Fraction thresholds and weights, and the Hutchinson transshipment
+over Fraction costs and supplies with its Fraction witness checks.
+
 Four names only tests used have moved here from the library:
 split_pair_label, generated_equivalence, factor_map, and CouplingFailed,
 which only the flow mediation oracle raises.
@@ -63,7 +69,7 @@ from finmeas.errors import (
     NotBisimilar,
     SpaceMismatch,
 )
-from finmeas.flow import max_flow
+from finmeas.flow import max_flow, min_cost_transshipment, transport
 from finmeas.kernels import (
     FINITE,
     MARKOV,
@@ -179,9 +185,8 @@ def _deficit_per_direction(rho, sigma, metric, joined):
     rows = [i for i in range(n) if rho[i] > 0]
     cols = [j for j in range(n) if sigma[j] > 0]
     arcs = [(source, i, rho[i]) for i in rows]
-    arcs += [
-        (i, n + j, None) for i in rows for j in cols if joined(metric.dist[i][j])
-    ]
+    dist = metric.dist
+    arcs += [(i, n + j, None) for i in rows for j in cols if joined(dist[i][j])]
     arcs += [(n + j, sink, sigma[j]) for j in cols]
     flow, _, _ = max_flow(2 * n + 2, arcs, source, sink)
     return sum(rho, start=Fraction(0)) - flow
@@ -290,6 +295,7 @@ def hutchinson_lp(mu, nu, metric, gamma):
     variables x_i = f(x_i) + gamma, solved by the rational simplex."""
     gamma = Fraction(gamma)
     n = len(metric.space.points)
+    dist = metric.dist
     c = [mu.weights[i] - nu.weights[i] for i in range(n)]
     a_ub = []
     b_ub = []
@@ -298,9 +304,9 @@ def hutchinson_lp(mu, nu, metric, gamma):
             row = [Fraction(0)] * n
             row[i], row[j] = Fraction(1), Fraction(-1)
             a_ub.append(row)
-            b_ub.append(metric.dist[i][j])
+            b_ub.append(dist[i][j])
             a_ub.append([-v for v in row])
-            b_ub.append(metric.dist[i][j])
+            b_ub.append(dist[i][j])
     for i in range(n):
         row = [Fraction(0)] * n
         row[i] = Fraction(1)
@@ -310,6 +316,137 @@ def hutchinson_lp(mu, nu, metric, gamma):
     assert result.status == OPTIMAL
     shift = gamma * sum(c, start=Fraction(0))
     return result.value - shift, [x - gamma for x in result.x]
+
+
+def finite_metric_rows_fraction(space, dist):
+    """The metric validation on the dense Fraction matrix; returns its rows."""
+    if any(len(atom) != 1 for atom in space.atoms):
+        raise ValueError("metric carrier must have singleton atoms")
+    n = len(space.points)
+    rows = [tuple(as_fraction(v) for v in row) for row in dist]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"distance matrix must be {n}x{n}")
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise ValueError("distance matrix needs a zero diagonal")
+        for j in range(n):
+            if rows[i][j] != rows[j][i]:
+                raise ValueError("distance matrix must be symmetric")
+            if i != j and rows[i][j] <= 0:
+                raise ValueError("off-diagonal distances must be positive")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[i][j] > rows[i][k] + rows[k][j]:
+                    raise ValueError(
+                        "triangle inequality fails at "
+                        f"({space.points[i]},{space.points[j]},{space.points[k]})"
+                    )
+    return rows
+
+
+def _deficit_fraction(mu_w, nu_w, dist, joined):
+    """The larger Hall deficit of both directions, one Fraction max flow."""
+    rows = [i for i, w in enumerate(mu_w) if w > 0]
+    cols = [j for j, w in enumerate(nu_w) if w > 0]
+    pairs = [(i, j) for i in rows for j in cols if joined(dist[i][j])]
+    flow, _, _ = transport(mu_w, nu_w, pairs)
+    return max(sum(mu_w, start=Fraction(0)), sum(nu_w, start=Fraction(0))) - flow
+
+
+def prohorov_feasible_fraction(mu, nu, metric, eps):
+    """Whether eps satisfies both Prohorov constraints for every subset."""
+    _check_metric_pair(mu, nu, metric)
+    deficit = _deficit_fraction(mu.weights, nu.weights, metric.dist, lambda d: d < eps)
+    return deficit <= eps
+
+
+def _prohorov_feasible_above_fraction(mu, nu, metric, value):
+    """Feasible just above the value and not just below it, with the gap
+    half the smallest spacing of the candidate breakpoints."""
+    candidates = {value}
+    for row in metric.dist:
+        candidates.update(row)
+    candidates.update(mu.weights)
+    candidates.update(nu.weights)
+    gaps = [
+        b - a
+        for a, b in zip(sorted(candidates), sorted(candidates)[1:])
+        if b > a
+    ]
+    step = min(gaps, default=Fraction(1)) / 2
+    if not prohorov_feasible_fraction(mu, nu, metric, value + step):
+        return False
+    if value > 0 and prohorov_feasible_fraction(
+        mu, nu, metric, value - min(step, value / 2)
+    ):
+        return False
+    return True
+
+
+def prohorov_distance_fraction(mu, nu, metric):
+    """The Prohorov bisection over Fraction thresholds and weights, with
+    its probe."""
+    _check_metric_pair(mu, nu, metric)
+    dist = metric.dist
+    thresholds = sorted({d for row in dist for d in row} | {Fraction(0)})
+    mu_w, nu_w = mu.weights, nu.weights
+    deficits = {}
+
+    def deficit(k):
+        if k not in deficits:
+            bound = thresholds[k]
+            deficits[k] = _deficit_fraction(mu_w, nu_w, dist, lambda d: d <= bound)
+        return deficits[k]
+
+    lo, hi = 0, len(thresholds) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if deficit(mid) <= thresholds[mid + 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    best = max(deficit(lo), thresholds[lo])
+    if not _prohorov_feasible_above_fraction(mu, nu, metric, best):
+        raise AssertionError(f"Prohorov value {best} is not the infimum")
+    return best
+
+
+def hutchinson_distance_fraction(mu, nu, metric, gamma):
+    """The Hutchinson transshipment over Fraction costs and supplies;
+    returns (value, witness values) after the Fraction witness checks."""
+    _check_metric_pair(mu, nu, metric)
+    gamma = as_fraction(gamma)
+    n = len(metric.space.points)
+    dist = metric.dist
+    supply = [a - b for a, b in zip(mu.weights, nu.weights)]
+    supply.append(-sum(supply, start=Fraction(0)))
+    ground = n
+    arcs = [
+        (i, j, dist[i][j])
+        for i in range(n)
+        for j in range(n)
+        if i != j and dist[i][j] < 2 * gamma
+    ]
+    for i in range(n):
+        arcs += [(i, ground, gamma), (ground, i, gamma)]
+    flows, potentials = min_cost_transshipment(n + 1, arcs, supply, ground)
+    value = sum((f * cost for f, (_, _, cost) in zip(flows, arcs)), start=Fraction(0))
+    values = [potentials[ground] - potentials[i] for i in range(n)]
+    for v in values:
+        if abs(v) > gamma:
+            raise ValueError("witness exceeds the gamma bound")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) > dist[i][j]:
+                raise ValueError("witness is not 1-Lipschitz")
+    objective = sum(
+        (v * (a - b) for v, a, b in zip(values, mu.weights, nu.weights)),
+        start=Fraction(0),
+    )
+    if objective != value:
+        raise AssertionError(f"Hutchinson witness attains {objective}, not {value}")
+    return value, values
 
 
 def pi_system_witness_scan(space, mu, nu):

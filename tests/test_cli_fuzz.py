@@ -119,6 +119,8 @@ def _mutate(doc, mutations):
             parent[path[-1]]
         except (KeyError, IndexError, TypeError):
             continue  # an earlier mutation removed or retyped the path
+        if not isinstance(parent, (dict, list)):
+            continue  # a retyped path ends in a string, which indexes but is immutable
         if op == "drop":
             del parent[path[-1]]
         elif op == "set":
@@ -154,6 +156,13 @@ INEQ = ["--left", "f12", "--right", "g31", "--measure", "eta"]
 @example(
     ("decomposition", BIG_F12, ["integrate", "--function", "f12", "--measure", "eta",
                                 "--float"])
+)
+# a set retypes the points list to a string; the drop after it is skipped
+@example(
+    ("decomposition",
+     [("set", ("spaces", "X3", "points"), "x"),
+      ("drop", ("spaces", "X3", "points", 0), None)],
+     ["space", "--name", "X3"])
 )
 @example(("metrics", [], WEAK + ["--tol", "nan"]))
 @example(("metrics", [], WEAK + ["--tol", "inf"]))

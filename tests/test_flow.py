@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import networkx as nx
 import pytest
@@ -152,3 +153,68 @@ def test_transshipment_rejects_unbalanced_or_unreachable_demand():
         min_cost_transshipment(2, [(0, 1, Fraction(1))], [Fraction(1), Fraction(0)], 0)
     with pytest.raises(ValueError):
         min_cost_transshipment(2, [(1, 0, Fraction(1))], [Fraction(1), Fraction(-1)], 0)
+
+
+def _over(values, scale):
+    """Fractions (None kept) as ints over scale, a common denominator."""
+    return [v if v is None else int(v * scale) for v in values]
+
+
+def _all_ints(values):
+    return all(type(v) is int for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 9))
+def test_max_flow_on_the_scaled_int_network_takes_the_same_steps(rng, n):
+    # scaling every capacity by D keeps every comparison, so the same
+    # augmenting paths are found: the same cut side, and flows times D
+    arcs = rand_network(rng, n)
+    scale = lcm(*(cap.denominator for _, _, cap in arcs if cap is not None))
+    value, side, flows = max_flow(n, arcs, 0, n - 1)
+    caps = _over([cap for _, _, cap in arcs], scale)
+    ints = [(u, v, cap) for (u, v, _), cap in zip(arcs, caps)]
+    int_value, int_side, int_flows = max_flow(n, ints, 0, n - 1)
+    assert (int_value, int_side) == (value * scale, side)
+    assert int_flows == _over(flows, scale)
+    assert _all_ints([int_value, *int_flows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(transport_cases())
+def test_transport_on_the_scaled_int_instance_takes_the_same_steps(case):
+    supply, demand, pairs = case
+    scale = lcm(*(cap.denominator for cap in supply + demand))
+    value, reached, flows = transport(supply, demand, pairs)
+    got = transport(_over(supply, scale), _over(demand, scale), pairs)
+    assert got == (value * scale, reached, _over(flows, scale))
+    assert _all_ints([got[0], *got[2]])
+
+
+@st.composite
+def transshipment_cases(draw):
+    """A directed cycle plus random arcs, Fraction costs and supplies."""
+    n = draw(st.integers(2, 6))
+    cost = st.builds(Fraction, st.integers(0, 9), st.integers(1, 4))
+    arcs = [(v, (v + 1) % n, draw(cost)) for v in range(n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), cost)
+    arcs += [(u, v, c) for u, v, c in draw(st.lists(extra, max_size=10)) if u != v]
+    amount = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    supply = draw(st.lists(amount, min_size=n - 1, max_size=n - 1))
+    supply.append(-sum(supply, start=Fraction(0)))
+    return n, arcs, supply, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(transshipment_cases())
+def test_transshipment_on_the_scaled_int_instance_takes_the_same_steps(case):
+    # costs over their own scale C and supplies over theirs S: the same
+    # shortest paths and amounts, so flows times S and potentials times C
+    n, arcs, supply, root = case
+    cost_scale = lcm(*(c.denominator for _, _, c in arcs))
+    mass_scale = lcm(*(s.denominator for s in supply))
+    flows, potentials = min_cost_transshipment(n, arcs, supply, root)
+    ints = [(u, v, int(c * cost_scale)) for u, v, c in arcs]
+    got = min_cost_transshipment(n, ints, _over(supply, mass_scale), root)
+    assert got == (_over(flows, mass_scale), _over(potentials, cost_scale))
+    assert _all_ints(got[0] + got[1])

@@ -80,3 +80,18 @@ def test_only_the_flow_module_uses_max_flow():
         or isinstance(node, ast.alias) and node.name == "max_flow"
     ]
     assert found == []
+
+
+def test_the_flow_module_imports_nothing_from_fractions():
+    # the solvers run on the ints their callers scale to, so they build
+    # no Fraction: flow.py neither imports fractions nor names Fraction
+    path = Path(finmeas.__file__).parent / "flow.py"
+    found = [
+        f"flow.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import)
+        and any(alias.name.partition(".")[0] == "fractions" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Name) and node.id == "Fraction"
+    ]
+    assert found == []

@@ -39,6 +39,14 @@ def test_eval_example():
     assert mu.is_probability()
 
 
+def test_ints_over_a_common_scale():
+    nu = SignedMeasure(X3, [Fraction(1, 2), 0, Fraction(-1, 3)])
+    assert nu.ints_over(6) == [3, 0, -2]
+    assert nu.ints_over(12) == [6, 0, -4]
+    assert [Fraction(v, 18) for v in nu.ints_over(18)] == list(nu.weights)
+    assert Measure.zero(X3).ints_over(5) == [0, 0, 0]
+
+
 def test_measure_rejects_negative_and_bool_weights():
     with pytest.raises(ValueError):
         Measure(X3, [1, -1, 0])

@@ -27,9 +27,13 @@ from finmeas.metrics import (
 from conftest import rand_metric
 from oracles import (
     check_weak_limit_scan,
+    finite_metric_rows_fraction,
+    hutchinson_distance_fraction,
     hutchinson_lp,
+    prohorov_distance_fraction,
     prohorov_distance_per_direction,
     prohorov_distance_scan,
+    prohorov_feasible_fraction,
     prohorov_feasible_per_direction,
     prohorov_feasible_scan,
 )
@@ -119,6 +123,82 @@ def test_prohorov_feasible_one_flow_equals_the_per_direction_flows(case, data):
     assert prohorov_feasible(mu, nu, metric, eps) == prohorov_feasible_per_direction(
         mu, nu, metric, eps
     )
+
+
+@st.composite
+def mixed_metric_and_pair(draw):
+    """Points on a line at coordinates of mixed denominators, so the
+    metric's scale, the two measures' scales and gamma's all differ."""
+    n = draw(st.integers(1, 7))
+    coord = st.builds(Fraction, st.integers(0, 12), st.integers(1, 6))
+    coords = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+    metric = FiniteMetric.from_points(
+        [f"x{k}" for k in range(n)], [[abs(a - b) for b in coords] for a in coords]
+    )
+    mu = draw(subprobabilities(metric.space))
+    nu = draw(subprobabilities(metric.space))
+    return metric, mu, nu
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(metric_and_pair(), mixed_metric_and_pair()), st.data())
+def test_integer_prohorov_equals_the_fraction_form(case, data):
+    metric, mu, nu = case
+    value = prohorov_distance(mu, nu, metric)
+    assert value == prohorov_distance_fraction(mu, nu, metric)
+    breakpoints = sorted({d for row in metric.dist for d in row})
+    weights = sorted(set(mu.weights) | set(nu.weights))
+    candidates = breakpoints + weights + [value, value + Fraction(1, 97), value / 3]
+    eps = data.draw(st.sampled_from(candidates))
+    assert prohorov_feasible(mu, nu, metric, eps) == prohorov_feasible_fraction(
+        mu, nu, metric, eps
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(metric_and_pair(), mixed_metric_and_pair()),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 7)),
+)
+def test_integer_hutchinson_equals_the_fraction_form(case, gamma):
+    # the value and the witness, not only the value: scaling keeps every
+    # Dijkstra tie-break, so the potentials are the same
+    metric, mu, nu = case
+    value, witness = hutchinson_distance(mu, nu, metric, gamma)
+    assert (value, list(witness.values)) == hutchinson_distance_fraction(
+        mu, nu, metric, gamma
+    )
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metrics_on(max_points=6), st.data())
+def test_integer_metric_checks_refuse_what_the_fraction_checks_refuse(metric, data):
+    # a valid metric with a few entries changed, mostly off the diagonal
+    # and with their mirror: the same matrices pass, and each refused one
+    # gets the same message, the triangle naming the same (i, j, k)
+    n = len(metric.space.points)
+    rows = [list(row) for row in metric.dist]
+    entry = st.builds(Fraction, st.integers(-1, 6), st.integers(1, 4))
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, n - 1))
+        j = (i + data.draw(st.integers(0, 3 * n)) % n) % n
+        rows[i][j] = data.draw(entry)
+        if data.draw(st.integers(0, 3)):
+            rows[j][i] = rows[i][j]
+    got = _outcome(lambda: FiniteMetric(metric.space, rows))
+    want = _outcome(lambda: finite_metric_rows_fraction(metric.space, rows))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dist == want
+        assert got.normalized == all(v <= 1 for row in want for v in row)
 
 
 LINE = FiniteMetric.from_points(
