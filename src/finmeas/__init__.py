@@ -8,6 +8,8 @@ certificates.  All arithmetic is rational; floats appear only where a
 p-th root forces them.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AbsoluteContinuityViolated,
     CapacityExceeded,
@@ -116,4 +118,7 @@ from .spaces import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(  # the public names but the submodules the imports bind here
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -17,6 +17,7 @@ INF = math.inf
 # natural logs just outside the normal float range
 _LOG_MAX = math.log(sys.float_info.max) + 1
 _LOG_MIN = math.log(sys.float_info.min) - 1
+_POWER_BITS = 1 << 16  # the most bits lp_norm spends on an exact power sum
 
 
 class StepFunction:
@@ -122,9 +123,8 @@ def _check_pair(f, mu):
 def integral(f, mu):
     """Integral of a step function: the weight-weighted sum of atom values."""
     _check_pair(f, mu)
-    return sum(
-        (v * w for v, w in zip(f.values, mu.weights)), start=Fraction(0)
-    )
+    d, cols, nums = mu.form
+    return Fraction(sum(f.values[j] * num for j, num in zip(cols, nums)), d)
 
 
 def validate_exponent(p):
@@ -143,27 +143,31 @@ def lp_norm(f, mu, p):
     Exact Fraction for p = 1 and p = infinity (essential sup on positive
     atoms); a float for every other exponent, where the p-th root is
     generally irrational.  See lp_norm_power for the exact p-th power.
-    When the p-th power leaves the normal float range, the norm is taken
-    as M (integral (|f|/M)^p dmu)^(1/p) with M = max |f| on the support;
-    FloatRange when the norm itself is beyond the largest float.
+    When the p-th power leaves the float range or its exact sum grows too
+    long, the norm is M (integral (|f|/M)^p dmu)^(1/p) with M = max |f| on
+    the support; FloatRange when the norm itself is beyond the largest float.
     """
     _check_pair(f, mu)
     p = validate_exponent(p)
-    if p == INF:
-        support_values = [abs(v) for v, w in zip(f.values, mu.weights) if w > 0]
-        return max(support_values, default=Fraction(0))
     if p == 1:
         return integral(abs(f), mu)
-    support = [(abs(v), w) for v, w in zip(f.values, mu.weights) if v and w]
+    d, cols, nums = mu.form
+    pairs = [(abs(f.values[j]), Fraction(num, d)) for j, num in zip(cols, nums)]
+    if p == INF:
+        return max((v for v, w in pairs if w > 0), default=Fraction(0))
+    support = [(v, w) for v, w in pairs if v]
     if not support:
         return 0.0
     q = to_float(p)
     m, w_m = max(support)
     # the p-th power has its log between q log m + log w_m and q log m + log
-    # mu(support); beyond the float range it is not worth computing
+    # mu(support); it is not computed outside the float range or past _POWER_BITS
     mass = sum((w for _, w in support), start=Fraction(0))
     low, high = (q * _log(m) + _log(x) for x in (w_m, mass))
-    total = _float_power(support, p) if _LOG_MIN < high and low < _LOG_MAX else 0.0
+    bits = p * sum((v.numerator * v.denominator).bit_length() for v, _ in support)
+    cheap = p.denominator > 1 or bits <= _POWER_BITS
+    fits = cheap and _LOG_MIN < high and low < _LOG_MAX
+    total = _float_power(support, p) if fits else 0.0
     if sys.float_info.min <= total < math.inf:
         return total ** (1.0 / q)
     scaled = sum(
@@ -198,9 +202,8 @@ def lp_norm_power(f, mu, p):
     if p == INF or p.denominator != 1:
         raise InvalidExponent("exact powers need an integer exponent")
     k = int(p)
-    return sum(
-        (abs(v) ** k * w for v, w in zip(f.values, mu.weights)), start=Fraction(0)
-    )
+    d, cols, nums = mu.form
+    return Fraction(sum(abs(f.values[j]) ** k * num for j, num in zip(cols, nums)), d)
 
 
 def lp_norm_squared(f, mu):
@@ -298,13 +301,11 @@ def conv_in_measure_distance(f, g, mu):
     _check_pair(f, mu)
     _check_pair(g, mu)
     diff = abs(f - g)
-    weights = mu.weights
+    d, cols, nums = mu.form
+    values = diff.values
 
     def tail(eps):
-        return sum(
-            (w for v, w in zip(diff.values, weights) if v > eps),
-            start=Fraction(0),
-        )
+        return Fraction(sum(num for j, num in zip(cols, nums) if values[j] > eps), d)
 
     candidates = {Fraction(0)} | set(diff.values)
     candidates |= {tail(v) for v in list(candidates)}

@@ -404,8 +404,8 @@ def _block_masses(cols, nums, block_of_atom):
     return masses
 
 
-def _congruence_witness(rows, dom_partition, cod_partition):
-    """None when the partition pair is a congruence, else a witness pair."""
+def _congruence_masses(rows, dom_partition, cod_partition):
+    """(None, each domain block's (D, block masses)) or (witness pair, None)."""
     for partition in (dom_partition, cod_partition):
         if not partition.refines_atoms:
             # the first atom the partition splits, and its first point
@@ -415,8 +415,9 @@ def _congruence_witness(rows, dom_partition, cod_partition):
             other = next(
                 p for p in atom if partition.block_index_of_point(p) != first
             )
-            return atom[0], other
+            return (atom[0], other), None
     atoms = dom_partition.space.atoms
+    bases = []
     for b in range(len(dom_partition.blocks)):
         members = dom_partition.block_atom_indices(b)
         base_scale, base_cols, base_nums = rows[members[0]]
@@ -427,8 +428,9 @@ def _congruence_witness(rows, dom_partition, cod_partition):
             if masses.keys() != base.keys() or any(
                 m * base_scale != base[c] * scale for c, m in masses.items()
             ):
-                return atoms[members[0]][0], atoms[k][0]
-    return None
+                return (atoms[members[0]][0], atoms[k][0]), None
+        bases.append((base_scale, base))
+    return None, bases
 
 
 def quotient_kernel_pair(kernel, dom_partition, cod_partition):
@@ -438,7 +440,7 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
     if cod_partition.space != kernel.codomain:
         raise SpaceMismatch("codomain partition lives on a different space")
     rows = [row.form for row in kernel.rows]
-    witness = _congruence_witness(rows, dom_partition, cod_partition)
+    witness, bases = _congruence_masses(rows, dom_partition, cod_partition)
     if witness is not None:
         raise NotACongruence(
             f"rows of {witness[0]!r} and {witness[1]!r} differ at block "
@@ -447,11 +449,9 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
         )
     dom_space = FiniteMeasurableSpace.discrete([b[0] for b in dom_partition.blocks])
     cod_space = FiniteMeasurableSpace.discrete([b[0] for b in cod_partition.blocks])
-    quotient_rows = []
-    for b in range(len(dom_partition.blocks)):
-        scale, cols, nums = rows[dom_partition.block_atom_indices(b)[0]]
-        masses = _block_masses(cols, nums, cod_partition.block_of_atom)
-        quotient_rows.append(Measure.from_ints(cod_space, scale, masses.items()))
+    quotient_rows = [
+        Measure.from_ints(cod_space, scale, masses.items()) for scale, masses in bases
+    ]
     return Kernel(dom_space, cod_space, quotient_rows, kernel.kind)
 
 
@@ -691,10 +691,10 @@ def mediate(k1, k2, q1, q2, iso):
         other = quot2.row_at_point(dom_iso[b])
         renamed = [(image[c], num) for c, num in zip(cols, nums)]
         if Measure.from_ints(other.space, d, renamed) != other:
-            theirs = other.weights
+            mine, theirs = (m.ints_over(d * other.form[0]) for m in (row, other))
             c = next(
                 c
-                for c, w, k in zip(quot1.codomain.points, row.weights, image)
+                for c, w, k in zip(quot1.codomain.points, mine, image)
                 if w != theirs[k]
             )
             raise NotBisimilar(
@@ -769,13 +769,14 @@ def find_quotient_iso(quot1, quot2):
     nc = len(quot1.codomain.atoms)
     if nd != len(quot2.domain.atoms) or nc != len(quot2.codomain.atoms):
         return None
-    w1 = [row.weights for row in quot1.rows]
-    w2 = [row.weights for row in quot2.rows]
+    w1, w2 = (
+        [{j: Fraction(n, r.form[0]) for j, n in zip(*r.form[1:])} for r in q.rows]
+        for q in (quot1, quot2)
+    )
     cut = 0
     if not (quot1.is_endo() and quot2.is_endo()):
         cut = nc
-        zeros = (Fraction(0),) * (nc + nd)
-        w1, w2 = ([zeros] * nc + [w + zeros[:nd] for w in m] for m in (w1, w2))
+        w1, w2 = ([{}] * nc + m for m in (w1, w2))
     n = len(w1)
     perm = [None] * n
     used = [False] * n
@@ -789,9 +790,10 @@ def find_quotient_iso(quot1, quot2):
             if (
                 not used[t]
                 and (i < cut) == (t < cut)
-                and w1[i][i] == w2[t][t]
+                and w1[i].get(i, 0) == w2[t].get(t, 0)
                 and all(
-                    w1[a][i] == w2[perm[a]][t] and w1[i][a] == w2[t][perm[a]]
+                    w1[a].get(i, 0) == w2[perm[a]].get(t, 0)
+                    and w1[i].get(a, 0) == w2[t].get(perm[a], 0)
                     for a in range(i)
                 )
             ):

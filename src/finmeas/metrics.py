@@ -121,10 +121,9 @@ class LipschitzWitness:
         self.gamma = gamma
 
     def objective(self, mu, nu):
-        return sum(
-            (v * (a - b) for v, a, b in zip(self.values, mu.weights, nu.weights)),
-            start=Fraction(0),
-        )
+        scale = lcm(mu.form[0], nu.form[0])
+        diffs = map(sub, mu.ints_over(scale), nu.ints_over(scale))
+        return Fraction(sum(v * d for v, d in zip(self.values, diffs) if d), scale)
 
 
 def support(mu):
@@ -357,20 +356,22 @@ def check_weak_limit(sequence, limit, metric, tol):
     n = len(metric.space.atoms)
     tol = Fraction(tol) if not isinstance(tol, float) else tol
     tail = sequence[len(sequence) // 2 :]
-    limit_weights = limit.weights
-    diffs = [[a - b for a, b in zip(m.weights, limit_weights)] for m in tail]
+    scale = lcm(limit.form[0], *(m.form[0] for m in tail))
+    limit_ints = limit.ints_over(scale)
+    diffs = [list(map(sub, m.ints_over(scale), limit_ints)) for m in tail]
 
-    per_atom_residual = max(abs(to_float(d)) for row in diffs for d in row)
-    mass_residual = max(abs(to_float(m.total() - limit.total())) for m in tail)
-    portmanteau_excess = max(
-        to_float(sum((d for d in row if d > 0), start=Fraction(0))) for row in diffs
-    )
+    def reported(x):  # int division rounds correctly: each maximum converts once
+        return to_float(Fraction(x, scale))
+
+    per_atom_residual = reported(max(abs(d) for row in diffs for d in row))
+    mass_residual = reported(max(abs(sum(row)) for row in diffs))
+    portmanteau_excess = reported(max(sum(d for d in row if d > 0) for row in diffs))
     per_atom_ok = per_atom_residual <= tol
     portmanteau_ok = portmanteau_excess <= tol
     mass_ok = mass_residual <= tol
     witness_set = None
     if not portmanteau_ok and portmanteau_excess > 0:
-        mask = min(_first_mask(row, portmanteau_excess) for row in diffs)
+        mask = min(_first_mask(row, scale, portmanteau_excess) for row in diffs)
         witness_set = metric.space.set_of_atoms(
             [k for k in range(n) if mask >> k & 1]
         )
@@ -385,8 +386,8 @@ def check_weak_limit(sequence, limit, metric, tol):
     )
 
 
-def _first_mask(diffs, excess):
-    """Least atom mask S with float(sum of diffs over S) == excess, if any.
+def _first_mask(diffs, scale, excess):
+    """Least atom mask S with (sum of diffs over S) / scale == excess, if any.
 
     This is the set a scan of all atom masks in counting order would keep.
     The positive diffs give the largest sum and float rounding is monotone,
@@ -394,14 +395,14 @@ def _first_mask(diffs, excess):
     completion below it still rounds to excess.  Returns 1 << len(diffs),
     above every mask, when this row never reaches excess.
     """
-    below = [Fraction(0)]
+    below = [0]
     for d in diffs:
-        below.append(below[-1] + max(d, Fraction(0)))
-    if float(below[-1]) != excess:
+        below.append(below[-1] + max(d, 0))
+    if below[-1] / scale != excess:
         return 1 << len(diffs)
-    mask, fixed = 0, Fraction(0)
+    mask, fixed = 0, 0
     for k in reversed(range(len(diffs))):
-        if float(fixed + below[k]) != excess:
+        if (fixed + below[k]) / scale != excess:
             mask |= 1 << k
             fixed += diffs[k]
     return mask

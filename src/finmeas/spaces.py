@@ -8,7 +8,7 @@ spaces is built in one pass, with labels linear in the number of factors.
 """
 
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from .errors import CapacityExceeded, EmptyCarrier, GeneratorNotPiSystem, SpaceMismatch
 
@@ -309,7 +309,8 @@ def check_pi_system_uniqueness(space, mu, nu, generator):
             )
     if mu.space != space or nu.space != space:
         raise SpaceMismatch("measures live on a different space")
-    for k, (a, b) in enumerate(zip(mu.weights, nu.weights)):
+    scale = lcm(mu.form[0], nu.form[0])
+    for k, (a, b) in enumerate(zip(mu.ints_over(scale), nu.ints_over(scale))):
         if a != b:
             return False, space.set_of_atoms([k])
     return True, None

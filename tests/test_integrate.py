@@ -2,11 +2,13 @@ import random
 import sys
 from decimal import Context, Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finmeas import integrate
 from finmeas.errors import FloatRange, InvalidExponent, NegativeFunction, SpaceMismatch
 from finmeas.integrate import (
     INF,
@@ -23,6 +25,7 @@ from finmeas.integrate import (
     pointwise_min,
 )
 from finmeas.measures import Measure
+from finmeas.rational import format_float
 from finmeas.spaces import FiniteMeasurableSpace, MeasurableSet
 
 from conftest import rand_measure, rand_space
@@ -217,6 +220,21 @@ def test_lp_norm_outside_the_float_range_is_finite(values, p):
     f = StepFunction(TWO, values)
     expected = _decimal_lp_norm(values, QUARTER.weights, p)
     assert lp_norm(f, QUARTER, p) == pytest.approx(expected, rel=1e-12)
+
+
+def test_lp_norm_cost_is_bounded_by_a_bit_budget_not_by_p():
+    # values near 1 keep the p-th power inside the float range, but its
+    # exact integer sum has about 40 p bits; past the budget only the
+    # scaled form M (integral (|f|/M)^p)^(1/p) runs
+    values = [Fraction(1000001, 1000000), 1]
+    f = StepFunction(TWO, values)
+    spy = mock.patch.object(integrate, "_float_power", wraps=integrate._float_power)
+    for p, exact in [(1000, True), (100000, False), (400000, False)]:
+        with spy as float_power:
+            got = lp_norm(f, ETA, p)
+        assert float_power.called == exact
+        assert got == pytest.approx(_decimal_lp_norm(values, ETA.weights, p), rel=1e-14)
+    assert format_float(got) == "1.00000054967"
 
 
 def test_lp_norm_below_the_float_range_is_not_zero():

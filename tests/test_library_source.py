@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -95,3 +96,50 @@ def test_the_flow_module_imports_nothing_from_fractions():
         or isinstance(node, ast.Name) and node.id == "Fraction"
     ]
     assert found == []
+
+
+def test_only_measures_and_the_cli_read_the_dense_weights_view():
+    # algorithms read a measure's integer form (D, cols, nums); the dense
+    # Fraction tuple `weights` is a view for measures.py and for rendering
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name not in {"measures.py", "cli.py"}
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "weights"
+    ]
+    assert found == []
+
+
+def test_the_public_names_are_no_modules():
+    # `from finmeas import *` gives the API, not the package's submodules
+    modules = [
+        name for name in finmeas.__all__
+        if isinstance(getattr(finmeas, name), type(finmeas))
+    ]
+    assert modules == []
+
+
+def test_every_public_name_is_used_by_the_cli_or_documented():
+    # a name in __all__ is either exercised by the CLI or listed in the
+    # README, whose API index covers the library-only names
+    root = Path(finmeas.__file__).parent
+    cli = ast.parse((root / "cli.py").read_text())
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(cli)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    used |= {
+        alias.name for node in ast.walk(cli) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    # a name counts as documented when it is a word inside a code block or
+    # an inline code span
+    blocks = re.findall(r"```.*?```", readme, flags=re.S)
+    inline = re.findall(r"`[^`\n]+`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    spans = " ".join(blocks + inline)
+    documented = set(re.findall(r"\w+", spans))
+    missing = [name for name in finmeas.__all__ if name not in used | documented]
+    assert missing == []

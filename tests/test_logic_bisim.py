@@ -753,7 +753,9 @@ def test_find_quotient_iso_against_the_search_oracle(case):
 
 
 def test_find_quotient_iso_deeper_than_the_recursion_limit():
-    k = shift_chain(sys.getrecursionlimit() + 100)
+    # at least the 1,200-block quotient of the shift chain, whose only iso
+    # is the identity
+    k = shift_chain(max(1200, sys.getrecursionlimit() + 100))
     quotient = quotient_kernel(k, logical_equivalence(k))
     assert len(quotient.domain.atoms) > sys.getrecursionlimit()
     dom_iso, cod_iso = find_quotient_iso(quotient, quotient)

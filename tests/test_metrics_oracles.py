@@ -232,20 +232,52 @@ def assert_same_report(got, want):
 
 
 @st.composite
+def rounding_subprobabilities(draw, space):
+    """Weights num_k / den with den = 10^k or 3^k, scales whose weights and
+    sums round when they become floats; total at most one."""
+    den = draw(st.sampled_from([10, 3])) ** draw(st.integers(1, 30))
+    share = den // len(space.atoms)
+    part = st.one_of(st.just(0), st.integers(0, share), st.just(share))
+    nums = draw(st.lists(part, min_size=len(space.atoms), max_size=len(space.atoms)))
+    return Measure(space, [Fraction(k, den) for k in nums])
+
+
+@st.composite
 def weak_cases(draw):
     metric = draw(metrics_on())
     space = metric.space
-    limit = draw(subprobabilities(space))
-    pool = st.lists(subprobabilities(space), min_size=1, max_size=3)
-    distinct = draw(pool)
+    measures = st.one_of(subprobabilities(space), rounding_subprobabilities(space))
+    limit = draw(measures)
+    distinct = draw(st.lists(measures, min_size=1, max_size=3))
     # repeats in the tail give float-excess ties between measures
     sequence = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=6))
-    tol = draw(st.sampled_from([Fraction(0), Fraction(1, 100), Fraction(1, 5), 1e-3]))
+    tol = draw(
+        st.sampled_from(
+            [Fraction(0), Fraction(1, 100), Fraction(1, 5), 1e-3, 1e-17, 0.0]
+        )
+    )
     return sequence, limit, metric, tol
+
+
+def _mixed_scales_case(tol):
+    """A limit over 3 and a sequence over 10^3, 10 and 3 * 2^80: the tail,
+    its last two, has other scales than the limit, and the common scale
+    is their lcm."""
+    metric = FiniteMetric.from_points("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    third, tiny = Fraction(1, 3), Fraction(1, 2**80)
+    weights = [
+        [Fraction(333, 1000), Fraction(334, 1000), Fraction(333, 1000)],
+        [Fraction(1, 10), Fraction(7, 10), Fraction(1, 5)],
+        [third + tiny, third, third - tiny],
+    ]
+    sequence = [Measure(metric.space, w) for w in weights]
+    return sequence, Measure(metric.space, [third] * 3), metric, tol
 
 
 @settings(max_examples=200, deadline=None)
 @given(weak_cases())
+@example(_mixed_scales_case(0))
+@example(_mixed_scales_case(1e-17))
 def test_weak_check_closed_form_equals_mask_scan(case):
     assert_same_report(check_weak_limit(*case), check_weak_limit_scan(*case))
 
