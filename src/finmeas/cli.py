@@ -352,18 +352,17 @@ def serialize_model(model):
             }
     for name in sorted(model.metrics):
         metric = model.metrics[name]
+        scale, rows = metric.scaled
         doc["metrics"][name] = {
             "points": list(metric.space.points),
-            "dist": [[format_fraction(v) for v in row] for row in metric.dist],
+            "dist": [[format_fraction(Fraction(v, scale)) for v in r] for r in rows],
         }
     for name in sorted(model.measures):
         space_name, measure = model.measures[name]
+        labels = [atom[0] for atom in measure.space.atoms]
         doc["measures"][name] = {
             "space": space_name,
-            "weights": {
-                atom[0]: format_fraction(w)
-                for atom, w in zip(measure.space.atoms, measure.weights)
-            },
+            "weights": dict(zip(labels, _formatted(measure, False))),
         }
     for name in sorted(model.functions):
         space_name, f = model.functions[name]
@@ -376,15 +375,13 @@ def serialize_model(model):
         }
     for name in sorted(model.kernels):
         dom_name, cod_name, kernel = model.kernels[name]
+        labels = [atom[0] for atom in kernel.codomain.atoms]
         doc["kernels"][name] = {
             "domain": dom_name,
             "codomain": cod_name,
             "kind": kernel.kind,
             "rows": {
-                atom[0]: {
-                    catom[0]: format_fraction(w)
-                    for catom, w in zip(kernel.codomain.atoms, row.weights)
-                }
+                atom[0]: dict(zip(labels, _formatted(row, False)))
                 for atom, row in zip(kernel.domain.atoms, kernel.rows)
             },
         }
@@ -430,7 +427,7 @@ def _parse_point_set(space, text):
 # Each handler returns its results as exact values (Fractions, bools and
 # library objects), keyed and ordered as in the JSON report.  _run puts the
 # command name and the echoed arguments in front and renders the report
-# once, as JSON and as text.
+# once, as JSON, and as text only for a text report.
 
 Command = namedtuple("Command", "path handler flags text help echo options")
 
@@ -831,6 +828,15 @@ class _Rows(list):
     """A kernel's JSON rows; ``columns`` keeps its codomain atoms for the text."""
 
 
+def _formatted(measure, float_mode):
+    """A measure's formatted weight per atom: the zero once, each nonzero once."""
+    d, cols, nums = measure.form
+    formatted = [_plain(0, float_mode)] * len(measure.space.atoms)
+    for j, num in zip(cols, nums):
+        formatted[j] = _plain(Fraction(num, d), float_mode)
+    return formatted
+
+
 def _plain(value, float_mode):
     """The JSON form of an exact result, with each number formatted once."""
     if value is None or isinstance(value, (bool, str)):
@@ -841,15 +847,18 @@ def _plain(value, float_mode):
         return format_fraction(value)
     if isinstance(value, Kernel):
         rows = _Rows(
-            {"atom": list(atom), "weights": _plain(row.weights, float_mode)}
+            {"atom": list(atom), "weights": _formatted(row, float_mode)}
             for atom, row in zip(value.domain.atoms, value.rows)
         )
         rows.columns = _plain(value.codomain.atoms, float_mode)
         return rows
     if isinstance(value, (SignedMeasure, StepFunction)):
-        values = value.values if isinstance(value, StepFunction) else value.weights
+        if isinstance(value, StepFunction):
+            values = _plain(value.values, float_mode)
+        else:
+            values = _formatted(value, float_mode)
         return [
-            {"atom": list(atom), "value": _plain(v, float_mode)}
+            {"atom": list(atom), "value": v}
             for atom, v in zip(value.space.atoms, values)
         ]
     if isinstance(value, MeasurableSet):
@@ -909,11 +918,13 @@ def _text(value, spec=""):
 
 
 def _run(command, args, model):
-    """Run one command: the JSON payload and the text lines of its report."""
+    """Run one command: its JSON payload, and its text lines unless --json."""
     result = command.handler(args, model)
     payload = {"command": command.path}
     payload.update((dest, getattr(args, dest)) for dest in command.echo)
     payload.update((key, _plain(v, args.float_mode)) for key, v in result.items())
+    if args.json:
+        return payload, []
     lines = []
     for template in command.text.split("\n"):
         try:

@@ -111,12 +111,12 @@ def _mix(mu, rows, space):
     d, cols, masses = mu.form
     terms = [(m, rows[k].form) for k, m in zip(cols, masses)]
     q = lcm(*(e for _, (e, _, _) in terms))
-    acc = [0] * len(space.atoms)
+    sums = {}
     for m, (e, row_cols, nums) in terms:
         factor = m * (q // e)
         for j, num in zip(row_cols, nums):
-            acc[j] += factor * num
-    return Measure.from_ints(space, d * q, enumerate(acc))
+            sums[j] = sums.get(j, 0) + factor * num
+    return Measure.from_ints(space, d * q, sums.items())
 
 
 def identity_kernel(space):

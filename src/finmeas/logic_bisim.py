@@ -778,27 +778,37 @@ def find_quotient_iso(quot1, quot2):
         cut = nc
         w1, w2 = ([{}] * nc + m for m in (w1, w2))
     n = len(w1)
+    # the positions sharing a nonzero entry with each position; any other
+    # assigned position a compares zero with zero on both sides
+    near1, near2 = ([set(row) for row in w] for w in (w1, w2))
+    for w, near in ((w1, near1), (w2, near2)):
+        for a, row in enumerate(w):
+            for b in row:
+                near[b].add(a)
     perm = [None] * n
-    used = [False] * n
+    inverse = [None] * n
     start = [0] * n
     i = 0
     while 0 <= i < n:
         if perm[i] is not None:
-            used[perm[i]] = False
+            inverse[perm[i]] = None
             perm[i] = None
+        before = {a for a in near1[i] if a < i}
         for t in range(start[i], n):
             if (
-                not used[t]
+                inverse[t] is None
                 and (i < cut) == (t < cut)
                 and w1[i].get(i, 0) == w2[t].get(t, 0)
                 and all(
                     w1[a].get(i, 0) == w2[perm[a]].get(t, 0)
                     and w1[i].get(a, 0) == w2[t].get(perm[a], 0)
-                    for a in range(i)
+                    for a in before.union(
+                        inverse[u] for u in near2[t] if inverse[u] is not None
+                    )
                 )
             ):
                 perm[i] = t
-                used[t] = True
+                inverse[t] = i
                 start[i] = t + 1
                 i += 1
                 break

@@ -146,15 +146,20 @@ class Measure(SignedMeasure):
 
     def add(self, other):
         self._check(other)
-        return Measure(
-            self.space, [a + b for a, b in zip(self.weights, other.weights)]
-        )
+        (d, cols, nums), (e, other_cols, other_nums) = self.form, other.form
+        scale = lcm(d, e)
+        sums = dict(zip(cols, (num * (scale // d) for num in nums)))
+        for j, num in zip(other_cols, other_nums):
+            sums[j] = sums.get(j, 0) + num * (scale // e)
+        return Measure.from_ints(self.space, scale, sums.items())
 
     def scale(self, c):
         c = as_fraction(c)
         if c < 0:
             raise ValueError("use SignedMeasure for negative scalings")
-        return Measure(self.space, [c * w for w in self.weights])
+        d, cols, nums = self.form
+        scaled = zip(cols, (num * c.numerator for num in nums))
+        return Measure.from_ints(self.space, d * c.denominator, scaled)
 
     def support_atoms(self):
         return self.form[1]
@@ -216,9 +221,11 @@ def jordan_decompose(nu):
     negative weights to minus; the carriers are the positive and negative
     atoms, so plus and minus are mutually singular by construction.
     """
-    plus = Measure(nu.space, [max(w, Fraction(0)) for w in nu.weights])
-    minus = Measure(nu.space, [max(-w, Fraction(0)) for w in nu.weights])
-    variation = Measure(nu.space, [abs(w) for w in nu.weights])
+    d, cols, nums = nu.form
+    entries = list(zip(cols, nums))
+    plus = Measure.from_ints(nu.space, d, [(j, num) for j, num in entries if num > 0])
+    minus = Measure.from_ints(nu.space, d, [(j, -num) for j, num in entries if num < 0])
+    variation = Measure.from_ints(nu.space, d, [(j, abs(num)) for j, num in entries])
     return plus, minus, variation
 
 

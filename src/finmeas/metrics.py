@@ -89,11 +89,6 @@ class FiniteMetric:
     def d_points(self, p, q):
         return self.d(self.space.point_index(p), self.space.point_index(q))
 
-    def d_to_set(self, i, subset):
-        """Distance from point index i to a nonempty set of point indices."""
-        scale, rows = self.scaled
-        return Fraction(min(rows[i][j] for j in subset), scale)
-
 
 class LipschitzWitness:
     """A 1-Lipschitz function bounded by gamma, one value per point."""

@@ -52,14 +52,21 @@ validation on the dense Fraction matrix, the Prohorov bisection and probe
 over Fraction thresholds and weights, and the Hutchinson transshipment
 over Fraction costs and supplies with its Fraction witness checks.
 
-Four names only tests used have moved here from the library:
-split_pair_label, generated_equivalence, factor_map, and CouplingFailed,
-which only the flow mediation oracle raises.
+Measure sums, scalings and the Jordan split now build their results from
+the integer forms, and the CLI formats a measure's zero once and each
+nonzero once.  The Jordan split over the dense weights and the CLI's
+dense rendering of kernels and measures, one format per atom, are kept.
+
+Five names only tests used have moved here from the library:
+split_pair_label, generated_equivalence, factor_map, d_to_set (once a
+FiniteMetric method), and CouplingFailed, which only the flow mediation
+oracle raises.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from finmeas.cli import _Rows
 from finmeas.errors import (
     CapacityExceeded,
     EmptyCarrier,
@@ -96,13 +103,15 @@ from finmeas.logic_bisim import (
     quotient_kernel_pair,
     solve_coupling,
 )
-from finmeas.measures import Measure
-from finmeas.rational import as_fraction
+from finmeas.integrate import StepFunction
+from finmeas.measures import Measure, SignedMeasure
+from finmeas.rational import as_fraction, format_float, format_fraction, to_float
 from finmeas.metrics import WeakLimitReport, _check_metric_pair
 from finmeas.simplex import OPTIMAL, maximize
 from finmeas.spaces import (
     ENUMERATION_CAP,
     FiniteMeasurableSpace,
+    MeasurableSet,
     Partition,
     join_pair_label,
     product_space,
@@ -125,6 +134,12 @@ def _one_sided_min_eps(rho_b, sigma_masses, thresholds):
     raise AssertionError("last piece is always feasible")
 
 
+def d_to_set(metric, i, subset):
+    """Distance from point index i to a nonempty set of point indices."""
+    scale, rows = metric.scaled
+    return Fraction(min(rows[i][j] for j in subset), scale)
+
+
 def prohorov_distance_scan(mu, nu, metric):
     """Lévy-Prohorov distance as the maximum, over every subset and both
     directions, of the per-subset least feasible eps."""
@@ -133,7 +148,7 @@ def prohorov_distance_scan(mu, nu, metric):
     indices = range(n)
     for size in range(1, n + 1):
         for subset in combinations(indices, size):
-            dists = [metric.d_to_set(i, subset) for i in indices]
+            dists = [d_to_set(metric, i, subset) for i in indices]
             thresholds = sorted(set(dists) | {Fraction(0)})
             mu_masses = []
             nu_masses = []
@@ -162,7 +177,7 @@ def prohorov_feasible_scan(mu, nu, metric, eps):
     for size in range(1, n + 1):
         for subset in combinations(indices, size):
             neighborhood = [
-                i for i in indices if metric.d_to_set(i, subset) < eps
+                i for i in indices if d_to_set(metric, i, subset) < eps
             ]
             mu_b = sum((mu.weights[i] for i in subset), start=Fraction(0))
             nu_b = sum((nu.weights[i] for i in subset), start=Fraction(0))
@@ -932,6 +947,15 @@ class DenseMeasure(DenseSignedMeasure):
         return tuple(k for k, w in enumerate(self.weights) if w > 0)
 
 
+def jordan_decompose_dense(nu):
+    """(plus, minus, total variation) of a signed measure, atom by atom
+    over its dense weights."""
+    plus = DenseMeasure(nu.space, [max(w, Fraction(0)) for w in nu.weights])
+    minus = DenseMeasure(nu.space, [max(-w, Fraction(0)) for w in nu.weights])
+    variation = DenseMeasure(nu.space, [abs(w) for w in nu.weights])
+    return plus, minus, variation
+
+
 # -------------------------------------------------------------- mediation
 
 
@@ -1270,6 +1294,38 @@ def find_quotient_iso_search(quot1, quot2):
             }
             return dom_iso, cod_iso
     return None
+
+
+# ---------------------------------------------------------- CLI rendering
+
+
+def plain_dense(value, float_mode):
+    """The JSON form of an exact CLI result, with every kernel row and
+    measure read through the dense weights view: one format per atom."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (Fraction, int, float)):
+        if float_mode or isinstance(value, float):
+            return float(format_float(to_float(value)))
+        return format_fraction(value)
+    if isinstance(value, Kernel):
+        rows = _Rows(
+            {"atom": list(atom), "weights": plain_dense(row.weights, float_mode)}
+            for atom, row in zip(value.domain.atoms, value.rows)
+        )
+        rows.columns = plain_dense(value.codomain.atoms, float_mode)
+        return rows
+    if isinstance(value, (SignedMeasure, StepFunction)):
+        values = value.values if isinstance(value, StepFunction) else value.weights
+        return [
+            {"atom": list(atom), "value": plain_dense(v, float_mode)}
+            for atom, v in zip(value.space.atoms, values)
+        ]
+    if isinstance(value, MeasurableSet):
+        return value.sorted_points()
+    if isinstance(value, dict):
+        return {key: plain_dense(v, float_mode) for key, v in value.items()}
+    return [plain_dense(v, float_mode) for v in value]
 
 
 # ------------------------------------------------------------------ Lp norms

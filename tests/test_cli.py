@@ -8,7 +8,9 @@ from importlib import resources
 
 import pytest
 
+from finmeas import cli
 from finmeas.cli import ModelError, load_model, main, parse_model, serialize_model
+from finmeas.rational import format_fraction
 from finmeas.spaces import MeasurableSet
 
 
@@ -502,11 +504,14 @@ def test_cli_byte_determinism_subprocess():
     assert first.stdout.endswith(b"\n")
 
 
-def _write_shift_chain(path, n):
+def _write_shift_chain(path, n, dead_end=False):
     """A model with the n-state shift chain K: state i moves to i + 1, and
-    the last state stays put, so every row has one nonzero entry."""
+    the last state stays put, so every row has one nonzero entry; or, with
+    dead_end, the last row is empty and the quotient keeps all n states."""
     points = [f"s{i}" for i in range(n)]
     rows = {p: {points[min(i + 1, n - 1)]: 1} for i, p in enumerate(points)}
+    if dead_end:
+        rows[points[-1]] = {}
     doc = {
         "spaces": {"S": {"points": points}},
         "kernels": {"K": {"domain": "S", "codomain": "S", "rows": rows}},
@@ -544,3 +549,31 @@ def test_loading_a_sparse_chain_takes_memory_linear_in_its_entries(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_a_quotient_report_formats_each_row_and_nonzero_at_most_twice(
+    capsys, tmp_path, monkeypatch
+):
+    """The quotient of the 300-state dead-end chain has 300 rows and 299
+    nonzeros; formatting every entry of its dense rows took 90,000 calls."""
+    path = tmp_path / "chain.json"
+    _write_shift_chain(path, 300, dead_end=True)
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return format_fraction(value)
+
+    monkeypatch.setattr(cli, "format_fraction", counted)
+    argv = ["logic", "quotient", "-m", str(path), "--kernel", "K"]
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 300
+    assert [w for row in rows for w in row["weights"] if w != "0"] == ["1"] * 299
+    assert len(calls) <= 2 * (300 + 299)
+    calls.clear()
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 3 + 300
+    assert len(calls) <= 2 * (300 + 299)

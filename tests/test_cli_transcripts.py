@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from finmeas import cli
+
 from conftest import run_main
 
 DATA = Path(__file__).with_name("data") / "cli_transcripts.json"
@@ -148,6 +150,18 @@ def columns(monkeypatch):
     "key, model, argv", [pytest.param(*case, id=case[0]) for case in cases()]
 )
 def test_transcript(key, model, argv, golden, columns):
+    assert transcript(model, argv) == golden[key]
+
+
+@pytest.mark.parametrize(
+    "key, model, argv",
+    [pytest.param(*case, id=case[0]) for case in cases() if "--json" in case[2]],
+)
+def test_a_json_report_renders_no_text(key, model, argv, golden, columns, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("text rendered for a --json report")
+
+    monkeypatch.setattr(cli, "_text", refuse)
     assert transcript(model, argv) == golden[key]
 
 

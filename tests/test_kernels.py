@@ -403,3 +403,18 @@ def test_disintegrate_reconstructs_joint():
         joint = rand_probability(rng, prod)
         marginal, conditional, _ = disintegrate(joint)
         assert measure_kernel_product(marginal, conditional) == joint
+
+
+def test_convolving_a_long_shift_chain_costs_its_nonzeros():
+    """The 8,000-state dead-end shift chain composed with itself; summing
+    each row into a dense accumulator took about 3 s."""
+    space = FiniteMeasurableSpace.discrete([f"s{i}" for i in range(8000)])
+    rows = [
+        Measure.from_ints(space, 1, [(i + 1, 1)] if i < 7999 else [])
+        for i in range(8000)
+    ]
+    chain = Kernel(space, space, rows)
+    started = time.perf_counter()
+    square = convolve(chain, chain)
+    assert time.perf_counter() - started < 1
+    assert [row.form[1] for row in square.rows[7997:]] == [(7999,), (), ()]

@@ -98,15 +98,20 @@ def test_the_flow_module_imports_nothing_from_fractions():
     assert found == []
 
 
-def test_only_measures_and_the_cli_read_the_dense_weights_view():
-    # algorithms read a measure's integer form (D, cols, nums); the dense
-    # Fraction tuple `weights` is a view for measures.py and for rendering
+def test_only_measures_reads_the_dense_weights_view_and_none_reads_dist():
+    # algorithms and the CLI read a measure's integer form (D, cols, nums)
+    # and a metric's (D, rows); the dense Fraction views `weights` and
+    # `dist` are built for callers outside the library, and only
+    # measures.py reads its own view
     found = [
-        f"{path.name}:{node.lineno}"
+        f"{path.name}:{node.lineno} {node.attr}"
         for path in MODULES
-        if path.name not in {"measures.py", "cli.py"}
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "weights"
+        if isinstance(node, ast.Attribute)
+        and (
+            node.attr == "dist"
+            or node.attr == "weights" and path.name != "measures.py"
+        )
     ]
     assert found == []
 

@@ -18,6 +18,7 @@ from finmeas.metrics import (
 from finmeas.spaces import sigma_from_generator
 
 from conftest import rand_metric, rand_probability
+from oracles import d_to_set
 
 HALF = FiniteMetric.from_points("ab", [[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
 
@@ -51,8 +52,8 @@ def test_normalized_flag():
 def test_distance_lookups():
     assert HALF.d(0, 1) == Fraction(1, 2)
     assert HALF.d_points("b", "a") == Fraction(1, 2)
-    assert HALF.d_to_set(0, frozenset({0, 1})) == 0
-    assert HALF.d_to_set(0, frozenset({1})) == Fraction(1, 2)
+    assert d_to_set(HALF, 0, frozenset({0, 1})) == 0
+    assert d_to_set(HALF, 0, frozenset({1})) == Fraction(1, 2)
 
 
 def test_support():
