@@ -78,7 +78,6 @@ class Model:
 
     def __init__(self):
         self.spaces = {}
-        self.space_origin = {}
         self.metrics = {}
         self.measures = {}
         self.functions = {}
@@ -99,7 +98,7 @@ class Model:
         return self._get(self.metrics, "metric", name)
 
     def measure(self, name, nonneg=False):
-        found = self._get(self.measures, "measure", name)[1]
+        found = self._get(self.measures, "measure", name)
         if nonneg and not isinstance(found, Measure):
             raise ModelError(
                 f"measure {name!r} is signed; this command needs nonnegative weights"
@@ -107,10 +106,10 @@ class Model:
         return found
 
     def function(self, name):
-        return self._get(self.functions, "function", name)[1]
+        return self._get(self.functions, "function", name)
 
     def kernel(self, name):
-        return self._get(self.kernels, "kernel", name)[2]
+        return self._get(self.kernels, "kernel", name)
 
 
 def _rational(value, context):
@@ -188,7 +187,6 @@ def parse_model(doc):
         except (FinmeasError, ValueError, TypeError) as err:
             raise ModelError(f"space {name!r}: {err}") from None
         model.spaces[name] = space
-        model.space_origin[name] = "explicit"
 
     for name, entry in sorted(doc.get("metrics", {}).items()):
         _require_dict(entry, f"metric {name!r}")
@@ -206,7 +204,6 @@ def parse_model(doc):
             raise ModelError(f"metric {name!r}: {err}") from None
         model.metrics[name] = metric
         model.spaces[name] = metric.space
-        model.space_origin[name] = "metric"
 
     while pending_products:
         progressed = False
@@ -218,7 +215,6 @@ def parse_model(doc):
                     )
                 except ValueError as err:
                     raise ModelError(f"space {name!r}: {err}") from None
-                model.space_origin[name] = ("product", left, right)
                 del pending_products[name]
                 progressed = True
         if not progressed:
@@ -228,32 +224,28 @@ def parse_model(doc):
 
     for name, entry in sorted(doc.get("measures", {}).items()):
         _require_dict(entry, f"measure {name!r}")
-        space_name = entry.get("space")
-        space = model.space(space_name)
+        space = model.space(entry.get("space"))
         weights = _atom_weights(
             space, _require_dict(entry.get("weights", {}), "weights"),
             f"measure {name!r}",
         )
         cls = Measure if all(w >= 0 for w in weights.values()) else SignedMeasure
-        model.measures[name] = (space_name, cls.from_atom_weights(space, weights))
+        model.measures[name] = cls.from_atom_weights(space, weights)
 
     for name, entry in sorted(doc.get("functions", {}).items()):
         _require_dict(entry, f"function {name!r}")
-        space_name = entry.get("space")
-        space = model.space(space_name)
+        space = model.space(entry.get("space"))
         values = _atom_weights(
             space, _require_dict(entry.get("values", {}), "values"),
             f"function {name!r}",
         )
         values = [values.get(k, 0) for k in range(len(space.atoms))]
-        model.functions[name] = (space_name, StepFunction(space, values))
+        model.functions[name] = StepFunction(space, values)
 
     for name, entry in sorted(doc.get("kernels", {}).items()):
         _require_dict(entry, f"kernel {name!r}")
-        dom_name = entry.get("domain")
-        cod_name = entry.get("codomain")
-        domain = model.space(dom_name)
-        codomain = model.space(cod_name)
+        domain = model.space(entry.get("domain"))
+        codomain = model.space(entry.get("codomain"))
         rows_doc = _require_dict(entry.get("rows", {}), f"kernel {name!r} rows")
         row_by_atom = {}
         for point, row in rows_doc.items():
@@ -274,7 +266,7 @@ def parse_model(doc):
         if kind is not None and not isinstance(kind, str):
             raise ModelError(f"kernel {name!r}: kind must be a string")
         try:
-            kernel = Kernel(
+            model.kernels[name] = Kernel(
                 domain,
                 codomain,
                 [
@@ -285,7 +277,6 @@ def parse_model(doc):
             )
         except (FinmeasError, ValueError) as err:
             raise ModelError(f"kernel {name!r}: {err}") from None
-        model.kernels[name] = (dom_name, cod_name, kernel)
 
     for name, entry in sorted(doc.get("relations", {}).items()):
         _require_dict(entry, f"relation {name!r}")
@@ -328,71 +319,15 @@ def load_model(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as err:
-            raise ModelError(f"invalid JSON in {path}: {err}") from None
+        except ModelError:  # a duplicate key, from the hook
+            raise
         except UnicodeDecodeError as err:
             raise ModelError(f"{path} is not UTF-8: {err}") from None
+        except (ValueError, RecursionError) as err:
+            # a syntax error, an integer literal past the digit limit, or
+            # nesting deeper than the recursion limit
+            raise ModelError(f"invalid JSON in {path}: {err}") from None
     return parse_model(doc)
-
-
-def serialize_model(model):
-    """The canonical document: explicit atoms, all weights listed, sorted names."""
-    doc = {section: {} for section in _SECTIONS}
-    for name in sorted(model.spaces):
-        origin = model.space_origin[name]
-        if origin == "metric":
-            continue
-        space = model.spaces[name]
-        if isinstance(origin, tuple):
-            doc["spaces"][name] = {"product": [origin[1], origin[2]]}
-        else:
-            doc["spaces"][name] = {
-                "points": list(space.points),
-                "atoms": [list(atom) for atom in space.atoms],
-            }
-    for name in sorted(model.metrics):
-        metric = model.metrics[name]
-        scale, rows = metric.scaled
-        doc["metrics"][name] = {
-            "points": list(metric.space.points),
-            "dist": [[format_fraction(Fraction(v, scale)) for v in r] for r in rows],
-        }
-    for name in sorted(model.measures):
-        space_name, measure = model.measures[name]
-        labels = [atom[0] for atom in measure.space.atoms]
-        doc["measures"][name] = {
-            "space": space_name,
-            "weights": dict(zip(labels, _formatted(measure, False))),
-        }
-    for name in sorted(model.functions):
-        space_name, f = model.functions[name]
-        doc["functions"][name] = {
-            "space": space_name,
-            "values": {
-                atom[0]: format_fraction(v)
-                for atom, v in zip(f.space.atoms, f.values)
-            },
-        }
-    for name in sorted(model.kernels):
-        dom_name, cod_name, kernel = model.kernels[name]
-        labels = [atom[0] for atom in kernel.codomain.atoms]
-        doc["kernels"][name] = {
-            "domain": dom_name,
-            "codomain": cod_name,
-            "kind": kernel.kind,
-            "rows": {
-                atom[0]: dict(zip(labels, _formatted(row, False)))
-                for atom, row in zip(kernel.domain.atoms, kernel.rows)
-            },
-        }
-    for name in sorted(model.relations):
-        left_name, right_name, pairs = model.relations[name]
-        doc["relations"][name] = {
-            "left": left_name,
-            "right": right_name,
-            "pairs": [[p, q] for p, q in pairs],
-        }
-    return {section: doc[section] for section in _SECTIONS if doc[section]}
 
 
 def _parse_exponent(text):
@@ -908,13 +843,21 @@ def _text(value, spec=""):
     if isinstance(value, dict):
         return ", ".join(f"{key}->{v}" for key, v in value.items())
     if isinstance(value, _Rows):
-        rows = [f"  row {_set(r['atom'])}: {_text(r['weights'], '[]')}" for r in value]
+        rows = [f"  row {_set(r['atom'])}: {_row(r['weights'])}" for r in value]
         return "\n".join(["  columns: " + _text(value.columns)] + rows)
     if isinstance(value, list) and value and isinstance(value[0], dict):
         return "\n".join(f"  {_set(w['atom'])}: {_text(w['value'])}" for w in value)
     if isinstance(value, list):
         return ", ".join(_set(v) if isinstance(v, list) else v for v in value) or "none"
     return str(value)
+
+
+def _row(weights):
+    """A kernel row as [x, y], each distinct weight formatted once.  Keying
+    by value is safe here: weights are nonnegative, so none is a -0.0 that
+    would share 0.0's key but not its text."""
+    text = {w: _text(w) for w in set(weights)}
+    return "[" + ", ".join(map(text.__getitem__, weights)) + "]"
 
 
 def _run(command, args, model):

@@ -55,6 +55,12 @@ ODD_VALUES = [
     [], {}, ["a"], ["a", "a"], {"a": 1},
 ]
 
+# JSON text that json.dumps cannot write: nesting past the recursion limit
+# and an integer literal past the digit limit; a mutation sets the marker
+# and the written file carries the text in its place
+RAW = {"<deep>": "[" * 100000 + "]" * 100000, "<long>": "1" * 5000}
+ODD_VALUES += list(RAW)
+
 # values a mutation puts in argv, for any flag
 ODD_ARGS = ["", "x", "0", "-1", "1/0", "nan", "inf", "3/7", "-0", "a,zz", ",", "T & T"]
 
@@ -164,13 +170,20 @@ INEQ = ["--left", "f12", "--right", "g31", "--measure", "eta"]
       ("drop", ("spaces", "X3", "points", 0), None)],
      ["space", "--name", "X3"])
 )
+@example(("decomposition", [("set", ("measures", "tri", "weights", "a"), "<deep>")],
+          ["measure", "eval", "--measure", "tri", "--set", "a,c"]))
+@example(("decomposition", [("set", ("spaces", "G", "points", 0), "<long>")],
+          ["space", "--name", "G"]))
 @example(("metrics", [], WEAK + ["--tol", "nan"]))
 @example(("metrics", [], WEAK + ["--tol", "inf"]))
 @example(("metrics", [], WEAK + ["--tol", "-1"]))
 @example(("metrics", [], WEAK + ["--tol", "1e400"]))
 def test_cli_exits_0_1_or_2_without_an_escaping_exception(model_file, case):
     model, mutations, argv = case
-    model_file.write_text(json.dumps(_mutate(MODELS[model], mutations)), "utf-8")
+    text = json.dumps(_mutate(MODELS[model], mutations))
+    for marker, raw in RAW.items():
+        text = text.replace(json.dumps(marker), raw)
+    model_file.write_text(text, "utf-8")
     code, _, err = run_main([*argv, "-m", str(model_file)])
     assert code in (0, 1, 2)
     assert code == 0 or err.startswith(("error[", "usage: "))
