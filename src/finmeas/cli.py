@@ -131,11 +131,12 @@ def _strings(value, context):
     return value
 
 
-def _atom_weights(space, mapping, context):
-    """Resolve a point-keyed weight mapping to {atom index: value}."""
-    weights = {}
+def _by_atom(space, mapping, context, value=_rational):
+    """Resolve a point-keyed JSON object to {atom index: value(entry, context)}:
+    each key a point of the space, and one key per atom."""
+    resolved = {}
     seen = {}
-    for point, value in mapping.items():
+    for point, entry in mapping.items():
         try:
             k = space.atom_index_of_point(point)
         except ValueError:
@@ -145,8 +146,14 @@ def _atom_weights(space, mapping, context):
                 f"{context}: points {seen[k]!r} and {point!r} hit the same atom"
             )
         seen[k] = point
-        weights[k] = _rational(value, f"{context}[{point!r}]")
-    return weights
+        resolved[k] = value(entry, f"{context}[{point!r}]")
+    return resolved
+
+
+def _section(doc, section, kind):
+    """(name, entry) for each entry of a model section, in name order."""
+    for name, entry in sorted(doc.get(section, {}).items()):
+        yield name, _require_dict(entry, f"{kind} {name!r}")
 
 
 def parse_model(doc):
@@ -160,15 +167,10 @@ def parse_model(doc):
     model = Model()
 
     pending_products = {}
-    for name, entry in sorted(doc.get("spaces", {}).items()):
-        _require_dict(entry, f"space {name!r}")
+    for name, entry in _section(doc, "spaces", "space"):
         if "product" in entry:
-            refs = entry["product"]
-            if not (
-                isinstance(refs, list)
-                and len(refs) == 2
-                and all(isinstance(r, str) for r in refs)
-            ):
+            refs = _strings(entry["product"], f"space {name!r}: product")
+            if len(refs) != 2:
                 raise ModelError(f"space {name!r}: product needs two references")
             pending_products[name] = tuple(refs)
             continue
@@ -188,8 +190,7 @@ def parse_model(doc):
             raise ModelError(f"space {name!r}: {err}") from None
         model.spaces[name] = space
 
-    for name, entry in sorted(doc.get("metrics", {}).items()):
-        _require_dict(entry, f"metric {name!r}")
+    for name, entry in _section(doc, "metrics", "metric"):
         if name in model.spaces or name in pending_products:
             raise ModelError(f"metric {name!r} collides with a space name")
         try:
@@ -205,6 +206,7 @@ def parse_model(doc):
         model.metrics[name] = metric
         model.spaces[name] = metric.space
 
+    # loop, not recurse: a long product chain would overflow the stack
     while pending_products:
         progressed = False
         for name, (left, right) in sorted(pending_products.items()):
@@ -213,7 +215,7 @@ def parse_model(doc):
                     model.spaces[name] = product_space(
                         model.spaces[left], model.spaces[right]
                     )
-                except ValueError as err:
+                except (FinmeasError, ValueError) as err:
                     raise ModelError(f"space {name!r}: {err}") from None
                 del pending_products[name]
                 progressed = True
@@ -222,68 +224,46 @@ def parse_model(doc):
                 f"unresolved product spaces: {sorted(pending_products)}"
             )
 
-    for name, entry in sorted(doc.get("measures", {}).items()):
-        _require_dict(entry, f"measure {name!r}")
+    for name, entry in _section(doc, "measures", "measure"):
         space = model.space(entry.get("space"))
-        weights = _atom_weights(
+        weights = _by_atom(
             space, _require_dict(entry.get("weights", {}), "weights"),
             f"measure {name!r}",
         )
         cls = Measure if all(w >= 0 for w in weights.values()) else SignedMeasure
         model.measures[name] = cls.from_atom_weights(space, weights)
 
-    for name, entry in sorted(doc.get("functions", {}).items()):
-        _require_dict(entry, f"function {name!r}")
+    for name, entry in _section(doc, "functions", "function"):
         space = model.space(entry.get("space"))
-        values = _atom_weights(
+        values = _by_atom(
             space, _require_dict(entry.get("values", {}), "values"),
             f"function {name!r}",
         )
         values = [values.get(k, 0) for k in range(len(space.atoms))]
         model.functions[name] = StepFunction(space, values)
 
-    for name, entry in sorted(doc.get("kernels", {}).items()):
-        _require_dict(entry, f"kernel {name!r}")
+    for name, entry in _section(doc, "kernels", "kernel"):
         domain = model.space(entry.get("domain"))
         codomain = model.space(entry.get("codomain"))
-        rows_doc = _require_dict(entry.get("rows", {}), f"kernel {name!r} rows")
-        row_by_atom = {}
-        for point, row in rows_doc.items():
-            try:
-                k = domain.atom_index_of_point(point)
-            except ValueError:
-                raise ModelError(
-                    f"kernel {name!r}: unknown row point {point!r}"
-                ) from None
-            if k in row_by_atom:
-                raise ModelError(f"kernel {name!r}: duplicate row for an atom")
-            row_by_atom[k] = _atom_weights(
-                codomain, _require_dict(row, "row"), f"kernel {name!r}[{point!r}]"
-            )
-        if len(row_by_atom) != len(domain.atoms):
+        rows = _by_atom(
+            domain, _require_dict(entry.get("rows", {}), f"kernel {name!r} rows"),
+            f"kernel {name!r}",
+            lambda row, at: _by_atom(codomain, _require_dict(row, "row"), at),
+        )
+        if len(rows) != len(domain.atoms):
             raise ModelError(f"kernel {name!r}: needs one row per domain atom")
         kind = entry.get("kind")
         if kind is not None and not isinstance(kind, str):
             raise ModelError(f"kernel {name!r}: kind must be a string")
         try:
-            model.kernels[name] = Kernel(
-                domain,
-                codomain,
-                [
-                    Measure.from_atom_weights(codomain, row_by_atom[k])
-                    for k in range(len(domain.atoms))
-                ],
-                kind,
-            )
+            rows = [Measure.from_atom_weights(codomain, rows[k]) for k in sorted(rows)]
+            model.kernels[name] = Kernel(domain, codomain, rows, kind)
         except (FinmeasError, ValueError) as err:
             raise ModelError(f"kernel {name!r}: {err}") from None
 
-    for name, entry in sorted(doc.get("relations", {}).items()):
-        _require_dict(entry, f"relation {name!r}")
-        left_name = entry.get("left")
-        right_name = entry.get("right")
-        left = model.space(left_name)
-        right = model.space(right_name)
+    for name, entry in _section(doc, "relations", "relation"):
+        names = entry.get("left"), entry.get("right")
+        left, right = map(model.space, names)
         pairs_doc = entry.get("pairs", [])
         if not isinstance(pairs_doc, list):
             raise ModelError(f"relation {name!r}: pairs must be a JSON list")
@@ -301,7 +281,7 @@ def parse_model(doc):
         canonical = tuple(
             (left.points[i], right.points[j]) for i, j in sorted(pairs)
         )
-        model.relations[name] = (left_name, right_name, canonical)
+        model.relations[name] = (*names, canonical)
     return model
 
 

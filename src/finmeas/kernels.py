@@ -23,7 +23,7 @@ from .errors import (
 )
 from .integrate import StepFunction, integral
 from .measures import Measure
-from .spaces import product_space
+from .spaces import product_size, product_space
 
 FINITE = "finite"
 SUB_MARKOV = "subMarkov"
@@ -274,23 +274,14 @@ MAX_PATH_LABEL_BYTES = 1 << 24
 def _path_space_size(step_space, horizon):
     """(points, label bytes) of the horizon-h path space, without building it.
 
-    A path label is its h step labels, each escaped once, joined by bars:
-    with n step points of B label bytes, E once escaped, that is n^h points
-    and B bytes at h = 1, else h n^(h-1) E + (h - 1) n^h bytes.  The step
-    limit comes first: a one-point step space passes the byte limit only
-    after millions of steps.
+    The step limit comes first: a one-point step space passes the byte
+    limit only after millions of steps.
     """
     if horizon > MAX_PATH_STEPS:
         raise HorizonTooLarge(
             f"horizon {horizon} is past the limit of {MAX_PATH_STEPS} steps"
         )
-    n = len(step_space.points)
-    raw = sum(len(p.encode()) for p in step_space.points)
-    escaped = raw + sum(p.count("|") for p in step_space.points)
-    points = n**horizon
-    size = horizon * escaped * points // n + (horizon - 1) * points
-    if horizon == 1:
-        size = raw
+    points, size = product_size(*[step_space] * horizon)
     if points > MAX_PATH_POINTS or size > MAX_PATH_LABEL_BYTES:
         raise HorizonTooLarge(
             f"horizon {horizon} has {points} paths and {size} label bytes,"

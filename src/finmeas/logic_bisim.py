@@ -46,23 +46,10 @@ from .spaces import (
 class Formula:
     """AST base; concrete nodes are Top, And and Dia.
 
-    Printing, depth, equality and hashing walk the tree with an explicit
-    stack, so formulas nested thousands deep need no recursion.  Equality
-    and hashing go through the printed form, which is injective.
+    Printing walks the tree with an explicit stack, so formulas nested
+    thousands deep need no recursion.  Equality and hashing go through the
+    printed form, which is injective.
     """
-
-    def depth(self):
-        deepest = 0
-        stack = [(self, 0)]
-        while stack:
-            node, d = stack.pop()
-            if isinstance(node, Dia):
-                stack.append((node.body, d + 1))
-            elif isinstance(node, And):
-                stack += [(node.left, d), (node.right, d)]
-            else:
-                deepest = max(deepest, d)
-        return deepest
 
     def __eq__(self, other):
         return isinstance(other, Formula) and repr(self) == repr(other)

@@ -166,30 +166,16 @@ class Measure(SignedMeasure):
 
 
 class LinearFunctional:
-    """A linear functional on step functions, given on the indicator basis.
+    """A linear functional on step functions, given on the indicator basis."""
 
-    declared_total is its value on the constant one function and must equal
-    the sum of the indicator values.
-    """
-
-    def __init__(self, space, values_on_atom_indicators, declared_total=None):
+    def __init__(self, space, values_on_atom_indicators):
         values = tuple(as_fraction(v) for v in values_on_atom_indicators)
         if len(values) != len(space.atoms):
             raise ValueError(
                 f"expected {len(space.atoms)} indicator values, got {len(values)}"
             )
-        total = sum(values, start=Fraction(0))
-        if declared_total is None:
-            declared_total = total
-        else:
-            declared_total = as_fraction(declared_total)
-            if declared_total != total:
-                raise ValueError(
-                    f"declared_total {declared_total} != sum of indicator values {total}"
-                )
         self.space = space
         self.values_on_atom_indicators = values
-        self.declared_total = declared_total
 
     def __call__(self, f):
         """Apply by linearity: f = sum of f(atom) * indicator(atom)."""

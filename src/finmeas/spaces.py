@@ -24,6 +24,24 @@ def join_pair_label(left, right):
     return _escape(left) + "|" + _escape(right)
 
 
+def product_size(*factors):
+    """(points, label bytes) of product_space(*factors), without building it.
+
+    With N points in all, a factor of n points whose labels, escaped once,
+    take E bytes is a component of N / n labels, and each label joins its
+    k > 1 components with k - 1 bars.  A single factor keeps its labels.
+    """
+    if len(factors) == 1:
+        return len(factors[0].points), sum(len(p.encode()) for p in factors[0].points)
+    points = prod(len(factor.points) for factor in factors)
+    escaped = {}  # scan each distinct factor once: a path space repeats one
+    for factor in factors:
+        if id(factor) not in escaped:
+            escaped[id(factor)] = sum(len(_escape(p).encode()) for p in factor.points)
+    size = sum(escaped[id(f)] * (points // len(f.points)) for f in factors)
+    return points, size + (len(factors) - 1) * points
+
+
 class FiniteMeasurableSpace:
     """A finite carrier together with the atoms of its sigma-algebra."""
 
@@ -222,11 +240,14 @@ class Partition:
 
 
 def _membership_groups(points, family):
-    """Group points by their membership vector across the family."""
+    """Group points by the indices of the family's sets that hold them."""
+    holders = {p: [] for p in points}
+    for k, s in enumerate(family):
+        for p in s:
+            holders[p].append(k)
     groups = {}
     for p in points:
-        key = tuple(p in s for s in family)
-        groups.setdefault(key, []).append(p)
+        groups.setdefault(tuple(holders[p]), []).append(p)
     return list(groups.values())
 
 
@@ -250,6 +271,11 @@ def sigma_from_generator(points, generator):
     return FiniteMeasurableSpace(points, _membership_groups(points, family))
 
 
+# the largest product product_space builds; the points match mediate's limit
+MAX_PRODUCT_POINTS = 1 << 20
+MAX_PRODUCT_LABEL_BYTES = 1 << 26
+
+
 def product_space(*factors):
     """Product of finitely many spaces; atoms are all rectangles of atoms.
 
@@ -257,10 +283,17 @@ def product_space(*factors):
     doubled) and joined by '|', so two factors give join_pair_label(p, q).
     Points and rectangle atoms are row-major (lexicographic) over the
     factors, and the atoms reuse the label strings by index.  A single
-    factor is returned unchanged.
+    factor is returned unchanged.  A product past the MAX_PRODUCT_* limits
+    raises CapacityExceeded, counted before anything is built.
     """
     if len(factors) == 1:
         return factors[0]
+    size = product_size(*factors)
+    if size[0] > MAX_PRODUCT_POINTS or size[1] > MAX_PRODUCT_LABEL_BYTES:
+        raise CapacityExceeded(
+            "a product of {} points and {} label bytes is past the limits {} and"
+            " {}".format(*size, MAX_PRODUCT_POINTS, MAX_PRODUCT_LABEL_BYTES)
+        )
     points = [_escape(p) for p in factors[0].points]
     for factor in factors[1:]:
         tails = ["|" + _escape(q) for q in factor.points]

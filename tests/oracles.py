@@ -17,9 +17,10 @@ evaluation, the quotient block sums, the path-measure recursion over
 nested binary product spaces and the dense measure-kernel product.
 
 The space constructor validates in one pass, the product space escapes
-each factor's labels once, and the kernel kind is inferred from integer
-row sums.  The earlier constructor, the label-by-label product and the
-Fraction row totals are kept here as well.
+each factor's labels once, the kernel kind is inferred from integer row
+sums, and a generator space groups each point by the sets that hold it.
+The earlier constructor, the label-by-label product, the Fraction row
+totals and the grouping by membership vectors are kept here as well.
 
 A mediating kernel is now the class-conditional product of the two rows.
 The earlier construction is kept: one max-flow coupling per matched pair,
@@ -792,6 +793,16 @@ def generated_equivalence(points, family):
     """
     space = sigma_from_generator(points, family)
     return Partition(space, space.atoms)
+
+
+def membership_groups_scan(points, family):
+    """The generator grouping by each point's membership vector: one test
+    of p in s per point and set, so points times sets."""
+    groups = {}
+    for p in points:
+        key = tuple(p in s for s in family)
+        groups.setdefault(key, []).append(p)
+    return list(groups.values())
 
 
 def space_reference(points, atoms, factors=None):

@@ -347,6 +347,76 @@ def test_model_rejects_colliding_product_labels(capsys, tmp_path):
     assert err.startswith("error[input]: space 'P'") and "points must be distinct" in err
 
 
+def _write(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ({"a": {"a": 1}, "z": {"a": 1}}, "kernel 'K': unknown point 'z'"),
+        ({"a": {"a": 1}, "b": {"a": 1}}, "kernel 'K': points 'a' and 'b' hit the same atom"),
+    ],
+    ids=["unknown-row-point", "two-rows-in-one-atom"],
+)
+def test_kernel_row_keys_resolve_like_weights(capsys, tmp_path, rows, message):
+    path = _write(tmp_path, {
+        "spaces": {"X": {"points": ["a", "b"], "atoms": [["a", "b"]]}},
+        "kernels": {"K": {"domain": "X", "codomain": "X", "rows": rows}},
+    })
+    code, out, err = run(capsys, "space", "-m", path, "--name", "X")
+    assert code == 2 and out == ""
+    assert err == f"error[input]: {message}\n"
+
+
+def test_model_refuses_a_product_chain_past_the_point_limit_at_once(capsys, tmp_path):
+    # P1 = A x A and each P(k+1) = Pk x Pk: P4 has 2^16 points, P5 2^32
+    spaces = {"A": {"points": ["a", "b"]}, "P1": {"product": ["A", "A"]}}
+    spaces.update({f"P{k + 1}": {"product": [f"P{k}", f"P{k}"]} for k in range(1, 5)})
+    path = _write(tmp_path, {"spaces": spaces})
+    started = time.perf_counter()
+    code, out, err = run(capsys, "space", "-m", path, "--name", "A")
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]: space 'P5': a product of 4294967296 points")
+    assert err.count("\n") == 1
+
+
+def test_product_command_refuses_a_product_past_the_point_limit(capsys, tmp_path):
+    # 1,025 x 1,024 points, one atom each: the limit counts points, not atoms
+    left = [f"a{k}" for k in range(1025)]
+    right = [f"b{k}" for k in range(1024)]
+    path = _write(tmp_path, {
+        "spaces": {"A": {"points": left, "atoms": [left]}, "B": {"points": right, "atoms": [right]}},
+        "measures": {"mu": {"space": "A", "weights": {"a0": 1}}, "nu": {"space": "B", "weights": {"b0": 1}}},
+    })
+    started = time.perf_counter()
+    code, out, err = run(capsys, "product", "-m", path, "--left", "mu", "--right", "nu")
+    assert time.perf_counter() - started < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error[CapacityExceeded]: a product of 1049600 points")
+    assert err.count("\n") == 1
+
+
+def test_model_refuses_a_product_past_the_label_byte_limit(capsys, tmp_path):
+    # 1,024 labels of 65,532 + 1 + 4 bytes: 5,120 bytes past 2^26
+    path = _write(tmp_path, {
+        "spaces": {
+            "A": {"points": ["a" * 65532]},
+            "B": {"points": [f"{k:04d}" for k in range(1024)]},
+            "P": {"product": ["A", "B"]},
+        },
+    })
+    code, out, err = run(capsys, "space", "-m", path, "--name", "B")
+    assert code == 2 and out == ""
+    assert err == (
+        "error[input]: space 'P': a product of 1024 points and 67109888 label bytes"
+        " is past the limits 1048576 and 67108864\n"
+    )
+
+
 def test_model_rejects_non_utf8_file(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes('{"spaces": {"X": {"points": ["\u00e9"]}}}'.encode("latin-1"))

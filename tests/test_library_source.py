@@ -116,6 +116,19 @@ def test_only_measures_reads_the_dense_weights_view_and_none_reads_dist():
     assert found == []
 
 
+def test_only_the_spaces_module_writes_the_label_bar():
+    # product labels are built and counted in spaces.py alone, so the '|'
+    # escape rule is stated once: no other module has a "|" constant
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "spaces.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value == "|"
+    ]
+    assert found == []
+
+
 def test_the_public_names_are_no_modules():
     # `from finmeas import *` gives the API, not the package's submodules
     modules = [

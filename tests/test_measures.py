@@ -138,13 +138,6 @@ def test_functional_round_trip_and_positivity():
         measure_from_functional(LinearFunctional(two, [1, -1]))
 
 
-def test_functional_declared_total_must_match():
-    two = FiniteMeasurableSpace.discrete("ab")
-    LinearFunctional(two, [1, 2], declared_total=3)
-    with pytest.raises(ValueError):
-        LinearFunctional(two, [1, 2], declared_total=4)
-
-
 def test_dual_density_examples():
     two = FiniteMeasurableSpace.discrete("ab")
     eta = Measure(two, [Fraction(1, 2), Fraction(1, 2)])

@@ -1,13 +1,18 @@
-"""The one-pass space constructor and the escape-once product space against
-the constructor and the label-by-label product they replaced (kept in
-``oracles``)."""
+"""The one-pass space constructor, the escape-once product space and the
+generator grouping against the constructor, the label-by-label product and
+the grouping they replaced (kept in ``oracles``)."""
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from finmeas.spaces import FiniteMeasurableSpace, product_space
+from finmeas.spaces import (
+    FiniteMeasurableSpace,
+    _membership_groups,
+    product_size,
+    product_space,
+)
 
-from oracles import product_space_reference, space_reference
+from oracles import membership_groups_scan, product_space_reference, space_reference
 
 # labels over an alphabet with the escape character, so points include
 # "", "|", "||", "a|", "|b" and the like
@@ -174,3 +179,36 @@ def test_flat_product_has_the_nested_atoms_in_order(a, b, c):
     )
     rename = dict(zip(flat.points, nested.points))
     assert [tuple(map(rename.get, atom)) for atom in flat.atoms] == list(nested.atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(valid_spaces(max_points=4, labels=WIDE_LABELS), min_size=1, max_size=3))
+def test_product_size_counts_the_built_labels(cases):
+    """Points and label bytes in closed form, for one to three factors with
+    empty labels, bars and a two-byte character.  A product whose labels
+    collide (join_pair_label("", "|") == join_pair_label("|", "")) is
+    refused, so it has no labels to count."""
+    factors = [FiniteMeasurableSpace(*case) for case in cases]
+    try:
+        space = product_space(*factors)
+    except ValueError as err:
+        assume(str(err) != "points must be distinct")
+        raise
+    size = sum(len(p.encode()) for p in space.points)
+    assert product_size(*factors) == (len(space.points), size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(POOL), min_size=1, max_size=6, unique=True).flatmap(
+        lambda points: st.tuples(
+            st.permutations(points),
+            st.lists(st.frozensets(st.sampled_from(points)), max_size=5),
+        )
+    )
+)
+def test_generator_grouping_equals_the_membership_vectors(case):
+    """Grouping by the indices of the sets that hold a point gives the
+    groups of the membership vectors, in the same order."""
+    points, family = case
+    assert _membership_groups(points, family) == membership_groups_scan(points, family)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from finmeas.errors import (
     EmptyCarrier,
     GeneratorNotPiSystem,
 )
+from finmeas import spaces
 from finmeas.measures import Measure
 from finmeas.spaces import (
     FiniteMeasurableSpace,
@@ -17,6 +19,7 @@ from finmeas.spaces import (
     Partition,
     check_pi_system_uniqueness,
     join_pair_label,
+    product_size,
     product_space,
     sigma_from_generator,
 )
@@ -131,6 +134,32 @@ def test_partition_validates_blocks_like_atoms():
 def test_generated_equivalence_blocks_are_atoms():
     part = generated_equivalence("abcd", [{"a", "b"}, {"b"}])
     assert part.blocks == (("a",), ("b",), ("c", "d"))
+
+
+def test_generator_space_costs_its_input_not_points_times_sets():
+    # 8,000 points, each its own generator set: one pass over the sets
+    points = [f"p{k}" for k in range(8000)]
+    started = time.perf_counter()
+    space = sigma_from_generator(points, [{p} for p in points])
+    assert time.perf_counter() - started < 0.5
+    assert len(space.atoms) == 8000
+
+
+def test_product_limits_are_inclusive(monkeypatch):
+    x = FiniteMeasurableSpace.discrete(["a", "b|", "é"])
+    points, size = product_size(x, x, x)
+    assert points == 27
+    monkeypatch.setattr(spaces, "MAX_PRODUCT_POINTS", points)
+    monkeypatch.setattr(spaces, "MAX_PRODUCT_LABEL_BYTES", size)
+    assert len(product_space(x, x, x).points) == points
+    assert product_space(x) is x
+    monkeypatch.setattr(spaces, "MAX_PRODUCT_LABEL_BYTES", size - 1)
+    with pytest.raises(CapacityExceeded, match=f"27 points and {size} label bytes"):
+        product_space(x, x, x)
+    monkeypatch.setattr(spaces, "MAX_PRODUCT_LABEL_BYTES", size)
+    monkeypatch.setattr(spaces, "MAX_PRODUCT_POINTS", points - 1)
+    with pytest.raises(CapacityExceeded, match="past the limits 26 and"):
+        product_space(x, x, x)
 
 
 def test_pi_system_uniqueness_requires_closure():
