@@ -15,6 +15,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 
 from .errors import FinmeasError, NotBisimilar
 from .integrate import (
@@ -925,7 +926,11 @@ def main(argv=None):
         print(f"error[input]: {err}", file=sys.stderr)
         return 2
     try:
-        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        if args.json:  # in batches of chunks, never as one string
+            chunks = json.JSONEncoder(indent=2).iterencode(payload)
+            while batch := "".join(islice(chunks, 4096)):
+                sys.stdout.write(batch)
+        print("" if args.json else "\n".join(lines))
         sys.stdout.flush()
     except BrokenPipeError:
         # exit as a shell reports SIGPIPE, stdout on devnull for the exit flush

@@ -1,7 +1,7 @@
 """Error taxonomy shared by all modules.
 
-Every domain error carries a stable machine-readable ``code`` so batch
-callers can dispatch on it without parsing messages.
+Every domain error carries a stable machine-readable ``code``, its class
+name, so batch callers can dispatch on it without parsing messages.
 """
 
 
@@ -10,78 +10,77 @@ class FinmeasError(Exception):
 
     code = "FinmeasError"
 
+    def __init_subclass__(cls):
+        cls.code = cls.__name__
+
 
 class EmptyCarrier(FinmeasError):
-    code = "EmptyCarrier"
+    pass
 
 
 class GeneratorNotPiSystem(FinmeasError):
-    code = "GeneratorNotPiSystem"
+    pass
 
 
 class CapacityExceeded(FinmeasError):
-    code = "CapacityExceeded"
+    pass
 
 
 class SpaceMismatch(FinmeasError):
-    code = "SpaceMismatch"
+    pass
 
 
 class AbsoluteContinuityViolated(FinmeasError):
-    code = "AbsoluteContinuityViolated"
-
     def __init__(self, message, witness_atom=None):
         super().__init__(message)
         self.witness_atom = witness_atom
 
 
 class NegativeFunctional(FinmeasError):
-    code = "NegativeFunctional"
+    pass
 
 
 class UnsupportedFunctional(FinmeasError):
-    code = "UnsupportedFunctional"
+    pass
 
 
 class InvalidExponent(FinmeasError):
-    code = "InvalidExponent"
+    pass
 
 
 class NegativeFunction(FinmeasError):
-    code = "NegativeFunction"
+    pass
 
 
 class NotAtomMap(FinmeasError):
-    code = "NotAtomMap"
+    pass
 
 
 class HorizonTooLarge(FinmeasError):
-    code = "HorizonTooLarge"
+    pass
 
 
 class NotProductSpace(FinmeasError):
-    code = "NotProductSpace"
+    pass
 
 
 class InvalidGamma(FinmeasError):
-    code = "InvalidGamma"
+    pass
 
 
 class NotACongruence(FinmeasError):
-    code = "NotACongruence"
-
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
 
 
 class MassMismatch(FinmeasError):
-    code = "MassMismatch"
+    pass
 
 
 class NotBisimilar(FinmeasError):
-    code = "NotBisimilar"
+    pass
 
 
 class FloatRange(FinmeasError):
-    code = "FloatRange"
+    pass

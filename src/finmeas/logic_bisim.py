@@ -9,14 +9,14 @@ refinement.  For kernels whose rows have mass at most 1, their blocks are
 those cut out by the validity sets of all formulas (of that depth).
 Validity sets and quotient kernels sum only the nonzero row entries, and
 formulas are parsed and evaluated with explicit stacks, so nesting depth
-costs no recursion; quotient isomorphisms are found by one iterative
-backtracking search.  Round-based refinement, formula enumeration, the
-validity-set closure and the permutation search serve as test oracles
-only.  A coupling of two marginals inside a support is one
-``flow.transport`` max flow: a full flow is the coupling, and a short one
-yields a Hall-style cut certificate from the residual graph.  A mediating
-kernel needs no flow: each row is the class-conditional product of the
-two, over nonzero entries.
+costs no recursion.  Two logical quotients are matched by the same
+refinement, run once on their disjoint union.  Round-based refinement,
+formula enumeration, the validity-set closure and the permutation and
+backtracking iso searches serve as test oracles only.  A coupling of two
+marginals inside a support is one ``flow.transport`` max flow: a full flow
+is the coupling, and a short one yields a Hall-style cut certificate from
+the residual graph.  A mediating kernel needs no flow: each row is the
+class-conditional product of the two, over nonzero entries.
 """
 
 from collections import Counter
@@ -264,31 +264,25 @@ def _initial_blocks(space, labels):
     return list(by_label.values())
 
 
-def logical_equivalence(kernel, labels=None):
-    """Coarsest partition whose blocks see equal row masses on every block.
+def _lump(rows, blocks):
+    """The coarsest refinement of the index blocks whose members' rows put
+    equal masses on every block, as a list of index sets.
 
     Splitter refinement (Paige-Tarjan, in the lumping form of Valmari and
-    Franceschinis, TACAS 2010) over predecessor lists of the scaled rows.
-    Every block starts on a worklist; popping a splitter S sums each
-    predecessor's mass into S and splits the touched states of each touched
-    block by that mass, the untouched states (mass 0) keeping the block.
-    The pieces of a split block are queued, except the largest when the
-    block itself is not queued: its mass is then the block's minus the
-    others'.  When every row has mass at most 1, the fixed point coincides
-    with the partition induced by the validity sets of all formulas; a
-    heavier row is told apart by masses above 1, which no threshold sees.
-    ``labels`` optionally seeds the initial partition with point label
-    classes (an extension hook; the core logic has no atomic propositions).
+    Franceschinis, TACAS 2010) over predecessor lists of the scaled rows
+    (D, cols, nums).  Every block starts on a worklist; popping a splitter
+    S sums each predecessor's mass into S and splits the touched states of
+    each touched block by that mass, the untouched states (mass 0) keeping
+    the block.  The pieces of a split block are queued, except the largest
+    when the block itself is not queued: its mass is then the block's minus
+    the others'.
     """
-    _require_endo(kernel)
-    space = kernel.domain
-    rows = [row.form for row in kernel.rows]
     scale = [d for d, _, _ in rows]
     pred = [[] for _ in rows]
     for i, (_, cols, nums) in enumerate(rows):
         for j, num in zip(cols, nums):
             pred[j].append((i, num))
-    members = [set(block) for block in _initial_blocks(space, labels)]
+    members = [set(block) for block in blocks]
     block_of = [0] * len(rows)
     for b, block in enumerate(members):
         for k in block:
@@ -331,6 +325,23 @@ def logical_equivalence(kernel, labels=None):
                 if not queued[x]:
                     queued[x] = True
                     queue.append(x)
+    return members
+
+
+def logical_equivalence(kernel, labels=None):
+    """Coarsest partition whose blocks see equal row masses on every block.
+
+    The lumping (_lump) of the kernel's rows from one block.  When every
+    row has mass at most 1, it coincides with the partition induced by the
+    validity sets of all formulas; a heavier row is told apart by masses
+    above 1, which no threshold sees.  ``labels`` optionally seeds the
+    lumping with point label classes instead of one block (an extension
+    hook; the core logic has no atomic propositions).
+    """
+    _require_endo(kernel)
+    space = kernel.domain
+    rows = [row.form for row in kernel.rows]
+    members = _lump(rows, _initial_blocks(space, labels))
     return Partition(
         space,
         [[p for k in block for p in space.atoms[k]] for block in members],
@@ -741,75 +752,39 @@ def mediate(k1, k2, q1, q2, iso):
 
 
 def find_quotient_iso(quot1, quot2):
-    """Search block bijections making two quotient kernels equal.
+    """The block bijection making two logical quotients equal, or None.
 
-    Returns (dom_iso, cod_iso) dicts keyed by block labels, or None.  A
-    pair of endokernels is searched over its rows as they are, with one
-    permutation for both sides.  Any other pair is searched as one square
-    matrix with the codomain blocks first and the domain blocks after,
-    whose only nonzero entries are the domain rows on the codomain blocks;
-    no block may cross to the other side.  One iterative depth-first search
-    assigns the positions in order, each trying its targets in index
-    order, so the first match found is the lexicographically first.
+    Both must be logical quotients of endokernels: minimal, so no two of
+    their blocks are bisimilar.  Then they are isomorphic exactly when the
+    lumping (_lump) of their disjoint union puts one block of each in every
+    class, and that iso is the only one.  Returns (dom_iso, cod_iso), two
+    equal dicts keyed by the first quotient's blocks in point order.  A
+    non-endo quotient raises SpaceMismatch, and a class holding two blocks
+    of one quotient raises ValueError: that quotient is not minimal.
     """
-    nd = len(quot1.domain.atoms)
-    nc = len(quot1.codomain.atoms)
-    if nd != len(quot2.domain.atoms) or nc != len(quot2.codomain.atoms):
+    _require_endo(quot1)
+    _require_endo(quot2)
+    n = len(quot1.domain.atoms)
+    if n != len(quot2.domain.atoms):
         return None
-    w1, w2 = (
-        [{j: Fraction(n, r.form[0]) for j, n in zip(*r.form[1:])} for r in q.rows]
-        for q in (quot1, quot2)
-    )
-    cut = 0
-    if not (quot1.is_endo() and quot2.is_endo()):
-        cut = nc
-        w1, w2 = ([{}] * nc + m for m in (w1, w2))
-    n = len(w1)
-    # the positions sharing a nonzero entry with each position; any other
-    # assigned position a compares zero with zero on both sides
-    near1, near2 = ([set(row) for row in w] for w in (w1, w2))
-    for w, near in ((w1, near1), (w2, near2)):
-        for a, row in enumerate(w):
-            for b in row:
-                near[b].add(a)
-    perm = [None] * n
-    inverse = [None] * n
-    start = [0] * n
-    i = 0
-    while 0 <= i < n:
-        if perm[i] is not None:
-            inverse[perm[i]] = None
-            perm[i] = None
-        before = {a for a in near1[i] if a < i}
-        for t in range(start[i], n):
-            if (
-                inverse[t] is None
-                and (i < cut) == (t < cut)
-                and w1[i].get(i, 0) == w2[t].get(t, 0)
-                and all(
-                    w1[a].get(i, 0) == w2[perm[a]].get(t, 0)
-                    and w1[i].get(a, 0) == w2[t].get(perm[a], 0)
-                    for a in before.union(
-                        inverse[u] for u in near2[t] if inverse[u] is not None
-                    )
+    rows = [row.form for row in quot1.rows]
+    for d, cols, nums in (row.form for row in quot2.rows):
+        rows.append((d, [j + n for j in cols], nums))
+    classes = [sorted(c) for c in _lump(rows, [range(2 * n)])]
+    for offset, quot, name in ((0, quot1, "first"), (n, quot2, "second")):
+        for c in classes:
+            mine = [k - offset for k in c if offset <= k < offset + n]
+            if len(mine) > 1:
+                a, b = (quot.domain.atoms[k][0] for k in mine[:2])
+                raise ValueError(
+                    f"the {name} quotient is not minimal: its blocks {a!r} and "
+                    f"{b!r} are bisimilar"
                 )
-            ):
-                perm[i] = t
-                inverse[t] = i
-                start[i] = t + 1
-                i += 1
-                break
-        else:
-            start[i] = 0
-            i -= 1
-    if i < 0:
+    if len(classes) != n:
         return None
-    dom_iso = {
-        quot1.domain.points[i]: quot2.domain.points[perm[cut + i] - cut]
-        for i in range(nd)
+    match = dict(classes)
+    iso = {
+        atom[0]: quot2.domain.atoms[match[i] - n][0]
+        for i, atom in enumerate(quot1.domain.atoms)
     }
-    cod_iso = {
-        quot1.codomain.points[c]: quot2.codomain.points[perm[c]]
-        for c in range(nc)
-    }
-    return dom_iso, cod_iso
+    return iso, dict(iso)

@@ -229,43 +229,48 @@ def mutually_singular(mu, nu):
     return not (sup_mu.members & sup_nu.members), sup_mu, sup_nu
 
 
+def _density(mu, nu):
+    """(h, carried, singular): the density h = mu/nu on the atoms nu
+    charges and 0 elsewhere, and mu's form entries (j, num) on and off
+    those atoms, each in atom order."""
+    mu._check(nu)
+    (d, cols, nums), (e, nu_cols, nu_nums) = mu.form, nu.form
+    den = dict(zip(nu_cols, nu_nums))
+    values = [0] * len(mu.space.atoms)
+    parts = ([], [])
+    for j, num in zip(cols, nums):
+        if j in den:
+            values[j] = Fraction(num * e, d * den[j])
+        parts[j not in den].append((j, num))
+    return StepFunction(mu.space, values), *parts
+
+
 def lebesgue_decompose(mu, nu):
     """mu = mu_a + mu_s with mu_a << nu, mu_s singular to nu, plus the density.
 
-    On nu-positive atoms the density is mu/nu and mu_s vanishes; on nu-null
+    On atoms nu charges the density is mu/nu and mu_s vanishes; on nu-null
     atoms all of mu is singular and the density is fixed to 0 so results
     are reproducible.
     """
-    mu._check(nu)
-    d, cols, nums = mu.form
-    carried = {j for j, num in zip(*nu.form[1:]) if num > 0}
-    absolutely = [(j, num) for j, num in zip(cols, nums) if j in carried]
-    singular = [(j, num) for j, num in zip(cols, nums) if j not in carried]
-    density = [mw / nw if nw > 0 else 0 for mw, nw in zip(mu.weights, nu.weights)]
-    return (
-        Measure.from_ints(mu.space, d, absolutely),
-        Measure.from_ints(mu.space, d, singular),
-        StepFunction(mu.space, density),
-    )
+    density, *parts = _density(mu, nu)
+    absolutely, singular = (Measure.from_ints(mu.space, mu.form[0], p) for p in parts)
+    return absolutely, singular, density
 
 
 def radon_nikodym(mu, nu):
     """The density h with mu(A) = integral of h over A against nu.
 
     Requires mu << nu; change of measure follows for every step function f:
-    integral f dmu = integral f h dnu.
+    integral f dmu = integral f h dnu.  The first atom that nu misses and
+    mu charges is the witness of a violation.
     """
-    mu._check(nu)
-    for k, (mw, nw) in enumerate(zip(mu.weights, nu.weights)):
-        if nw == 0 and mw != 0:
-            raise AbsoluteContinuityViolated(
-                f"nu vanishes on atom {mu.space.atoms[k]!r} but mu does not",
-                witness_atom=mu.space.atoms[k],
-            )
-    return StepFunction(
-        mu.space,
-        [mw / nw if nw != 0 else Fraction(0) for mw, nw in zip(mu.weights, nu.weights)],
-    )
+    density, _, singular = _density(mu, nu)
+    if singular:
+        atom = mu.space.atoms[singular[0][0]]
+        raise AbsoluteContinuityViolated(
+            f"nu vanishes on atom {atom!r} but mu does not", witness_atom=atom
+        )
+    return density
 
 
 def measure_from_functional(functional):

@@ -27,10 +27,13 @@ The earlier construction is kept: one max-flow coupling per matched pair,
 over spaces whose pair labels are joined and then split again.
 
 The invariant sigma-algebra of a depth is now that many rounds of
-block-mass refinement, and a quotient isomorphism one iterative search.
-The earlier forms are kept: the closure of the validity sets under every
-realized threshold and pairwise intersection, and the recursive search
-that tries every codomain permutation for pairs other than endokernels.
+block-mass refinement, and the iso of two logical quotients one lumping of
+their disjoint union.  The earlier forms are kept: the closure of the
+validity sets under every realized threshold and pairwise intersection,
+the recursive search that tries every codomain permutation for pairs
+other than endokernels, and the iterative backtracking search over the
+positions that share a nonzero, which also takes non-minimal and
+non-endo quotients and checks the union lumping at larger sizes.
 
 Lp norms for a non-integer or finite exponent other than 1 used to be
 taken in plain floats only; that form is kept for the exponents where it
@@ -57,6 +60,8 @@ Measure sums, scalings and the Jordan split now build their results from
 the integer forms, and the CLI formats a measure's zero once and each
 nonzero once.  The Jordan split over the dense weights and the CLI's
 dense rendering of kernels and measures, one format per atom, are kept.
+So are the Lebesgue split's and the Radon-Nikodym density's loops over
+the dense weights, which one helper over the two forms replaced.
 
 Five names only tests used have moved here from the library:
 split_pair_label, generated_equivalence, factor_map, d_to_set (once a
@@ -69,6 +74,7 @@ from itertools import combinations, permutations
 
 from finmeas.cli import _Rows
 from finmeas.errors import (
+    AbsoluteContinuityViolated,
     CapacityExceeded,
     EmptyCarrier,
     FinmeasError,
@@ -967,13 +973,42 @@ def jordan_decompose_dense(nu):
     return plus, minus, variation
 
 
+def lebesgue_decompose_dense(mu, nu):
+    """(absolutely continuous part, singular part, density), the density
+    taken atom by atom over the dense weights."""
+    mu._check(nu)
+    d, cols, nums = mu.form
+    carried = {j for j, num in zip(*nu.form[1:]) if num > 0}
+    absolutely = [(j, num) for j, num in zip(cols, nums) if j in carried]
+    singular = [(j, num) for j, num in zip(cols, nums) if j not in carried]
+    density = [mw / nw if nw > 0 else 0 for mw, nw in zip(mu.weights, nu.weights)]
+    return (
+        Measure.from_ints(mu.space, d, absolutely),
+        Measure.from_ints(mu.space, d, singular),
+        StepFunction(mu.space, density),
+    )
+
+
+def radon_nikodym_dense(mu, nu):
+    """The density dmu/dnu atom by atom over the dense weights."""
+    mu._check(nu)
+    for k, (mw, nw) in enumerate(zip(mu.weights, nu.weights)):
+        if nw == 0 and mw != 0:
+            raise AbsoluteContinuityViolated(
+                f"nu vanishes on atom {mu.space.atoms[k]!r} but mu does not",
+                witness_atom=mu.space.atoms[k],
+            )
+    return StepFunction(
+        mu.space,
+        [mw / nw if nw != 0 else Fraction(0) for mw, nw in zip(mu.weights, nu.weights)],
+    )
+
+
 # -------------------------------------------------------------- mediation
 
 
 class CouplingFailed(FinmeasError):
     """A matched pair of rows that the flow oracle could not couple."""
-
-    code = "CouplingFailed"
 
 
 def split_pair_label(label):
@@ -1305,6 +1340,81 @@ def find_quotient_iso_search(quot1, quot2):
             }
             return dom_iso, cod_iso
     return None
+
+
+def find_quotient_iso_backtracking(quot1, quot2):
+    """Search block bijections making two quotient kernels equal.
+
+    Returns (dom_iso, cod_iso) dicts keyed by block labels, or None.  A
+    pair of endokernels is searched over its rows as they are, with one
+    permutation for both sides.  Any other pair is searched as one square
+    matrix with the codomain blocks first and the domain blocks after,
+    whose only nonzero entries are the domain rows on the codomain blocks;
+    no block may cross to the other side.  One iterative depth-first search
+    assigns the positions in order, each trying its targets in index
+    order, so the first match found is the lexicographically first.
+    """
+    nd = len(quot1.domain.atoms)
+    nc = len(quot1.codomain.atoms)
+    if nd != len(quot2.domain.atoms) or nc != len(quot2.codomain.atoms):
+        return None
+    w1, w2 = (
+        [{j: Fraction(n, r.form[0]) for j, n in zip(*r.form[1:])} for r in q.rows]
+        for q in (quot1, quot2)
+    )
+    cut = 0
+    if not (quot1.is_endo() and quot2.is_endo()):
+        cut = nc
+        w1, w2 = ([{}] * nc + m for m in (w1, w2))
+    n = len(w1)
+    # the positions sharing a nonzero entry with each position; any other
+    # assigned position a compares zero with zero on both sides
+    near1, near2 = ([set(row) for row in w] for w in (w1, w2))
+    for w, near in ((w1, near1), (w2, near2)):
+        for a, row in enumerate(w):
+            for b in row:
+                near[b].add(a)
+    perm = [None] * n
+    inverse = [None] * n
+    start = [0] * n
+    i = 0
+    while 0 <= i < n:
+        if perm[i] is not None:
+            inverse[perm[i]] = None
+            perm[i] = None
+        before = {a for a in near1[i] if a < i}
+        for t in range(start[i], n):
+            if (
+                inverse[t] is None
+                and (i < cut) == (t < cut)
+                and w1[i].get(i, 0) == w2[t].get(t, 0)
+                and all(
+                    w1[a].get(i, 0) == w2[perm[a]].get(t, 0)
+                    and w1[i].get(a, 0) == w2[t].get(perm[a], 0)
+                    for a in before.union(
+                        inverse[u] for u in near2[t] if inverse[u] is not None
+                    )
+                )
+            ):
+                perm[i] = t
+                inverse[t] = i
+                start[i] = t + 1
+                i += 1
+                break
+        else:
+            start[i] = 0
+            i -= 1
+    if i < 0:
+        return None
+    dom_iso = {
+        quot1.domain.points[i]: quot2.domain.points[perm[cut + i] - cut]
+        for i in range(nd)
+    }
+    cod_iso = {
+        quot1.codomain.points[c]: quot2.codomain.points[perm[c]]
+        for c in range(nc)
+    }
+    return dom_iso, cod_iso
 
 
 # ---------------------------------------------------------- CLI rendering

@@ -161,3 +161,15 @@ def test_every_public_name_is_used_by_the_cli_or_documented():
     documented = set(re.findall(r"\w+", spans))
     missing = [name for name in finmeas.__all__ if name not in used | documented]
     assert missing == []
+
+
+def test_every_error_code_is_its_class_name():
+    # FinmeasError.__init_subclass__ sets each code once, from the name
+    errors = [
+        value for value in vars(finmeas.errors).values()
+        if isinstance(value, type) and issubclass(value, finmeas.FinmeasError)
+    ]
+    exported = [getattr(finmeas, name) for name in finmeas.__all__]
+    assert {e for e in exported if e in errors} == set(errors)
+    assert len(errors) > 10
+    assert [e.__name__ for e in errors if e.code != e.__name__] == []

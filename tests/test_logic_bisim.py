@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import time
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finmeas.cli import main
 from finmeas.errors import (
     CapacityExceeded,
     MassMismatch,
@@ -41,6 +43,7 @@ from finmeas.spaces import FiniteMeasurableSpace, Partition, sigma_from_generato
 from conftest import rand_kernel, rand_probability, rand_space
 from oracles import (
     factor_map,
+    find_quotient_iso_backtracking,
     find_quotient_iso_search,
     invariant_sigma_algebra_closure,
     mediate_dense,
@@ -734,22 +737,143 @@ def quotient_pairs(draw):
     return k1, k2, how == "copy"
 
 
+def is_minimal(k):
+    return len(logical_equivalence(k).blocks) == len(k.domain.atoms)
+
+
 @settings(max_examples=300, deadline=None)
 @given(quotient_pairs())
+def test_find_quotient_iso_takes_only_minimal_endo_quotients(case):
+    # a side with two bisimilar blocks raises ValueError, a non-endo side
+    # SpaceMismatch; pairs of minimal sides match the search oracle
+    k1, k2, _ = case
+    if not (k1.is_endo() and k2.is_endo()):
+        with pytest.raises(SpaceMismatch):
+            find_quotient_iso(k1, k2)
+    elif all(is_minimal(k) for k in (k1, k2)):
+        assert find_quotient_iso(k1, k2) == find_quotient_iso_search(k1, k2)
+    else:
+        with pytest.raises(ValueError, match="quotient is not minimal"):
+            find_quotient_iso(k1, k2)
+
+
+@st.composite
+def logical_quotient_pairs(draw, max_states=8):
+    """The logical quotient of a random kernel on up to max_states states
+    with weights 0, 1/4, 1/2 and 1, and that of a copy with its states
+    renamed and listed in a random order, or of such a copy with one entry
+    changed.  Both are minimal endokernels of any row masses."""
+    n = draw(st.integers(1, max_states))
+    weights = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+    row = st.lists(st.sampled_from(weights), min_size=n, max_size=n)
+    w1 = draw(st.lists(row, min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    w2 = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            w2[perm[i]][perm[j]] = w1[i][j]
+    changed = draw(st.booleans())
+    if changed:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        w2[i][j] = draw(st.sampled_from([w for w in weights if w != w2[i][j]]))
+    quotients = []
+    for prefix, w in (("x", w1), ("u", w2)):
+        space = FiniteMeasurableSpace.discrete([f"{prefix}{i}" for i in range(n)])
+        k = Kernel.from_matrix(space, space, w)
+        quotients.append(quotient_kernel(k, logical_equivalence(k)))
+    return quotients[0], quotients[1], not changed
+
+
+@settings(max_examples=300, deadline=None)
+@given(logical_quotient_pairs())
 def test_find_quotient_iso_against_the_search_oracle(case):
-    k1, k2, copy = case
-    found = find_quotient_iso(k1, k2)
-    assert found == find_quotient_iso_search(k1, k2)
+    q1, q2, copy = case
+    found = find_quotient_iso(q1, q2)
+    assert found == find_quotient_iso_search(q1, q2)
     if copy:
         assert found is not None
     if found is not None:
         dom_iso, cod_iso = found
-        assert sorted(dom_iso.values()) == sorted(k2.domain.points)
-        assert sorted(cod_iso.values()) == sorted(k2.codomain.points)
-        for x, row in zip(k1.domain.points, k1.rows):
-            other = k2.row_at_point(dom_iso[x])
-            for y, w in zip(k1.codomain.points, row.weights):
-                assert w == other.weights[k2.codomain.atom_index_of_point(cod_iso[y])]
+        assert dom_iso == cod_iso
+        assert list(dom_iso) == list(q1.domain.points)
+        assert sorted(dom_iso.values()) == sorted(q2.domain.points)
+        for x, row in zip(q1.domain.points, q1.rows):
+            other = q2.row_at_point(dom_iso[x])
+            for y, w in zip(q1.codomain.points, row.weights):
+                assert w == other.weights[q2.codomain.atom_index_of_point(cod_iso[y])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(logical_quotient_pairs(max_states=20))
+def test_find_quotient_iso_against_the_backtracking_oracle(case):
+    q1, q2, copy = case
+    found = find_quotient_iso(q1, q2)
+    assert found == find_quotient_iso_backtracking(q1, q2)
+    assert found is not None or not copy
+
+
+def permuted_chains(m):
+    """Two kernels on the states s{stage}c{chain} of m dead-end chains
+    s0 -> s1 -> s2 of weight 1, chain c ending in a self-loop of weight
+    1/(c + 2) in the first and 1/(m + 1 - c) in the second, which lists the
+    chains in reverse.  The states go stage by stage, so a search that
+    assigns them in that order meets each chain's loop only at its end."""
+    space = FiniteMeasurableSpace.discrete(
+        [f"s{s}c{c}" for s in range(3) for c in range(m)]
+    )
+    kernels = []
+    for loop in (lambda c: c + 2, lambda c: m + 1 - c):
+        rows = [Measure.from_ints(space, 1, [(k + m, 1)]) for k in range(2 * m)]
+        rows += [Measure.from_ints(space, loop(c), [(2 * m + c, 1)]) for c in range(m)]
+        kernels.append(Kernel(space, space, rows))
+    return kernels
+
+
+def reversed_chains(m):
+    return {f"s{s}c{c}": f"s{s}c{m - 1 - c}" for s in range(3) for c in range(m)}
+
+
+@pytest.mark.parametrize("m, limit", [(7, 0.1), (300, 1)])
+def test_find_quotient_iso_on_permuted_chains(m, limit):
+    # 3m blocks whose only iso reverses the chains; the backtracking
+    # search took 13 s at m = 7 on a 2-vCPU VM
+    q1, q2 = (quotient_kernel(k, logical_equivalence(k)) for k in permuted_chains(m))
+    assert len(q1.domain.atoms) == 3 * m
+    started = time.perf_counter()
+    found = find_quotient_iso(q1, q2)
+    assert time.perf_counter() - started < limit
+    assert found == (reversed_chains(m), reversed_chains(m))
+    assert list(found[0]) == list(q1.domain.points)
+
+
+def test_bisim_mediate_on_permuted_chains(capsys, tmp_path):
+    kernels = dict(zip("KL", permuted_chains(7)))
+    points = kernels["K"].domain.points
+    doc = {
+        "spaces": {"S": {"points": list(points)}},
+        "kernels": {
+            name: {
+                "domain": "S",
+                "codomain": "S",
+                "rows": {
+                    x: {points[j]: f"{num}/{d}" for j, num in zip(cols, nums)}
+                    for x, (d, cols, nums) in zip(points, (r.form for r in k.rows))
+                },
+            }
+            for name, k in kernels.items()
+        },
+    }
+    path = tmp_path / "chains.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    started = time.perf_counter()
+    argv = ["bisim", "mediate", "-m", str(path), "--left", "K", "--right", "L"]
+    code = main([*argv, "--json"])
+    assert time.perf_counter() - started < 1
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    report = json.loads(out.out)
+    assert report["iso"] == dict(sorted(reversed_chains(7).items()))
+    assert len(report["a_atoms"]) == 21
 
 
 def test_find_quotient_iso_checks_only_the_shared_nonzeros():

@@ -9,10 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finmeas.measures import Measure, SignedMeasure, jordan_decompose
+from finmeas.errors import AbsoluteContinuityViolated
+from finmeas.measures import (
+    Measure,
+    SignedMeasure,
+    jordan_decompose,
+    lebesgue_decompose,
+    radon_nikodym,
+)
 from finmeas.spaces import FiniteMeasurableSpace
 
-from oracles import DenseMeasure, DenseSignedMeasure, jordan_decompose_dense
+from oracles import (
+    DenseMeasure,
+    DenseSignedMeasure,
+    jordan_decompose_dense,
+    lebesgue_decompose_dense,
+    radon_nikodym_dense,
+)
 
 DENS = (1, 2, 3, 7, 11, 13)
 
@@ -108,6 +121,29 @@ def test_jordan_decompose_matches_the_dense_split(case):
         _check_form(sparse)
         assert type(sparse) is Measure
         assert sparse.weights == dense.weights
+
+
+def _density_or_witness(density, mu, nu):
+    try:
+        return density(mu, nu).values
+    except AbsoluteContinuityViolated as err:
+        return err.witness_atom
+
+
+@settings(max_examples=300, deadline=None)
+@given(measure_cases())
+def test_densities_match_the_dense_formulas(case):
+    # mu/nu on nu-positive atoms and 0 elsewhere; without mu << nu the
+    # witness is the first atom that nu misses and mu charges
+    space, first, second, _ = case
+    mu, nu = Measure(space, first), Measure(space, second)
+    parts = lebesgue_decompose(mu, nu)
+    dense_parts = lebesgue_decompose_dense(mu, nu)
+    assert parts[:2] == dense_parts[:2]
+    assert parts[2].values == dense_parts[2].values
+    for a, b in ((mu, nu), (nu, mu), (parts[0], nu)):
+        found = _density_or_witness(radon_nikodym, a, b)
+        assert found == _density_or_witness(radon_nikodym_dense, a, b)
 
 
 def test_sums_and_scalings_cost_the_nonzeros_not_the_atoms():
