@@ -17,6 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
+from . import spaces
 from .errors import FinmeasError, NotBisimilar
 from .integrate import (
     INF,
@@ -207,15 +208,29 @@ def parse_model(doc):
         model.metrics[name] = metric
         model.spaces[name] = metric.space
 
-    # loop, not recurse: a long product chain would overflow the stack
+    # loop, not recurse: a long product chain would overflow the stack; the
+    # products of one file share the limits of one product
+    built = (0, 0)  # points and label bytes of the products built so far
     while pending_products:
         progressed = False
         for name, (left, right) in sorted(pending_products.items()):
             if left in model.spaces and right in model.spaces:
-                try:
-                    model.spaces[name] = product_space(
-                        model.spaces[left], model.spaces[right]
+                factors = model.spaces[left], model.spaces[right]
+                size = spaces.product_size(*factors)
+                built = built[0] + size[0], built[1] + size[1]
+                limits = spaces.MAX_PRODUCT_POINTS, spaces.MAX_PRODUCT_LABEL_BYTES
+                # a product past the limits on its own keeps product_space's message
+                if size[0] <= limits[0] and size[1] <= limits[1] and (
+                    built[0] > limits[0] or built[1] > limits[1]
+                ):
+                    raise ModelError(
+                        "space {!r}: the model's products would take {} points and"
+                        " {} label bytes, past the limits {} and {}".format(
+                            name, *built, *limits
+                        )
                     )
+                try:
+                    model.spaces[name] = product_space(*factors)
                 except (FinmeasError, ValueError) as err:
                     raise ModelError(f"space {name!r}: {err}") from None
                 del pending_products[name]

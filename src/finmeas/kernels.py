@@ -76,11 +76,6 @@ class Kernel:
         self.rows = rows
         self.kind = kind
 
-    @classmethod
-    def from_matrix(cls, domain, codomain, matrix, kind=None):
-        rows = [Measure(codomain, row) for row in matrix]
-        return cls(domain, codomain, rows, kind)
-
     def row_at_point(self, point):
         return self.rows[self.domain.atom_index_of_point(point)]
 

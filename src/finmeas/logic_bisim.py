@@ -8,17 +8,19 @@ sigma-algebra of a nesting depth by that many rounds of block-mass
 refinement.  For kernels whose rows have mass at most 1, their blocks are
 those cut out by the validity sets of all formulas (of that depth).
 Validity sets and quotient kernels sum only the nonzero row entries, and
-formulas are parsed and evaluated with explicit stacks, so nesting depth
-costs no recursion.  Two logical quotients are matched by the same
-refinement, run once on their disjoint union.  Round-based refinement,
-formula enumeration, the validity-set closure and the permutation and
-backtracking iso searches serve as test oracles only.  A coupling of two
+formulas are split into tokens by one pattern, then parsed and evaluated
+with explicit stacks, so nesting depth costs no recursion.  Two logical
+quotients are matched by the same refinement, run once on their disjoint
+union.  Round-based refinement, formula enumeration, the validity-set
+closure, the permutation and backtracking iso searches and the earlier
+hand-written formula scanner serve as test oracles only.  A coupling of two
 marginals inside a support is one ``flow.transport`` max flow: a full flow
 is the coupling, and a short one yields a Hall-style cut certificate from
 the residual graph.  A mediating kernel needs no flow: each row is the
 class-conditional product of the two, over nonzero entries.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -101,107 +103,70 @@ def format_formula(phi):
     return repr(phi)
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif text.startswith("dia>=", i):
-            tokens.append("dia>=")
-            i += 5
-        elif ch in "()&/T":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"unexpected character {ch!r} in formula")
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("formula ends unexpectedly")
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def rational(self):
-        num = self.take()
-        if not num.isdigit():
-            raise ValueError(f"expected a number, got {num!r}")
-        if self.peek() == "/":
-            self.take("/")
-            den = self.take()
-            if not den.isdigit():
-                raise ValueError(f"expected a denominator, got {den!r}")
-            if int(den) == 0:
-                raise ValueError(f"zero denominator in {num}/{den}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
-
-    def formula(self):
-        """One formula, parsed with an explicit stack of open dia>= and
-        conjunction frames instead of recursion."""
-        frames = []
-        while True:
-            tok = self.peek()
-            if tok == "dia>=":
-                self.take()
-                frames.append(self.rational())
-                continue
-            if tok == "(":
-                self.take()
-                frames.append([None])
-                continue
-            if tok != "T":
-                raise ValueError(f"unexpected token {tok!r}")
-            self.take()
-            node = Top()
-            while frames:
-                frame = frames[-1]
-                if isinstance(frame, Fraction):
-                    frames.pop()
-                    node = Dia(frame, node)
-                    continue
-                frame[0] = node if frame[0] is None else And(frame[0], node)
-                if self.peek() == "&":
-                    self.take()
-                    break
-                self.take(")")
-                frames.pop()
-                node = frame[0]
-            else:
-                return node
+# a token, or the first character that starts none
+_TOKEN = re.compile(r"\s*(?:(dia>=|\d+|[()&/T])|(\S))")
 
 
 def parse_formula(text):
     """Parse `T`, `(phi & phi)` (left-associative) or `dia>=p/q phi`.
 
     Whitespace-insensitive; dia binds tighter than &, so conjunctions are
-    always parenthesized.
+    always parenthesized.  The tokens are read off a reversed list, and
+    open dia>= thresholds and conjunctions wait on an explicit stack of
+    frames instead of the call stack.
     """
-    parser = _Parser(_tokenize(text))
-    node = parser.formula()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing input after formula: {parser.peek()!r}")
-    return node
+    tokens = []
+    for token, bad in _TOKEN.findall(text):
+        if bad:
+            raise ValueError(f"unexpected character {bad!r} in formula")
+        tokens.append(token)
+    tokens.reverse()
+
+    def take():
+        if not tokens:
+            raise ValueError("formula ends unexpectedly")
+        return tokens.pop()
+
+    frames = []
+    while True:
+        tok = tokens.pop() if tokens else None
+        if tok == "dia>=":
+            num, den = take(), "1"
+            if not num.isdigit():
+                raise ValueError(f"expected a number, got {num!r}")
+            if tokens[-1:] == ["/"]:
+                tokens.pop()
+                den = take()
+                if not den.isdigit():
+                    raise ValueError(f"expected a denominator, got {den!r}")
+                if int(den) == 0:
+                    raise ValueError(f"zero denominator in {num}/{den}")
+            frames.append(Fraction(int(num), int(den)))
+            continue
+        if tok == "(":
+            frames.append([None])
+            continue
+        if tok != "T":
+            raise ValueError(f"unexpected token {tok!r}")
+        node = Top()
+        while frames:
+            frame = frames[-1]
+            if isinstance(frame, Fraction):
+                frames.pop()
+                node = Dia(frame, node)
+                continue
+            frame[0] = node if frame[0] is None else And(frame[0], node)
+            tok = take()
+            if tok == "&":
+                break
+            if tok != ")":
+                raise ValueError(f"expected ')', got {tok!r}")
+            frames.pop()
+            node = frame[0]
+        else:
+            if tokens:
+                raise ValueError(f"trailing input after formula: {tokens[-1]!r}")
+            return node
 
 
 def _require_endo(kernel):

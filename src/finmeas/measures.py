@@ -292,28 +292,19 @@ def integration_functional(mu):
 def lp_dual_density(functional, mu, p):
     """Represent a positive functional on Lp(mu) as integration against g.
 
-    g(atom) = L(indicator)/mu(atom) on mu-positive atoms and 0 elsewhere;
-    the operator norm is ||g||_q for the conjugate exponent q, exact for
+    g is the Radon-Nikodym density of the measure that represents the
+    functional: L(indicator)/mu(atom) on mu-charged atoms and 0 elsewhere.
+    The operator norm is ||g||_q for the conjugate exponent q, exact for
     q in {1, infinity} and a float otherwise.
     """
     if functional.space != mu.space:
         raise SpaceMismatch("functional and measure live on different spaces")
-    if not functional.is_positive():
-        raise NegativeFunctional("functional is negative on an atom indicator")
+    represented = measure_from_functional(functional)
     p = validate_exponent(p)
-    values = []
-    for k, (lv, mw) in enumerate(
-        zip(functional.values_on_atom_indicators, mu.weights)
-    ):
-        if mw == 0:
-            if lv != 0:
-                raise UnsupportedFunctional(
-                    f"functional charges the mu-null atom {mu.space.atoms[k]!r}"
-                )
-            values.append(Fraction(0))
-        else:
-            values.append(lv / mw)
-    g = StepFunction(mu.space, values)
+    g, _, singular = _density(represented, mu)
+    if singular:
+        atom = mu.space.atoms[singular[0][0]]
+        raise UnsupportedFunctional(f"functional charges the mu-null atom {atom!r}")
     return g, lp_norm(g, mu, conjugate_exponent(p))
 
 

@@ -93,6 +93,11 @@ def rand_row(rng, codomain, kind, den=24):
     return rand_measure(rng, codomain, den_max=8, num_max=16)
 
 
+def kernel_from_matrix(domain, codomain, matrix, kind=None):
+    """A kernel given by one dense weight list per domain atom."""
+    return Kernel(domain, codomain, [Measure(codomain, row) for row in matrix], kind)
+
+
 def rand_kernel(rng, domain, codomain, kind="Markov", den=24):
     rows = [rand_row(rng, codomain, kind, den) for _ in domain.atoms]
     return Kernel(domain, codomain, rows)

@@ -60,8 +60,13 @@ Measure sums, scalings and the Jordan split now build their results from
 the integer forms, and the CLI formats a measure's zero once and each
 nonzero once.  The Jordan split over the dense weights and the CLI's
 dense rendering of kernels and measures, one format per atom, are kept.
-So are the Lebesgue split's and the Radon-Nikodym density's loops over
-the dense weights, which one helper over the two forms replaced.
+So are the Lebesgue split's, the Radon-Nikodym density's and the Lp
+dual density's loops over the dense weights, which one helper over the two
+forms replaced.
+
+Formulas are now read with one token pattern and one stack loop.  The
+hand-written scanner and the parser class it fed are kept as
+parse_formula_reference.
 
 Five names only tests used have moved here from the library:
 split_pair_label, generated_equivalence, factor_map, d_to_set (once a
@@ -79,9 +84,11 @@ from finmeas.errors import (
     EmptyCarrier,
     FinmeasError,
     MassMismatch,
+    NegativeFunctional,
     NotACongruence,
     NotBisimilar,
     SpaceMismatch,
+    UnsupportedFunctional,
 )
 from finmeas.flow import max_flow, min_cost_transshipment, transport
 from finmeas.kernels import (
@@ -110,7 +117,12 @@ from finmeas.logic_bisim import (
     quotient_kernel_pair,
     solve_coupling,
 )
-from finmeas.integrate import StepFunction
+from finmeas.integrate import (
+    StepFunction,
+    conjugate_exponent,
+    lp_norm,
+    validate_exponent,
+)
 from finmeas.measures import Measure, SignedMeasure
 from finmeas.rational import as_fraction, format_float, format_fraction, to_float
 from finmeas.metrics import WeakLimitReport, _check_metric_pair
@@ -1004,6 +1016,30 @@ def radon_nikodym_dense(mu, nu):
     )
 
 
+def lp_dual_density_dense(functional, mu, p):
+    """(g, operator norm) of a positive functional on Lp(mu), g taken atom
+    by atom over the dense weights."""
+    if functional.space != mu.space:
+        raise SpaceMismatch("functional and measure live on different spaces")
+    if not functional.is_positive():
+        raise NegativeFunctional("functional is negative on an atom indicator")
+    p = validate_exponent(p)
+    values = []
+    for k, (lv, mw) in enumerate(
+        zip(functional.values_on_atom_indicators, mu.weights)
+    ):
+        if mw == 0:
+            if lv != 0:
+                raise UnsupportedFunctional(
+                    f"functional charges the mu-null atom {mu.space.atoms[k]!r}"
+                )
+            values.append(Fraction(0))
+        else:
+            values.append(lv / mw)
+    g = StepFunction(mu.space, values)
+    return g, lp_norm(g, mu, conjugate_exponent(p))
+
+
 # -------------------------------------------------------------- mediation
 
 
@@ -1415,6 +1451,112 @@ def find_quotient_iso_backtracking(quot1, quot2):
         for c in range(nc)
     }
     return dom_iso, cod_iso
+
+
+# ---------------------------------------------------------------- formulas
+
+
+def _tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif text.startswith("dia>=", i):
+            tokens.append("dia>=")
+            i += 5
+        elif ch in "()&/T":
+            tokens.append(ch)
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise ValueError(f"unexpected character {ch!r} in formula")
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected=None):
+        tok = self.peek()
+        if tok is None:
+            raise ValueError("formula ends unexpectedly")
+        if expected is not None and tok != expected:
+            raise ValueError(f"expected {expected!r}, got {tok!r}")
+        self.pos += 1
+        return tok
+
+    def rational(self):
+        num = self.take()
+        if not num.isdigit():
+            raise ValueError(f"expected a number, got {num!r}")
+        if self.peek() == "/":
+            self.take("/")
+            den = self.take()
+            if not den.isdigit():
+                raise ValueError(f"expected a denominator, got {den!r}")
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in {num}/{den}")
+            return Fraction(int(num), int(den))
+        return Fraction(int(num))
+
+    def formula(self):
+        """One formula, parsed with an explicit stack of open dia>= and
+        conjunction frames instead of recursion."""
+        frames = []
+        while True:
+            tok = self.peek()
+            if tok == "dia>=":
+                self.take()
+                frames.append(self.rational())
+                continue
+            if tok == "(":
+                self.take()
+                frames.append([None])
+                continue
+            if tok != "T":
+                raise ValueError(f"unexpected token {tok!r}")
+            self.take()
+            node = Top()
+            while frames:
+                frame = frames[-1]
+                if isinstance(frame, Fraction):
+                    frames.pop()
+                    node = Dia(frame, node)
+                    continue
+                frame[0] = node if frame[0] is None else And(frame[0], node)
+                if self.peek() == "&":
+                    self.take()
+                    break
+                self.take(")")
+                frames.pop()
+                node = frame[0]
+            else:
+                return node
+
+
+def parse_formula_reference(text):
+    """Parse `T`, `(phi & phi)` (left-associative) or `dia>=p/q phi`.
+
+    Whitespace-insensitive; dia binds tighter than &, so conjunctions are
+    always parenthesized.
+    """
+    parser = _Parser(_tokenize(text))
+    node = parser.formula()
+    if parser.peek() is not None:
+        raise ValueError(f"trailing input after formula: {parser.peek()!r}")
+    return node
 
 
 # ---------------------------------------------------------- CLI rendering

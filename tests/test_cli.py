@@ -417,6 +417,32 @@ def test_model_refuses_a_product_past_the_label_byte_limit(capsys, tmp_path):
     )
 
 
+def test_model_products_share_one_budget(capsys, tmp_path, monkeypatch):
+    # P and Q are X x X, 9 points of 3 label bytes each: either fits the
+    # limits alone, together they take 18 points and 54 label bytes
+    path = _write(tmp_path, {
+        "spaces": {
+            "X": {"points": ["a", "b", "c"]},
+            "P": {"product": ["X", "X"]},
+            "Q": {"product": ["X", "X"]},
+        },
+    })
+    for limits in ((17, 54), (18, 53)):
+        monkeypatch.setattr("finmeas.spaces.MAX_PRODUCT_POINTS", limits[0])
+        monkeypatch.setattr("finmeas.spaces.MAX_PRODUCT_LABEL_BYTES", limits[1])
+        code, out, err = run(capsys, "space", "-m", path, "--name", "X")
+        assert code == 2 and out == ""
+        assert err == (
+            "error[input]: space 'Q': the model's products would take 18 points"
+            " and 54 label bytes, past the limits {} and {}\n".format(*limits)
+        )
+    # totals exactly at the limits are accepted
+    monkeypatch.setattr("finmeas.spaces.MAX_PRODUCT_POINTS", 18)
+    monkeypatch.setattr("finmeas.spaces.MAX_PRODUCT_LABEL_BYTES", 54)
+    code, out, err = run(capsys, "space", "-m", path, "--name", "Q")
+    assert code == 0 and err == "" and "c|c" in out
+
+
 def test_model_rejects_non_utf8_file(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes('{"spaces": {"X": {"points": ["\u00e9"]}}}'.encode("latin-1"))

@@ -38,6 +38,7 @@ from finmeas.logic_bisim import (
 from finmeas.measures import Measure
 from finmeas.spaces import FiniteMeasurableSpace, Partition, product_space
 
+from conftest import kernel_from_matrix
 from oracles import (
     congruence_witness_dense,
     convolve_dense,
@@ -123,7 +124,7 @@ def chains(draw, max_points=10):
     for a, b in zip(order, order[1:]):
         matrix[a][b] = p
         matrix[a][a] = 1 - p
-    return Kernel.from_matrix(space, space, matrix)
+    return kernel_from_matrix(space, space, matrix)
 
 
 @st.composite

@@ -46,22 +46,28 @@ from finmeas.spaces import (
     sigma_from_generator,
 )
 
-from conftest import rand_kernel, rand_measure, rand_probability, rand_space
+from conftest import (
+    kernel_from_matrix,
+    rand_kernel,
+    rand_measure,
+    rand_probability,
+    rand_space,
+)
 
 S = FiniteMeasurableSpace.discrete("ab")
-K = Kernel.from_matrix(S, S, [[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
+K = kernel_from_matrix(S, S, [[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
 
 
 def test_kind_inference_and_validation():
     assert K.kind == MARKOV
-    sub = Kernel.from_matrix(S, S, [[Fraction(1, 2), 0], [0, 1]])
+    sub = kernel_from_matrix(S, S, [[Fraction(1, 2), 0], [0, 1]])
     assert sub.kind == SUB_MARKOV
-    fin = Kernel.from_matrix(S, S, [[2, 0], [0, 1]])
+    fin = kernel_from_matrix(S, S, [[2, 0], [0, 1]])
     assert fin.kind == FINITE
     with pytest.raises(ValueError):
-        Kernel.from_matrix(S, S, [[2, 0], [0, 1]], kind=MARKOV)
+        kernel_from_matrix(S, S, [[2, 0], [0, 1]], kind=MARKOV)
     with pytest.raises(ValueError):
-        Kernel.from_matrix(S, S, [[Fraction(1, 2), 0], [0, 1]], kind=MARKOV)
+        kernel_from_matrix(S, S, [[Fraction(1, 2), 0], [0, 1]], kind=MARKOV)
 
 
 def test_kernel_rows_must_be_nonnegative():
@@ -101,7 +107,7 @@ def test_identity_is_neutral():
 
 
 def test_kleisli_lift_example():
-    point_rows = Kernel.from_matrix(S, S, [[1, 0], [0, 1]])
+    point_rows = kernel_from_matrix(S, S, [[1, 0], [0, 1]])
     mu = Measure(S, [Fraction(1, 2), Fraction(1, 2)])
     assert kleisli_lift(point_rows, mu).weights == (Fraction(1, 2), Fraction(1, 2))
     assert kleisli_lift(K, mu).weights == (Fraction(1, 4), Fraction(3, 4))
@@ -215,7 +221,7 @@ def test_pushforward_change_of_variables():
 def test_path_measure_example_and_cap():
     t_space = FiniteMeasurableSpace.discrete("t")
     step = product_space(t_space, S)
-    M = Kernel.from_matrix(
+    M = kernel_from_matrix(
         S, step, [[Fraction(1, 2), Fraction(1, 2)], [0, 1]]
     )
     two_steps = path_measure(M, "a", 2)
@@ -235,14 +241,14 @@ def test_path_measure_example_and_cap():
 def _two_state_chain():
     """(|T|, |S|) = (1, 2): from a, stay or move to b at 1/2; b stays."""
     step = product_space(FiniteMeasurableSpace.discrete("t"), S)
-    return Kernel.from_matrix(S, step, [[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
+    return kernel_from_matrix(S, step, [[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
 
 
 def _one_atom_chain(s_points):
     """The chain on a single-atom S that observes t and stays in its atom."""
     s_space = FiniteMeasurableSpace(s_points, [s_points])
     step = product_space(FiniteMeasurableSpace.discrete("t"), s_space)
-    return Kernel.from_matrix(s_space, step, [[1]])
+    return kernel_from_matrix(s_space, step, [[1]])
 
 
 def test_path_measure_counts_points_not_atoms(monkeypatch):

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finmeas.cli import main
@@ -40,7 +40,7 @@ from finmeas.logic_bisim import (
 from finmeas.measures import Measure
 from finmeas.spaces import FiniteMeasurableSpace, Partition, sigma_from_generator
 
-from conftest import rand_kernel, rand_probability, rand_space
+from conftest import kernel_from_matrix, rand_kernel, rand_probability, rand_space
 from oracles import (
     factor_map,
     find_quotient_iso_backtracking,
@@ -48,12 +48,13 @@ from oracles import (
     invariant_sigma_algebra_closure,
     mediate_dense,
     mediate_flow,
+    parse_formula_reference,
     solve_coupling_lp,
     solve_coupling_max_flow,
 )
 
 S = FiniteMeasurableSpace.discrete("ab")
-M = Kernel.from_matrix(
+M = kernel_from_matrix(
     S, S, [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 4), Fraction(1, 4)]]
 )
 
@@ -94,6 +95,52 @@ def test_parse_rejects_malformed():
         Dia(Fraction(-1, 2), Top())
 
 
+def _parsed(parse, text):
+    """The printed formula, or the exception type and message."""
+    try:
+        return repr(parse(text))
+    except Exception as err:
+        return type(err), str(err)
+
+
+_FORMULA_PIECES = [
+    "T", "(", ")", "&", "/", "dia>=", "dia", "0", "1", "2", "12", "3/2", "x", "é", "٣",
+    " ", "\t", "\n", "\x1c", "\xa0", "\u2003",
+]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(_FORMULA_PIECES), max_size=12).map("".join))
+@example("T T")  # trailing input after formula: 'T'
+@example("X")  # unexpected character 'X' in formula
+@example("(T")  # formula ends unexpectedly
+@example("(T T")  # expected ')', got 'T'
+@example("dia>= T")  # expected a number, got 'T'
+@example("dia>=1/ T")  # expected a denominator, got 'T'
+@example("dia>=1/0 T")  # zero denominator in 1/0
+@example("&")  # unexpected token '&'
+@example("dia>=3/2 T")  # the Dia range error
+def test_parse_formula_matches_the_reference_parser(text):
+    assert _parsed(parse_formula, text) == _parsed(parse_formula_reference, text)
+
+
+def test_parse_formula_reads_only_decimal_digits():
+    # the one deliberate change: a character that isdigit() accepts but that
+    # is no decimal digit is refused by the scanner, not by int()
+    assert _parsed(parse_formula, "dia>=² T") == (
+        ValueError, "unexpected character '²' in formula"
+    )
+    assert _parsed(parse_formula_reference, "dia>=² T")[0] is ValueError
+    assert parse_formula("dia>=١/٢ T") == Dia(Fraction(1, 2), Top())
+
+
+def test_parse_formula_nests_without_recursion():
+    chain = "dia>=1/2 " * 30000 + "T"
+    conjunctions = "(" * 20000 + "T" + " & T)" * 20000
+    for text in (chain, conjunctions):
+        assert repr(parse_formula(text)) == repr(parse_formula_reference(text))
+
+
 def test_validity_examples():
     assert validity_set(M, parse_formula("dia>=1 T")).sorted_points() == ["a"]
     assert validity_set(M, parse_formula("dia>=1/2 dia>=1 T")).sorted_points() == ["a"]
@@ -117,13 +164,13 @@ def test_logical_equivalence_separates_by_mass():
 
 def test_logical_equivalence_markov_degenerates():
     three = FiniteMeasurableSpace.discrete("abc")
-    kd = Kernel.from_matrix(three, three, [[1, 0, 0], [0, 1, 0], [0, 1, 0]])
+    kd = kernel_from_matrix(three, three, [[1, 0, 0], [0, 1, 0], [0, 1, 0]])
     assert logical_equivalence(kd).blocks == (("a", "b", "c"),)
 
 
 def test_logical_equivalence_label_seed():
     three = FiniteMeasurableSpace.discrete("abc")
-    kd = Kernel.from_matrix(three, three, [[1, 0, 0], [0, 1, 0], [0, 1, 0]])
+    kd = kernel_from_matrix(three, three, [[1, 0, 0], [0, 1, 0], [0, 1, 0]])
     # seeding a and c together forces a split: a feeds its own class, c does not
     part = logical_equivalence(kd, labels={"a": "u", "b": "v", "c": "u"})
     assert part.blocks == (("a",), ("b",), ("c",))
@@ -138,7 +185,7 @@ def test_logical_equivalence_queues_every_piece_of_a_queued_block():
     # since only it separates c (mass 1 into it) from d (mass 0)
     space = FiniteMeasurableSpace.discrete("abfcd")
     rows = [[0, 0, 0, 1, 0], [0, 0, 0, 1, 0], [0] * 5, [1, 0, 0, 0, 0], [0] * 5]
-    kernel = Kernel.from_matrix(space, space, rows)
+    kernel = kernel_from_matrix(space, space, rows)
     labels = {"a": "u", "b": "u", "f": "u", "c": "v", "d": "v"}
     part = logical_equivalence(kernel, labels=labels)
     assert part.blocks == (("a", "b"), ("f",), ("c",), ("d",))
@@ -177,7 +224,7 @@ def test_invariant_sigma_algebra_past_forty_atoms():
 
 def test_invariant_sigma_algebra_refuses_row_mass_above_one():
     three = FiniteMeasurableSpace.discrete("abc")
-    k = Kernel.from_matrix(three, three, [[0, 0, 2], [0, 0, 3], [0, 0, 0]])
+    k = kernel_from_matrix(three, three, [[0, 0, 2], [0, 0, 3], [0, 0, 0]])
     # dia>=1 T separates {a, b} from c, but no realized mass is exactly 1
     assert validity_set(k, parse_formula("dia>=1 T")).sorted_points() == ["a", "b"]
     with pytest.raises(ValueError):
@@ -209,7 +256,7 @@ def light_kernels(draw):
         while sum(row) > 1:
             row[row.index(max(row))] = Fraction(0)
         rows.append(row)
-    return Kernel.from_matrix(space, space, rows)
+    return kernel_from_matrix(space, space, rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,7 +298,7 @@ def test_quotient_kernel_example():
 
 def test_quotient_kernel_rejects_non_congruence():
     three = FiniteMeasurableSpace.discrete("abc")
-    k = Kernel.from_matrix(three, three, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    k = kernel_from_matrix(three, three, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     bad = Partition(three, [("a", "b"), ("c",)])
     with pytest.raises(NotACongruence) as err:
         quotient_kernel(k, bad)
@@ -263,7 +310,7 @@ def test_quotient_kernel_names_the_first_split_atom(side):
     # atoms {a,b},{c}; the partition {a},{b,c} splits the first atom, so the
     # witness is that atom's first point and its first point in another block
     space = FiniteMeasurableSpace("abc", [("a", "b"), ("c",)])
-    k = Kernel.from_matrix(space, space, [[1, 0], [0, 1]])
+    k = kernel_from_matrix(space, space, [[1, 0], [0, 1]])
     split = Partition(space, [("a",), ("b", "c")])
     whole = Partition(space, [("a", "b", "c")])
     dom = whole if side == "codomain" else split
@@ -442,11 +489,11 @@ def test_solve_coupling_matches_the_transportation_lp(problem):
 
 
 def test_mediate_uniform_pair():
-    ku = Kernel.from_matrix(
+    ku = kernel_from_matrix(
         S, S, [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
     )
     u = FiniteMeasurableSpace.discrete("z")
-    kz = Kernel.from_matrix(u, u, [[1]])
+    kz = kernel_from_matrix(u, u, [[1]])
     p1 = logical_equivalence(ku)
     p2 = logical_equivalence(kz)
     iso = find_quotient_iso(quotient_kernel(ku, p1), quotient_kernel(kz, p2))
@@ -461,7 +508,7 @@ def test_mediate_uniform_pair():
 def test_mediate_uniform_kernel_with_itself_is_the_product():
     # one class: every row is the independent product of two uniform rows
     half = Fraction(1, 2)
-    ku = Kernel.from_matrix(S, S, [[half, half], [half, half]])
+    ku = kernel_from_matrix(S, S, [[half, half], [half, half]])
     p = logical_equivalence(ku)
     iso = find_quotient_iso(quotient_kernel(ku, p), quotient_kernel(ku, p))
     result = mediate(ku, ku, p, p, iso)
@@ -473,7 +520,7 @@ def test_mediate_uniform_kernel_with_itself_is_the_product():
 def test_mediate_zero_mass_class_gives_zero_entries():
     three = FiniteMeasurableSpace.discrete("abc")
     q = Fraction(1, 4)
-    k = Kernel.from_matrix(
+    k = kernel_from_matrix(
         three, three, [[Fraction(1, 2), 0, 0], [0, q, q], [0, q, q]]
     )
     assert k.kind == SUB_MARKOV
@@ -539,7 +586,7 @@ def expansion_pairs(draw):
                     parts = split(quotient[b][c], len(cod[2][c]))
                     for j, w in zip(cod[2][c], parts):
                         rows[i][j] = w
-        sides.append((Kernel.from_matrix(dom[0], cod[0], rows), dom, cod))
+        sides.append((kernel_from_matrix(dom[0], cod[0], rows), dom, cod))
     (k1, d1, c1), (k2, d2, c2) = sides
     dom_iso = dict(zip(d1[3], d2[3]))
     cod_iso = dict(zip(c1[3], c2[3]))
@@ -617,7 +664,7 @@ def test_mediation_size_counts_the_built_kernel(case):
 
 def uniform_chain(n):
     space = FiniteMeasurableSpace.discrete([f"s{i}" for i in range(n)])
-    return Kernel.from_matrix(space, space, [[Fraction(1, n)] * n] * n)
+    return kernel_from_matrix(space, space, [[Fraction(1, n)] * n] * n)
 
 
 def self_mediation(k):
@@ -645,7 +692,7 @@ def test_mediate_a_long_shift_chain_with_itself():
 
 def test_mediate_reports_common_events():
     # two copies of the same two-block chain must share a nontrivial event
-    k = Kernel.from_matrix(
+    k = kernel_from_matrix(
         S, S, [[1, 0], [0, Fraction(1, 2)]]
     )
     p = logical_equivalence(k)
@@ -658,8 +705,8 @@ def test_mediate_reports_common_events():
 
 
 def test_mediate_rejects_non_bisimilar():
-    k1 = Kernel.from_matrix(S, S, [[1, 0], [0, Fraction(1, 2)]])
-    k2 = Kernel.from_matrix(S, S, [[1, 0], [0, Fraction(1, 3)]])
+    k1 = kernel_from_matrix(S, S, [[1, 0], [0, Fraction(1, 2)]])
+    k2 = kernel_from_matrix(S, S, [[1, 0], [0, Fraction(1, 3)]])
     p1 = logical_equivalence(k1)
     p2 = logical_equivalence(k2)
     assert find_quotient_iso(quotient_kernel(k1, p1), quotient_kernel(k2, p2)) is None
@@ -669,7 +716,7 @@ def test_mediate_rejects_non_bisimilar():
 
 
 def test_mediate_rejects_malformed_iso():
-    k = Kernel.from_matrix(S, S, [[1, 0], [0, Fraction(1, 2)]])
+    k = kernel_from_matrix(S, S, [[1, 0], [0, Fraction(1, 2)]])
     p = logical_equivalence(k)
     with pytest.raises(ValueError):
         mediate(k, k, p, p, ({"a": "a"}, {"a": "a"}))
@@ -677,7 +724,7 @@ def test_mediate_rejects_malformed_iso():
 
 def test_mediate_wraps_non_congruence():
     three = FiniteMeasurableSpace.discrete("abc")
-    k = Kernel.from_matrix(three, three, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    k = kernel_from_matrix(three, three, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     bad = Partition(three, [("a", "b"), ("c",)])
     good = logical_equivalence(k)
     with pytest.raises(NotBisimilar):
@@ -686,8 +733,8 @@ def test_mediate_wraps_non_congruence():
 
 def test_find_quotient_iso_size_mismatch():
     u = FiniteMeasurableSpace.discrete("z")
-    kz = Kernel.from_matrix(u, u, [[1]])
-    k = Kernel.from_matrix(S, S, [[1, 0], [0, Fraction(1, 2)]])
+    kz = kernel_from_matrix(u, u, [[1]])
+    k = kernel_from_matrix(S, S, [[1, 0], [0, Fraction(1, 2)]])
     assert find_quotient_iso(k, kz) is None
 
 
@@ -732,8 +779,8 @@ def quotient_pairs(draw):
             [f"y{c}" for c in range(nc)]
         )
         c2 = FiniteMeasurableSpace.discrete([f"v{c}" for c in range(nc)])
-    k1 = Kernel.from_matrix(d1, c1, w1)
-    k2 = Kernel.from_matrix(d2, c2, w2)
+    k1 = kernel_from_matrix(d1, c1, w1)
+    k2 = kernel_from_matrix(d2, c2, w2)
     return k1, k2, how == "copy"
 
 
@@ -779,7 +826,7 @@ def logical_quotient_pairs(draw, max_states=8):
     quotients = []
     for prefix, w in (("x", w1), ("u", w2)):
         space = FiniteMeasurableSpace.discrete([f"{prefix}{i}" for i in range(n)])
-        k = Kernel.from_matrix(space, space, w)
+        k = kernel_from_matrix(space, space, w)
         quotients.append(quotient_kernel(k, logical_equivalence(k)))
     return quotients[0], quotients[1], not changed
 

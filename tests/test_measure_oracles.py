@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finmeas.errors import AbsoluteContinuityViolated
+from finmeas.errors import AbsoluteContinuityViolated, FinmeasError
+from finmeas.integrate import INF
 from finmeas.measures import (
+    LinearFunctional,
     Measure,
     SignedMeasure,
     jordan_decompose,
     lebesgue_decompose,
+    lp_dual_density,
     radon_nikodym,
 )
 from finmeas.spaces import FiniteMeasurableSpace
@@ -24,6 +27,7 @@ from oracles import (
     DenseSignedMeasure,
     jordan_decompose_dense,
     lebesgue_decompose_dense,
+    lp_dual_density_dense,
     radon_nikodym_dense,
 )
 
@@ -144,6 +148,35 @@ def test_densities_match_the_dense_formulas(case):
     for a, b in ((mu, nu), (nu, mu), (parts[0], nu)):
         found = _density_or_witness(radon_nikodym, a, b)
         assert found == _density_or_witness(radon_nikodym_dense, a, b)
+
+
+def _dual_or_error(dual, functional, mu, p):
+    try:
+        g, norm = dual(functional, mu, p)
+    except FinmeasError as err:
+        return type(err), str(err)
+    return g.values, norm
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    measure_cases(),
+    st.booleans(),
+    st.integers(0, 9),
+    st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2), 2, 3, INF]),
+)
+def test_lp_dual_density_matches_the_dense_loop(case, carried, flip, p):
+    # indicator values of any sign against a measure with null atoms: the
+    # same density and norm, or the same refusal (negative functional,
+    # exponent below 1, charge on a mu-null atom)
+    space, values, weights, _ = case
+    if carried:
+        values = [v if w else 0 for v, w in zip(values, weights)]
+    if flip < len(values):
+        values[flip] = -values[flip]
+    functional, mu = LinearFunctional(space, values), Measure(space, weights)
+    found = _dual_or_error(lp_dual_density, functional, mu, p)
+    assert found == _dual_or_error(lp_dual_density_dense, functional, mu, p)
 
 
 def test_sums_and_scalings_cost_the_nonzeros_not_the_atoms():

@@ -348,7 +348,7 @@ from finmeas.kernels import Kernel
 from finmeas.spaces import FiniteMeasurableSpace
 space = FiniteMeasurableSpace.discrete("ab")
 half = Fraction(1, 2)
-kernel = Kernel.from_matrix(space, space, [[half, half], [half, half]])
+kernel = Kernel(space, space, [Measure(space, [half, half])] * 2)
 part = logic_bisim.logical_equivalence(kernel)
 quotient = logic_bisim.quotient_kernel(kernel, part)
 iso = logic_bisim.find_quotient_iso(quotient, quotient)
