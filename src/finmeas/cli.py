@@ -255,7 +255,7 @@ def parse_model(doc):
             space, _require_dict(entry.get("values", {}), "values"),
             f"function {name!r}",
         )
-        values = [values.get(k, 0) for k in range(len(space.atoms))]
+        values = [values.get(k, 0) for k in range(space.n_atoms)]
         model.functions[name] = StepFunction(space, values)
 
     for name, entry in _section(doc, "kernels", "kernel"):
@@ -266,7 +266,7 @@ def parse_model(doc):
             f"kernel {name!r}",
             lambda row, at: _by_atom(codomain, _require_dict(row, "row"), at),
         )
-        if len(rows) != len(domain.atoms):
+        if len(rows) != domain.n_atoms:
             raise ModelError(f"kernel {name!r}: needs one row per domain atom")
         kind = entry.get("kind")
         if kind is not None and not isinstance(kind, str):
@@ -762,7 +762,7 @@ class _Rows(list):
 def _formatted(measure, float_mode):
     """A measure's formatted weight per atom: the zero once, each nonzero once."""
     d, cols, nums = measure.form
-    formatted = [_plain(0, float_mode)] * len(measure.space.atoms)
+    formatted = [_plain(0, float_mode)] * measure.space.n_atoms
     for j, num in zip(cols, nums):
         formatted[j] = _plain(Fraction(num, d), float_mode)
     return formatted

@@ -25,16 +25,16 @@ class StepFunction:
 
     def __init__(self, space, values):
         values = tuple(as_fraction(v) for v in values)
-        if len(values) != len(space.atoms):
+        if len(values) != space.n_atoms:
             raise ValueError(
-                f"expected {len(space.atoms)} atom values, got {len(values)}"
+                f"expected {space.n_atoms} atom values, got {len(values)}"
             )
         self.space = space
         self.values = values
 
     @classmethod
     def constant(cls, space, value):
-        return cls(space, [as_fraction(value)] * len(space.atoms))
+        return cls(space, [as_fraction(value)] * space.n_atoms)
 
     @classmethod
     def indicator(cls, mset):
@@ -42,7 +42,7 @@ class StepFunction:
         inside = set(mset.atom_indices)
         return cls(
             mset.space,
-            [Fraction(int(k in inside)) for k in range(len(mset.space.atoms))],
+            [Fraction(int(k in inside)) for k in range(mset.space.n_atoms)],
         )
 
     def __call__(self, point):

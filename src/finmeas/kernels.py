@@ -23,7 +23,7 @@ from .errors import (
 )
 from .integrate import StepFunction, integral
 from .measures import Measure
-from .spaces import product_size, product_space
+from .spaces import product_space
 
 FINITE = "finite"
 SUB_MARKOV = "subMarkov"
@@ -47,10 +47,8 @@ class Kernel:
 
     def __init__(self, domain, codomain, rows, kind=None):
         rows = tuple(rows)
-        if len(rows) != len(domain.atoms):
-            raise ValueError(
-                f"expected {len(domain.atoms)} rows, got {len(rows)}"
-            )
+        if len(rows) != domain.n_atoms:
+            raise ValueError(f"expected {domain.n_atoms} rows, got {len(rows)}")
         inferred = MARKOV
         for row in rows:
             if not isinstance(row, Measure):
@@ -95,8 +93,8 @@ class Kernel:
 
     def __repr__(self):
         return (
-            f"Kernel({len(self.domain.atoms)} atoms -> "
-            f"{len(self.codomain.atoms)} atoms, {self.kind})"
+            f"Kernel({self.domain.n_atoms} atoms -> "
+            f"{self.codomain.n_atoms} atoms, {self.kind})"
         )
 
 
@@ -116,7 +114,7 @@ def _mix(mu, rows, space):
 
 def identity_kernel(space):
     """The neutral element for convolution: rows are unit point masses."""
-    rows = [Measure.from_ints(space, 1, [(k, 1)]) for k in range(len(space.atoms))]
+    rows = [Measure.from_ints(space, 1, [(k, 1)]) for k in range(space.n_atoms)]
     return Kernel(space, space, rows, MARKOV)
 
 
@@ -150,7 +148,7 @@ def measure_kernel_product(mu, kernel):
     prod = product_space(mu.space, kernel.codomain)
     d, cols, masses = mu.form
     q = lcm(*(kernel.rows[i].form[0] for i in cols))
-    m = len(kernel.codomain.atoms)
+    m = kernel.codomain.n_atoms
     entries = []
     for i, mass in zip(cols, masses):
         e, row_cols, nums = kernel.rows[i].form
@@ -163,7 +161,7 @@ def product_measure(mu, nu):
     """The product measure with weight mu(A) nu(B) on each rectangle atom."""
     prod = product_space(mu.space, nu.space)
     (d1, cols1, nums1), (d2, cols2, nums2) = mu.form, nu.form
-    n = len(nu.space.atoms)
+    n = nu.space.n_atoms
     entries = [
         (i * n + j, a * b) for i, a in zip(cols1, nums1) for j, b in zip(cols2, nums2)
     ]
@@ -180,7 +178,7 @@ def _require_product(space):
 def cut_x(f, left_atom_index):
     """The section f(x, .) for x in a fixed left atom."""
     left, right = _require_product(f.space)
-    n = len(right.atoms)
+    n = right.n_atoms
     start = left_atom_index * n
     return StepFunction(right, f.values[start : start + n])
 
@@ -188,9 +186,9 @@ def cut_x(f, left_atom_index):
 def cut_y(f, right_atom_index):
     """The section f(., y) for y in a fixed right atom."""
     left, right = _require_product(f.space)
-    n = len(right.atoms)
+    n = right.n_atoms
     return StepFunction(
-        left, [f.values[i * n + right_atom_index] for i in range(len(left.atoms))]
+        left, [f.values[i * n + right_atom_index] for i in range(left.n_atoms)]
     )
 
 
@@ -206,7 +204,7 @@ def fubini(f, mu, nu):
         raise SpaceMismatch("f must live on the product of the two spaces")
     d, cols, nums = product_measure(mu, nu).form
     direct = integral(f, Measure.from_ints(f.space, d, zip(cols, nums)))
-    n = len(nu.space.atoms)
+    n = nu.space.n_atoms
     rows = [f.values[i : i + n] for i in range(0, len(f.values), n)]
     inner_x = [integral(StepFunction(nu.space, row), nu) for row in rows]
     iterated_xy = integral(StepFunction(mu.space, inner_x), mu)
@@ -260,29 +258,8 @@ def pushforward(f, mu):
     return Measure.from_ints(f.codomain, d, acc.items())
 
 
-# the largest path space path_measure builds
+# the most steps path_measure takes
 MAX_PATH_STEPS = 1 << 6
-MAX_PATH_POINTS = 1 << 16
-MAX_PATH_LABEL_BYTES = 1 << 24
-
-
-def _path_space_size(step_space, horizon):
-    """(points, label bytes) of the horizon-h path space, without building it.
-
-    The step limit comes first: a one-point step space passes the byte
-    limit only after millions of steps.
-    """
-    if horizon > MAX_PATH_STEPS:
-        raise HorizonTooLarge(
-            f"horizon {horizon} is past the limit of {MAX_PATH_STEPS} steps"
-        )
-    points, size = product_size(*[step_space] * horizon)
-    if points > MAX_PATH_POINTS or size > MAX_PATH_LABEL_BYTES:
-        raise HorizonTooLarge(
-            f"horizon {horizon} has {points} paths and {size} label bytes,"
-            f" past the limits {MAX_PATH_POINTS} and {MAX_PATH_LABEL_BYTES}"
-        )
-    return points, size
 
 
 def path_measure(kernel, start_point, horizon):
@@ -290,12 +267,12 @@ def path_measure(kernel, start_point, horizon):
 
     The kernel maps a state space S to a product T x S (an observation and
     the next state).  The horizon-n measure lives on the flat n-fold
-    product of T x S, built once; each extension weights a path by the
+    product of T x S, never listed; each extension weights a path by the
     kernel row of the state component of its last coordinate.  Projectivity
     holds: summing out the last coordinate of the horizon n+1 measure gives
     the horizon n measure.  Path weights are carried as ints over D^t, with
     D the lcm of the kernel's row scales, over the nonzero paths only.
-    Path spaces past the MAX_PATH_* limits raise HorizonTooLarge up front.
+    Past MAX_PATH_STEPS steps or the product limits, it raises up front.
     """
     step_space = kernel.codomain
     factors = step_space.factors
@@ -305,9 +282,13 @@ def path_measure(kernel, start_point, horizon):
         )
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    _path_space_size(step_space, horizon)
-    n_step = len(step_space.atoms)
-    n_s = len(factors[-1].atoms)
+    if horizon > MAX_PATH_STEPS:
+        raise HorizonTooLarge(
+            f"horizon {horizon} is past the limit of {MAX_PATH_STEPS} steps"
+        )
+    space = product_space(*[step_space] * horizon)
+    n_step = step_space.n_atoms
+    n_s = factors[-1].n_atoms
     scale = lcm(*(row.form[0] for row in kernel.rows))
     rows = [
         [(k, num * (scale // d)) for k, num in zip(cols, nums)]
@@ -320,14 +301,13 @@ def path_measure(kernel, start_point, horizon):
         paths = [
             (idx * n_step + k, w * v) for idx, w in paths for k, v in rows[idx % n_s]
         ]
-    space = product_space(*[step_space] * horizon)
     return Measure.from_ints(space, scale**horizon, paths)
 
 
 def path_marginal(measure):
     """Sum out the final coordinate of a path measure (cylinder restriction)."""
     prefix, step = _require_product(measure.space)
-    n_step = len(step.atoms)
+    n_step = step.n_atoms
     d, cols, nums = measure.form
     acc = {}
     for idx, num in zip(cols, nums):
@@ -343,9 +323,9 @@ def disintegrate(joint):
     trip measure_kernel_product(marginal, kernel) restores the joint.
     """
     left, right = _require_product(joint.space)
-    n_r = len(right.atoms)
+    n_r = right.n_atoms
     d, cols, nums = joint.form
-    fibers = [[] for _ in left.atoms]
+    fibers = [[] for _ in range(left.n_atoms)]
     for idx, num in zip(cols, nums):
         fibers[idx // n_r].append((idx % n_r, num))
     # fiber i has the weights num / d and the mass masses[i] / d
@@ -353,12 +333,12 @@ def disintegrate(joint):
     marginal = Measure.from_ints(left, d, enumerate(masses))
     rows = []
     null_fibers = []
-    for atom, mass, fiber in zip(left.atoms, masses, fibers):
+    for i, (mass, fiber) in enumerate(zip(masses, fibers)):
         if mass == 0:
             if fiber:
                 raise ValueError("joint has a zero-mass fiber with nonzero weights")
             rows.append(Measure.zero(right))
-            null_fibers.append(atom)
+            null_fibers.append(left.atoms[i])
         else:
             rows.append(Measure.from_ints(right, mass, fiber))
     kind = MARKOV if not null_fibers else SUB_MARKOV

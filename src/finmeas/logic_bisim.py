@@ -129,7 +129,7 @@ def parse_formula(text):
 
     frames = []
     while True:
-        tok = tokens.pop() if tokens else None
+        tok = take()
         if tok == "dia>=":
             num, den = take(), "1"
             if not num.isdigit():
@@ -219,7 +219,7 @@ def _initial_blocks(space, labels):
     """The atom-index blocks refinement starts from: one block, or the
     label classes in order of their first atom."""
     if labels is None:
-        return [list(range(len(space.atoms)))]
+        return [list(range(space.n_atoms))]
     by_label = {}
     for k, atom in enumerate(space.atoms):
         values = {labels[p] for p in atom}
@@ -432,8 +432,8 @@ class CouplingProblem:
     """Two marginals plus the allowed support as codomain atom-index pairs."""
 
     def __init__(self, left_marginal, right_marginal, support):
-        n1 = len(left_marginal.space.atoms)
-        n2 = len(right_marginal.space.atoms)
+        n1 = left_marginal.space.n_atoms
+        n2 = right_marginal.space.n_atoms
         pairs = set()
         for i, j in support:
             if not (0 <= i < n1 and 0 <= j < n2):
@@ -639,9 +639,9 @@ def mediate(k1, k2, q1, q2, iso):
         quot2 = quotient_kernel_pair(k2, q2d, q2c)
     except NotACongruence as err:
         raise NotBisimilar(f"partition is not a congruence: {err}") from err
-    if len(quot1.domain.atoms) != len(quot2.domain.atoms) or len(
-        quot1.codomain.atoms
-    ) != len(quot2.codomain.atoms):
+    if (quot1.domain.n_atoms, quot1.codomain.n_atoms) != (
+        quot2.domain.n_atoms, quot2.codomain.n_atoms
+    ):
         raise NotBisimilar("quotient block counts differ")
     dom_iso, cod_iso = _as_iso_pair(iso)
     _check_bijection(dom_iso, quot1.domain.points, quot2.domain.points)
@@ -729,8 +729,8 @@ def find_quotient_iso(quot1, quot2):
     """
     _require_endo(quot1)
     _require_endo(quot2)
-    n = len(quot1.domain.atoms)
-    if n != len(quot2.domain.atoms):
+    n = quot1.domain.n_atoms
+    if n != quot2.domain.n_atoms:
         return None
     rows = [row.form for row in quot1.rows]
     for d, cols, nums in (row.form for row in quot2.rows):

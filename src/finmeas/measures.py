@@ -40,9 +40,9 @@ class SignedMeasure:
 
     def __init__(self, space, weights):
         weights = [as_fraction(w) for w in weights]
-        if len(weights) != len(space.atoms):
+        if len(weights) != space.n_atoms:
             raise ValueError(
-                f"expected {len(space.atoms)} atom weights, got {len(weights)}"
+                f"expected {space.n_atoms} atom weights, got {len(weights)}"
             )
         cols = [j for j, w in enumerate(weights) if w]
         self._init(space, *_scaled([weights[j] for j in cols]), cols)
@@ -60,7 +60,7 @@ class SignedMeasure:
         and the gcd of d and the nums divided out: the form is canonical."""
         kept = sorted((j, num) for j, num in entries if num)
         cols = [j for j, _ in kept]
-        bounds = [-1, *cols, len(space.atoms)]
+        bounds = [-1, *cols, space.n_atoms]
         if d <= 0 or not all(a < b for a, b in zip(bounds, bounds[1:])):
             raise ValueError("d must be positive and atoms distinct and in the space")
         g = gcd(d, *(num for _, num in kept))
@@ -78,7 +78,7 @@ class SignedMeasure:
     def weights(self):
         """The dense tuple of atom weights, built on each access."""
         d, cols, nums = self.form
-        weights = [Fraction(0)] * len(self.space.atoms)
+        weights = [Fraction(0)] * self.space.n_atoms
         for j, num in zip(cols, nums):
             weights[j] = Fraction(num, d)
         return tuple(weights)
@@ -87,7 +87,7 @@ class SignedMeasure:
         """The dense list of atom weights times scale, as ints; scale must
         be a multiple of the form's D."""
         d, cols, nums = self.form
-        ints = [0] * len(self.space.atoms)
+        ints = [0] * self.space.n_atoms
         for j, num in zip(cols, nums):
             ints[j] = num * (scale // d)
         return ints
@@ -170,9 +170,9 @@ class LinearFunctional:
 
     def __init__(self, space, values_on_atom_indicators):
         values = tuple(as_fraction(v) for v in values_on_atom_indicators)
-        if len(values) != len(space.atoms):
+        if len(values) != space.n_atoms:
             raise ValueError(
-                f"expected {len(space.atoms)} indicator values, got {len(values)}"
+                f"expected {space.n_atoms} indicator values, got {len(values)}"
             )
         self.space = space
         self.values_on_atom_indicators = values
@@ -236,7 +236,7 @@ def _density(mu, nu):
     mu._check(nu)
     (d, cols, nums), (e, nu_cols, nu_nums) = mu.form, nu.form
     den = dict(zip(nu_cols, nu_nums))
-    values = [0] * len(mu.space.atoms)
+    values = [0] * mu.space.n_atoms
     parts = ([], [])
     for j, num in zip(cols, nums):
         if j in den:

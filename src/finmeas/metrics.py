@@ -348,7 +348,7 @@ def check_weak_limit(sequence, limit, metric, tol):
             raise SpaceMismatch("sequence measures must live on the metric's space")
     if limit.space != metric.space:
         raise SpaceMismatch("limit must live on the metric's space")
-    n = len(metric.space.atoms)
+    n = metric.space.n_atoms
     tol = Fraction(tol) if not isinstance(tol, float) else tol
     tail = sequence[len(sequence) // 2 :]
     scale = lcm(limit.form[0], *(m.form[0] for m in tail))

@@ -4,7 +4,7 @@ A sigma-algebra on a finite carrier is stored as the partition of the
 carrier into its atoms; every measurable set is a union of atoms.  Atom
 order is canonical (sorted by least contained point index), so spaces,
 sets and partitions compare structurally.  A product of finitely many
-spaces is built in one pass, with labels linear in the number of factors.
+spaces is listed in one pass on first read, labels linear in the factors.
 """
 
 from itertools import combinations
@@ -45,7 +45,9 @@ def product_size(*factors):
 class FiniteMeasurableSpace:
     """A finite carrier together with the atoms of its sigma-algebra."""
 
-    def __init__(self, points, atoms, factors=None):
+    factors = None  # set on products only and ignored by equality
+
+    def __init__(self, points, atoms):
         points = tuple(points)
         if not points:
             raise EmptyCarrier("a measurable space needs at least one point")
@@ -77,14 +79,12 @@ class FiniteMeasurableSpace:
         order = sorted(range(len(normalized)), key=firsts.__getitem__)
         self.points = points
         self.atoms = tuple(normalized[k] for k in order)
+        self.n_atoms = len(order)
         self._index = index
         rank = [0] * len(order)
         for r, k in enumerate(order):
             rank[k] = r
         self._atom_of = {p: rank[k] for p, k in owner.items()}
-        # factors is set for spaces built by product_space and is ignored
-        # by equality; it only enables product-aware operations.
-        self.factors = factors
 
     @classmethod
     def discrete(cls, points):
@@ -113,7 +113,7 @@ class FiniteMeasurableSpace:
 
     def measurable_sets(self):
         """All measurable sets, in binary-counting order of atom masks."""
-        n = len(self.atoms)
+        n = self.n_atoms
         if n > ENUMERATION_CAP:
             raise CapacityExceeded(
                 f"{n} atoms exceed the subset-enumeration cap {ENUMERATION_CAP}"
@@ -276,15 +276,51 @@ MAX_PRODUCT_POINTS = 1 << 20
 MAX_PRODUCT_LABEL_BYTES = 1 << 26
 
 
+class _Product(FiniteMeasurableSpace):
+    """A product holding its factors and atom count; its points, atoms and
+    indices are listed on first read, through every check of the constructor."""
+
+    def __init__(self, factors):
+        self.factors = factors
+        self.n_atoms = prod(factor.n_atoms for factor in factors)
+
+    def __getattr__(self, name):
+        # reached only while the product is unlisted
+        if name not in ("points", "atoms", "_index", "_atom_of"):
+            raise AttributeError(name)
+        self._list()
+        return getattr(self, name)
+
+    def _list(self):
+        factors = self.factors
+        points = [_escape(p) for p in factors[0].points]
+        for factor in factors[1:]:
+            tails = ["|" + _escape(q) for q in factor.points]
+            points = [p + t for p in points for t in tails]
+        # cells[r] lists the point indices of rectangle r over the factors so
+        # far, from the one empty rectangle; the last factor indexes the labels
+        *init, (n, blocks) = [
+            (len(f.points), [[f._index[p] for p in a] for a in f.atoms]) for f in factors
+        ]
+        cells = [[0]]
+        for m, factor_blocks in init:
+            cells = [[i * m + j for i in c for j in b] for c in cells for b in factor_blocks]
+        atoms = [
+            tuple([points[i * n + j] for i in c for j in b]) for c in cells for b in blocks
+        ]
+        super().__init__(points, atoms)
+
+
 def product_space(*factors):
     """Product of finitely many spaces; atoms are all rectangles of atoms.
 
     A point's label is its components, each escaped once (a literal '|'
     doubled) and joined by '|', so two factors give join_pair_label(p, q).
     Points and rectangle atoms are row-major (lexicographic) over the
-    factors, and the atoms reuse the label strings by index.  A single
-    factor is returned unchanged.  A product past the MAX_PRODUCT_* limits
-    raises CapacityExceeded, counted before anything is built.
+    factors.  A single factor is returned unchanged.  A product past the
+    MAX_PRODUCT_* limits raises CapacityExceeded, counted before anything
+    is built.  Only a factor label that is empty or starts or ends with
+    '|' can make two labels collide, so such a product is listed at once.
     """
     if len(factors) == 1:
         return factors[0]
@@ -294,25 +330,9 @@ def product_space(*factors):
             "a product of {} points and {} label bytes is past the limits {} and"
             " {}".format(*size, MAX_PRODUCT_POINTS, MAX_PRODUCT_LABEL_BYTES)
         )
-    points = [_escape(p) for p in factors[0].points]
-    for factor in factors[1:]:
-        tails = ["|" + _escape(q) for q in factor.points]
-        points = [p + t for p in points for t in tails]
-    # cells[r] lists the point indices of rectangle r over the factors so
-    # far, from the one empty rectangle; the last factor indexes the labels
-    *init, (n, blocks) = [
-        (len(f.points), [[f._index[p] for p in a] for a in f.atoms]) for f in factors
-    ]
-    cells = [[0]]
-    for m, factor_blocks in init:
-        cells = [[i * m + j for i in c for j in b] for c in cells for b in factor_blocks]
-    atoms = [
-        tuple([points[i * n + j] for i in c for j in b]) for c in cells for b in blocks
-    ]
-    space = FiniteMeasurableSpace(points, atoms, factors=factors)
-    # canonical order of rectangle atoms is row-major over the factors
-    if len(space.atoms) != prod(len(factor.atoms) for factor in factors):
-        raise AssertionError("product atoms are not the rectangles of atoms")
+    space = _Product(factors)
+    if any(not p or p[0] == "|" or p[-1] == "|" for f in factors for p in f.points):
+        space._list()
     return space
 
 

@@ -851,6 +851,7 @@ def space_reference(points, atoms, factors=None):
     normalized.sort(key=lambda atom: index[atom[0]])
     space.points = points
     space.atoms = tuple(normalized)
+    space.n_atoms = len(space.atoms)
     space._index = index
     space._atom_of = {}
     for k, atom in enumerate(space.atoms):
@@ -1516,18 +1517,15 @@ class _Parser:
         conjunction frames instead of recursion."""
         frames = []
         while True:
-            tok = self.peek()
+            tok = self.take()
             if tok == "dia>=":
-                self.take()
                 frames.append(self.rational())
                 continue
             if tok == "(":
-                self.take()
                 frames.append([None])
                 continue
             if tok != "T":
                 raise ValueError(f"unexpected token {tok!r}")
-            self.take()
             node = Top()
             while frames:
                 frame = frames[-1]

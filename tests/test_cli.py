@@ -94,6 +94,13 @@ def test_exit_code_formula_parse(capsys):
     assert err.startswith("error[input]")
 
 
+def test_formula_that_ends_early_says_so(capsys):
+    code, out, err = run(
+        capsys, "logic", "check", "-m", PROC, "--kernel", "K", "--formula", "dia>=1"
+    )
+    assert (code, out, err) == (2, "", "error[input]: formula ends unexpectedly\n")
+
+
 def test_exit_code_set_splitting_atom(capsys):
     code, _, err = run(
         capsys, "measure", "eval", "-m", DECOMP, "--measure", "tri", "--set", "a,zz"

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmeas import kernels as kernels_module
+from finmeas import spaces
 from finmeas.errors import (
+    CapacityExceeded,
     HorizonTooLarge,
     NotAtomMap,
     NotProductSpace,
@@ -19,8 +21,6 @@ from finmeas.integrate import StepFunction, integral
 from finmeas.kernels import (
     FINITE,
     MARKOV,
-    MAX_PATH_LABEL_BYTES,
-    MAX_PATH_POINTS,
     MAX_PATH_STEPS,
     SUB_MARKOV,
     AtomMap,
@@ -37,11 +37,13 @@ from finmeas.kernels import (
     path_measure,
     product_measure,
     pushforward,
-    _path_space_size,
 )
+from finmeas.logic_bisim import CouplingProblem, solve_coupling
 from finmeas.measures import Measure, SignedMeasure
 from finmeas.spaces import (
+    MAX_PRODUCT_LABEL_BYTES,
     FiniteMeasurableSpace,
+    product_size,
     product_space,
     sigma_from_generator,
 )
@@ -230,8 +232,8 @@ def test_path_measure_example_and_cap():
     assert label == "t||a|t||b"
     assert sum(two_steps.weights) == 1
     assert path_measure(M, "a", 5).total() == 1
-    with pytest.raises(HorizonTooLarge):
-        path_measure(M, "a", 17)  # 2^17 points
+    with pytest.raises(CapacityExceeded):
+        path_measure(M, "a", 20)  # 2^20 points of 99 label bytes each
     with pytest.raises(ValueError):
         path_measure(M, "a", 0)
     with pytest.raises(SpaceMismatch):
@@ -255,8 +257,10 @@ def test_path_measure_counts_points_not_atoms(monkeypatch):
     monkeypatch.delenv("FINMEAS_ATOM_CAP", raising=False)
     kernel = _one_atom_chain([f"s{k}" for k in range(300)])
     assert len(path_measure(kernel, "s0", 1).space.points) == 300
-    with pytest.raises(HorizonTooLarge, match="90000 paths"):
-        path_measure(kernel, "s0", 2)  # 90,000 points in one atom
+    # 90,000 points in one atom
+    assert path_measure(kernel, "s0", 2).space.n_atoms == 1
+    with pytest.raises(CapacityExceeded, match="a product of 27000000 points"):
+        path_measure(kernel, "s0", 3)
 
 
 def test_path_measure_bounds_label_bytes(monkeypatch):
@@ -268,22 +272,26 @@ def test_path_measure_bounds_label_bytes(monkeypatch):
     with pytest.raises(HorizonTooLarge, match="horizon 65 is past the limit of 64"):
         path_measure(kernel, "s", MAX_PATH_STEPS + 1)
     # a step label "t||" + m bytes, escaped, takes h (m + 4) - 1 bytes at
-    # horizon h: 2^24 - 1 at horizon 32 for m + 4 = 2^19, past it at 33
-    long_chain = _one_atom_chain(["s" * ((1 << 19) - 4)])
-    built = path_measure(long_chain, long_chain.domain.points[0], 32).space
-    assert len(built.points[0].encode()) == MAX_PATH_LABEL_BYTES - 1
-    with pytest.raises(HorizonTooLarge, match="horizon 33 has 1 paths and 17301503 label"):
-        path_measure(long_chain, long_chain.domain.points[0], 33)
+    # horizon h: 2^26 + 5 at horizon 5 for m + 4 = (2^26 + 1) / 5 + 1
+    long_chain = _one_atom_chain(["s" * ((MAX_PRODUCT_LABEL_BYTES + 1) // 5 - 3)])
+    with pytest.raises(CapacityExceeded, match="1 points and 67108869 label bytes"):
+        path_measure(long_chain, long_chain.domain.points[0], 5)
+    # the step limit comes before the product limits
+    with pytest.raises(HorizonTooLarge):
+        path_measure(_two_state_chain(), "a", MAX_PATH_STEPS + 1)
 
 
 def test_path_measure_builds_sixteen_steps_of_two_states():
     # (|T|, |S|) = (1, 2): 2^16 paths at horizon 16, labels 16 steps long
     measure = path_measure(_two_state_chain(), "a", 16)
-    assert len(measure.space.points) == MAX_PATH_POINTS
+    assert len(measure.space.points) == 1 << 16
     assert measure.space.points[-1] == "|".join(["t||b"] * 16)
     assert measure.total() == 1
-    with pytest.raises(HorizonTooLarge, match="131072 paths"):
-        path_measure(_two_state_chain(), "a", 17)
+    # 2^20 points are within the limit, their 99-byte labels are not
+    with pytest.raises(
+        CapacityExceeded, match="a product of 1048576 points and 103809024 label bytes"
+    ):
+        path_measure(_two_state_chain(), "a", 20)
 
 
 def test_path_measure_builds_one_product_space(monkeypatch):
@@ -308,31 +316,70 @@ def test_path_measure_refuses_a_huge_horizon_at_once(monkeypatch):
     assert time.perf_counter() - started < 1
 
 
-def test_path_space_limits_are_inclusive():
-    side = math.isqrt(MAX_PATH_POINTS)
-    labels = [f"s{k}" for k in range(side + 1)]
-    square = _path_space_size(FiniteMeasurableSpace.discrete(labels[:side]), 2)
-    assert square[0] == MAX_PATH_POINTS
-    with pytest.raises(HorizonTooLarge):
-        _path_space_size(FiniteMeasurableSpace.discrete(labels), 2)
-    longest = FiniteMeasurableSpace.discrete(["x" * MAX_PATH_LABEL_BYTES])
-    assert _path_space_size(longest, 1) == (1, MAX_PATH_LABEL_BYTES)
-    # a two-byte character
-    too_long = FiniteMeasurableSpace.discrete(["é" * (MAX_PATH_LABEL_BYTES // 2 + 1)])
-    with pytest.raises(HorizonTooLarge):
-        _path_space_size(too_long, 1)
-    # two step labels of 2^22 - 1 escaped bytes (2^20 bars among them): at
-    # horizon 2, 2 (2 E + 2) = 2^24 bytes
-    bars = "|" * (1 << 20)
-    at_limit = FiniteMeasurableSpace.discrete([bars, "y" * ((1 << 21) - 1)])
-    assert _path_space_size(at_limit, 2) == (4, MAX_PATH_LABEL_BYTES)
-    past = FiniteMeasurableSpace.discrete([bars, "y" * (1 << 21)])
-    with pytest.raises(HorizonTooLarge, match="16777220 label bytes"):
-        _path_space_size(past, 2)
-    one = FiniteMeasurableSpace.discrete(["s"])
-    assert _path_space_size(one, MAX_PATH_STEPS) == (1, 2 * MAX_PATH_STEPS - 1)
-    with pytest.raises(HorizonTooLarge):
-        _path_space_size(one, MAX_PATH_STEPS + 1)
+def test_path_space_limits_are_inclusive(monkeypatch):
+    """Paths obey the product limits, each taken at the limit and one past
+    it (the same path space against the limit lowered by one)."""
+    # 32 points in one atom: 2^20 paths at horizon 4
+    points = _one_atom_chain([f"s{k}" for k in range(32)])
+    # a step label "t||" + m bytes, escaped, takes 5 (m + 4) - 1 bytes at
+    # horizon 5: 2^26 for m + 4 = (2^26 + 1) / 5
+    labels = _one_atom_chain(["s" * ((MAX_PRODUCT_LABEL_BYTES + 1) // 5 - 4)])
+    for kernel, horizon, limit, k in [
+        (points, 4, "MAX_PRODUCT_POINTS", 0),
+        (labels, 5, "MAX_PRODUCT_LABEL_BYTES", 1),
+    ]:
+        start = kernel.domain.points[0]
+        space = path_measure(kernel, start, horizon).space
+        size = product_size(*space.factors)
+        assert size[k] == getattr(spaces, limit) and space.n_atoms == 1
+        monkeypatch.setattr(spaces, limit, size[k] - 1)
+        with pytest.raises(CapacityExceeded, match=f"a product of {size[0]} points"):
+            path_measure(kernel, start, horizon)
+        monkeypatch.undo()
+
+
+def _listed(space):
+    return "points" in vars(space)
+
+
+def test_product_builders_leave_the_product_unlisted():
+    """The six library functions that build a product work on row-major
+    atom indices and never list its points or atoms."""
+    mu = Measure(S, [Fraction(1, 3), Fraction(2, 3)])
+    paths = path_measure(_two_state_chain(), "a", 5)
+    joint = measure_kernel_product(mu, K)
+    problem = CouplingProblem(mu, mu, [(0, 0), (1, 1)])
+    results = [
+        paths,
+        path_marginal(paths),
+        product_measure(mu, mu),
+        joint,
+        solve_coupling(problem),
+    ]
+    marginal, kernel, null_fibers = disintegrate(joint)
+    assert (marginal, null_fibers) == (mu, ())
+    assert [_listed(m.space) for m in results] == [False] * 5
+    # a factor label that starts with a bar can collide: listed at once
+    assert _listed(product_space(S, FiniteMeasurableSpace.discrete(["|x"])))
+
+
+def test_sparse_path_measure_costs_its_nonzero_paths():
+    """(|T|, |S|, h) = (2, 4, 5) with two nonzeros per kernel row: 32
+    nonzero paths in a 32,768-point path space that is never listed."""
+    states = FiniteMeasurableSpace.discrete("0123")
+    step = product_space(FiniteMeasurableSpace.discrete("xy"), states)
+    half = Fraction(1, 2)
+    kernel = Kernel(states, step, [
+        Measure.from_atom_weights(step, {2 * i: half, (2 * i + 3) % 8: half})
+        for i in range(4)
+    ])
+    best = math.inf
+    for _ in range(5):
+        started = time.perf_counter()
+        measure = path_measure(kernel, "0", 5)
+        best = min(best, time.perf_counter() - started)
+    assert len(measure.form[1]) == 32 and measure.space.n_atoms == 1 << 15
+    assert best < 0.005
 
 
 # labels with bars, doubled bars and a two-byte character; no label begins
@@ -354,7 +401,7 @@ def test_path_space_size_matches_the_built_labels(t_points, s_points, horizon):
     for h in range(1, horizon + 1):
         space = product_space(*[step] * h)
         size = sum(len(p.encode()) for p in space.points)
-        assert _path_space_size(step, h) == (len(space.points), size)
+        assert product_size(*[step] * h) == (len(space.points), size)
         if h > 1:
             # each path label is its steps, escaped once, joined by bars
             assert space.points[0] == "|".join([escaped[0]] * h)

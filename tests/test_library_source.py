@@ -116,6 +116,20 @@ def test_only_measures_reads_the_dense_weights_view_and_none_reads_dist():
     assert found == []
 
 
+def test_no_module_counts_atoms_by_listing_them():
+    # a product lists its points and atoms on first read, so the number of
+    # atoms is read from n_atoms: no len(<expr>.atoms) anywhere
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "len"
+        and any(isinstance(a, ast.Attribute) and a.attr == "atoms" for a in node.args)
+    ]
+    assert found == []
+
+
 def test_only_the_spaces_module_writes_the_label_bar():
     # product labels are built and counted in spaces.py alone, so the '|'
     # escape rule is stated once: no other module has a "|" constant

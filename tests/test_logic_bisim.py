@@ -114,6 +114,9 @@ _FORMULA_PIECES = [
 @example("T T")  # trailing input after formula: 'T'
 @example("X")  # unexpected character 'X' in formula
 @example("(T")  # formula ends unexpectedly
+@example("dia>=1")  # formula ends unexpectedly, where a subformula starts
+@example("")  # formula ends unexpectedly
+@example("(T &")  # formula ends unexpectedly
 @example("(T T")  # expected ')', got 'T'
 @example("dia>= T")  # expected a number, got 'T'
 @example("dia>=1/ T")  # expected a denominator, got 'T'

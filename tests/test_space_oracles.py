@@ -21,21 +21,32 @@ POOL = ["", "a", "b", "|", "||", "a|b", "|a", "b||"]
 
 
 def fields(space):
+    """What a space holds, its hash, and whether it equals, both ways, the
+    space built from its points and atoms.  The atom count is read first:
+    a product counts its atoms before it lists them."""
+    n_atoms = space.n_atoms
+    plain = FiniteMeasurableSpace(space.points, space.atoms)
     return (
+        n_atoms,
         space.points,
         space.atoms,
         space.factors,
         space._index,
         space._atom_of,
+        hash(space),
+        space == plain,
+        plain == space,
     )
 
 
 def outcome(build, *args):
-    """The fields of the space built, or the type and message of the error."""
+    """The fields of the space built, or the type and message of the error
+    that building it raised: listing a built space must not raise."""
     try:
-        return fields(build(*args))
+        space = build(*args)
     except Exception as err:
         return type(err), str(err)
+    return fields(space)
 
 
 @st.composite
