@@ -24,28 +24,36 @@ def join_pair_label(left, right):
     return _escape(left) + "|" + _escape(right)
 
 
-def product_size(*factors):
-    """(points, label bytes) of product_space(*factors), without building it.
+def _label_counts(*factors):
+    """(points, label bytes, bars, whether a label is empty or starts or ends
+    with '|', the only labels that can collide) of product_space(*factors),
+    read off the factors, so no product is listed.  A factor of n of the N
+    points, with B label bytes and C bars, is escaped into N / n labels as
+    B + C bytes and 2C bars; k > 1 components take k - 1 joining bars."""
+    if len(factors) == 1 and factors[0].factors is None:
+        labels = factors[0].points
+        size = sum(len(p.encode()) for p in labels)
+        edge = any(not p or p[0] == "|" or p[-1] == "|" for p in labels)
+        return len(labels), size, sum(p.count("|") for p in labels), edge
+    factors = factors[0].factors if len(factors) == 1 else factors
+    counts = [_label_counts(f) for f in factors]
+    points = prod(n for n, _, _, _ in counts)
+    size = bars = (len(factors) - 1) * points
+    for n, b, c, _ in counts:
+        size += (b + c) * (points // n)
+        bars += 2 * c * (points // n)
+    return points, size, bars, any(edge for _, _, _, edge in counts)
 
-    With N points in all, a factor of n points whose labels, escaped once,
-    take E bytes is a component of N / n labels, and each label joins its
-    k > 1 components with k - 1 bars.  A single factor keeps its labels.
-    """
-    if len(factors) == 1:
-        return len(factors[0].points), sum(len(p.encode()) for p in factors[0].points)
-    points = prod(len(factor.points) for factor in factors)
-    escaped = {}  # scan each distinct factor once: a path space repeats one
-    for factor in factors:
-        if id(factor) not in escaped:
-            escaped[id(factor)] = sum(len(_escape(p).encode()) for p in factor.points)
-    size = sum(escaped[id(f)] * (points // len(f.points)) for f in factors)
-    return points, size + (len(factors) - 1) * points
+
+def product_size(*factors):
+    """(points, label bytes) of product_space(*factors), without building it."""
+    return _label_counts(*factors)[:2]
 
 
 class FiniteMeasurableSpace:
     """A finite carrier together with the atoms of its sigma-algebra."""
 
-    factors = None  # set on products only and ignored by equality
+    factors = None  # set on products only
 
     def __init__(self, points, atoms):
         points = tuple(points)
@@ -54,9 +62,7 @@ class FiniteMeasurableSpace:
         index = {p: i for i, p in enumerate(points)}
         if len(index) != len(points):
             raise ValueError("points must be distinct")
-        # one pass over the atoms: owner[p] is the position, in the order
-        # given, of the atom holding p; it checks disjointness and coverage
-        owner = {}
+        seen = set()
         normalized = []
         for atom in atoms:
             atom = tuple(atom)
@@ -67,24 +73,18 @@ class FiniteMeasurableSpace:
                 atom = tuple(sorted(set(atom), key=index.__getitem__))
             if not atom:
                 raise ValueError("atoms must be nonempty")
-            k = len(normalized)
             for p in atom:
-                if p in owner:
+                if p in seen:
                     raise ValueError(f"atoms must be disjoint, {p!r} repeats")
-                owner[p] = k
+                seen.add(p)
             normalized.append(atom)
-        if len(owner) != len(points):
+        if len(seen) != len(points):
             raise ValueError("atoms must cover the carrier")
-        firsts = [index[atom[0]] for atom in normalized]
-        order = sorted(range(len(normalized)), key=firsts.__getitem__)
         self.points = points
-        self.atoms = tuple(normalized[k] for k in order)
-        self.n_atoms = len(order)
+        self.atoms = tuple(sorted(normalized, key=lambda atom: index[atom[0]]))
+        self.n_atoms = len(normalized)
         self._index = index
-        rank = [0] * len(order)
-        for r, k in enumerate(order):
-            rank[k] = r
-        self._atom_of = {p: rank[k] for p, k in owner.items()}
+        self._atom_of = {p: k for k, atom in enumerate(self.atoms) for p in atom}
 
     @classmethod
     def discrete(cls, points):
@@ -122,11 +122,11 @@ class FiniteMeasurableSpace:
             yield self.set_of_atoms([k for k in range(n) if mask >> k & 1])
 
     def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FiniteMeasurableSpace)
-            and self.points == other.points
-            and self.atoms == other.atoms
-        )
+        if not isinstance(other, FiniteMeasurableSpace):
+            return False
+        if self is other or self.factors is not None and self.factors == other.factors:
+            return True  # products of equal factors are equal, listed or not
+        return self.points == other.points and self.atoms == other.atoms
 
     def __hash__(self):
         return hash((self.points, self.atoms))
@@ -278,37 +278,36 @@ MAX_PRODUCT_LABEL_BYTES = 1 << 26
 
 class _Product(FiniteMeasurableSpace):
     """A product holding its factors and atom count; its points, atoms and
-    indices are listed on first read, through every check of the constructor."""
+    indices are listed row-major on first read."""
 
     def __init__(self, factors):
         self.factors = factors
         self.n_atoms = prod(factor.n_atoms for factor in factors)
 
     def __getattr__(self, name):
-        # reached only while the product is unlisted
+        # reached only while the product is unlisted: list it once
         if name not in ("points", "atoms", "_index", "_atom_of"):
             raise AttributeError(name)
-        self._list()
-        return getattr(self, name)
-
-    def _list(self):
-        factors = self.factors
-        points = [_escape(p) for p in factors[0].points]
-        for factor in factors[1:]:
-            tails = ["|" + _escape(q) for q in factor.points]
+        # a point's atom is the rectangle of its components' atoms, ranked
+        # row-major, which keeps the atoms and their points in canonical order
+        points, owner, bar = [""], [0], ""
+        for f in self.factors:
+            tails = [bar + _escape(q) for q in f.points]
+            ranks = [f._atom_of[q] for q in f.points]
             points = [p + t for p in points for t in tails]
-        # cells[r] lists the point indices of rectangle r over the factors so
-        # far, from the one empty rectangle; the last factor indexes the labels
-        *init, (n, blocks) = [
-            (len(f.points), [[f._index[p] for p in a] for a in f.atoms]) for f in factors
-        ]
-        cells = [[0]]
-        for m, factor_blocks in init:
-            cells = [[i * m + j for i in c for j in b] for c in cells for b in factor_blocks]
-        atoms = [
-            tuple([points[i * n + j] for i in c for j in b]) for c in cells for b in blocks
-        ]
-        super().__init__(points, atoms)
+            owner = [k * f.n_atoms + r for k in owner for r in ranks]
+            bar = "|"
+        index = {p: i for i, p in enumerate(points)}
+        if len(index) != len(points):
+            raise ValueError("points must be distinct")
+        atoms = [[] for _ in range(self.n_atoms)]
+        for p, k in zip(points, owner):
+            atoms[k].append(p)
+        self.points = tuple(points)
+        self.atoms = tuple(map(tuple, atoms))
+        self._index = index
+        self._atom_of = dict(zip(points, owner))
+        return getattr(self, name)
 
 
 def product_space(*factors):
@@ -319,20 +318,19 @@ def product_space(*factors):
     Points and rectangle atoms are row-major (lexicographic) over the
     factors.  A single factor is returned unchanged.  A product past the
     MAX_PRODUCT_* limits raises CapacityExceeded, counted before anything
-    is built.  Only a factor label that is empty or starts or ends with
-    '|' can make two labels collide, so such a product is listed at once.
+    is built; one whose labels could collide is listed at once.
     """
     if len(factors) == 1:
         return factors[0]
-    size = product_size(*factors)
-    if size[0] > MAX_PRODUCT_POINTS or size[1] > MAX_PRODUCT_LABEL_BYTES:
+    counts = _label_counts(*factors)
+    if counts[0] > MAX_PRODUCT_POINTS or counts[1] > MAX_PRODUCT_LABEL_BYTES:
         raise CapacityExceeded(
             "a product of {} points and {} label bytes is past the limits {} and"
-            " {}".format(*size, MAX_PRODUCT_POINTS, MAX_PRODUCT_LABEL_BYTES)
+            " {}".format(*counts[:2], MAX_PRODUCT_POINTS, MAX_PRODUCT_LABEL_BYTES)
         )
     space = _Product(factors)
-    if any(not p or p[0] == "|" or p[-1] == "|" for f in factors for p in f.points):
-        space._list()
+    if counts[3]:
+        space.points  # list it now, so that a collision raises here
     return space
 
 

@@ -358,7 +358,15 @@ def test_product_builders_leave_the_product_unlisted():
     ]
     marginal, kernel, null_fibers = disintegrate(joint)
     assert (marginal, null_fibers) == (mu, ())
-    assert [_listed(m.space) for m in results] == [False] * 5
+    # a product whose factor is an unlisted product is counted and built
+    # from its factors; products of equal factors compare without listing
+    nested = product_measure(paths, mu)
+    size = product_size(*nested.space.factors)
+    shorter = path_measure(_two_state_chain(), "a", 4)
+    assert results[1] == shorter
+    assert [_listed(m.space) for m in results + [nested, shorter]] == [False] * 7
+    labels = nested.space.points
+    assert size == (len(labels), sum(len(p.encode()) for p in labels))
     # a factor label that starts with a bar can collide: listed at once
     assert _listed(product_space(S, FiniteMeasurableSpace.discrete(["|x"])))
 

@@ -207,6 +207,15 @@ def test_product_size_counts_the_built_labels(cases):
         raise
     size = sum(len(p.encode()) for p in space.points)
     assert product_size(*factors) == (len(space.points), size)
+    # a factor that is itself a product is counted from its own factors
+    try:
+        nested = product_space(product_space(*factors), factors[0])
+    except ValueError as err:
+        assert str(err) == "points must be distinct"
+    else:
+        counted = product_size(nested.factors[0], factors[0])
+        size = sum(len(p.encode()) for p in nested.points)
+        assert counted == (len(nested.points), size)
 
 
 @settings(max_examples=300, deadline=None)
