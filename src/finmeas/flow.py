@@ -11,7 +11,8 @@ ints once and passes plain ints, so the solvers build no Fraction.
 ``transport`` is the one bipartite max flow behind Strassen's theorem
 (1965): the Prohorov constraints are Hall deficiencies of it, and a
 coupling is its pair flows, or a Hall cut off its residual graph when the
-flow falls short.  The Hutchinson program is a transshipment to a ground
+flow falls short; ``transport_sweep`` grows one such network for the
+Prohorov sweep.  The Hutchinson program is a transshipment to a ground
 point.  See Ahuja, Magnanti and Orlin, *Network Flows*, chapters 7 and 9.
 """
 
@@ -38,9 +39,6 @@ class _Residual:
         self.adj[u].append(e)
         self.adj[v].append(e + 1)
 
-    def open(self, e):
-        return self.cap[e] is None or self.cap[e] > 0
-
     def push(self, e, amount):
         if self.cap[e] is not None:
             self.cap[e] -= amount
@@ -61,6 +59,38 @@ class _Residual:
         return path
 
 
+def _augment(graph, source, sink):
+    """Augment the graph's feasible flow to a maximum one by Edmonds-Karp:
+    returns (value added, the nodes then reachable from the source)."""
+    head, cap, adj = graph.head, graph.cap, graph.adj
+    value = 0
+    while True:
+        # -1 marks a node not reached yet; the source is reached by no arc
+        parent = [-1] * len(adj)
+        parent[source] = None
+        queue = deque([source])
+        while queue and parent[sink] == -1:
+            u = queue.popleft()
+            for e in adj[u]:
+                v = head[e]
+                if parent[v] == -1 and (cap[e] is None or cap[e] > 0):
+                    parent[v] = e
+                    queue.append(v)
+        if parent[sink] == -1:
+            return value, {v for v, e in enumerate(parent) if e != -1}
+        path = graph.path_to(parent, sink)
+        caps = [cap[e] for e in path if cap[e] is not None]
+        if not caps:
+            raise ValueError("a source-sink path of unbounded arcs")
+        bottleneck = min(caps)
+        for e in path:
+            if cap[e] is not None:
+                cap[e] -= bottleneck
+            if cap[e ^ 1] is not None:
+                cap[e ^ 1] += bottleneck
+        value += bottleneck
+
+
 def max_flow(n, arcs, source, sink):
     """Maximum flow from source to sink over nodes 0..n-1.
 
@@ -73,29 +103,8 @@ def max_flow(n, arcs, source, sink):
     graph = _Residual(n)
     for u, v, cap in arcs:
         graph.add(u, v, cap)
-    head, cap, adj = graph.head, graph.cap, graph.adj
-    value = 0
-    while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for e in adj[u]:
-                v = head[e]
-                # graph.open(e), inlined on the hottest loop
-                if v not in parent and (cap[e] is None or cap[e] > 0):
-                    parent[v] = e
-                    queue.append(v)
-        if sink not in parent:
-            return value, set(parent), graph.flows(len(arcs))
-        path = graph.path_to(parent, sink)
-        caps = [cap[e] for e in path if cap[e] is not None]
-        if not caps:
-            raise ValueError("a source-sink path of unbounded arcs")
-        bottleneck = min(caps)
-        for e in path:
-            graph.push(e, bottleneck)
-        value += bottleneck
+    value, side = _augment(graph, source, sink)
+    return value, side, graph.flows(len(arcs))
 
 
 def transport(supply, demand, pairs):
@@ -118,8 +127,31 @@ def transport(supply, demand, pairs):
     return value, reached, flows[n1 : n1 + len(pairs)]
 
 
+def transport_sweep(supply, demand, batches):
+    """Yield the ``transport`` value over the pairs so far, batch by batch.
+
+    One network: each batch joins as unbounded arcs and the flow augments
+    from the last one, which stays feasible (Gallo, Grigoriadis and
+    Tarjan 1989).
+    """
+    n1, n2 = len(supply), len(demand)
+    source, sink = 0, n1 + n2 + 1
+    graph = _Residual(n1 + n2 + 2)
+    for i, cap in enumerate(supply):
+        graph.add(source, 1 + i, cap)
+    for j, cap in enumerate(demand):
+        graph.add(1 + n1 + j, sink, cap)
+    value = 0
+    for batch in batches:
+        for i, j in batch:
+            graph.add(1 + i, 1 + n1 + j, None)
+        value += _augment(graph, source, sink)[0]
+        yield value
+
+
 def _dijkstra(graph, costs, potential, start):
     """Reduced-cost distances and search-tree arcs of the residual graph."""
+    head, cap, adj = graph.head, graph.cap, graph.adj
     dist = {start: 0}
     parent = {start: None}
     done = set()
@@ -129,10 +161,10 @@ def _dijkstra(graph, costs, potential, start):
         if u in done:
             continue
         done.add(u)
-        for e in graph.adj[u]:
-            if not graph.open(e):
+        for e in adj[u]:
+            if cap[e] is not None and cap[e] <= 0:
                 continue
-            v = graph.head[e]
+            v = head[e]
             nd = d + costs[e] + potential[u] - potential[v]
             if v not in dist or nd < dist[v]:
                 dist[v] = nd

@@ -3,8 +3,8 @@
 Everything is exact and runs on the network-flow core in ``flow``, on
 ints: each instance is scaled once from the measures' and the metric's
 integer forms, and only the results are Fractions.  The
-Lévy-Prohorov distance bisects the breakpoint pieces of the distinct
-distances, pricing each piece with one ``transport`` max flow that serves
+Lévy-Prohorov distance sweeps the breakpoint pieces of the distinct
+distances upward on one ``transport`` network, whose max flow serves
 both directions (Strassen's coupling characterisation of the subset
 constraints: the joined relation is symmetric).  The Hutchinson
 distance is a min-cost transshipment to a ground point, whose shortest-path
@@ -19,7 +19,7 @@ from math import lcm
 from operator import add, sub
 
 from .errors import InvalidGamma, SpaceMismatch
-from .flow import min_cost_transshipment, transport
+from .flow import min_cost_transshipment, transport, transport_sweep
 from .rational import as_fraction, to_float
 from .simplex import maximize  # noqa: F401  bench/spans.py wraps this attribute
 from .spaces import FiniteMeasurableSpace
@@ -135,39 +135,6 @@ def _check_metric_pair(mu, nu, metric):
         raise SpaceMismatch("measures must live on the metric's space")
 
 
-def _deficits(mu, nu, metric):
-    """(L, deficit): the worst Hall deficit of both directions, in ints.
-
-    Both measures go over L, the lcm of their scales.  deficit(joined) is
-    L times the larger of max over B of mu(B) - nu(N(B)) and of
-    nu(B) - mu(N(B)), where N(B) holds the points j with joined(r) for
-    some i in B and r the scaled distance of i and j (metric.scaled), the
-    empty B included.  By the deficiency form of Hall's theorem (Strassen
-    1965) each direction's maximum is its measure's total minus the max
-    flow over the joined pairs of the two supports.  The relation is
-    symmetric, so both directions share that flow F, and the larger
-    deficit is max(mu(X), nu(X)) - F.
-    """
-    big = lcm(mu.form[0], nu.form[0])
-    mu_w, nu_w = mu.ints_over(big), nu.ints_over(big)
-    rows = [i for i, w in enumerate(mu_w) if w > 0]
-    cols = [j for j, w in enumerate(nu_w) if w > 0]
-    supply = [mu_w[i] for i in rows]
-    demand = [nu_w[j] for j in cols]
-    total = max(sum(mu_w), sum(nu_w))
-    dist = metric.scaled[1]
-    pairs = [
-        (r, c, dist[i][j]) for r, i in enumerate(rows) for c, j in enumerate(cols)
-    ]
-
-    def deficit(joined):
-        joined_pairs = [(r, c) for r, c, d in pairs if joined(d)]
-        flow, _, _ = transport(supply, demand, joined_pairs)
-        return total - flow
-
-    return big, deficit
-
-
 def prohorov_distance(mu, nu, metric):
     """Exact Lévy-Prohorov distance.
 
@@ -178,45 +145,61 @@ def prohorov_distance(mu, nu, metric):
     On the piece (t[k], t[k+1]] of the sorted distinct distances t (0
     included) B^eps is {x : d(x, B) <= t[k]}, so the worst deficit G[k] of
     both directions, one max flow, is constant there and the piece holds
-    a feasible eps iff G[k] <= t[k+1].  G[k] does not increase with k, so
-    the first such piece is found by bisection, and d_P is max(G[k], t[k])
-    on it.  The search runs on ints: t as the metric's scaled distances
+    a feasible eps iff G[k] <= t[k+1].  The pieces' pairs are nested, so
+    one flow swept upward prices each in turn, and G[k] does not increase:
+    the sweep stops at the first such piece (or the last), where d_P is
+    max(G[k], t[k]).  It runs on ints: t as the metric's scaled distances
     over D, G over the measures' common scale L.  The feasible set may be
     open at d_P (the infimum is a limit), which the internal probe checks.
     """
     _check_metric_pair(mu, nu, metric)
     scale, dist = metric.scaled
     thresholds = sorted({d for row in dist for d in row} | {0})
-    big, deficit_of = _deficits(mu, nu, metric)
-    deficits = {}
-
-    def deficit(k):
-        if k not in deficits:
-            bound = thresholds[k]
-            deficits[k] = deficit_of(lambda d: d <= bound)
-        return deficits[k]
-
-    lo, hi = 0, len(thresholds) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if deficit(mid) * scale <= thresholds[mid + 1] * big:
-            hi = mid
-        else:
-            lo = mid + 1
-    best = max(Fraction(deficit(lo), big), Fraction(thresholds[lo], scale))
+    big = lcm(mu.form[0], nu.form[0])
+    mu_w, nu_w = mu.ints_over(big), nu.ints_over(big)
+    rows = [i for i, w in enumerate(mu_w) if w > 0]
+    cols = [j for j, w in enumerate(nu_w) if w > 0]
+    pieces = {t: [] for t in thresholds}
+    for r, i in enumerate(rows):
+        for c, j in enumerate(cols):
+            pieces[dist[i][j]].append((r, c))
+    total = max(sum(mu_w), sum(nu_w))
+    supply, demand = [mu_w[i] for i in rows], [nu_w[j] for j in cols]
+    flows = transport_sweep(supply, demand, map(pieces.get, thresholds))
+    last = len(thresholds) - 1
+    for k, flow in enumerate(flows):
+        if k == last or (total - flow) * scale <= thresholds[k + 1] * big:
+            break
+    best = max(Fraction(total - flow, big), Fraction(thresholds[k], scale))
     if not _prohorov_feasible_above(mu, nu, metric, best):
         raise AssertionError(f"Prohorov value {best} is not the infimum")
     return best
 
 
 def prohorov_feasible(mu, nu, metric, eps):
-    """Whether eps satisfies both Prohorov constraints for every subset."""
+    """Whether eps satisfies both Prohorov constraints for every subset.
+
+    eps must bound mu(B) - nu(N(B)) and nu(B) - mu(N(B)) for every B, N(B)
+    the points within d < eps of B.  By Hall's deficiency form (Strassen
+    1965) each maximum is a total less the max flow F over the joined
+    support pairs (ints over L, the lcm of the scales): one F serves both.
+    """
     _check_metric_pair(mu, nu, metric)
     eps = Fraction(eps)
     p, q = eps.numerator, eps.denominator
-    scale = metric.scaled[0]
-    big, deficit = _deficits(mu, nu, metric)
-    return deficit(lambda d: d * q < p * scale) * q <= p * big
+    scale, dist = metric.scaled
+    big = lcm(mu.form[0], nu.form[0])
+    mu_w, nu_w = mu.ints_over(big), nu.ints_over(big)
+    rows = [i for i, w in enumerate(mu_w) if w > 0]
+    cols = [j for j, w in enumerate(nu_w) if w > 0]
+    pairs = [
+        (r, c)
+        for r, i in enumerate(rows)
+        for c, j in enumerate(cols)
+        if dist[i][j] * q < p * scale
+    ]
+    flow, _, _ = transport([mu_w[i] for i in rows], [nu_w[j] for j in cols], pairs)
+    return (max(sum(mu_w), sum(nu_w)) - flow) * q <= p * big
 
 
 def _prohorov_feasible_above(mu, nu, metric, value):

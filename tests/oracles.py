@@ -56,6 +56,14 @@ validation on the dense Fraction matrix, the Prohorov bisection and probe
 over Fraction thresholds and weights, and the Hutchinson transshipment
 over Fraction costs and supplies with its Fraction witness checks.
 
+The Prohorov distance now sweeps its breakpoint pieces upward on one
+network, augmenting the flow it has as each piece adds its pairs, in
+place of the bisection with a fresh max flow per piece.  That bisection,
+prohorov_distance_fraction, is now the bisection oracle of the sweep.
+Edmonds-Karp's augmenting loop runs on a given residual network for both
+max_flow and the sweep; the max_flow it was split out of, with its own
+residual network class, is kept as max_flow_reference.
+
 Measure sums, scalings and the Jordan split now build their results from
 the integer forms, and the CLI formats a measure's zero once and each
 nonzero once.  The Jordan split over the dense weights and the CLI's
@@ -74,6 +82,7 @@ FiniteMetric method), and CouplingFailed, which only the flow mediation
 oracle raises.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -1604,3 +1613,82 @@ def lp_norm_float(f, mu, p):
         abs(float(v)) ** float(p) * float(w) for v, w in zip(f.values, mu.weights)
     )
     return total ** (1.0 / float(p))
+
+
+class _ResidualReference:
+    """Arc e runs head[e ^ 1] -> head[e]; arc e ^ 1 is its reverse.
+
+    A residual capacity of None is unbounded.  Each node lists its arcs in
+    the order they were added, which fixes the search order.
+    """
+
+    def __init__(self, n):
+        self.head = []
+        self.cap = []
+        self.adj = [[] for _ in range(n)]
+
+    def add(self, u, v, cap):
+        e = len(self.head)
+        self.head += [v, u]
+        self.cap += [cap, 0]
+        self.adj[u].append(e)
+        self.adj[v].append(e + 1)
+
+    def open(self, e):
+        return self.cap[e] is None or self.cap[e] > 0
+
+    def push(self, e, amount):
+        if self.cap[e] is not None:
+            self.cap[e] -= amount
+        if self.cap[e ^ 1] is not None:
+            self.cap[e ^ 1] += amount
+
+    def flows(self, count):
+        """The flow on each of the first count arcs added: its reverse capacity."""
+        return [self.cap[2 * k + 1] for k in range(count)]
+
+    def path_to(self, parent, v):
+        """The arcs of the search tree path ending at v, sink end first."""
+        path = []
+        while parent[v] is not None:
+            e = parent[v]
+            path.append(e)
+            v = self.head[e ^ 1]
+        return path
+
+
+def max_flow_reference(n, arcs, source, sink):
+    """Maximum flow from source to sink over nodes 0..n-1.
+
+    ``arcs`` is a sequence of (u, v, capacity); a capacity of None is
+    unbounded.  Returns (value, source_side, flows): source_side is the set
+    of nodes reachable from the source in the final residual graph, the
+    source side of the minimum cut nearest the source, and flows[k] is the
+    flow on arcs[k].
+    """
+    graph = _ResidualReference(n)
+    for u, v, cap in arcs:
+        graph.add(u, v, cap)
+    head, cap, adj = graph.head, graph.cap, graph.adj
+    value = 0
+    while True:
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for e in adj[u]:
+                v = head[e]
+                # graph.open(e), inlined on the hottest loop
+                if v not in parent and (cap[e] is None or cap[e] > 0):
+                    parent[v] = e
+                    queue.append(v)
+        if sink not in parent:
+            return value, set(parent), graph.flows(len(arcs))
+        path = graph.path_to(parent, sink)
+        caps = [cap[e] for e in path if cap[e] is not None]
+        if not caps:
+            raise ValueError("a source-sink path of unbounded arcs")
+        bottleneck = min(caps)
+        for e in path:
+            graph.push(e, bottleneck)
+        value += bottleneck

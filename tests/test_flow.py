@@ -4,11 +4,13 @@ from math import lcm
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finmeas.flow import max_flow, min_cost_transshipment, transport
+from finmeas.flow import max_flow, min_cost_transshipment, transport, transport_sweep
 from finmeas.simplex import OPTIMAL, maximize
+
+from oracles import max_flow_reference
 
 
 def rand_network(rng, n):
@@ -83,6 +85,35 @@ def test_max_flow_rejects_an_unbounded_path():
 
 
 @st.composite
+def networks(draw):
+    """Arcs with None, 0 and int capacities on a few nodes, so parallel
+    arcs, loops and unbounded source-sink paths are common."""
+    n = draw(st.integers(2, 6))
+    node = st.integers(0, n - 1)
+    cap = st.one_of(st.none(), st.just(0), st.integers(0, 9))
+    arcs = draw(st.lists(st.tuples(node, node, cap), max_size=16))
+    source, sink = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+    return n, arcs, source, sink
+
+
+def _flow_or_error(solve, case):
+    try:
+        return solve(*case)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=500, deadline=None)
+@given(networks())
+@example((3, [(0, 1, 2), (0, 1, None), (1, 2, None), (0, 2, 0)], 0, 2))
+@example((3, [(0, 1, 2), (0, 1, 3), (1, 0, 1), (1, 2, 4), (2, 2, None)], 0, 2))
+def test_max_flow_equals_the_reference(case):
+    # the same BFS order: the same value, cut side and arc flows, or the
+    # same refusal of an unbounded path
+    assert _flow_or_error(max_flow, case) == _flow_or_error(max_flow_reference, case)
+
+
+@st.composite
 def transport_cases(draw):
     """Capacities with many zeros and pairs in any order, repeats included."""
     n1, n2 = draw(st.integers(0, 5)), draw(st.integers(0, 5))
@@ -108,6 +139,19 @@ def test_transport_equals_the_network_built_by_hand(case):
     value, side, flows = max_flow(n1 + n2 + 2, arcs, source, sink)
     expected = (value, [i for i in range(n1) if i in side], flows[n1 : n1 + len(pairs)])
     assert transport(supply, demand, pairs) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(transport_cases(), st.data())
+def test_transport_sweep_yields_the_transport_value_of_each_prefix(case, data):
+    # augmenting from the last flow reaches the max flow over all pairs so
+    # far, batch by batch, empty batches included
+    supply, demand, pairs = case
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(pairs)), max_size=4)))
+    ends = cuts + [len(pairs)]
+    batches = [pairs[a:b] for a, b in zip([0] + cuts, ends)]
+    expected = [transport(supply, demand, pairs[:end])[0] for end in ends]
+    assert list(transport_sweep(supply, demand, batches)) == expected
 
 
 def transshipment_lp(n, arcs, supply):

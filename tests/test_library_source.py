@@ -69,8 +69,9 @@ def test_library_imports_no_private_name_from_a_sibling_module():
 
 
 def test_only_the_flow_module_uses_max_flow():
-    # every Strassen question goes through flow.transport, so the network
-    # is built in one place: no other module names max_flow at all
+    # every Strassen question goes through flow.transport or
+    # flow.transport_sweep, so the network is built in one place: no other
+    # module names max_flow at all
     found = [
         f"{path.name}:{node.lineno}"
         for path in MODULES

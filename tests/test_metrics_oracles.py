@@ -1,7 +1,6 @@
 """The flow and closed-form metrics against the subset scans and dense LP
 they replaced (kept in ``oracles``)."""
 
-import math
 import os
 import random
 import subprocess
@@ -26,6 +25,7 @@ from finmeas.metrics import (
 
 from conftest import rand_metric
 from oracles import (
+    _deficit_fraction,
     check_weak_limit_scan,
     finite_metric_rows_fraction,
     hutchinson_distance_fraction,
@@ -211,14 +211,47 @@ LINE = FiniteMetric.from_points(
 @given(metric_and_pair())
 # the two ends of a short line: the first feasible piece is the last one
 @example((LINE, Measure.dirac(LINE.space, "x0"), Measure.dirac(LINE.space, "x19")))
-def test_prohorov_runs_one_flow_per_bisection_step(case):
-    # the bisection over T distinct distances (0 included) prices at most
-    # ceil(log2 T) + 1 pieces, and the probe above and below runs 2 more
+# two zero measures: both supports are empty, and piece 0 is feasible
+@example((LINE, Measure.zero(LINE.space), Measure.zero(LINE.space)))
+def test_prohorov_sweeps_one_network_up_to_the_answer_piece(case):
+    # the answer piece k of the Fraction bisection is the first piece whose
+    # deficit G[k] is at most the next distance, or the last piece; the
+    # sweep augments one network once for each piece j = 0..k, holding the
+    # support pairs within t[j] by then, and the probe above and below
+    # runs 1 or 2 fresh max flows
     metric, mu, nu = case
-    count = len({d for row in metric.dist for d in row} | {Fraction(0)})
-    with mock.patch.object(flow, "max_flow", wraps=flow.max_flow) as spy:
-        prohorov_distance(mu, nu, metric)
-    assert 1 <= spy.call_count <= math.ceil(math.log2(count)) + 3
+    dist = metric.dist
+    thresholds = sorted({d for row in dist for d in row} | {Fraction(0)})
+    deficits = [
+        _deficit_fraction(mu.weights, nu.weights, dist, lambda d: d <= t)
+        for t in thresholds
+    ]
+    k = next(
+        k for k in range(len(thresholds))
+        if k + 1 == len(thresholds) or deficits[k] <= thresholds[k + 1]
+    )
+    value = prohorov_distance_fraction(mu, nu, metric)
+    assert value == max(deficits[k], thresholds[k])
+    rows = [i for i, w in enumerate(mu.weights) if w > 0]
+    cols = [j for j, w in enumerate(nu.weights) if w > 0]
+    sweep = [
+        len(rows) + len(cols) + sum(dist[i][j] <= t for i in rows for j in cols)
+        for t in thresholds[: k + 1]
+    ]
+    calls = []
+    augment = flow._augment
+
+    def spy(graph, source, sink):
+        calls.append((graph, len(graph.head) // 2))
+        return augment(graph, source, sink)
+
+    with mock.patch.object(flow, "_augment", spy), mock.patch.object(
+        flow, "max_flow", wraps=flow.max_flow
+    ) as probe:
+        assert prohorov_distance(mu, nu, metric) == value
+    assert [arcs for graph, arcs in calls if graph is calls[0][0]] == sweep
+    assert 1 <= probe.call_count <= 2
+    assert len(calls) == len(sweep) + probe.call_count
 
 
 def assert_same_report(got, want):
