@@ -15,7 +15,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 from . import spaces
 from .errors import FinmeasError, NotBisimilar
@@ -857,22 +857,22 @@ def _row(weights):
 
 
 def _run(command, args, model):
-    """Run one command: its JSON payload, and its text lines unless --json."""
+    """Run one command: its JSON payload, and its text lines rendered lazily."""
     result = command.handler(args, model)
     payload = {"command": command.path}
     payload.update((dest, getattr(args, dest)) for dest in command.echo)
     payload.update((key, _plain(v, args.float_mode)) for key, v in result.items())
-    if args.json:
-        return payload, []
-    lines = []
-    for template in command.text.split("\n"):
-        try:
-            lines.append(
-                _FIELD.sub(lambda m: _text(payload.get(m[1]), m[2] or ""), template)
-            )
-        except _Absent:
-            pass
-    return payload, lines
+
+    def lines():
+        for template in command.text.split("\n"):
+            try:
+                yield _FIELD.sub(
+                    lambda m: _text(payload.get(m[1]), m[2] or ""), template
+                )
+            except _Absent:
+                pass
+
+    return payload, lines()
 
 
 # ----------------------------------------------------------------- parser
@@ -940,12 +940,14 @@ def main(argv=None):
     except (ModelError, ValueError) as err:
         print(f"error[input]: {err}", file=sys.stderr)
         return 2
+    if args.json:  # written in batches of chunks, never as one string
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    else:  # the lines with a newline between each two
+        chunks = islice(chain.from_iterable(("\n", line) for line in lines), 1, None)
     try:
-        if args.json:  # in batches of chunks, never as one string
-            chunks = json.JSONEncoder(indent=2).iterencode(payload)
-            while batch := "".join(islice(chunks, 4096)):
-                sys.stdout.write(batch)
-        print("" if args.json else "\n".join(lines))
+        while batch := "".join(islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        print()
         sys.stdout.flush()
     except BrokenPipeError:
         # exit as a shell reports SIGPIPE, stdout on devnull for the exit flush

@@ -694,18 +694,11 @@ def mediate(k1, k2, q1, q2, iso):
             for j2, n2 in right.get(image[c], ()):
                 entries.append((b_index[j1, j2], factor * n2))
         row = Measure.from_ints(b_space, d2 * scale, entries)
-        if sum(row.form[2]) * d1 != sum(nums1) * row.form[0]:
-            raise AssertionError("mediating row lost mass")
         images = (pushforward(zeta1, row), pushforward(zeta2, row))
         if images != (k1.rows[i1], k2.rows[i2]):
             raise AssertionError("mediating row misses a marginal")
         rows.append(row)
     if len(q1c.blocks) >= 2:
-        if any(
-            (q1c.block_of_atom[j1] == 0) != (q2c.block_of_atom[j2] == image[0])
-            for j1, j2 in b_pairs
-        ):
-            raise AssertionError("common events disagree on B")
         common_events = (
             k1.codomain.set_of_atoms(q1c.block_atom_indices(0)),
             k2.codomain.set_of_atoms(q2c.block_atom_indices(image[0])),

@@ -6,7 +6,8 @@ integer forms, and only the results are Fractions.  The
 Lévy-Prohorov distance sweeps the breakpoint pieces of the distinct
 distances upward on one ``transport`` network, whose max flow serves
 both directions (Strassen's coupling characterisation of the subset
-constraints: the joined relation is symmetric).  The Hutchinson
+constraints: the joined relation is symmetric); one or two fresh flows
+then decide its two optimality conditions exactly.  The Hutchinson
 distance is a min-cost transshipment to a ground point, whose shortest-path
 potentials are the optimal Lipschitz witness.  The weak-limit check's
 portmanteau excess is the largest sum of positive parts of the tail's
@@ -135,6 +136,26 @@ def _check_metric_pair(mu, nu, metric):
         raise SpaceMismatch("measures must live on the metric's space")
 
 
+def _prohorov_instance(mu, nu, metric):
+    """(L, supply, demand, pairs): the weights on the two supports (a
+    Measure's form lists exactly its positive atoms) as ints over L, the
+    lcm of the scales, and (r, c, d) for each support pair, d its distance
+    as an int over the metric's scale."""
+    _check_metric_pair(mu, nu, metric)
+    (a, rows, mu_nums), (b, cols, nu_nums) = mu.form, nu.form
+    big, dist = lcm(a, b), metric.scaled[1]
+    pairs = [(r, c, dist[i][j]) for r, i in enumerate(rows) for c, j in enumerate(cols)]
+    return big, [w * big // a for w in mu_nums], [w * big // b for w in nu_nums], pairs
+
+
+def _deficit(instance, joined):
+    """max(mu(X), nu(X)) - F as an int over L, F the max flow over the
+    support pairs whose scaled distance passes joined."""
+    _, supply, demand, pairs = instance
+    flow, _, _ = transport(supply, demand, [(r, c) for r, c, d in pairs if joined(d)])
+    return max(sum(supply), sum(demand)) - flow
+
+
 def prohorov_distance(mu, nu, metric):
     """Exact Lévy-Prohorov distance.
 
@@ -149,29 +170,23 @@ def prohorov_distance(mu, nu, metric):
     one flow swept upward prices each in turn, and G[k] does not increase:
     the sweep stops at the first such piece (or the last), where d_P is
     max(G[k], t[k]).  It runs on ints: t as the metric's scaled distances
-    over D, G over the measures' common scale L.  The feasible set may be
-    open at d_P (the infimum is a limit), which the internal probe checks.
+    over D, G over the measures' common scale L, and the probe checks it.
     """
-    _check_metric_pair(mu, nu, metric)
+    instance = _prohorov_instance(mu, nu, metric)
+    big, supply, demand, pairs = instance
     scale, dist = metric.scaled
     thresholds = sorted({d for row in dist for d in row} | {0})
-    big = lcm(mu.form[0], nu.form[0])
-    mu_w, nu_w = mu.ints_over(big), nu.ints_over(big)
-    rows = [i for i, w in enumerate(mu_w) if w > 0]
-    cols = [j for j, w in enumerate(nu_w) if w > 0]
     pieces = {t: [] for t in thresholds}
-    for r, i in enumerate(rows):
-        for c, j in enumerate(cols):
-            pieces[dist[i][j]].append((r, c))
-    total = max(sum(mu_w), sum(nu_w))
-    supply, demand = [mu_w[i] for i in rows], [nu_w[j] for j in cols]
+    for r, c, d in pairs:
+        pieces[d].append((r, c))
+    total = max(sum(supply), sum(demand))
     flows = transport_sweep(supply, demand, map(pieces.get, thresholds))
     last = len(thresholds) - 1
     for k, flow in enumerate(flows):
         if k == last or (total - flow) * scale <= thresholds[k + 1] * big:
             break
     best = max(Fraction(total - flow, big), Fraction(thresholds[k], scale))
-    if not _prohorov_feasible_above(mu, nu, metric, best):
+    if not _prohorov_feasible_above(instance, scale, best):
         raise AssertionError(f"Prohorov value {best} is not the infimum")
     return best
 
@@ -184,44 +199,26 @@ def prohorov_feasible(mu, nu, metric, eps):
     1965) each maximum is a total less the max flow F over the joined
     support pairs (ints over L, the lcm of the scales): one F serves both.
     """
-    _check_metric_pair(mu, nu, metric)
+    instance = _prohorov_instance(mu, nu, metric)
     eps = Fraction(eps)
-    p, q = eps.numerator, eps.denominator
-    scale, dist = metric.scaled
-    big = lcm(mu.form[0], nu.form[0])
-    mu_w, nu_w = mu.ints_over(big), nu.ints_over(big)
-    rows = [i for i, w in enumerate(mu_w) if w > 0]
-    cols = [j for j, w in enumerate(nu_w) if w > 0]
-    pairs = [
-        (r, c)
-        for r, i in enumerate(rows)
-        for c, j in enumerate(cols)
-        if dist[i][j] * q < p * scale
-    ]
-    flow, _, _ = transport([mu_w[i] for i in rows], [nu_w[j] for j in cols], pairs)
-    return (max(sum(mu_w), sum(nu_w)) - flow) * q <= p * big
+    p, q, scale = eps.numerator, eps.denominator, metric.scaled[0]
+    return _deficit(instance, lambda d: d * q < p * scale) * q <= p * instance[0]
 
 
-def _prohorov_feasible_above(mu, nu, metric, value):
-    """Probe that the computed value is the true infimum.
+def _prohorov_feasible_above(instance, scale, value):
+    """Whether value is the infimum of the feasible eps, decided exactly.
 
-    Feasibility must hold just above the value and fail just below it.
-    The probe gap is half the smallest spacing of the candidate breakpoints:
-    the value, the distances and the weights, as ints over one common
-    denominator.
+    Just above the value (up to the next distance) the joined pairs are
+    those with d <= value, and their deficit is constant: eps is feasible
+    there iff it is at most the value.  Just below, the pairs with
+    d < value are joined: eps is infeasible there iff their deficit is at
+    least the value (for value > 0).  The distances are over scale.
     """
-    scale, dist = metric.scaled
-    common = lcm(value.denominator, scale, mu.form[0], nu.form[0])
-    candidates = {value.numerator * (common // value.denominator)}
-    candidates.update(d * (common // scale) for row in dist for d in row)
-    candidates.update(mu.ints_over(common), nu.ints_over(common))
-    ordered = sorted(candidates)
-    step = Fraction(min(map(sub, ordered[1:], ordered), default=common), 2 * common)
-    if not prohorov_feasible(mu, nu, metric, value + step):
-        return False
-    if value > 0 and prohorov_feasible(mu, nu, metric, value - min(step, value / 2)):
-        return False
-    return True
+    p, q = value.numerator, value.denominator
+    bound = p * instance[0]
+    above = _deficit(instance, lambda d: d * q <= p * scale) * q <= bound
+    below = p == 0 or _deficit(instance, lambda d: d * q < p * scale) * q >= bound
+    return above and below
 
 
 def hutchinson_distance(mu, nu, metric, gamma):
@@ -236,7 +233,9 @@ def hutchinson_distance(mu, nu, metric, gamma):
     as cheap.  The witness is f(x) = pi(g) - pi(x) for the residual
     shortest-path distances pi from g.  The transshipment runs on ints:
     costs over the lcm of the metric's scale and gamma's denominator,
-    supplies over the lcm of the measures' scales.  Returns
+    supplies over the lcm of the measures' scales.  The value is checked
+    from both sides: the flows are nonnegative and meet every supply, so
+    H <= value, and the witness attains it, so H >= value.  Returns
     (value, LipschitzWitness).
     """
     _check_metric_pair(mu, nu, metric)
@@ -263,6 +262,11 @@ def hutchinson_distance(mu, nu, metric, gamma):
     for i in range(n):
         arcs += [(i, ground, ground_cost), (ground, i, ground_cost)]
     flows, potentials = min_cost_transshipment(n + 1, arcs, supply, ground)
+    net = [0] * (n + 1)
+    for f, (u, v, _) in zip(flows, arcs):
+        net[u], net[v] = net[u] + f, net[v] - f
+    if net != supply or min(flows, default=0) < 0:
+        raise AssertionError("Hutchinson flows do not meet the supplies")
     value = Fraction(
         sum(f * cost for f, (_, _, cost) in zip(flows, arcs) if f),
         mass_scale * cost_scale,

@@ -35,6 +35,13 @@ other than endokernels, and the iterative backtracking search over the
 positions that share a nonzero, which also takes non-minimal and
 non-endo quotients and checks the union lumping at larger sizes.
 
+The Prohorov value is now checked by its two exact optimality conditions:
+the deficit over the pairs within the value is at most it, and the
+deficit over the pairs closer than it at least it.
+``_prohorov_feasible_above_fraction`` is the earlier probe, which tests
+feasibility a breakpoint-gap step above and below the value; it is kept
+as it was.
+
 Lp norms for a non-integer or finite exponent other than 1 used to be
 taken in plain floats only; that form is kept for the exponents where it
 stays in the normal float range.

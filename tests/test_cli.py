@@ -53,6 +53,20 @@ def test_json_and_text_agree(capsys):
     assert payload["value"] in text
 
 
+def test_report_with_every_line_absent_prints_a_newline(capsys, monkeypatch):
+    # a text report whose template lines all name null values is empty,
+    # and prints one newline like any other report
+    blank = [
+        c._replace(handler=lambda args, model: {"gone": None}, text="{gone}\n{gone:set}")
+        if c.path == "rn" else c
+        for c in cli._COMMANDS
+    ]
+    monkeypatch.setattr(cli, "_COMMANDS", blank)
+    argv = ["rn", "-m", DECOMP, "--num", "rho", "--den", "eta"]
+    assert run(capsys, *argv) == (0, "\n", "")
+    assert json.loads(run(capsys, *argv, "--json")[1])["gone"] is None
+
+
 def test_float_mode(capsys):
     code, out, _ = run(
         capsys,

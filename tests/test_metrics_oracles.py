@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -254,6 +255,26 @@ def test_prohorov_sweeps_one_network_up_to_the_answer_piece(case):
     assert len(calls) == len(sweep) + probe.call_count
 
 
+@settings(max_examples=200, deadline=None)
+@given(metric_and_pair())
+@example((LINE, Measure.dirac(LINE.space, "x0"), Measure.dirac(LINE.space, "x19")))
+@example((LINE, Measure.zero(LINE.space), Measure.zero(LINE.space)))
+def test_prohorov_probe_accepts_the_value_and_nothing_near_it(case):
+    # the probe decides both optimality conditions exactly, so it refuses
+    # values a breakpoint-gap step would miss, such as value +- 10^-6
+    metric, mu, nu = case
+    value = prohorov_distance(mu, nu, metric)
+    instance = metrics._prohorov_instance(mu, nu, metric)
+    scale = metric.scaled[0]
+    assert metrics._prohorov_feasible_above(instance, scale, value)
+    tiny = Fraction(1, 10**6)
+    wrong = [value + tiny] + [value - tiny] * (value >= tiny)
+    if value > 0:
+        wrong += [value / 2, 2 * value]
+    for other in wrong:
+        assert not metrics._prohorov_feasible_above(instance, scale, other)
+
+
 def assert_same_report(got, want):
     assert (got.per_atom_ok, got.portmanteau_ok, got.mass_ok, got.converges) == (
         want.per_atom_ok, want.portmanteau_ok, want.mass_ok, want.converges
@@ -354,6 +375,31 @@ def test_hutchinson_flow_equals_dense_lp():
         assert witness.objective(mu, nu) == value
 
 
+def _cost_neutral(solve):
+    """solve with +c_b on its first flow-carrying arc a and -c_a on
+    another arc b: the total cost and the potentials stay."""
+    def perturbed(n, arcs, supply, root):
+        flows, potentials = solve(n, arcs, supply, root)
+        a = next(k for k, f in enumerate(flows) if f)
+        b = 0 if a else 1
+        flows[a] += arcs[b][2]
+        flows[b] -= arcs[a][2]
+        return flows, potentials
+    return perturbed
+
+
+def test_hutchinson_refuses_flows_that_miss_the_supplies():
+    # the witness alone proves only value <= H: a cost-neutral change of
+    # the flows keeps it attaining the value, and the flow check refuses it
+    metric = FiniteMetric.from_points("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    mu, nu = Measure.dirac(metric.space, "a"), Measure.dirac(metric.space, "b")
+    assert hutchinson_distance(mu, nu, metric, 1)[0] == 1
+    solve = _cost_neutral(metrics.min_cost_transshipment)
+    with mock.patch.object(metrics, "min_cost_transshipment", solve):
+        with pytest.raises(AssertionError, match="do not meet the supplies"):
+            hutchinson_distance(mu, nu, metric, 1)
+
+
 def test_self_checks_survive_python_optimize():
     script = """
 import sys
@@ -371,6 +417,20 @@ try:
     metrics.prohorov_distance(mu, nu, metric)
 except AssertionError:
     print("prohorov probe raised")
+solve = metrics.min_cost_transshipment
+def perturbed(n, arcs, supply, root):
+    flows, potentials = solve(n, arcs, supply, root)
+    a = next(k for k, f in enumerate(flows) if f)
+    b = 0 if a else 1
+    flows[a] += arcs[b][2]
+    flows[b] -= arcs[a][2]
+    return flows, potentials
+metrics.min_cost_transshipment = perturbed
+try:
+    metrics.hutchinson_distance(mu, nu, metric, 1)
+except AssertionError:
+    print("hutchinson flow check raised")
+metrics.min_cost_transshipment = solve
 metrics.LipschitzWitness.objective = lambda self, mu, nu: Fraction(-1)
 try:
     metrics.hutchinson_distance(mu, nu, metric, 1)
@@ -399,5 +459,8 @@ except AssertionError:
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "prohorov probe raised", "hutchinson check raised", "mediate check raised",
+        "prohorov probe raised",
+        "hutchinson flow check raised",
+        "hutchinson check raised",
+        "mediate check raised",
     ]
