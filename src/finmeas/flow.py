@@ -12,8 +12,10 @@ ints once and passes plain ints, so the solvers build no Fraction.
 (1965): the Prohorov constraints are Hall deficiencies of it, and a
 coupling is its pair flows, or a Hall cut off its residual graph when the
 flow falls short; ``transport_sweep`` grows one such network for the
-Prohorov sweep.  The Hutchinson program is a transshipment to a ground
-point.  See Ahuja, Magnanti and Orlin, *Network Flows*, chapters 7 and 9.
+Prohorov sweep, and its flow and residual Hall cut at each step are the
+certificate the Prohorov value is checked by.  The Hutchinson program is
+a transshipment to a ground point.  See Ahuja, Magnanti and Orlin,
+*Network Flows*, chapters 6, 7 and 9.
 """
 
 from collections import deque
@@ -128,45 +130,60 @@ def transport(supply, demand, pairs):
 
 
 def transport_sweep(supply, demand, batches):
-    """Yield the ``transport`` value over the pairs so far, batch by batch.
+    """Yield (value, reached, flows) over the pairs so far, batch by batch.
 
+    value is ``transport``'s over the pairs of the batches so far.  reached
+    is the set of nodes the source reaches in the final residual graph,
+    where supply node i is numbered i: its members below len(supply) are
+    ``transport``'s reached supply nodes, the source side of a minimum cut.
+    flows() lists the flow on each pair so far in the order given, read
+    from the network when called, so call it before the sweep goes on.
     One network: each batch joins as unbounded arcs and the flow augments
     from the last one, which stays feasible (Gallo, Grigoriadis and
     Tarjan 1989).
     """
     n1, n2 = len(supply), len(demand)
-    source, sink = 0, n1 + n2 + 1
+    source, sink = n1 + n2, n1 + n2 + 1
     graph = _Residual(n1 + n2 + 2)
     for i, cap in enumerate(supply):
-        graph.add(source, 1 + i, cap)
+        graph.add(source, i, cap)
     for j, cap in enumerate(demand):
-        graph.add(1 + n1 + j, sink, cap)
+        graph.add(n1 + j, sink, cap)
+
+    def flows():
+        # the pair arcs follow the n1 + n2 supply and demand arcs
+        return graph.cap[2 * (n1 + n2) + 1 :: 2]
+
     value = 0
     for batch in batches:
         for i, j in batch:
-            graph.add(1 + i, 1 + n1 + j, None)
-        value += _augment(graph, source, sink)[0]
-        yield value
+            graph.add(i, n1 + j, None)
+        added, reached = _augment(graph, source, sink)
+        value += added
+        yield value, reached, flows
 
 
 def _dijkstra(graph, costs, potential, start):
-    """Reduced-cost distances and search-tree arcs of the residual graph."""
+    """Reduced-cost distances and search-tree arcs of the residual graph,
+    one entry per node, None where the start does not reach."""
     head, cap, adj = graph.head, graph.cap, graph.adj
-    dist = {start: 0}
-    parent = {start: None}
-    done = set()
+    n = len(adj)
+    dist = [None] * n
+    parent = [None] * n
+    done = [False] * n
+    dist[start] = 0
     heap = [(0, start)]
     while heap:
         d, u = heappop(heap)
-        if u in done:
+        if done[u]:
             continue
-        done.add(u)
+        done[u] = True
         for e in adj[u]:
             if cap[e] is not None and cap[e] <= 0:
                 continue
             v = head[e]
             nd = d + costs[e] + potential[u] - potential[v]
-            if v not in dist or nd < dist[v]:
+            if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 parent[v] = e
                 heappush(heap, (nd, v))
@@ -199,7 +216,7 @@ def min_cost_transshipment(n, arcs, supply, root):
             break
         dist, parent = _dijkstra(graph, costs, potential, start)
         target = min(
-            (v for v in dist if excess[v] < 0),
+            (v for v in range(n) if excess[v] < 0 and dist[v] is not None),
             key=lambda v: (dist[v], v),
             default=None,
         )
@@ -207,8 +224,8 @@ def min_cost_transshipment(n, arcs, supply, root):
             raise ValueError("a supply cannot reach any demand")
         # capping at the target's distance keeps every reduced cost >= 0
         reach = dist[target]
-        for v in range(n):
-            potential[v] += min(dist.get(v, reach), reach)
+        for v, d in enumerate(dist):
+            potential[v] += reach if d is None or d > reach else d
         path = graph.path_to(parent, target)
         amount = min(
             [excess[start], -excess[target]]
@@ -219,7 +236,7 @@ def min_cost_transshipment(n, arcs, supply, root):
         excess[start] -= amount
         excess[target] += amount
     dist, _ = _dijkstra(graph, costs, potential, root)
-    if len(dist) < n:
+    if None in dist:
         raise ValueError("a node is unreachable from the root")
     potentials = [dist[v] + potential[v] - potential[root] for v in range(n)]
     return graph.flows(len(arcs)), potentials

@@ -6,8 +6,9 @@ integer forms, and only the results are Fractions.  The
 Lévy-Prohorov distance sweeps the breakpoint pieces of the distinct
 distances upward on one ``transport`` network, whose max flow serves
 both directions (Strassen's coupling characterisation of the subset
-constraints: the joined relation is symmetric); one or two fresh flows
-then decide its two optimality conditions exactly.  The Hutchinson
+constraints: the joined relation is symmetric); the sweep's own flow and
+Hall cut then certify its two optimality conditions exactly, by weak
+max-flow/min-cut duality, with no further flow.  The Hutchinson
 distance is a min-cost transshipment to a ground point, whose shortest-path
 potentials are the optimal Lipschitz witness.  The weak-limit check's
 portmanteau excess is the largest sum of positive parts of the tail's
@@ -17,7 +18,7 @@ per-atom differences.
 import math
 from fractions import Fraction
 from math import lcm
-from operator import add, sub
+from operator import add, gt, itemgetter, sub
 
 from .errors import InvalidGamma, SpaceMismatch
 from .flow import min_cost_transshipment, transport, transport_sweep
@@ -148,14 +149,6 @@ def _prohorov_instance(mu, nu, metric):
     return big, [w * big // a for w in mu_nums], [w * big // b for w in nu_nums], pairs
 
 
-def _deficit(instance, joined):
-    """max(mu(X), nu(X)) - F as an int over L, F the max flow over the
-    support pairs whose scaled distance passes joined."""
-    _, supply, demand, pairs = instance
-    flow, _, _ = transport(supply, demand, [(r, c) for r, c, d in pairs if joined(d)])
-    return max(sum(supply), sum(demand)) - flow
-
-
 def prohorov_distance(mu, nu, metric):
     """Exact Lévy-Prohorov distance.
 
@@ -170,23 +163,31 @@ def prohorov_distance(mu, nu, metric):
     one flow swept upward prices each in turn, and G[k] does not increase:
     the sweep stops at the first such piece (or the last), where d_P is
     max(G[k], t[k]).  It runs on ints: t as the metric's scaled distances
-    over D, G over the measures' common scale L, and the probe checks it.
+    over D, G over the measures' common scale L.  The flow at piece k and
+    the Hall cut of piece k (or of piece k - 1, when d_P is t[k]) are the
+    certificate that ``_prohorov_certified`` checks.
     """
     instance = _prohorov_instance(mu, nu, metric)
     big, supply, demand, pairs = instance
     scale, dist = metric.scaled
     thresholds = sorted({d for row in dist for d in row} | {0})
+    # in distance order, so the sweep's k-th pair flow is on pairs[k]
+    pairs.sort(key=itemgetter(2))
     pieces = {t: [] for t in thresholds}
     for r, c, d in pairs:
         pieces[d].append((r, c))
     total = max(sum(supply), sum(demand))
-    flows = transport_sweep(supply, demand, map(pieces.get, thresholds))
+    sweep = transport_sweep(supply, demand, map(pieces.get, thresholds))
     last = len(thresholds) - 1
-    for k, flow in enumerate(flows):
+    before = []
+    for k, (flow, reached, flows) in enumerate(sweep):
         if k == last or (total - flow) * scale <= thresholds[k + 1] * big:
             break
+        before = reached
     best = max(Fraction(total - flow, big), Fraction(thresholds[k], scale))
-    if not _prohorov_feasible_above(instance, scale, best):
+    # the pairs closer than best are pieces 0..k, or 0..k-1 when best is t[k]
+    hall = reached if best * scale > thresholds[k] else before
+    if not _prohorov_certified(instance, scale, best, flows(), hall):
         raise AssertionError(f"Prohorov value {best} is not the infimum")
     return best
 
@@ -199,26 +200,46 @@ def prohorov_feasible(mu, nu, metric, eps):
     1965) each maximum is a total less the max flow F over the joined
     support pairs (ints over L, the lcm of the scales): one F serves both.
     """
-    instance = _prohorov_instance(mu, nu, metric)
+    big, supply, demand, pairs = _prohorov_instance(mu, nu, metric)
     eps = Fraction(eps)
     p, q, scale = eps.numerator, eps.denominator, metric.scaled[0]
-    return _deficit(instance, lambda d: d * q < p * scale) * q <= p * instance[0]
+    joined = [(r, c) for r, c, d in pairs if d * q < p * scale]
+    flow, _, _ = transport(supply, demand, joined)
+    return (max(sum(supply), sum(demand)) - flow) * q <= p * big
 
 
-def _prohorov_feasible_above(instance, scale, value):
-    """Whether value is the infimum of the feasible eps, decided exactly.
+def _prohorov_certified(instance, scale, value, flows, hall):
+    """Whether flows and hall prove value the infimum of the feasible eps.
 
-    Just above the value (up to the next distance) the joined pairs are
-    those with d <= value, and their deficit is constant: eps is feasible
-    there iff it is at most the value.  Just below, the pairs with
-    d < value are joined: eps is infeasible there iff their deficit is at
-    least the value (for value > 0).  The distances are over scale.
+    flows[k] is the flow on pairs[k] (pairs past the list carry none) and
+    hall holds supply nodes (other members are ignored); the distances are
+    ints over scale.  Above: the flows are a feasible flow F over the
+    pairs with d <= value whose deficit is at most the value, so every eps
+    above it is feasible.  Below (for value > 0): any flow over the pairs
+    with d < value is at most the cut of hall's supply complement and its
+    neighbours over those pairs, and the deficit that cut leaves is at
+    least the value, so no eps below it is feasible.  Weak duality on
+    ints, with no flow run.
     """
+    big, supply, demand, pairs = instance
     p, q = value.numerator, value.denominator
-    bound = p * instance[0]
-    above = _deficit(instance, lambda d: d * q <= p * scale) * q <= bound
-    below = p == 0 or _deficit(instance, lambda d: d * q < p * scale) * q >= bound
-    return above and below
+    sent, received = [0] * len(supply), [0] * len(demand)
+    for f, (r, c, d) in zip(flows, pairs):
+        if f < 0 or f and d * q > p * scale:
+            return False
+        sent[r] += f
+        received[c] += f
+    if any(map(gt, sent, supply)) or any(map(gt, received, demand)):
+        return False
+    total = max(sum(supply), sum(demand))
+    if (total - sum(sent)) * q > p * big:
+        return False
+    if p == 0:
+        return True
+    joined = {c for r, c, d in pairs if r in hall and d * q < p * scale}
+    cut = sum(w for r, w in enumerate(supply) if r not in hall)
+    cut += sum(demand[c] for c in joined)
+    return (total - cut) * q >= p * big
 
 
 def hutchinson_distance(mu, nu, metric, gamma):

@@ -40,7 +40,13 @@ the deficit over the pairs within the value is at most it, and the
 deficit over the pairs closer than it at least it.
 ``_prohorov_feasible_above_fraction`` is the earlier probe, which tests
 feasibility a breakpoint-gap step above and below the value; it is kept
-as it was.
+as it was.  The library now reads both conditions off the sweep's own
+flow and Hall cut; ``prohorov_two_flow_probe``, which decides them with
+two fresh max flows, is the probe it replaced.
+
+``flow._dijkstra`` now keeps its distances and search tree in lists;
+``min_cost_transshipment_reference`` is the transshipment with the dict
+form, kept as it was.
 
 Lp norms for a non-integer or finite exponent other than 1 used to be
 taken in plain floats only; that form is kept for the exponents where it
@@ -91,6 +97,7 @@ oracle raises.
 
 from collections import deque
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, permutations
 
 from finmeas.cli import _Rows
@@ -1699,3 +1706,103 @@ def max_flow_reference(n, arcs, source, sink):
         for e in path:
             graph.push(e, bottleneck)
         value += bottleneck
+
+
+def _dijkstra_reference(graph, costs, potential, start):
+    """Reduced-cost distances and search-tree arcs of the residual graph."""
+    head, cap, adj = graph.head, graph.cap, graph.adj
+    dist = {start: 0}
+    parent = {start: None}
+    done = set()
+    heap = [(0, start)]
+    while heap:
+        d, u = heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for e in adj[u]:
+            if cap[e] is not None and cap[e] <= 0:
+                continue
+            v = head[e]
+            nd = d + costs[e] + potential[u] - potential[v]
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                parent[v] = e
+                heappush(heap, (nd, v))
+    return dist, parent
+
+
+def min_cost_transshipment_reference(n, arcs, supply, root):
+    """Cheapest flow over uncapacitated arcs meeting the node supplies.
+
+    ``arcs`` is a sequence of (u, v, cost) with cost >= 0; ``supply[v]`` is
+    the net outflow node v must send (negative for a demand), and the
+    supplies sum to zero.  Returns (flows, potentials): flows[k] is the flow
+    on arcs[k], and potentials[v] is the shortest-path distance from root to
+    v in the final residual graph.  So potentials[v] - potentials[u] is at
+    most the cost of every arc u -> v, with equality on each arc that
+    carries flow: the potentials are an optimal dual solution.
+    """
+    graph = _ResidualReference(n)
+    costs = []
+    for u, v, cost in arcs:
+        graph.add(u, v, None)
+        costs += [cost, -cost]
+    excess = list(supply)
+    if sum(excess) != 0:
+        raise ValueError("supplies must sum to zero")
+    potential = [0] * n
+    while True:
+        start = next((v for v in range(n) if excess[v] > 0), None)
+        if start is None:
+            break
+        dist, parent = _dijkstra_reference(graph, costs, potential, start)
+        target = min(
+            (v for v in dist if excess[v] < 0),
+            key=lambda v: (dist[v], v),
+            default=None,
+        )
+        if target is None:
+            raise ValueError("a supply cannot reach any demand")
+        # capping at the target's distance keeps every reduced cost >= 0
+        reach = dist[target]
+        for v in range(n):
+            potential[v] += min(dist.get(v, reach), reach)
+        path = graph.path_to(parent, target)
+        amount = min(
+            [excess[start], -excess[target]]
+            + [graph.cap[e] for e in path if graph.cap[e] is not None]
+        )
+        for e in path:
+            graph.push(e, amount)
+        excess[start] -= amount
+        excess[target] += amount
+    dist, _ = _dijkstra_reference(graph, costs, potential, root)
+    if len(dist) < n:
+        raise ValueError("a node is unreachable from the root")
+    potentials = [dist[v] + potential[v] - potential[root] for v in range(n)]
+    return graph.flows(len(arcs)), potentials
+
+
+def _deficit_over(instance, joined):
+    """max(mu(X), nu(X)) - F as an int over L, F the max flow over the
+    support pairs whose scaled distance passes joined."""
+    _, supply, demand, pairs = instance
+    flow, _, _ = transport(supply, demand, [(r, c) for r, c, d in pairs if joined(d)])
+    return max(sum(supply), sum(demand)) - flow
+
+
+def prohorov_two_flow_probe(instance, scale, value):
+    """Whether value is the infimum of the feasible eps, decided exactly.
+
+    Just above the value (up to the next distance) the joined pairs are
+    those with d <= value, and their deficit is constant: eps is feasible
+    there iff it is at most the value.  Just below, the pairs with
+    d < value are joined: eps is infeasible there iff their deficit is at
+    least the value (for value > 0).  The distances are over scale.
+    """
+    p, q = value.numerator, value.denominator
+    bound = p * instance[0]
+    above = _deficit_over(instance, lambda d: d * q <= p * scale) * q <= bound
+    below = p == 0 or _deficit_over(instance, lambda d: d * q < p * scale) * q >= bound
+    return above and below

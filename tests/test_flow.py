@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import lcm
+from operator import le
 
 import networkx as nx
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from finmeas.flow import max_flow, min_cost_transshipment, transport, transport_sweep
 from finmeas.simplex import OPTIMAL, maximize
 
-from oracles import max_flow_reference
+from oracles import max_flow_reference, min_cost_transshipment_reference
 
 
 def rand_network(rng, n):
@@ -145,13 +146,32 @@ def test_transport_equals_the_network_built_by_hand(case):
 @given(transport_cases(), st.data())
 def test_transport_sweep_yields_the_transport_value_of_each_prefix(case, data):
     # augmenting from the last flow reaches the max flow over all pairs so
-    # far, batch by batch, empty batches included
+    # far, batch by batch, empty batches included; each step's reached
+    # supply nodes are transport's, a min cut, and the last step's pair
+    # flows a feasible flow of its value
     supply, demand, pairs = case
     cuts = sorted(data.draw(st.lists(st.integers(0, len(pairs)), max_size=4)))
     ends = cuts + [len(pairs)]
     batches = [pairs[a:b] for a, b in zip([0] + cuts, ends)]
-    expected = [transport(supply, demand, pairs[:end])[0] for end in ends]
-    assert list(transport_sweep(supply, demand, batches)) == expected
+    expected = [transport(supply, demand, pairs[:end])[:2] for end in ends]
+    steps = []
+    for value, reached, flows in transport_sweep(supply, demand, batches):
+        steps.append((value, reached, flows()))
+    supply_nodes = range(len(supply))
+    got = [(v, [i for i in supply_nodes if i in r]) for v, r, _ in steps]
+    assert got == expected
+    for end, (value, reached, _) in zip(ends, steps):
+        joined = {j for i, j in pairs[:end] if i in reached}
+        cut = sum(w for i, w in enumerate(supply) if i not in reached)
+        assert cut + sum(demand[j] for j in joined) == value
+    value, _, flows = steps[-1]
+    assert len(flows) == len(pairs) and min(flows, default=0) >= 0
+    sent, received = [0] * len(supply), [0] * len(demand)
+    for f, (i, j) in zip(flows, pairs):
+        sent[i] += f
+        received[j] += f
+    assert all(map(le, sent, supply)) and all(map(le, received, demand))
+    assert sum(flows) == value
 
 
 def transshipment_lp(n, arcs, supply):
@@ -247,6 +267,32 @@ def transshipment_cases(draw):
     supply = draw(st.lists(amount, min_size=n - 1, max_size=n - 1))
     supply.append(-sum(supply, start=Fraction(0)))
     return n, arcs, supply, draw(st.integers(0, n - 1))
+
+
+@st.composite
+def loose_transshipments(draw):
+    """Int costs and supplies over arcs with no cycle forced, loops and
+    parallels included, small costs, so distances tie often, and supplies
+    that are sometimes unbalanced, so each ValueError can be reached."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(node, node, st.integers(0, 3)), max_size=14))
+    supply = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    if draw(st.integers(0, 4)):
+        supply[-1] -= sum(supply)
+    return n, arcs, supply, draw(node)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(transshipment_cases(), loose_transshipments()))
+# two demands at distance 1 from the first supply: the lower-numbered one
+# is served first
+@example((4, [(0, 2, 1), (0, 1, 1), (3, 1, 2), (3, 2, 2)], [1, -2, -2, 3], 0))
+def test_transshipment_equals_the_dict_dijkstra_reference(case):
+    # list-based Dijkstra pops the same heap order: the same flows and
+    # potentials, or the same refusal
+    got = _flow_or_error(min_cost_transshipment, case)
+    assert got == _flow_or_error(min_cost_transshipment_reference, case)
 
 
 @settings(max_examples=300, deadline=None)

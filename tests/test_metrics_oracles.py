@@ -37,6 +37,7 @@ from oracles import (
     prohorov_feasible_fraction,
     prohorov_feasible_per_direction,
     prohorov_feasible_scan,
+    prohorov_two_flow_probe,
 )
 
 
@@ -218,8 +219,8 @@ def test_prohorov_sweeps_one_network_up_to_the_answer_piece(case):
     # the answer piece k of the Fraction bisection is the first piece whose
     # deficit G[k] is at most the next distance, or the last piece; the
     # sweep augments one network once for each piece j = 0..k, holding the
-    # support pairs within t[j] by then, and the probe above and below
-    # runs 1 or 2 fresh max flows
+    # support pairs within t[j] by then, and the check of the value runs
+    # no max flow: it reads the sweep's own flow and Hall cut
     metric, mu, nu = case
     dist = metric.dist
     thresholds = sorted({d for row in dist for d in row} | {Fraction(0)})
@@ -251,8 +252,19 @@ def test_prohorov_sweeps_one_network_up_to_the_answer_piece(case):
     ) as probe:
         assert prohorov_distance(mu, nu, metric) == value
     assert [arcs for graph, arcs in calls if graph is calls[0][0]] == sweep
-    assert 1 <= probe.call_count <= 2
-    assert len(calls) == len(sweep) + probe.call_count
+    assert probe.call_count == 0
+    assert len(calls) == len(sweep)
+
+
+def _certificate(mu, nu, metric):
+    """prohorov_distance's value and the arguments of its check:
+    (instance, scale, value, flows, hall)."""
+    check = mock.patch.object(
+        metrics, "_prohorov_certified", wraps=metrics._prohorov_certified
+    )
+    with check as spy:
+        value = prohorov_distance(mu, nu, metric)
+    return value, spy.call_args.args
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,19 +272,86 @@ def test_prohorov_sweeps_one_network_up_to_the_answer_piece(case):
 @example((LINE, Measure.dirac(LINE.space, "x0"), Measure.dirac(LINE.space, "x19")))
 @example((LINE, Measure.zero(LINE.space), Measure.zero(LINE.space)))
 def test_prohorov_probe_accepts_the_value_and_nothing_near_it(case):
-    # the probe decides both optimality conditions exactly, so it refuses
-    # values a breakpoint-gap step would miss, such as value +- 10^-6
+    # the check decides both optimality conditions exactly from the sweep's
+    # certificate, so it refuses values a breakpoint-gap step would miss,
+    # such as value +- 10^-6; the two-flow probe it replaced accepts
+    # exactly the same values
     metric, mu, nu = case
-    value = prohorov_distance(mu, nu, metric)
-    instance = metrics._prohorov_instance(mu, nu, metric)
-    scale = metric.scaled[0]
-    assert metrics._prohorov_feasible_above(instance, scale, value)
+    value, (instance, scale, _, flows, hall) = _certificate(mu, nu, metric)
+    assert metrics._prohorov_certified(instance, scale, value, flows, hall)
+    assert prohorov_two_flow_probe(instance, scale, value)
     tiny = Fraction(1, 10**6)
     wrong = [value + tiny] + [value - tiny] * (value >= tiny)
     if value > 0:
         wrong += [value / 2, 2 * value]
-    for other in wrong:
-        assert not metrics._prohorov_feasible_above(instance, scale, other)
+    for other in wrong + [Fraction(1, 8), Fraction(3, 35)]:
+        accepted = metrics._prohorov_certified(instance, scale, other, flows, hall)
+        assert accepted == prohorov_two_flow_probe(instance, scale, other)
+        assert accepted == (other == value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric_and_pair(), st.data())
+@example(
+    (LINE, Measure.dirac(LINE.space, "x0"), Measure.dirac(LINE.space, "x19")), None
+)
+def test_prohorov_check_refuses_bad_certificates(case, data):
+    # the sweep's certificate changed in one place: a unit of flow moved
+    # onto a pair farther than the value, a pair flow above its row's
+    # supply, a near pair flow that overfills its column while its row
+    # has room, a negative pair flow, a Hall set widened by a supply node
+    # whose neighbours raise the cut past total - value
+    metric, mu, nu = case
+    value, (instance, scale, _, flows, hall) = _certificate(mu, nu, metric)
+    big, supply, demand, pairs = instance
+    p, q = value.numerator, value.denominator
+
+    def certified(flows, hall):
+        return metrics._prohorov_certified(instance, scale, value, flows, hall)
+
+    def draw(options):
+        return options[0] if data is None else data.draw(st.sampled_from(options))
+
+    flows = flows + [0] * (len(pairs) - len(flows))
+    assert certified(flows, hall)
+    carrying = [k for k, f in enumerate(flows) if f > 0]
+    far = [k for k, (_, _, d) in enumerate(pairs) if d * q > p * scale]
+    changed = []
+    if carrying and far:
+        moved = list(flows)
+        moved[draw(carrying)] -= 1
+        moved[draw(far)] += 1
+        changed.append(moved)
+    if pairs:
+        k = draw(range(len(pairs)))
+        over, negative = list(flows), list(flows)
+        over[k] = supply[pairs[k][0]] + 1
+        negative[k] = -1
+        changed += [over, negative]
+    sent, received = [0] * len(supply), [0] * len(demand)
+    for f, (r, c, _) in zip(flows, pairs):
+        sent[r] += f
+        received[c] += f
+    overfill = [
+        k for k, (r, c, d) in enumerate(pairs)
+        if d * q <= p * scale and demand[c] - received[c] < supply[r] - sent[r]
+    ]
+    if overfill:
+        k = draw(overfill)
+        r, c, _ = pairs[k]
+        column = list(flows)
+        column[k] += demand[c] - received[c] + 1
+        changed.append(column)
+    for bad in changed:
+        assert not certified(bad, hall)
+    if p:
+        total = max(sum(supply), sum(demand))
+        for r in set(range(len(supply))) - set(hall):
+            wider = set(hall) | {r}
+            joined = {c for i, c, d in pairs if i in wider and d * q < p * scale}
+            cut = sum(w for i, w in enumerate(supply) if i not in wider)
+            cut += sum(demand[c] for c in joined)
+            assert certified(flows, sorted(wider)) == ((total - cut) * q >= p * big)
 
 
 def assert_same_report(got, want):
@@ -412,7 +491,7 @@ if not sys.flags.optimize:
 metric = metrics.FiniteMetric.from_points("ab", [[0, 1], [1, 0]])
 mu = Measure.dirac(metric.space, "a")
 nu = Measure.dirac(metric.space, "b")
-metrics._prohorov_feasible_above = lambda *args: False
+metrics._prohorov_certified = lambda *args: False
 try:
     metrics.prohorov_distance(mu, nu, metric)
 except AssertionError:
