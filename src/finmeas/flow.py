@@ -4,18 +4,18 @@ Two solvers, deterministic in the order the arcs are given and exact for
 any ordered numbers that add exactly: the library scales each instance to
 ints once and passes plain ints, so the solvers build no Fraction.
 
-- ``max_flow``: Edmonds-Karp, shortest augmenting paths found by BFS.
+- ``transport_sweep``: Edmonds-Karp (shortest augmenting paths by BFS) on
+  the one bipartite network behind Strassen's theorem (1965), grown batch
+  by batch for the Prohorov sweep; its flow and residual Hall cut at each
+  step certify the Prohorov value.  ``transport`` is its one-batch form:
+  the Prohorov constraints are Hall deficiencies of it, and a coupling is
+  its pair flows, or a Hall cut off its residual graph if the flow falls
+  short.
 - ``min_cost_transshipment``: successive shortest paths (Dijkstra on
-  reduced costs) for uncapacitated arcs with nonnegative costs.
+  reduced costs) for uncapacitated arcs with nonnegative costs.  The
+  Hutchinson program is a transshipment to a ground point.
 
-``transport`` is the one bipartite max flow behind Strassen's theorem
-(1965): the Prohorov constraints are Hall deficiencies of it, and a
-coupling is its pair flows, or a Hall cut off its residual graph when the
-flow falls short; ``transport_sweep`` grows one such network for the
-Prohorov sweep, and its flow and residual Hall cut at each step are the
-certificate the Prohorov value is checked by.  The Hutchinson program is
-a transshipment to a ground point.  See Ahuja, Magnanti and Orlin,
-*Network Flows*, chapters 6, 7 and 9.
+See Ahuja, Magnanti and Orlin, *Network Flows*, chapters 6, 7 and 9.
 """
 
 from collections import deque
@@ -47,10 +47,6 @@ class _Residual:
         if self.cap[e ^ 1] is not None:
             self.cap[e ^ 1] += amount
 
-    def flows(self, count):
-        """The flow on each of the first count arcs added: its reverse capacity."""
-        return [self.cap[2 * k + 1] for k in range(count)]
-
     def path_to(self, parent, v):
         """The arcs of the search tree path ending at v, sink end first."""
         path = []
@@ -80,11 +76,9 @@ def _augment(graph, source, sink):
                     queue.append(v)
         if parent[sink] == -1:
             return value, {v for v, e in enumerate(parent) if e != -1}
+        # every path starts on a bounded source arc
         path = graph.path_to(parent, sink)
-        caps = [cap[e] for e in path if cap[e] is not None]
-        if not caps:
-            raise ValueError("a source-sink path of unbounded arcs")
-        bottleneck = min(caps)
+        bottleneck = min(cap[e] for e in path if cap[e] is not None)
         for e in path:
             if cap[e] is not None:
                 cap[e] -= bottleneck
@@ -93,54 +87,31 @@ def _augment(graph, source, sink):
         value += bottleneck
 
 
-def max_flow(n, arcs, source, sink):
-    """Maximum flow from source to sink over nodes 0..n-1.
-
-    ``arcs`` is a sequence of (u, v, capacity); a capacity of None is
-    unbounded.  Returns (value, source_side, flows): source_side is the set
-    of nodes reachable from the source in the final residual graph, the
-    source side of the minimum cut nearest the source, and flows[k] is the
-    flow on arcs[k].
-    """
-    graph = _Residual(n)
-    for u, v, cap in arcs:
-        graph.add(u, v, cap)
-    value, side = _augment(graph, source, sink)
-    return value, side, graph.flows(len(arcs))
-
-
 def transport(supply, demand, pairs):
-    """Maximum flow from supply nodes to demand nodes over unbounded pairs.
+    """Maximum flow from supply nodes to demand nodes over unbounded pairs:
+    ``transport_sweep`` with the pairs as its one batch.
 
-    The network is source -> supply node i with capacity supply[i], one
-    unbounded arc i -> j for each (i, j) in pairs in the order given, then
-    demand node j -> sink with capacity demand[j].  Returns (value,
-    reached, flows): reached lists, in increasing order, the supply nodes
-    reachable from the source in the final residual graph, and flows[k] is
-    the flow on pairs[k].
+    Returns (value, reached, flows): reached lists, in increasing order,
+    the supply nodes reachable from the source in the final residual
+    graph, and flows[k] is the flow on pairs[k].
     """
-    n1, n2 = len(supply), len(demand)
-    source, sink = 0, n1 + n2 + 1
-    arcs = [(source, 1 + i, cap) for i, cap in enumerate(supply)]
-    arcs += [(1 + i, 1 + n1 + j, None) for i, j in pairs]
-    arcs += [(1 + n1 + j, sink, cap) for j, cap in enumerate(demand)]
-    value, side, flows = max_flow(n1 + n2 + 2, arcs, source, sink)
-    reached = [i for i in range(n1) if 1 + i in side]
-    return value, reached, flows[n1 : n1 + len(pairs)]
+    value, reached, flows = next(transport_sweep(supply, demand, [pairs]))
+    return value, [i for i in range(len(supply)) if i in reached], flows()
 
 
 def transport_sweep(supply, demand, batches):
     """Yield (value, reached, flows) over the pairs so far, batch by batch.
 
-    value is ``transport``'s over the pairs of the batches so far.  reached
-    is the set of nodes the source reaches in the final residual graph,
-    where supply node i is numbered i: its members below len(supply) are
-    ``transport``'s reached supply nodes, the source side of a minimum cut.
+    The network is source -> supply node i with capacity supply[i], one
+    unbounded arc i -> j per pair (i, j) in the order given, and demand
+    node j -> sink with capacity demand[j]; value is its max flow over the
+    pairs so far.  reached is the set of nodes the source reaches in the
+    final residual graph, supply node i numbered i: its members below
+    len(supply) are the reached supply nodes, a minimum cut's source side.
     flows() lists the flow on each pair so far in the order given, read
     from the network when called, so call it before the sweep goes on.
-    One network: each batch joins as unbounded arcs and the flow augments
-    from the last one, which stays feasible (Gallo, Grigoriadis and
-    Tarjan 1989).
+    Each batch joins as unbounded arcs and the flow augments from the
+    last one, which stays feasible (Gallo, Grigoriadis and Tarjan 1989).
     """
     n1, n2 = len(supply), len(demand)
     source, sink = n1 + n2, n1 + n2 + 1
@@ -163,9 +134,11 @@ def transport_sweep(supply, demand, batches):
         yield value, reached, flows
 
 
-def _dijkstra(graph, costs, potential, start):
+def _dijkstra(graph, costs, potential, start, excess=None):
     """Reduced-cost distances and search-tree arcs of the residual graph,
-    one entry per node, None where the start does not reach."""
+    one entry per node, None where the start does not reach.  Given the
+    excesses, it stops once all nodes as near as the nearest deficit are
+    settled: each distance beyond is then an upper bound above it."""
     head, cap, adj = graph.head, graph.cap, graph.adj
     n = len(adj)
     dist = [None] * n
@@ -173,11 +146,16 @@ def _dijkstra(graph, costs, potential, start):
     done = [False] * n
     dist[start] = 0
     heap = [(0, start)]
+    reach = None
     while heap:
         d, u = heappop(heap)
+        if reach is not None and d > reach:
+            break
         if done[u]:
             continue
         done[u] = True
+        if reach is None and excess is not None and excess[u] < 0:
+            reach = d
         for e in adj[u]:
             if cap[e] is not None and cap[e] <= 0:
                 continue
@@ -214,7 +192,7 @@ def min_cost_transshipment(n, arcs, supply, root):
         start = next((v for v in range(n) if excess[v] > 0), None)
         if start is None:
             break
-        dist, parent = _dijkstra(graph, costs, potential, start)
+        dist, parent = _dijkstra(graph, costs, potential, start, excess)
         target = min(
             (v for v in range(n) if excess[v] < 0 and dist[v] is not None),
             key=lambda v: (dist[v], v),
@@ -239,4 +217,4 @@ def min_cost_transshipment(n, arcs, supply, root):
     if None in dist:
         raise ValueError("a node is unreachable from the root")
     potentials = [dist[v] + potential[v] - potential[root] for v in range(n)]
-    return graph.flows(len(arcs)), potentials
+    return graph.cap[1::2], potentials

@@ -73,9 +73,11 @@ The Prohorov distance now sweeps its breakpoint pieces upward on one
 network, augmenting the flow it has as each piece adds its pairs, in
 place of the bisection with a fresh max flow per piece.  That bisection,
 prohorov_distance_fraction, is now the bisection oracle of the sweep.
-Edmonds-Karp's augmenting loop runs on a given residual network for both
-max_flow and the sweep; the max_flow it was split out of, with its own
-residual network class, is kept as max_flow_reference.
+Edmonds-Karp's augmenting loop now runs on one residual network, the
+sweep's, and transport is the sweep with one batch.  The general max_flow
+it replaced, with its own residual network class and its refusal of a
+source-sink path of unbounded arcs, is kept as max_flow_reference: the
+oracles that build their networks by hand call it.
 
 Measure sums, scalings and the Jordan split now build their results from
 the integer forms, and the CLI formats a measure's zero once and each
@@ -113,7 +115,7 @@ from finmeas.errors import (
     SpaceMismatch,
     UnsupportedFunctional,
 )
-from finmeas.flow import max_flow, min_cost_transshipment, transport
+from finmeas.flow import min_cost_transshipment, transport
 from finmeas.kernels import (
     FINITE,
     MARKOV,
@@ -245,7 +247,7 @@ def _deficit_per_direction(rho, sigma, metric, joined):
     dist = metric.dist
     arcs += [(i, n + j, None) for i in rows for j in cols if joined(dist[i][j])]
     arcs += [(n + j, sink, sigma[j]) for j in cols]
-    flow, _, _ = max_flow(2 * n + 2, arcs, source, sink)
+    flow, _, _ = max_flow_reference(2 * n + 2, arcs, source, sink)
     return sum(rho, start=Fraction(0)) - flow
 
 
@@ -526,7 +528,7 @@ def _hall_certificate(problem):
     arcs = [(source, 1 + i, left.weights[i]) for i in range(n1)]
     arcs += [(n1 + 1 + j, sink, right.weights[j]) for j in range(n2)]
     arcs += [(1 + i, n1 + 1 + j, None) for i, j in problem.support]
-    flow, reached, _ = max_flow(n1 + n2 + 2, arcs, source, sink)
+    flow, reached, _ = max_flow_reference(n1 + n2 + 2, arcs, source, sink)
     assert flow < total, "certificate requested for a feasible problem"
     rows = sorted(i for i in range(n1) if 1 + i in reached)
     row_set = set(rows)
@@ -601,7 +603,7 @@ def solve_coupling_max_flow(problem):
     arcs = [(source, 1 + i, mu[i]) for i in range(n1)]
     arcs += [(1 + i, 1 + n1 + j, None) for i, j in support]
     arcs += [(1 + n1 + j, sink, nu[j]) for j in range(n2)]
-    flow, reached, flows = max_flow(n1 + n2 + 2, arcs, source, sink)
+    flow, reached, flows = max_flow_reference(n1 + n2 + 2, arcs, source, sink)
     if flow == total:
         weights = [Fraction(0)] * (n1 * n2)
         for (i, j), x in zip(support, flows[n1:]):

@@ -1,34 +1,20 @@
 import random
 from fractions import Fraction
+from heapq import heappop
 from math import lcm
 from operator import le
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finmeas.flow import max_flow, min_cost_transshipment, transport, transport_sweep
+from finmeas import flow
+from finmeas.flow import min_cost_transshipment, transport, transport_sweep
 from finmeas.simplex import OPTIMAL, maximize
 
 from oracles import max_flow_reference, min_cost_transshipment_reference
-
-
-def rand_network(rng, n):
-    """Random arcs on nodes 0..n-1 without parallels; source 0, sink n-1.
-
-    Arcs out of the source are bounded, so no path is unbounded throughout.
-    """
-    arcs = []
-    for u in range(n - 1):
-        for v in range(1, n):
-            if u != v and rng.random() < 0.45:
-                if u != 0 and rng.random() < 0.2:
-                    cap = None
-                else:
-                    cap = Fraction(rng.randint(0, 12), rng.randint(1, 6))
-                arcs.append((u, v, cap))
-    return arcs
 
 
 def residual_reach(graph, flows, source):
@@ -49,52 +35,52 @@ def residual_reach(graph, flows, source):
     return reach
 
 
-def test_max_flow_matches_networkx():
+def rand_transport(rng):
+    """Fraction supplies and demands, zeros common, and pairs in any order,
+    repeats included; either side may be empty."""
+    n1, n2 = rng.randint(0, 5), rng.randint(0, 5)
+    supply = [Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(n1)]
+    demand = [Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(n2)]
+    count = rng.randint(0, 12) if n1 and n2 else 0
+    pairs = [(rng.randrange(n1), rng.randrange(n2)) for _ in range(count)]
+    return supply, demand, pairs
+
+
+def test_transport_matches_networkx():
     rng = random.Random(201)
-    for _ in range(150):
-        n = rng.randint(2, 9)
-        arcs = rand_network(rng, n)
+    for _ in range(300):
+        supply, demand, pairs = rand_transport(rng)
         graph = nx.DiGraph()
-        graph.add_nodes_from(range(n))
-        for u, v, cap in arcs:
-            if cap is None:
-                graph.add_edge(u, v)
-            else:
-                graph.add_edge(u, v, capacity=cap)
-        expected, flows = nx.maximum_flow(graph, 0, n - 1)
-        value, side, arc_flows = max_flow(n, arcs, 0, n - 1)
+        graph.add_nodes_from(["s", "t"])
+        for i, cap in enumerate(supply):
+            graph.add_edge("s", ("a", i), capacity=cap)
+        for j, cap in enumerate(demand):
+            graph.add_edge(("b", j), "t", capacity=cap)
+        # an edge with no capacity is unbounded
+        graph.add_edges_from((("a", i), ("b", j)) for i, j in pairs)
+        expected, nx_flows = nx.maximum_flow(graph, "s", "t")
+        value, reached, flows = transport(supply, demand, pairs)
         assert value == expected
-        # the arc flows are a feasible flow of that value
-        for f, (_, _, cap) in zip(arc_flows, arcs):
-            assert f >= 0 and (cap is None or f <= cap)
-        for v in range(n):
-            out = sum((f for f, (a, _, _) in zip(arc_flows, arcs) if a == v), start=Fraction(0))
-            into = sum((f for f, (_, b, _) in zip(arc_flows, arcs) if b == v), start=Fraction(0))
-            assert out - into == {0: value, n - 1: -value}.get(v, 0)
-        # the residual source side is the same for every maximum flow
-        assert side == residual_reach(graph, flows, 0)
-        cut = sum(
-            (cap for u, v, cap in arcs if u in side and v not in side),
-            start=Fraction(0),
-        )
-        assert n - 1 not in side and cut == value
+        # the pair flows are a feasible flow of that value
+        sent, received = [0] * len(supply), [0] * len(demand)
+        for f, (i, j) in zip(flows, pairs, strict=True):
+            assert f >= 0
+            sent[i] += f
+            received[j] += f
+        assert all(map(le, sent, supply)) and all(map(le, received, demand))
+        assert sum(flows) == value
+        # the reached supply nodes are the residual reach of every maximum
+        # flow, and the cut they leave is a minimum one
+        side = residual_reach(graph, nx_flows, "s")
+        assert reached == [i for i in range(len(supply)) if ("a", i) in side]
+        joined = {j for i, j in pairs if i in reached}
+        cut = sum(w for i, w in enumerate(supply) if i not in reached)
+        assert cut + sum(demand[j] for j in joined) == value
 
 
 def test_max_flow_rejects_an_unbounded_path():
     with pytest.raises(ValueError):
-        max_flow(3, [(0, 1, None), (1, 2, None)], 0, 2)
-
-
-@st.composite
-def networks(draw):
-    """Arcs with None, 0 and int capacities on a few nodes, so parallel
-    arcs, loops and unbounded source-sink paths are common."""
-    n = draw(st.integers(2, 6))
-    node = st.integers(0, n - 1)
-    cap = st.one_of(st.none(), st.just(0), st.integers(0, 9))
-    arcs = draw(st.lists(st.tuples(node, node, cap), max_size=16))
-    source, sink = draw(st.lists(node, min_size=2, max_size=2, unique=True))
-    return n, arcs, source, sink
+        max_flow_reference(3, [(0, 1, None), (1, 2, None)], 0, 2)
 
 
 def _flow_or_error(solve, case):
@@ -102,16 +88,6 @@ def _flow_or_error(solve, case):
         return solve(*case)
     except ValueError as err:
         return str(err)
-
-
-@settings(max_examples=500, deadline=None)
-@given(networks())
-@example((3, [(0, 1, 2), (0, 1, None), (1, 2, None), (0, 2, 0)], 0, 2))
-@example((3, [(0, 1, 2), (0, 1, 3), (1, 0, 1), (1, 2, 4), (2, 2, None)], 0, 2))
-def test_max_flow_equals_the_reference(case):
-    # the same BFS order: the same value, cut side and arc flows, or the
-    # same refusal of an unbounded path
-    assert _flow_or_error(max_flow, case) == _flow_or_error(max_flow_reference, case)
 
 
 @st.composite
@@ -137,7 +113,7 @@ def test_transport_equals_the_network_built_by_hand(case):
     arcs = [(source, i, cap) for i, cap in enumerate(supply)]
     arcs += [(i, n1 + j, None) for i, j in pairs]
     arcs += [(n1 + j, sink, cap) for j, cap in enumerate(demand)]
-    value, side, flows = max_flow(n1 + n2 + 2, arcs, source, sink)
+    value, side, flows = max_flow_reference(n1 + n2 + 2, arcs, source, sink)
     expected = (value, [i for i in range(n1) if i in side], flows[n1 : n1 + len(pairs)])
     assert transport(supply, demand, pairs) == expected
 
@@ -228,22 +204,6 @@ def _all_ints(values):
     return all(type(v) is int for v in values)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(2, 9))
-def test_max_flow_on_the_scaled_int_network_takes_the_same_steps(rng, n):
-    # scaling every capacity by D keeps every comparison, so the same
-    # augmenting paths are found: the same cut side, and flows times D
-    arcs = rand_network(rng, n)
-    scale = lcm(*(cap.denominator for _, _, cap in arcs if cap is not None))
-    value, side, flows = max_flow(n, arcs, 0, n - 1)
-    caps = _over([cap for _, _, cap in arcs], scale)
-    ints = [(u, v, cap) for (u, v, _), cap in zip(arcs, caps)]
-    int_value, int_side, int_flows = max_flow(n, ints, 0, n - 1)
-    assert (int_value, int_side) == (value * scale, side)
-    assert int_flows == _over(flows, scale)
-    assert _all_ints([int_value, *int_flows])
-
-
 @settings(max_examples=300, deadline=None)
 @given(transport_cases())
 def test_transport_on_the_scaled_int_instance_takes_the_same_steps(case):
@@ -288,11 +248,29 @@ def loose_transshipments(draw):
 # two demands at distance 1 from the first supply: the lower-numbered one
 # is served first
 @example((4, [(0, 2, 1), (0, 1, 1), (3, 1, 2), (3, 2, 2)], [1, -2, -2, 3], 0))
+# from supply 2 the nearest deficits are 3 and, past node 4 at the same
+# distance, 0: the search settles all of that distance before it stops,
+# so it serves 0 first, and the flows show it
+@example((5, [(4, 0, 0), (1, 4, 1), (2, 1, 1), (2, 3, 2), (0, 3, 0)], [-1, 0, 1, -1, 1], 4))
 def test_transshipment_equals_the_dict_dijkstra_reference(case):
     # list-based Dijkstra pops the same heap order: the same flows and
     # potentials, or the same refusal
     got = _flow_or_error(min_cost_transshipment, case)
     assert got == _flow_or_error(min_cost_transshipment_reference, case)
+
+
+def test_transshipment_search_stops_at_the_nearest_deficit():
+    # on a cycle of unit arcs the deficit is one arc past the supply: that
+    # search pops the supply, the deficit and the next node, and stops;
+    # only the last search, for the potentials, settles all n nodes
+    n = 10
+    arcs = [(v, (v + 1) % n, 1) for v in range(n)]
+    supply = [1, -1] + [0] * (n - 2)
+    with mock.patch.object(flow, "heappop", wraps=heappop) as pops:
+        flows, potentials = min_cost_transshipment(n, arcs, supply, 0)
+    assert flows == [1] + [0] * (n - 1)
+    assert potentials == list(range(n))
+    assert pops.call_count == 3 + n
 
 
 @settings(max_examples=300, deadline=None)

@@ -68,20 +68,21 @@ def test_library_imports_no_private_name_from_a_sibling_module():
     assert found == []
 
 
-def test_only_the_flow_module_uses_max_flow():
-    # every Strassen question goes through flow.transport or
-    # flow.transport_sweep, so the network is built in one place: no other
-    # module names max_flow at all
+def test_the_flow_module_builds_a_residual_network_in_two_places():
+    # every Strassen question goes through flow.transport_sweep (transport
+    # is its one-batch form), so the bipartite network is built in one
+    # place, and the Hutchinson transshipment builds the only other
+    path = Path(finmeas.__file__).parent / "flow.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in MODULES
-        if path.name != "flow.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Name) and node.id == "max_flow"
-        or isinstance(node, ast.Attribute) and node.attr == "max_flow"
-        or isinstance(node, ast.alias) and node.name == "max_flow"
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_Residual"
     ]
-    assert found == []
+    assert found == ["transport_sweep", "min_cost_transshipment"]
 
 
 def test_the_flow_module_imports_nothing_from_fractions():
