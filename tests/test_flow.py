@@ -78,6 +78,56 @@ def test_transport_matches_networkx():
         assert cut + sum(demand[j] for j in joined) == value
 
 
+def rand_network(rng, n):
+    """Random arcs on nodes 0..n-1 without parallels; source 0, sink n-1.
+
+    Arcs out of the source are bounded, so no path is unbounded throughout.
+    """
+    arcs = []
+    for u in range(n - 1):
+        for v in range(1, n):
+            if u != v and rng.random() < 0.45:
+                if u != 0 and rng.random() < 0.2:
+                    cap = None
+                else:
+                    cap = Fraction(rng.randint(0, 12), rng.randint(1, 6))
+                arcs.append((u, v, cap))
+    return arcs
+
+
+def test_max_flow_reference_matches_networkx():
+    # the general solver the hand-built oracles call is checked on general
+    # networks, not only on the bipartite ones transport builds
+    rng = random.Random(202)
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        arcs = rand_network(rng, n)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n))
+        for u, v, cap in arcs:
+            if cap is None:
+                graph.add_edge(u, v)
+            else:
+                graph.add_edge(u, v, capacity=cap)
+        expected, flows = nx.maximum_flow(graph, 0, n - 1)
+        value, side, arc_flows = max_flow_reference(n, arcs, 0, n - 1)
+        assert value == expected
+        # the arc flows are a feasible flow of that value
+        for f, (_, _, cap) in zip(arc_flows, arcs):
+            assert f >= 0 and (cap is None or f <= cap)
+        for v in range(n):
+            out = sum((f for f, (a, _, _) in zip(arc_flows, arcs) if a == v), start=Fraction(0))
+            into = sum((f for f, (_, b, _) in zip(arc_flows, arcs) if b == v), start=Fraction(0))
+            assert out - into == {0: value, n - 1: -value}.get(v, 0)
+        # the residual source side is the same for every maximum flow
+        assert side == residual_reach(graph, flows, 0)
+        cut = sum(
+            (cap for u, v, cap in arcs if u in side and v not in side),
+            start=Fraction(0),
+        )
+        assert n - 1 not in side and cut == value
+
+
 def test_max_flow_rejects_an_unbounded_path():
     with pytest.raises(ValueError):
         max_flow_reference(3, [(0, 1, None), (1, 2, None)], 0, 2)

@@ -68,6 +68,22 @@ def test_library_imports_no_private_name_from_a_sibling_module():
     assert found == []
 
 
+def test_only_the_flow_module_uses_max_flow():
+    # every Strassen question goes through flow.transport or
+    # flow.transport_sweep, so no other module runs a general max flow of
+    # its own: none names max_flow at all
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "flow.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Name) and node.id == "max_flow"
+        or isinstance(node, ast.Attribute) and node.attr == "max_flow"
+        or isinstance(node, ast.alias) and node.name == "max_flow"
+    ]
+    assert found == []
+
+
 def test_the_flow_module_builds_a_residual_network_in_two_places():
     # every Strassen question goes through flow.transport_sweep (transport
     # is its one-batch form), so the bipartite network is built in one
