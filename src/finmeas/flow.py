@@ -23,11 +23,8 @@ from heapq import heappop, heappush
 
 
 class _Residual:
-    """Arc e runs head[e ^ 1] -> head[e]; arc e ^ 1 is its reverse.
-
-    A residual capacity of None is unbounded.  Each node lists its arcs in
-    the order they were added, which fixes the search order.
-    """
+    """Arc e runs head[e ^ 1] -> head[e]; arc e ^ 1 is its reverse.  Each
+    node lists its arcs in the order added, which fixes the search order."""
 
     def __init__(self, n):
         self.head = []
@@ -40,12 +37,6 @@ class _Residual:
         self.cap += [cap, 0]
         self.adj[u].append(e)
         self.adj[v].append(e + 1)
-
-    def push(self, e, amount):
-        if self.cap[e] is not None:
-            self.cap[e] -= amount
-        if self.cap[e ^ 1] is not None:
-            self.cap[e ^ 1] += amount
 
     def path_to(self, parent, v):
         """The arcs of the search tree path ending at v, sink end first."""
@@ -71,24 +62,21 @@ def _augment(graph, source, sink):
             u = queue.popleft()
             for e in adj[u]:
                 v = head[e]
-                if parent[v] == -1 and (cap[e] is None or cap[e] > 0):
+                if parent[v] == -1 and cap[e] > 0:
                     parent[v] = e
                     queue.append(v)
         if parent[sink] == -1:
             return value, {v for v, e in enumerate(parent) if e != -1}
-        # every path starts on a bounded source arc
         path = graph.path_to(parent, sink)
-        bottleneck = min(cap[e] for e in path if cap[e] is not None)
+        bottleneck = min(cap[e] for e in path)
         for e in path:
-            if cap[e] is not None:
-                cap[e] -= bottleneck
-            if cap[e ^ 1] is not None:
-                cap[e ^ 1] += bottleneck
+            cap[e] -= bottleneck
+            cap[e ^ 1] += bottleneck
         value += bottleneck
 
 
 def transport(supply, demand, pairs):
-    """Maximum flow from supply nodes to demand nodes over unbounded pairs:
+    """Maximum flow from supply nodes to demand nodes over the pairs:
     ``transport_sweep`` with the pairs as its one batch.
 
     Returns (value, reached, flows): reached lists, in increasing order,
@@ -103,17 +91,20 @@ def transport_sweep(supply, demand, batches):
     """Yield (value, reached, flows) over the pairs so far, batch by batch.
 
     The network is source -> supply node i with capacity supply[i], one
-    unbounded arc i -> j per pair (i, j) in the order given, and demand
-    node j -> sink with capacity demand[j]; value is its max flow over the
-    pairs so far.  reached is the set of nodes the source reaches in the
-    final residual graph, supply node i numbered i: its members below
-    len(supply) are the reached supply nodes, a minimum cut's source side.
+    arc i -> j per pair (i, j) in the order given, and demand node j ->
+    sink with capacity demand[j]; value is its max flow over the pairs so
+    far.  A pair arc's capacity, max(supply) + 1, exceeds what its supply
+    node ever receives, so it never binds.  reached is the set of nodes the
+    source reaches in the final residual graph, supply node i numbered i:
+    its members below len(supply) are the reached supply nodes, a minimum
+    cut's source side.
     flows() lists the flow on each pair so far in the order given, read
     from the network when called, so call it before the sweep goes on.
-    Each batch joins as unbounded arcs and the flow augments from the
-    last one, which stays feasible (Gallo, Grigoriadis and Tarjan 1989).
+    Each batch joins the network and the flow augments from the last
+    one, which stays feasible (Gallo, Grigoriadis and Tarjan 1989).
     """
     n1, n2 = len(supply), len(demand)
+    unbounded = max(supply, default=0) + 1
     source, sink = n1 + n2, n1 + n2 + 1
     graph = _Residual(n1 + n2 + 2)
     for i, cap in enumerate(supply):
@@ -128,7 +119,7 @@ def transport_sweep(supply, demand, batches):
     value = 0
     for batch in batches:
         for i, j in batch:
-            graph.add(i, n1 + j, None)
+            graph.add(i, n1 + j, unbounded)
         added, reached = _augment(graph, source, sink)
         value += added
         yield value, reached, flows
@@ -143,7 +134,6 @@ def _dijkstra(graph, costs, potential, start, excess=None):
     n = len(adj)
     dist = [None] * n
     parent = [None] * n
-    done = [False] * n
     dist[start] = 0
     heap = [(0, start)]
     reach = None
@@ -151,13 +141,12 @@ def _dijkstra(graph, costs, potential, start, excess=None):
         d, u = heappop(heap)
         if reach is not None and d > reach:
             break
-        if done[u]:
+        if d > dist[u]:  # stale: u was settled nearer
             continue
-        done[u] = True
         if reach is None and excess is not None and excess[u] < 0:
             reach = d
         for e in adj[u]:
-            if cap[e] is not None and cap[e] <= 0:
+            if cap[e] <= 0:
                 continue
             v = head[e]
             nd = d + costs[e] + potential[u] - potential[v]
@@ -177,16 +166,19 @@ def min_cost_transshipment(n, arcs, supply, root):
     on arcs[k], and potentials[v] is the shortest-path distance from root to
     v in the final residual graph.  So potentials[v] - potentials[u] is at
     most the cost of every arc u -> v, with equality on each arc that
-    carries flow: the potentials are an optimal dual solution.
+    carries flow: the potentials are an optimal dual solution.  Each arc's
+    capacity is the total positive supply + 1: the paths carry that total
+    between them, so no arc fills or limits a path's amount.
     """
-    graph = _Residual(n)
-    costs = []
-    for u, v, cost in arcs:
-        graph.add(u, v, None)
-        costs += [cost, -cost]
     excess = list(supply)
     if sum(excess) != 0:
         raise ValueError("supplies must sum to zero")
+    unbounded = sum(v for v in excess if v > 0) + 1
+    graph = _Residual(n)
+    cap, costs = graph.cap, []
+    for u, v, cost in arcs:
+        graph.add(u, v, unbounded)
+        costs += [cost, -cost]
     potential = [0] * n
     while True:
         start = next((v for v in range(n) if excess[v] > 0), None)
@@ -205,16 +197,14 @@ def min_cost_transshipment(n, arcs, supply, root):
         for v, d in enumerate(dist):
             potential[v] += reach if d is None or d > reach else d
         path = graph.path_to(parent, target)
-        amount = min(
-            [excess[start], -excess[target]]
-            + [graph.cap[e] for e in path if graph.cap[e] is not None]
-        )
+        amount = min([excess[start], -excess[target]] + [cap[e] for e in path])
         for e in path:
-            graph.push(e, amount)
+            cap[e] -= amount
+            cap[e ^ 1] += amount
         excess[start] -= amount
         excess[target] += amount
     dist, _ = _dijkstra(graph, costs, potential, root)
     if None in dist:
         raise ValueError("a node is unreachable from the root")
     potentials = [dist[v] + potential[v] - potential[root] for v in range(n)]
-    return graph.cap[1::2], potentials
+    return cap[1::2], potentials

@@ -3,8 +3,8 @@
 Everything is exact and runs on the network-flow core in ``flow``, on
 ints: each instance is scaled once from the measures' and the metric's
 integer forms, and only the results are Fractions.  The
-Lévy-Prohorov distance sweeps the breakpoint pieces of the distinct
-distances upward on one ``transport`` network, whose max flow serves
+Lévy-Prohorov distance sweeps the breakpoint pieces of the support
+pairs' distances upward on one ``transport`` network, whose max flow serves
 both directions (Strassen's coupling characterisation of the subset
 constraints: the joined relation is symmetric); the sweep's own flow and
 Hall cut then certify its two optimality conditions exactly, by weak
@@ -156,8 +156,8 @@ def prohorov_distance(mu, nu, metric):
     value on B is at most the other's value on the open eps-neighborhood
     B^eps = {x : d(x, B) < eps} plus eps.  Each direction's feasible eps
     form an up-set, so d_P is the infimum of the eps feasible for both.
-    On the piece (t[k], t[k+1]] of the sorted distinct distances t (0
-    included) B^eps is {x : d(x, B) <= t[k]}, so the worst deficit G[k] of
+    On the piece (t[k], t[k+1]] of the sorted distinct support-pair
+    distances t (0 included) B^eps is {x : d(x, B) <= t[k]}, so the worst deficit G[k] of
     both directions, one max flow, is constant there and the piece holds
     a feasible eps iff G[k] <= t[k+1].  The pieces' pairs are nested, so
     one flow swept upward prices each in turn, and G[k] does not increase:
@@ -169,8 +169,8 @@ def prohorov_distance(mu, nu, metric):
     """
     instance = _prohorov_instance(mu, nu, metric)
     big, supply, demand, pairs = instance
-    scale, dist = metric.scaled
-    thresholds = sorted({d for row in dist for d in row} | {0})
+    scale = metric.scaled[0]
+    thresholds = sorted({d for _, _, d in pairs} | {0})
     # in distance order, so the sweep's k-th pair flow is on pairs[k]
     pairs.sort(key=itemgetter(2))
     pieces = {t: [] for t in thresholds}
@@ -201,7 +201,7 @@ def prohorov_feasible(mu, nu, metric, eps):
     support pairs (ints over L, the lcm of the scales): one F serves both.
     """
     big, supply, demand, pairs = _prohorov_instance(mu, nu, metric)
-    eps = Fraction(eps)
+    eps = as_fraction(eps)
     p, q, scale = eps.numerator, eps.denominator, metric.scaled[0]
     joined = [(r, c) for r, c, d in pairs if d * q < p * scale]
     flow, _, _ = transport(supply, demand, joined)

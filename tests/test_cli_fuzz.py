@@ -5,6 +5,7 @@ with exit code 0, 1 or 2, argparse's own exit counting as 2, and no
 exception may escape it.
 """
 
+import copy
 import json
 from importlib import resources
 
@@ -50,9 +51,10 @@ COMMANDS = [
 ]
 
 # values a mutation puts in a model: wrong types and odd rationals
+NESTED = {"a": 1}
 ODD_VALUES = [
     None, True, 0, 1.5, -1, "", "x", "1/0", "-0", "3/7", "-2", "1e340", "1e-340",
-    [], {}, ["a"], ["a", "a"], {"a": 1},
+    [], {}, ["a"], ["a", "a"], NESTED,
 ]
 
 # JSON text that json.dumps cannot write: nesting past the recursion limit
@@ -130,7 +132,9 @@ def _mutate(doc, mutations):
         if op == "drop":
             del parent[path[-1]]
         elif op == "set":
-            parent[path[-1]] = value
+            # a copy: setting the shared value inside itself would make it,
+            # and every later example that draws it, circular
+            parent[path[-1]] = copy.deepcopy(value)
         elif isinstance(parent, dict):
             parent[f"{path[-1]}_"] = parent.pop(path[-1])
     return doc
@@ -173,6 +177,9 @@ INEQ = ["--left", "f12", "--right", "g31", "--measure", "eta"]
 @example(("decomposition", [("set", ("measures", "tri", "weights", "a"), "<deep>")],
           ["measure", "eval", "--measure", "tri", "--set", "a,c"]))
 @example(("decomposition", [("set", ("spaces", "G", "points", 0), "<long>")],
+          ["space", "--name", "G"]))
+# the same dict set twice, the second time inside the first
+@example(("decomposition", [("set", ("spaces",), NESTED), ("set", ("spaces", "a"), NESTED)],
           ["space", "--name", "G"]))
 @example(("metrics", [], WEAK + ["--tol", "nan"]))
 @example(("metrics", [], WEAK + ["--tol", "inf"]))

@@ -200,6 +200,29 @@ def test_transport_sweep_yields_the_transport_value_of_each_prefix(case, data):
     assert sum(flows) == value
 
 
+def test_solvers_give_every_arc_a_number_for_its_capacity():
+    # an unbounded arc gets a capacity it never reaches, not None
+    rng = random.Random(203)
+    caps = []
+    add = flow._Residual.add
+
+    def spy(graph, u, v, cap):
+        caps.append(cap)
+        return add(graph, u, v, cap)
+
+    with mock.patch.object(flow._Residual, "add", spy):
+        for _ in range(100):
+            supply, demand, pairs = rand_transport(rng)
+            for _ in transport_sweep(supply, demand, [pairs[:4], pairs[4:]]):
+                pass
+            n = rng.randint(2, 5)
+            arcs = [(v, (v + 1) % n, rng.randint(0, 3)) for v in range(n)]
+            supply = [rng.randint(-3, 3) for _ in range(n - 1)]
+            min_cost_transshipment(n, arcs, supply + [-sum(supply)], 0)
+    assert len(caps) > 100
+    assert all(isinstance(cap, (int, Fraction)) for cap in caps)
+
+
 def transshipment_lp(n, arcs, supply):
     """Least cost by the rational simplex: maximize -cost.x, out - in = supply."""
     a_eq = []

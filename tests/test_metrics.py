@@ -94,6 +94,41 @@ def test_prohorov_feasibility_bracket():
             assert not prohorov_feasible(mu, nu, metric, value - min(step, value / 2))
 
 
+def test_prohorov_feasible_refuses_floats_and_reads_strings():
+    mu, nu = dirac(HALF, "a"), dirac(HALF, "b")
+    with pytest.raises(ValueError):
+        prohorov_feasible(mu, nu, HALF, 0.5)
+    for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+        assert prohorov_feasible(mu, nu, HALF, str(eps)) == prohorov_feasible(
+            mu, nu, HALF, eps
+        )
+    # the open neighbourhood of radius 1/2 misses the other point
+    assert not prohorov_feasible(mu, nu, HALF, "1/2")
+    assert prohorov_feasible(mu, nu, HALF, "3/4")
+
+
+def test_prohorov_and_hutchinson_obey_the_gibbs_su_bounds():
+    # on a metric of diameter at most 1 a 1-Lipschitz f varies by at most
+    # 1, so shifting it into [-1/2, 1/2] leaves its integral against
+    # mu - nu alone: H_gamma is the Wasserstein W_1 for every gamma >= 1/2,
+    # and pi^2 <= W_1 <= 2 pi (Gibbs and Su 2002, Thm. 2); the flow and
+    # the transshipment share no code, so each checks the other
+    rng = random.Random(47)
+    for _ in range(200):
+        metric = rand_metric(rng, rng.randint(1, 5), normalized=True)
+        assert metric.normalized
+        mu = rand_probability(rng, metric.space, den=rng.choice([4, 12]))
+        nu = rand_probability(rng, metric.space, den=rng.choice([4, 12]))
+        pi = prohorov_distance(mu, nu, metric)
+        values = {
+            hutchinson_distance(mu, nu, metric, gamma)[0]
+            for gamma in (Fraction(1, 2), 1, 3)
+        }
+        assert len(values) == 1
+        (w1,) = values
+        assert pi**2 <= w1 <= 2 * pi
+
+
 def test_dirac_isometry_on_normalized_metric():
     rng = random.Random(41)
     for _ in range(20):

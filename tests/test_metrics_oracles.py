@@ -223,7 +223,11 @@ def test_prohorov_sweeps_one_network_up_to_the_answer_piece(case):
     # augments no other network: it reads the sweep's own flow and Hall cut
     metric, mu, nu = case
     dist = metric.dist
-    thresholds = sorted({d for row in dist for d in row} | {Fraction(0)})
+    rows = [i for i, w in enumerate(mu.weights) if w > 0]
+    cols = [j for j, w in enumerate(nu.weights) if w > 0]
+    # the pieces run between the support pairs' distances: between them
+    # the deficit does not change
+    thresholds = sorted({dist[i][j] for i in rows for j in cols} | {Fraction(0)})
     deficits = [
         _deficit_fraction(mu.weights, nu.weights, dist, lambda d: d <= t)
         for t in thresholds
@@ -234,8 +238,6 @@ def test_prohorov_sweeps_one_network_up_to_the_answer_piece(case):
     )
     value = prohorov_distance_fraction(mu, nu, metric)
     assert value == max(deficits[k], thresholds[k])
-    rows = [i for i, w in enumerate(mu.weights) if w > 0]
-    cols = [j for j, w in enumerate(nu.weights) if w > 0]
     sweep = [
         len(rows) + len(cols) + sum(dist[i][j] <= t for i in rows for j in cols)
         for t in thresholds[: k + 1]
