@@ -40,14 +40,6 @@ from .kernels import (
     path_measure,
     product_measure,
 )
-from .logic_bisim import (
-    find_quotient_iso,
-    logical_equivalence,
-    mediate,
-    parse_formula,
-    quotient_kernel,
-    validity_set,
-)
 from .measures import (
     LinearFunctional,
     Measure,
@@ -64,7 +56,7 @@ from .metrics import (
     hutchinson_distance,
     prohorov_distance,
 )
-from .rational import as_fraction, format_float, format_fraction, to_float
+from .rational import as_fraction, as_ratio, format_float, format_fraction, to_float
 from .spaces import FiniteMeasurableSpace, MeasurableSet, product_space, sigma_from_generator
 
 
@@ -114,11 +106,15 @@ class Model:
         return self._get(self.kernels, "kernel", name)
 
 
-def _rational(value, context):
+def _ratio(value, context):
     try:
-        return as_fraction(value)
+        return as_ratio(value)
     except (ValueError, TypeError) as err:
         raise ModelError(f"{context}: {err}") from None
+
+
+def _rational(value, context):
+    return Fraction(*_ratio(value, context))
 
 
 def _require_dict(entry, context):
@@ -244,9 +240,9 @@ def parse_model(doc):
         space = model.space(entry.get("space"))
         weights = _by_atom(
             space, _require_dict(entry.get("weights", {}), "weights"),
-            f"measure {name!r}",
+            f"measure {name!r}", _ratio,
         )
-        cls = Measure if all(w >= 0 for w in weights.values()) else SignedMeasure
+        cls = Measure if all(n >= 0 for n, _ in weights.values()) else SignedMeasure
         model.measures[name] = cls.from_atom_weights(space, weights)
 
     for name, entry in _section(doc, "functions", "function"):
@@ -264,7 +260,7 @@ def parse_model(doc):
         rows = _by_atom(
             domain, _require_dict(entry.get("rows", {}), f"kernel {name!r} rows"),
             f"kernel {name!r}",
-            lambda row, at: _by_atom(codomain, _require_dict(row, "row"), at),
+            lambda row, at: _by_atom(codomain, _require_dict(row, "row"), at, _ratio),
         )
         if len(rows) != domain.n_atoms:
             raise ModelError(f"kernel {name!r}: needs one row per domain atom")
@@ -672,6 +668,8 @@ def _weak_check(args, model):
 
 @_command("logic check", "--kernel --formula", "[[{formula}]] = {validity_set:set}")
 def _logic_check(args, model):
+    from .logic_bisim import parse_formula, validity_set
+
     kernel = model.kernel(args.kernel)
     phi = parse_formula(args.formula)
     return {"formula": repr(phi), "validity_set": validity_set(kernel, phi)}
@@ -683,6 +681,8 @@ def _logic_check(args, model):
     "blocks: {blocks}\nquotient kernel (kind {kind}):\n{rows}",
 )
 def _logic_quotient(args, model):
+    from .logic_bisim import logical_equivalence, quotient_kernel
+
     kernel = model.kernel(args.kernel)
     partition = logical_equivalence(kernel)
     quotient = quotient_kernel(kernel, partition)
@@ -696,6 +696,13 @@ def _logic_quotient(args, model):
     "common events: {common_events:~}",
 )
 def _bisim_mediate(args, model):
+    from .logic_bisim import (
+        find_quotient_iso,
+        logical_equivalence,
+        mediate,
+        quotient_kernel,
+    )
+
     k1 = model.kernel(args.left)
     k2 = model.kernel(args.right)
     if not (k1.is_endo() and k2.is_endo()):

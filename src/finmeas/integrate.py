@@ -294,20 +294,22 @@ def layered_integral(f, mu):
 def conv_in_measure_distance(f, g, mu):
     """The pseudo-metric delta(f, g) = inf{eps > 0 : mu(|f - g| > eps) <= eps}.
 
-    The tail map eps -> mu(|f - g| > eps) is a nonincreasing right-continuous
-    step function, so the infimum is attained at one of finitely many
-    breakpoints: the distinct values of |f - g| or the tail masses themselves.
+    The tail map eps -> mu(|f - g| > eps) is a right-continuous step
+    function, constant between consecutive values of |f - g| on the charged
+    atoms.  Sweeping those levels upward, the first gap [level, above) that
+    holds an eps >= its tail holds the infimum: max(level, tail).
     """
     _check_pair(f, mu)
     _check_pair(g, mu)
-    diff = abs(f - g)
     d, cols, nums = mu.form
-    values = diff.values
-
-    def tail(eps):
-        return Fraction(sum(num for j, num in zip(cols, nums) if values[j] > eps), d)
-
-    candidates = {Fraction(0)} | set(diff.values)
-    candidates |= {tail(v) for v in list(candidates)}
-    feasible = [c for c in candidates if c >= 0 and tail(c) <= c]
-    return min(feasible)
+    mass = {Fraction(0): 0}  # d times mu(|f - g| = level)
+    for j, num in zip(cols, nums):
+        level = abs(f.values[j] - g.values[j])
+        mass[level] = mass.get(level, 0) + num
+    levels = sorted(mass)
+    tail = sum(nums)
+    for level, above in zip(levels, levels[1:] + [INF]):
+        tail -= mass[level]  # d times mu(|f - g| > level)
+        eps = max(level, Fraction(tail, d))
+        if eps < above:
+            return eps

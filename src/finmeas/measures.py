@@ -70,9 +70,12 @@ class SignedMeasure:
 
     @classmethod
     def from_atom_weights(cls, space, weights):
-        """The measure with rational weight weights[k] on atom k, 0 elsewhere."""
-        d, nums = _scaled([as_fraction(w) for w in weights.values()])
-        return cls.from_ints(space, d, zip(weights, nums))
+        """The measure with weight n / q on atom k for each ratio
+        weights[k] = (n, q) of ints, q > 0, and 0 elsewhere."""
+        d = lcm(*(q for _, q in weights.values()))
+        return cls.from_ints(
+            space, d, [(k, n * (d // q)) for k, (n, q) in weights.items()]
+        )
 
     @property
     def weights(self):

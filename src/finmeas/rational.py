@@ -23,6 +23,28 @@ def as_fraction(value):
     raise ValueError(f"not a rational: {value!r} (floats are not exact, use 'p/q')")
 
 
+def as_ratio(value):
+    """as_fraction(value) as its (numerator, denominator) ints.  Ints and
+    plain ASCII '-?digits' or '-?digits/digits' strings are read directly;
+    every other value, and every error, is as_fraction's."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (
+            not slash or den.isdigit() and den.strip("0")
+        ):
+            try:  # past the digit limit, int raises and as_fraction reports it
+                num, den = int(num), int(den or 1)
+            except ValueError:
+                pass
+            else:
+                g = math.gcd(num, den)
+                return num // g, den // g
+    value = as_fraction(value)
+    return value.numerator, value.denominator
+
+
 def format_fraction(value):
     """Render a Fraction as 'p/q' (or a bare integer when q = 1); a part
     past the interpreter's digit limit raises CapacityExceeded."""

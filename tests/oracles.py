@@ -50,7 +50,10 @@ form, kept as it was.
 
 Lp norms for a non-integer or finite exponent other than 1 used to be
 taken in plain floats only; that form is kept for the exponents where it
-stays in the normal float range.
+stays in the normal float range.  The convergence-in-measure distance is
+now one sweep over the sorted levels of |f - g|; the scan that summed the
+tail mass again for each candidate is kept as
+conv_in_measure_distance_scan.
 
 A measure now holds only its integer form (D, cols, nums) over its nonzero
 atoms.  The dense measure it replaced, a tuple of one Fraction per atom,
@@ -90,6 +93,11 @@ forms replaced.
 Formulas are now read with one token pattern and one stack loop.  The
 hand-written scanner and the parser class it fed are kept as
 parse_formula_reference.
+
+The CLI now reads a model's numbers as integer pairs and builds each
+measure and kernel row from them in one scaling.  dense_model_sections
+builds the same objects from dense lists of as_fraction weights, the way
+the constructors take them.
 
 Five names only tests used have moved here from the library:
 split_pair_label, generated_equivalence, factor_map, d_to_set (once a
@@ -150,7 +158,7 @@ from finmeas.integrate import (
 )
 from finmeas.measures import Measure, SignedMeasure
 from finmeas.rational import as_fraction, format_float, format_fraction, to_float
-from finmeas.metrics import WeakLimitReport, _check_metric_pair
+from finmeas.metrics import FiniteMetric, WeakLimitReport, _check_metric_pair
 from finmeas.simplex import OPTIMAL, maximize
 from finmeas.spaces import (
     ENUMERATION_CAP,
@@ -1631,6 +1639,22 @@ def lp_norm_float(f, mu, p):
     return total ** (1.0 / float(p))
 
 
+def conv_in_measure_distance_scan(f, g, mu):
+    """delta(f, g) as the least feasible candidate: 0, every value of
+    |f - g|, and the tail mass above each, the tail summed per candidate."""
+    diff = abs(f - g)
+    d, cols, nums = mu.form
+    values = diff.values
+
+    def tail(eps):
+        return Fraction(sum(num for j, num in zip(cols, nums) if values[j] > eps), d)
+
+    candidates = {Fraction(0)} | set(diff.values)
+    candidates |= {tail(v) for v in list(candidates)}
+    feasible = [c for c in candidates if c >= 0 and tail(c) <= c]
+    return min(feasible)
+
+
 class _ResidualReference:
     """Arc e runs head[e ^ 1] -> head[e]; arc e ^ 1 is its reverse.
 
@@ -1808,3 +1832,38 @@ def prohorov_two_flow_probe(instance, scale, value):
     above = _deficit_over(instance, lambda d: d * q <= p * scale) * q <= bound
     below = p == 0 or _deficit_over(instance, lambda d: d * q < p * scale) * q >= bound
     return above and below
+
+
+# ----------------------------------------------------------- model loading
+
+
+def dense_model_sections(doc, spaces):
+    """The measures, functions, kernels and metrics of a model document,
+    each built from a dense list of as_fraction weights on the named
+    spaces: {section: {name: object}}."""
+
+    def dense(space, mapping):
+        values = [Fraction(0)] * space.n_atoms
+        for point, value in mapping.items():
+            values[space.atom_index_of_point(point)] = as_fraction(value)
+        return values
+
+    built = {section: {} for section in ("measures", "functions", "kernels", "metrics")}
+    for name, entry in doc.get("measures", {}).items():
+        space = spaces[entry["space"]]
+        weights = dense(space, entry.get("weights", {}))
+        cls = Measure if all(w >= 0 for w in weights) else SignedMeasure
+        built["measures"][name] = cls(space, weights)
+    for name, entry in doc.get("functions", {}).items():
+        space = spaces[entry["space"]]
+        built["functions"][name] = StepFunction(space, dense(space, entry.get("values", {})))
+    for name, entry in doc.get("kernels", {}).items():
+        domain, codomain = spaces[entry["domain"]], spaces[entry["codomain"]]
+        rows = [None] * domain.n_atoms
+        for point, row in entry["rows"].items():
+            rows[domain.atom_index_of_point(point)] = Measure(codomain, dense(codomain, row))
+        built["kernels"][name] = Kernel(domain, codomain, rows, entry.get("kind"))
+    for name, entry in doc.get("metrics", {}).items():
+        dist = [[as_fraction(v) for v in row] for row in entry["dist"]]
+        built["metrics"][name] = FiniteMetric.from_points(entry["points"], dist)
+    return built

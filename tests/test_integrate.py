@@ -24,12 +24,12 @@ from finmeas.integrate import (
     pointwise_max,
     pointwise_min,
 )
-from finmeas.measures import Measure
+from finmeas.measures import Measure, SignedMeasure
 from finmeas.rational import format_float
 from finmeas.spaces import FiniteMeasurableSpace, MeasurableSet
 
 from conftest import rand_measure, rand_space
-from oracles import lp_norm_float
+from oracles import conv_in_measure_distance_scan, lp_norm_float
 
 TWO = FiniteMeasurableSpace.discrete("ab")
 QUARTER = Measure(TWO, [Fraction(1, 4), Fraction(3, 4)])
@@ -175,6 +175,23 @@ def test_delta_symmetry_and_identity():
             g, f, mu
         )
         assert conv_in_measure_distance(f, f, mu) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_delta_sweep_matches_the_candidate_scan(data):
+    # ties between levels, zero weights and signed measures included
+    n = data.draw(st.integers(1, 7))
+    space = FiniteMeasurableSpace.discrete([f"p{k}" for k in range(n)])
+
+    def values(low, high, den):
+        entries = st.fractions(low, high, max_denominator=den)
+        return data.draw(st.lists(entries, min_size=n, max_size=n))
+
+    f, g = StepFunction(space, values(-3, 3, 4)), StepFunction(space, values(-3, 3, 4))
+    cls = data.draw(st.sampled_from([Measure, SignedMeasure]))
+    mu = cls(space, values(0 if cls is Measure else -2, 2, 6))
+    assert conv_in_measure_distance(f, g, mu) == conv_in_measure_distance_scan(f, g, mu)
 
 
 @settings(max_examples=60, deadline=None)

@@ -376,9 +376,8 @@ def test_sparse_path_measure_costs_its_nonzero_paths():
     nonzero paths in a 32,768-point path space that is never listed."""
     states = FiniteMeasurableSpace.discrete("0123")
     step = product_space(FiniteMeasurableSpace.discrete("xy"), states)
-    half = Fraction(1, 2)
     kernel = Kernel(states, step, [
-        Measure.from_atom_weights(step, {2 * i: half, (2 * i + 3) % 8: half})
+        Measure.from_atom_weights(step, {2 * i: (1, 2), (2 * i + 3) % 8: (1, 2)})
         for i in range(4)
     ])
     best = math.inf
