@@ -106,15 +106,17 @@ class Model:
         return self._get(self.kernels, "kernel", name)
 
 
-def _ratio(value, context):
+def _ratio(value, context, point=None):
+    """as_ratio(value), or a ModelError naming context and point, if given."""
     try:
         return as_ratio(value)
     except (ValueError, TypeError) as err:
-        raise ModelError(f"{context}: {err}") from None
+        where = context if point is None else f"{context}[{point!r}]"
+        raise ModelError(f"{where}: {err}") from None
 
 
-def _rational(value, context):
-    return Fraction(*_ratio(value, context))
+def _rational(value, context, point=None):
+    return Fraction(*_ratio(value, context, point))
 
 
 def _require_dict(entry, context):
@@ -130,8 +132,8 @@ def _strings(value, context):
 
 
 def _by_atom(space, mapping, context, value=_rational):
-    """Resolve a point-keyed JSON object to {atom index: value(entry, context)}:
-    each key a point of the space, and one key per atom."""
+    """Resolve a point-keyed JSON object to {atom index: value(entry, context,
+    point)}: each key a point of the space, and one key per atom."""
     resolved = {}
     seen = {}
     for point, entry in mapping.items():
@@ -144,7 +146,7 @@ def _by_atom(space, mapping, context, value=_rational):
                 f"{context}: points {seen[k]!r} and {point!r} hit the same atom"
             )
         seen[k] = point
-        resolved[k] = value(entry, f"{context}[{point!r}]")
+        resolved[k] = value(entry, context, point)
     return resolved
 
 
@@ -191,16 +193,14 @@ def parse_model(doc):
     for name, entry in _section(doc, "metrics", "metric"):
         if name in model.spaces or name in pending_products:
             raise ModelError(f"metric {name!r} collides with a space name")
+        context = f"metric {name!r}"
         try:
             metric = FiniteMetric.from_points(
                 _strings(entry["points"], "points"),
-                [
-                    [_rational(v, f"metric {name!r}") for v in row]
-                    for row in entry["dist"]
-                ],
+                [[_rational(v, context) for v in row] for row in entry["dist"]],
             )
         except (FinmeasError, ValueError, TypeError, KeyError) as err:
-            raise ModelError(f"metric {name!r}: {err}") from None
+            raise ModelError(f"{context}: {err}") from None
         model.metrics[name] = metric
         model.spaces[name] = metric.space
 
@@ -260,7 +260,9 @@ def parse_model(doc):
         rows = _by_atom(
             domain, _require_dict(entry.get("rows", {}), f"kernel {name!r} rows"),
             f"kernel {name!r}",
-            lambda row, at: _by_atom(codomain, _require_dict(row, "row"), at, _ratio),
+            lambda row, at, point: _by_atom(
+                codomain, _require_dict(row, "row"), f"{at}[{point!r}]", _ratio
+            ),
         )
         if len(rows) != domain.n_atoms:
             raise ModelError(f"kernel {name!r}: needs one row per domain atom")
@@ -299,11 +301,13 @@ def parse_model(doc):
 
 def _unique_keys(pairs):
     """A JSON object hook that refuses a key given twice in one object."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ModelError(f"duplicate JSON key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # name the first key seen twice
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ModelError(f"duplicate JSON key {key!r}")
+            seen.add(key)
     return obj
 
 
@@ -356,12 +360,24 @@ def _parse_point_set(space, text):
 # command name and the echoed arguments in front and renders the report
 # once, as JSON, and as text only for a text report.
 
-Command = namedtuple("Command", "path handler flags text help echo options")
+Command = namedtuple("Command", "path handler flags refs text help echo options")
 
 _COMMANDS = []
 
 # flags whose parsed value the handler reports itself, so they are not echoed
 _PARSED = ("--set", "--p", "--gamma", "--formula")
+
+# the reader of each kind of model reference: reader(model, flag value)
+_READ = {
+    "space": Model.space,
+    "metric": Model.metric,
+    "measure": functools.partial(Model.measure, nonneg=True),
+    "signed": Model.measure,
+    "measures": lambda model, names: [model.measure(n, nonneg=True) for n in names],
+    "function": Model.function,
+    "kernel": Model.kernel,
+    "exponent": lambda model, text: _parse_exponent(text),
+}
 
 _GROUPS = {
     "measure": "measure operations",
@@ -379,16 +395,22 @@ def _command(path, flags, text, help=None, echo=None, options=None):
     """Add a handler to the command table.
 
     flags: the command's flags, required unless ``options`` (add_argument
-    options per flag) say otherwise.  text: the text report; its {key} and
+    options per flag) say otherwise.  ``--flag=kind`` names a model entry of
+    a _READ kind: _run reads those entries in flag order and calls
+    ``handler(args, *entries)``.  text: the text report; its {key} and
     {key:spec} fields name report keys (see _text), and a line naming a
     missing or null key is left out.  echo: the echoed flags, if not all
     but _PARSED.
     """
-    flags = flags.split()
+    flags = [flag.partition("=") for flag in flags.split()]
+    refs = tuple((flag[2:], kind) for flag, _, kind in flags if kind)
+    flags = [flag for flag, _, _ in flags]
     echo = echo or tuple(flag[2:] for flag in flags if flag not in _PARSED)
 
     def register(handler):
-        _COMMANDS.append(Command(path, handler, flags, text, help, echo, options or {}))
+        _COMMANDS.append(
+            Command(path, handler, flags, refs, text, help, echo, options or {})
+        )
         return handler
 
     return register
@@ -396,36 +418,34 @@ def _command(path, flags, text, help=None, echo=None, options=None):
 
 @_command(
     "space",
-    "--name",
+    "--name=space",
     "space {name}: {points:count} points, {atoms:count} atoms\n"
     "  points: {points}\n  atoms: {atoms}",
     help="describe a space",
 )
-def _space(args, model):
-    space = model.space(args.name)
+def _space(args, space):
     return {"points": space.points, "atoms": space.atoms}
 
 
 @_command(
     "measure eval",
-    "--measure --set",
+    "--measure=signed --set",
     "{measure}({set:set}) = {value}",
     options={"--set": {"help": "comma separated points"}},
 )
-def _measure_eval(args, model):
-    measure = model.measure(args.measure)
+def _measure_eval(args, measure):
     subset = _parse_point_set(measure.space, args.set)
     return {"set": subset, "value": measure.eval(subset)}
 
 
 @_command(
     "decompose jordan",
-    "--measure",
+    "--measure=signed",
     "plus:\n{plus}\nminus:\n{minus}\nvariation:\n{variation}\n"
     "total variation = {total_variation}",
 )
-def _decompose_jordan(args, model):
-    plus, minus, variation = jordan_decompose(model.measure(args.measure))
+def _decompose_jordan(args, measure):
+    plus, minus, variation = jordan_decompose(measure)
     return {
         "plus": plus,
         "minus": minus,
@@ -436,29 +456,28 @@ def _decompose_jordan(args, model):
 
 @_command(
     "decompose lebesgue",
-    "--num --den",
+    "--num=measure --den=measure",
     "absolutely continuous:\n{absolutely_continuous}\nsingular:\n{singular}\n"
     "density:\n{density}",
 )
-def _decompose_lebesgue(args, model):
-    mu = model.measure(args.num, nonneg=True)
-    nu = model.measure(args.den, nonneg=True)
+def _decompose_lebesgue(args, mu, nu):
     ac, singular, density = lebesgue_decompose(mu, nu)
     return {"absolutely_continuous": ac, "singular": singular, "density": density}
 
 
 @_command(
-    "rn", "--num --den", "d{num}/d{den}:\n{density}", help="Radon-Nikodym density"
+    "rn",
+    "--num=measure --den=measure",
+    "d{num}/d{den}:\n{density}",
+    help="Radon-Nikodym density",
 )
-def _rn(args, model):
-    mu = model.measure(args.num, nonneg=True)
-    nu = model.measure(args.den, nonneg=True)
+def _rn(args, mu, nu):
     return {"density": radon_nikodym(mu, nu)}
 
 
 @_command(
     "integrate",
-    "--function --measure --layered",
+    "--function=function --measure=measure --layered",
     "{layered:?layered }integral {function} d{measure} = {value}",
     help="integrate a step function",
     options={
@@ -469,88 +488,71 @@ def _rn(args, model):
         }
     },
 )
-def _integrate(args, model):
-    f = model.function(args.function)
-    mu = model.measure(args.measure, nonneg=True)
+def _integrate(args, f, mu):
     return {"value": layered_integral(f, mu) if args.layered else integral(f, mu)}
 
 
 @_command(
     "lp-norm",
-    "--function --measure --p",
+    "--function=function --measure=measure --p=exponent",
     "lp-norm p={p}: {value}\n  exact squared norm = {squared}",
     help="Lp norm",
 )
-def _lp_norm(args, model):
-    f = model.function(args.function)
-    mu = model.measure(args.measure, nonneg=True)
-    p = _parse_exponent(args.p)
+def _lp_norm(args, f, mu, p):
     result = {"p": _exponent_text(p), "value": lp_norm(f, mu, p)}
     if p == 2 and not args.float_mode:
         result["squared"] = lp_norm_squared(f, mu)
     return result
 
 
-def _inequality(args, model, checker):
-    f = model.function(args.left)
-    g = model.function(args.right)
-    mu = model.measure(args.measure, nonneg=True)
-    p = _parse_exponent(args.p)
+def _inequality(checker, f, g, mu, p):
     lhs, rhs, holds = checker(f, g, mu, p)
     return {"p": _exponent_text(p), "lhs": lhs, "rhs": rhs, "holds": bool(holds)}
 
 
-_INEQUALITY = "--left --right --measure --p"
+_INEQUALITY = "--left=function --right=function --measure=measure --p=exponent"
 _BOUND = " p={p}: lhs = {lhs}, rhs = {rhs}, holds = {holds}"
 
 
 @_command("ineq hoelder", _INEQUALITY, "hoelder" + _BOUND)
-def _ineq_hoelder(args, model):
-    return _inequality(args, model, check_hoelder)
+def _ineq_hoelder(args, *entries):
+    return _inequality(check_hoelder, *entries)
 
 
 @_command("ineq minkowski", _INEQUALITY, "minkowski" + _BOUND)
-def _ineq_minkowski(args, model):
-    return _inequality(args, model, check_minkowski)
+def _ineq_minkowski(args, *entries):
+    return _inequality(check_minkowski, *entries)
 
 
 @_command(
     "delta",
-    "--left --right --measure",
+    "--left=function --right=function --measure=measure",
     "delta({left}, {right}) = {value}",
     help="convergence-in-measure distance",
 )
-def _delta(args, model):
-    f = model.function(args.left)
-    g = model.function(args.right)
-    mu = model.measure(args.measure, nonneg=True)
+def _delta(args, f, g, mu):
     return {"value": conv_in_measure_distance(f, g, mu)}
 
 
 @_command(
     "product",
-    "--left --right",
+    "--left=measure --right=measure",
     "product measure {left} x {right}:\n{weights}",
     help="product measure",
 )
-def _product(args, model):
-    mu = model.measure(args.left, nonneg=True)
-    nu = model.measure(args.right, nonneg=True)
+def _product(args, mu, nu):
     return {"weights": product_measure(mu, nu)}
 
 
 @_command(
     "fubini",
-    "--function --left --right",
+    "--function=function --left=measure --right=measure",
     "direct = {direct}\niterated xy = {iterated_xy}\niterated yx = {iterated_yx}\n"
     "agree = {agree}",
     help="direct vs iterated integrals",
     echo=("function",),
 )
-def _fubini(args, model):
-    f = model.function(args.function)
-    mu = model.measure(args.left, nonneg=True)
-    nu = model.measure(args.right, nonneg=True)
+def _fubini(args, f, mu, nu):
     direct, xy, yx = fubini(f, mu, nu)
     agree = direct == xy == yx
     return {"direct": direct, "iterated_xy": xy, "iterated_yx": yx, "agree": agree}
@@ -558,49 +560,46 @@ def _fubini(args, model):
 
 @_command(
     "kernel compose",
-    "--left --right",
+    "--left=kernel --right=kernel",
     "{left} * {right} (kind {kind}):\n{rows}",
     options={
         "--left": {"help": "applied second"},
         "--right": {"help": "applied first"},
     },
 )
-def _kernel_compose(args, model):
-    result = convolve(model.kernel(args.left), model.kernel(args.right))
+def _kernel_compose(args, left, right):
+    result = convolve(left, right)
     return {"kind": result.kind, "rows": result}
 
 
 @_command(
     "kernel lift",
-    "--kernel --measure",
+    "--kernel=kernel --measure=measure",
     "lift of {measure} through {kernel}:\n{weights}",
 )
-def _kernel_lift(args, model):
-    kernel = model.kernel(args.kernel)
-    mu = model.measure(args.measure, nonneg=True)
+def _kernel_lift(args, kernel, mu):
     return {"weights": kleisli_lift(kernel, mu)}
 
 
 @_command(
     "kernel path",
-    "--kernel --start --horizon",
+    "--kernel=kernel --start --horizon",
     "path measure from {start}, horizon {horizon}:\n{weights}\ntotal = {total}",
     options={"--horizon": {"type": int}},
 )
-def _kernel_path(args, model):
-    result = path_measure(model.kernel(args.kernel), args.start, args.horizon)
+def _kernel_path(args, kernel):
+    result = path_measure(kernel, args.start, args.horizon)
     return {"weights": result, "total": result.total()}
 
 
 @_command(
     "disintegrate",
-    "--measure",
+    "--measure=measure",
     "marginal:\n{marginal}\nconditional kernel (kind {kernel_kind}):\n{kernel}\n"
     "null fibers: {null_fibers}",
     help="joint to marginal and kernel",
 )
-def _disintegrate(args, model):
-    joint = model.measure(args.measure, nonneg=True)
+def _disintegrate(args, joint):
     marginal, kernel, null_fibers = disintegrate(joint)
     return {
         "marginal": marginal,
@@ -610,23 +609,17 @@ def _disintegrate(args, model):
     }
 
 
-@_command("dist prohorov", "--left --right --metric", "{value}")
-def _dist_prohorov(args, model):
-    metric = model.metric(args.metric)
-    mu = model.measure(args.left, nonneg=True)
-    nu = model.measure(args.right, nonneg=True)
+@_command("dist prohorov", "--left=measure --right=measure --metric=metric", "{value}")
+def _dist_prohorov(args, mu, nu, metric):
     return {"value": prohorov_distance(mu, nu, metric)}
 
 
 @_command(
     "dist hutchinson",
-    "--left --right --metric --gamma",
+    "--left=measure --right=measure --metric=metric --gamma",
     "{value}\nwitness: {witness:[]}",
 )
-def _dist_hutchinson(args, model):
-    metric = model.metric(args.metric)
-    mu = model.measure(args.left, nonneg=True)
-    nu = model.measure(args.right, nonneg=True)
+def _dist_hutchinson(args, mu, nu, metric):
     gamma = _rational(args.gamma, "--gamma")
     value, witness = hutchinson_distance(mu, nu, metric, gamma)
     return {"gamma": format_fraction(gamma), "value": value, "witness": witness.values}
@@ -634,7 +627,7 @@ def _dist_hutchinson(args, model):
 
 @_command(
     "weak-check",
-    "--sequence --limit --metric --tol",
+    "--sequence=measures --limit=measure --metric=metric --tol",
     "converges = {converges}\n"
     "per-atom ok = {per_atom_ok} (residual {per_atom_residual})\n"
     "portmanteau ok = {portmanteau_ok} (excess {portmanteau_excess})\n"
@@ -648,10 +641,7 @@ def _dist_hutchinson(args, model):
         "--tol": {"type": float},
     },
 )
-def _weak_check(args, model):
-    metric = model.metric(args.metric)
-    sequence = [model.measure(n, nonneg=True) for n in args.sequence]
-    limit = model.measure(args.limit, nonneg=True)
+def _weak_check(args, sequence, limit, metric):
     report = check_weak_limit(sequence, limit, metric, args.tol)
     return {
         "converges": report.converges,
@@ -666,24 +656,24 @@ def _weak_check(args, model):
     }
 
 
-@_command("logic check", "--kernel --formula", "[[{formula}]] = {validity_set:set}")
-def _logic_check(args, model):
+@_command(
+    "logic check", "--kernel=kernel --formula", "[[{formula}]] = {validity_set:set}"
+)
+def _logic_check(args, kernel):
     from .logic_bisim import parse_formula, validity_set
 
-    kernel = model.kernel(args.kernel)
     phi = parse_formula(args.formula)
     return {"formula": repr(phi), "validity_set": validity_set(kernel, phi)}
 
 
 @_command(
     "logic quotient",
-    "--kernel",
+    "--kernel=kernel",
     "blocks: {blocks}\nquotient kernel (kind {kind}):\n{rows}",
 )
-def _logic_quotient(args, model):
+def _logic_quotient(args, kernel):
     from .logic_bisim import logical_equivalence, quotient_kernel
 
-    kernel = model.kernel(args.kernel)
     partition = logical_equivalence(kernel)
     quotient = quotient_kernel(kernel, partition)
     return {"blocks": partition.blocks, "kind": quotient.kind, "rows": quotient}
@@ -691,11 +681,11 @@ def _logic_quotient(args, model):
 
 @_command(
     "bisim mediate",
-    "--left --right",
+    "--left=kernel --right=kernel",
     "bisimilar: yes\niso: {iso}\nmediating kernel (kind {kind}):\n{rows}\n"
     "common events: {common_events:~}",
 )
-def _bisim_mediate(args, model):
+def _bisim_mediate(args, k1, k2):
     from .logic_bisim import (
         find_quotient_iso,
         logical_equivalence,
@@ -703,8 +693,6 @@ def _bisim_mediate(args, model):
         quotient_kernel,
     )
 
-    k1 = model.kernel(args.left)
-    k2 = model.kernel(args.right)
     if not (k1.is_endo() and k2.is_endo()):
         raise ModelError("bisim mediate works on endokernels")
     p1 = logical_equivalence(k1)
@@ -729,29 +717,24 @@ _FUNCTIONAL = {"--functional": {"help": "a functions entry"}}
 
 @_command(
     "functional to-measure",
-    "--functional",
+    "--functional=function",
     "represented measure:\n{weights}\ntotal = {total}",
     options=_FUNCTIONAL,
 )
-def _functional_to_measure(args, model):
-    f = model.function(args.functional)
+def _functional_to_measure(args, f):
     measure = measure_from_functional(LinearFunctional(f.space, f.values))
     return {"weights": measure, "total": measure.total()}
 
 
 @_command(
     "functional dual",
-    "--functional --measure --p",
+    "--functional=function --measure=measure --p=exponent",
     "density g:\n{density}\noperator norm (q={q}) = {norm}\n"
     "  exact squared norm = {norm_squared}",
     options=_FUNCTIONAL,
 )
-def _functional_dual(args, model):
-    f = model.function(args.functional)
-    mu = model.measure(args.measure, nonneg=True)
-    functional = LinearFunctional(f.space, f.values)
-    p = _parse_exponent(args.p)
-    density, norm = lp_dual_density(functional, mu, p)
+def _functional_dual(args, f, mu, p):
+    density, norm = lp_dual_density(LinearFunctional(f.space, f.values), mu, p)
     q = _exponent_text(conjugate_exponent(p))
     result = {"p": _exponent_text(p), "q": q, "density": density, "norm": norm}
     if q == "2" and not args.float_mode:
@@ -865,7 +848,8 @@ def _row(weights):
 
 def _run(command, args, model):
     """Run one command: its JSON payload, and its text lines rendered lazily."""
-    result = command.handler(args, model)
+    entries = [_READ[kind](model, getattr(args, dest)) for dest, kind in command.refs]
+    result = command.handler(args, *entries)
     payload = {"command": command.path}
     payload.update((dest, getattr(args, dest)) for dest in command.echo)
     payload.update((key, _plain(v, args.float_mode)) for key, v in result.items())

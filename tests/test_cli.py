@@ -12,6 +12,8 @@ from finmeas import cli
 from finmeas.cli import ModelError, load_model, main, parse_model
 from finmeas.rational import format_float, format_fraction
 from finmeas.spaces import MeasurableSet
+from test_cli_fuzz import COMMANDS as WORKING
+from test_cli_fuzz import MODELS
 
 
 def model_path(name):
@@ -57,7 +59,9 @@ def test_report_with_every_line_absent_prints_a_newline(capsys, monkeypatch):
     # a text report whose template lines all name null values is empty,
     # and prints one newline like any other report
     blank = [
-        c._replace(handler=lambda args, model: {"gone": None}, text="{gone}\n{gone:set}")
+        c._replace(
+            handler=lambda args, *entries: {"gone": None}, text="{gone}\n{gone:set}"
+        )
         if c.path == "rn" else c
         for c in cli._COMMANDS
     ]
@@ -91,6 +95,61 @@ def test_exit_code_unknown_name(capsys):
     code, _, err = run(capsys, "rn", "-m", DECOMP, "--num", "ghost", "--den", "eta")
     assert code == 2
     assert err.startswith("error[input]")
+
+
+# every model reference a command declares, as (command, dest, kind)
+REFERENCES = [
+    pytest.param(command, dest, kind, id=f"{command.path} --{dest}")
+    for command in cli._COMMANDS
+    for dest, kind in command.refs
+]
+
+
+def working_argv(command):
+    """The bundled model and argv of the fuzz test's working command."""
+    model, line = next(
+        (model, line) for model, line in WORKING if line.startswith(command.path + " ")
+    )
+    return model, line.split()
+
+
+@pytest.mark.parametrize("command, dest, kind", REFERENCES)
+def test_every_model_reference_refuses_an_unknown_name(capsys, command, dest, kind):
+    model, argv = working_argv(command)
+    argv[argv.index(f"--{dest}") + 1] = "ghost"
+    code, out, err = run(capsys, *argv, "-m", model_path(model))
+    if kind == "exponent":
+        assert err.startswith("error[input]: bad exponent 'ghost': ")
+    else:
+        noun = {"signed": "measure", "measures": "measure"}.get(kind, kind)
+        assert err == f"error[input]: unknown {noun} 'ghost'\n"
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "command, dest, kind",
+    [ref for ref in REFERENCES if ref.values[2] in ("measure", "signed", "measures")],
+)
+def test_only_signed_references_take_a_signed_measure(
+    capsys, tmp_path, command, dest, kind
+):
+    # the named measure, negated, is signed; "signed" flags take it and
+    # "measure" and "measures" flags refuse it by name
+    model, argv = working_argv(command)
+    at = argv.index(f"--{dest}") + 1
+    doc = json.loads(json.dumps(MODELS[model]))
+    entry = doc["measures"][argv[at].split(",")[0]]
+    weights = {p: str(-Fraction(str(w))) for p, w in entry["weights"].items()}
+    doc["measures"]["neg"] = {**entry, "weights": weights}
+    argv[at] = "neg"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "-m", str(path))
+    if kind == "signed":
+        assert (code, err) == (0, "") and out
+    else:
+        message = "measure 'neg' is signed; this command needs nonnegative weights"
+        assert (code, out, err) == (2, "", f"error[input]: {message}\n")
 
 
 def test_exit_code_missing_model(capsys):

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import finmeas
+from finmeas import cli
 
 MODULES = sorted(Path(finmeas.__file__).parent.glob("*.py"))
 
@@ -158,6 +159,31 @@ def test_only_the_spaces_module_writes_the_label_bar():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Constant) and node.value == "|"
     ]
+    assert found == []
+
+
+def test_no_cli_handler_reads_the_model():
+    # model references are read in one place, the cli._READ table: a
+    # handler registered through _command takes the entries its flags
+    # declare, and neither has a model parameter nor reads the name
+    tree = ast.parse((Path(finmeas.__file__).parent / "cli.py").read_text())
+    handlers = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_command"
+            for d in node.decorator_list
+        )
+    ]
+    found = [
+        f"{node.name}:{sub.lineno}"
+        for node in handlers
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.arg) and sub.arg == "model"
+        or isinstance(sub, ast.Name) and sub.id == "model"
+    ]
+    assert len(handlers) == len(cli._COMMANDS)
     assert found == []
 
 
