@@ -193,14 +193,13 @@ def parse_model(doc):
     for name, entry in _section(doc, "metrics", "metric"):
         if name in model.spaces or name in pending_products:
             raise ModelError(f"metric {name!r} collides with a space name")
-        context = f"metric {name!r}"
-        try:
+        try:  # a bad distance is as_ratio's ValueError, named here once
             metric = FiniteMetric.from_points(
                 _strings(entry["points"], "points"),
-                [[_rational(v, context) for v in row] for row in entry["dist"]],
+                [[Fraction(*as_ratio(v)) for v in row] for row in entry["dist"]],
             )
         except (FinmeasError, ValueError, TypeError, KeyError) as err:
-            raise ModelError(f"{context}: {err}") from None
+            raise ModelError(f"metric {name!r}: {err}") from None
         model.metrics[name] = metric
         model.spaces[name] = metric.space
 

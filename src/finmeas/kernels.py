@@ -7,13 +7,14 @@ joints and (marginal, kernel) pairs, and path measures iterate a kernel to
 a finite horizon, on the flat product of that many copies of its codomain.
 
 Every row is a measure in its integer form (D, cols, nums) over its
-nonzero atoms.  Convolution, the lift, product measures, measure-kernel
-products, pushforwards, path measures and the refinement in logic_bisim run
-on ints over those nonzeros only and build their results from ints, so
-none makes a Fraction.
+nonzero atoms.  The lift, product measures, measure-kernel products,
+pushforwards, path measures, the refinement in logic_bisim and convolution
+with sparse rows run on ints over those nonzeros only; convolution with
+dense left rows packs each into one int (Kronecker substitution).  All
+build their results from ints, so none makes a Fraction.
 """
 
-from math import lcm
+from math import lcm, prod
 
 from .errors import (
     HorizonTooLarge,
@@ -118,16 +119,45 @@ def identity_kernel(space):
     return Kernel(space, space, rows, MARKOV)
 
 
+def _slot(left, right):
+    """S, the lcm of left's row scales, and c, hex digits per slot: as no entry
+    is negative, none exceeds the largest right mass times left num over S."""
+    forms = [row.form for row in left.rows]
+    scale = lcm(*(d for d, _, _ in forms))
+    top = max(max(nums, default=0) * (scale // d) for d, _, nums in forms)
+    mass = max(sum(row.form[2]) for row in right.rows)
+    return scale, (top * mass).bit_length() // 4 + 1
+
+
+def _packed_rows(left, right, scale, c):
+    """The rows of convolve(left, right) by Kronecker substitution: each left
+    row over S is packed once into one int, c hex digits per atom, so a
+    result row is one big-int multiply-add per charged left row, unpacked."""
+    n, fmt = left.codomain.n_atoms, f"%0{c}x" * left.codomain.n_atoms
+    packed = [int(fmt % tuple(row.ints_over(scale)), 16) for row in left.rows]
+    for d, cols, masses in (row.form for row in right.rows):
+        digits = f"{sum(m * packed[k] for k, m in zip(cols, masses)):0{n * c}x}"
+        nums = [int(digits[i : i + c], 16) for i in range(0, n * c, c)]
+        yield Measure.from_ints(left.codomain, d * scale, enumerate(nums))
+
+
 def convolve(left, right):
     """Kleisli composition (left * right)(x)(C) = integral left(y)(C) d right(x)(y).
 
     right feeds left: right.codomain must equal left.domain.  Reduces to
-    stochastic matrix multiplication of the row matrices, run over the
-    nonzero entries of the rows.
+    stochastic matrix multiplication of the row matrices.  Dense products run
+    on packed left rows, when the nonzero multiply-adds (estimated from the
+    row lengths) reach 4 per unpacked 64-bit limb; others run on the nonzeros.
     """
     if right.codomain != left.domain:
         raise SpaceMismatch("right.codomain must equal left.domain")
-    rows = [_mix(row, left.rows, left.codomain) for row in right.rows]
+    work = prod(sum(len(row.form[1]) for row in k.rows) for k in (left, right))
+    floor = 4 * len(right.rows) * left.codomain.n_atoms * len(left.rows)
+    slot = work >= floor and _slot(left, right)  # no pass over sparse rows
+    if slot and work >= floor * ((slot[1] + 15) // 16):
+        rows = _packed_rows(left, right, *slot)
+    else:
+        rows = [_mix(row, left.rows, left.codomain) for row in right.rows]
     return Kernel(
         right.domain, left.codomain, rows, _join_kind(left.kind, right.kind)
     )

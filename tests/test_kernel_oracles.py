@@ -1,7 +1,8 @@
-"""Sparse integer-row kernels, splitter refinement and integer kind
-inference against the dense Fraction loops they replaced (kept in
-``oracles``), for n <= 10."""
+"""Sparse integer-row kernels, packed and sparse convolution, splitter
+refinement and integer kind inference against the dense Fraction loops they
+replaced (kept in ``oracles``), for n <= 10."""
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finmeas import kernels as kernels_module
 from finmeas.errors import NotACongruence, SpaceMismatch
 from finmeas.integrate import StepFunction
 from finmeas.kernels import (
@@ -16,6 +18,9 @@ from finmeas.kernels import (
     MARKOV,
     SUB_MARKOV,
     Kernel,
+    _mix,
+    _packed_rows,
+    _slot,
     convolve,
     cut_x,
     cut_y,
@@ -96,15 +101,16 @@ def rows_on(draw, space, kind, den, sparse=False):
 
 
 @st.composite
-def kernels(draw, domain, codomain, kind=None):
+def kernels(draw, domain, codomain, kind=None, sparse=None):
     """A kernel of a drawn (or given) kind, dense or with one or two
-    entries per row; each row's denominator is one of a few small numbers
-    or, half the time, one of 7, 11, 13 and 17, so the rows carry pairwise
-    coprime scales."""
+    entries per row (drawn, unless given); each row's denominator is one of
+    a few small numbers or, half the time, one of 7, 11, 13 and 17, so the
+    rows carry pairwise coprime scales."""
     if kind is None:
         kind = draw(st.sampled_from([MARKOV, SUB_MARKOV, FINITE]))
     dens = COPRIME if draw(st.booleans()) else (1, 2, 3, 4, 6, 12)
-    sparse = draw(st.booleans())
+    if sparse is None:
+        sparse = draw(st.booleans())
     rows = [
         draw(rows_on(codomain, kind, draw(st.sampled_from(dens)), sparse))
         for _ in domain.atoms
@@ -198,6 +204,84 @@ def test_sparse_convolve_equals_dense(data):
     if b != c:
         with pytest.raises(SpaceMismatch):
             convolve(right, left)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_and_sparse_convolve_rows_equal_dense(data):
+    """Both of convolve's paths, forced, on kernels of every kind, dense
+    (forced, half the time) or sparse, with zero rows, coprime row scales
+    and now and then a one-atom codomain: the oracle's rows, form for form."""
+    a = data.draw(spaces(prefix="a"))
+    b = data.draw(spaces(prefix="b"))
+    if data.draw(st.integers(0, 4)) == 0:
+        c = FiniteMeasurableSpace.discrete(["c0"])
+    else:
+        c = data.draw(spaces(prefix="c"))
+    sparse = False if data.draw(st.booleans()) else None
+    right = data.draw(kernels(a, b, sparse=sparse))
+    left = data.draw(kernels(b, c, sparse=sparse))
+    expected = [row.form for row in convolve_dense(left, right).rows]
+    packed = list(_packed_rows(left, right, *_slot(left, right)))
+    mixed = [_mix(row, left.rows, left.codomain) for row in right.rows]
+    assert [row.form for row in packed] == expected
+    assert [row.form for row in mixed] == expected
+    assert all(row.space == c for row in packed + mixed)
+
+
+def _path_taken(monkeypatch, left, right):
+    """The path convolve takes on (left, right), checked against the other."""
+    taken = []
+    packed, mix = kernels_module._packed_rows, kernels_module._mix
+
+    def packed_spy(*args):
+        taken.append("packed")
+        return packed(*args)
+
+    def mix_spy(*args):
+        taken.append("dict")
+        return mix(*args)
+
+    monkeypatch.setattr(kernels_module, "_packed_rows", packed_spy)
+    monkeypatch.setattr(kernels_module, "_mix", mix_spy)
+    result = convolve(left, right)
+    monkeypatch.undo()
+    if taken[0] == "packed":
+        other = [_mix(row, left.rows, left.codomain) for row in right.rows]
+    else:
+        other = list(_packed_rows(left, right, *_slot(left, right)))
+    assert [row.form for row in result.rows] == [row.form for row in other]
+    assert set(taken) == {taken[0]}
+    return taken[0]
+
+
+def test_convolve_packs_dense_rows_and_mixes_sparse_ones(monkeypatch):
+    rng = random.Random(5)
+    n = 20
+    space = FiniteMeasurableSpace.discrete([f"s{k}" for k in range(n)])
+    rows = []
+    for _ in range(n):
+        cuts = sorted(rng.randint(0, 2 * n) for _ in range(n - 1))
+        nums = [b - a for a, b in zip([0, *cuts], [*cuts, 2 * n])]
+        rows.append(Measure.from_ints(space, 2 * n, enumerate(nums)))
+    dense = Kernel(space, space, rows)
+    assert _path_taken(monkeypatch, dense, dense) == "packed"
+
+    n = 1000
+    space = FiniteMeasurableSpace.discrete([f"s{k}" for k in range(n)])
+    shift = Kernel(
+        space, space,
+        [Measure.from_ints(space, 1, [(k + 1, 1)] if k + 1 < n else []) for k in range(n)],
+    )
+    assert _path_taken(monkeypatch, shift, shift) == "dict"
+    rows = []
+    for _ in range(n):
+        den = rng.choice((2, 3, 4, 6) + COPRIME)
+        cuts = sorted(rng.randint(0, den) for _ in range(2))
+        nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+        rows.append(Measure.from_ints(space, den, zip(rng.sample(range(n), 3), nums)))
+    chain = Kernel(space, space, rows)
+    assert _path_taken(monkeypatch, chain, chain) == "dict"
 
 
 @settings(max_examples=200, deadline=None)

@@ -153,3 +153,20 @@ def test_generated_models_load_as_the_dense_oracle_builds_them(tmp_path):
         path = tmp_path / f"model{k}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         _assert_loads_as_dense(doc, cli.load_model(str(path)))
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"points": ["a", "b"], "dist": [[0, "x"], ["x", 0]]},
+         "metric 'd': Invalid literal for Fraction: 'x'"),
+        ({"points": ["a", "b"], "dist": [[0, [1]], [1, 0]]},
+         "metric 'd': not a rational: [1] (floats are not exact, use 'p/q')"),
+        ({"points": ["a", 1], "dist": [[0, 1], [1, 0]]},
+         "metric 'd': points must be a list of strings"),
+    ],
+)
+def test_bad_metric_entries_name_the_metric_once(entry, message):
+    with pytest.raises(cli.ModelError) as err:
+        cli.parse_model({"metrics": {"d": entry}})
+    assert str(err.value) == message
