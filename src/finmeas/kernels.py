@@ -10,11 +10,15 @@ Every row is a measure in its integer form (D, cols, nums) over its
 nonzero atoms.  The lift, product measures, measure-kernel products,
 pushforwards, path measures, the refinement in logic_bisim and convolution
 with sparse rows run on ints over those nonzeros only; convolution with
-dense left rows packs each into one int (Kronecker substitution).  All
-build their results from ints, so none makes a Fraction.
+dense left rows packs each into one int of 16-bit limbs (Kronecker
+substitution).  All build their results from int columns, no Fraction.
 """
 
+import sys
+from array import array
+from itertools import repeat
 from math import lcm, prod
+from operator import lshift, or_
 
 from .errors import (
     HorizonTooLarge,
@@ -110,35 +114,44 @@ def _mix(mu, rows, space):
         factor = m * (q // e)
         for j, num in zip(row_cols, nums):
             sums[j] = sums.get(j, 0) + factor * num
-    return Measure.from_ints(space, d * q, sums.items())
+    return Measure.from_ints(space, d * q, sums.keys(), sums.values())
 
 
 def identity_kernel(space):
     """The neutral element for convolution: rows are unit point masses."""
-    rows = [Measure.from_ints(space, 1, [(k, 1)]) for k in range(space.n_atoms)]
+    rows = [Measure.from_ints(space, 1, (k,), (1,)) for k in range(space.n_atoms)]
     return Kernel(space, space, rows, MARKOV)
 
 
 def _slot(left, right):
-    """S, the lcm of left's row scales, and c, hex digits per slot: as no entry
+    """S, the lcm of left's row scales, and L, 16-bit limbs per slot: as no entry
     is negative, none exceeds the largest right mass times left num over S."""
     forms = [row.form for row in left.rows]
     scale = lcm(*(d for d, _, _ in forms))
     top = max(max(nums, default=0) * (scale // d) for d, _, nums in forms)
-    mass = max(sum(row.form[2]) for row in right.rows)
-    return scale, (top * mass).bit_length() // 4 + 1
+    mass = max(1, *(sum(row.form[2]) for row in right.rows))
+    return scale, (top * mass).bit_length() // 16 + 1
 
 
-def _packed_rows(left, right, scale, c):
+def _packed_rows(left, right, scale, limbs):
     """The rows of convolve(left, right) by Kronecker substitution: each left
-    row over S is packed once into one int, c hex digits per atom, so a
-    result row is one big-int multiply-add per charged left row, unpacked."""
-    n, fmt = left.codomain.n_atoms, f"%0{c}x" * left.codomain.n_atoms
-    packed = [int(fmt % tuple(row.ints_over(scale)), 16) for row in left.rows]
+    row over S is packed once into one int, one slot of L little-endian
+    16-bit limbs per atom, so a result row is one big-int multiply-add per
+    charged left row, read back as one array of limbs, joined per slot."""
+    n, width = left.codomain.n_atoms, 2 * limbs
+    packed = []
+    for row in left.rows:
+        slots = map(int.to_bytes, row.ints_over(scale), repeat(width), repeat("little"))
+        packed.append(int.from_bytes(b"".join(slots), "little"))
     for d, cols, masses in (row.form for row in right.rows):
-        digits = f"{sum(m * packed[k] for k, m in zip(cols, masses)):0{n * c}x}"
-        nums = [int(digits[i : i + c], 16) for i in range(0, n * c, c)]
-        yield Measure.from_ints(left.codomain, d * scale, enumerate(nums))
+        total = sum(m * packed[k] for k, m in zip(cols, masses))
+        words = array("H", total.to_bytes(width * n, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        nums = words[::limbs].tolist()
+        for t in range(1, limbs):
+            nums = list(map(or_, nums, map(lshift, words[t::limbs], repeat(16 * t))))
+        yield Measure.from_ints(left.codomain, d * scale, range(n), nums)
 
 
 def convolve(left, right):
@@ -147,14 +160,14 @@ def convolve(left, right):
     right feeds left: right.codomain must equal left.domain.  Reduces to
     stochastic matrix multiplication of the row matrices.  Dense products run
     on packed left rows, when the nonzero multiply-adds (estimated from the
-    row lengths) reach 4 per unpacked 64-bit limb; others run on the nonzeros.
+    row lengths) reach 4 per unpacked 64-bit word; others run on the nonzeros.
     """
     if right.codomain != left.domain:
         raise SpaceMismatch("right.codomain must equal left.domain")
     work = prod(sum(len(row.form[1]) for row in k.rows) for k in (left, right))
     floor = 4 * len(right.rows) * left.codomain.n_atoms * len(left.rows)
     slot = work >= floor and _slot(left, right)  # no pass over sparse rows
-    if slot and work >= floor * ((slot[1] + 15) // 16):
+    if slot and work >= floor * ((slot[1] + 3) // 4):  # 64-bit words per slot
         rows = _packed_rows(left, right, *slot)
     else:
         rows = [_mix(row, left.rows, left.codomain) for row in right.rows]
@@ -179,12 +192,12 @@ def measure_kernel_product(mu, kernel):
     d, cols, masses = mu.form
     q = lcm(*(kernel.rows[i].form[0] for i in cols))
     m = kernel.codomain.n_atoms
-    entries = []
+    prod_cols, prod_nums = [], []
     for i, mass in zip(cols, masses):
         e, row_cols, nums = kernel.rows[i].form
-        factor = mass * (q // e)
-        entries.extend((i * m + j, factor * r) for j, r in zip(row_cols, nums))
-    return Measure.from_ints(prod, d * q, entries)
+        prod_cols += map((i * m).__add__, row_cols)
+        prod_nums += map((mass * (q // e)).__mul__, nums)
+    return Measure.from_ints(prod, d * q, prod_cols, prod_nums)
 
 
 def product_measure(mu, nu):
@@ -192,10 +205,9 @@ def product_measure(mu, nu):
     prod = product_space(mu.space, nu.space)
     (d1, cols1, nums1), (d2, cols2, nums2) = mu.form, nu.form
     n = nu.space.n_atoms
-    entries = [
-        (i * n + j, a * b) for i, a in zip(cols1, nums1) for j, b in zip(cols2, nums2)
-    ]
-    return Measure.from_ints(prod, d1 * d2, entries)
+    cols = [i * n + j for i in cols1 for j in cols2]
+    nums = [a * b for a in nums1 for b in nums2]
+    return Measure.from_ints(prod, d1 * d2, cols, nums)
 
 
 def _require_product(space):
@@ -233,7 +245,7 @@ def fubini(f, mu, nu):
     if f.space.factors is None or _require_product(f.space) != (mu.space, nu.space):
         raise SpaceMismatch("f must live on the product of the two spaces")
     d, cols, nums = product_measure(mu, nu).form
-    direct = integral(f, Measure.from_ints(f.space, d, zip(cols, nums)))
+    direct = integral(f, Measure.from_ints(f.space, d, cols, nums))
     n = nu.space.n_atoms
     rows = [f.values[i : i + n] for i in range(0, len(f.values), n)]
     inner_x = [integral(StepFunction(nu.space, row), nu) for row in rows]
@@ -285,7 +297,7 @@ def pushforward(f, mu):
     acc = {}
     for j, num in zip(cols, nums):
         acc[f.atom_mapping[j]] = acc.get(f.atom_mapping[j], 0) + num
-    return Measure.from_ints(f.codomain, d, acc.items())
+    return Measure.from_ints(f.codomain, d, acc.keys(), acc.values())
 
 
 # the most steps path_measure takes
@@ -319,19 +331,17 @@ def path_measure(kernel, start_point, horizon):
     space = product_space(*[step_space] * horizon)
     n_step = step_space.n_atoms
     n_s = factors[-1].n_atoms
-    scale = lcm(*(row.form[0] for row in kernel.rows))
-    rows = [
-        [(k, num * (scale // d)) for k, num in zip(cols, nums)]
-        for d, cols, nums in (row.form for row in kernel.rows)
-    ]
-    paths = rows[kernel.domain.atom_index_of_point(start_point)]
+    forms = [row.form for row in kernel.rows]
+    scale = lcm(*(d for d, _, _ in forms))
+    row_nums = [[num * (scale // d) for num in nums] for d, _, nums in forms]
+    state = kernel.domain.atom_index_of_point(start_point)
+    cols, nums = forms[state][1], row_nums[state]
     for _ in range(horizon - 1):
         # rectangle atoms are row-major, so the state component of path
-        # atom idx (the state of its last step) is idx % n_s
-        paths = [
-            (idx * n_step + k, w * v) for idx, w in paths for k, v in rows[idx % n_s]
-        ]
-    return Measure.from_ints(space, scale**horizon, paths)
+        # atom idx (the state of its last step) is idx % n_s; paths stay sorted
+        nums = [w * v for idx, w in zip(cols, nums) for v in row_nums[idx % n_s]]
+        cols = [idx * n_step + k for idx in cols for k in forms[idx % n_s][1]]
+    return Measure.from_ints(space, scale**horizon, cols, nums)
 
 
 def path_marginal(measure):
@@ -342,7 +352,7 @@ def path_marginal(measure):
     acc = {}
     for idx, num in zip(cols, nums):
         acc[idx // n_step] = acc.get(idx // n_step, 0) + num
-    return Measure.from_ints(prefix, d, acc.items())
+    return Measure.from_ints(prefix, d, acc.keys(), acc.values())
 
 
 def disintegrate(joint):
@@ -355,12 +365,12 @@ def disintegrate(joint):
     left, right = _require_product(joint.space)
     n_r = right.n_atoms
     d, cols, nums = joint.form
-    fibers = [[] for _ in range(left.n_atoms)]
+    fibers = [{} for _ in range(left.n_atoms)]
     for idx, num in zip(cols, nums):
-        fibers[idx // n_r].append((idx % n_r, num))
+        fibers[idx // n_r][idx % n_r] = num
     # fiber i has the weights num / d and the mass masses[i] / d
-    masses = [sum(num for _, num in fiber) for fiber in fibers]
-    marginal = Measure.from_ints(left, d, enumerate(masses))
+    masses = [sum(fiber.values()) for fiber in fibers]
+    marginal = Measure.from_ints(left, d, range(left.n_atoms), masses)
     rows = []
     null_fibers = []
     for i, (mass, fiber) in enumerate(zip(masses, fibers)):
@@ -370,6 +380,6 @@ def disintegrate(joint):
             rows.append(Measure.zero(right))
             null_fibers.append(left.atoms[i])
         else:
-            rows.append(Measure.from_ints(right, mass, fiber))
+            rows.append(Measure.from_ints(right, mass, fiber.keys(), fiber.values()))
     kind = MARKOV if not null_fibers else SUB_MARKOV
     return marginal, Kernel(left, right, rows, kind), tuple(null_fibers)

@@ -23,6 +23,7 @@ class-conditional product of the two, over nonzero entries.
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import (
@@ -178,7 +179,7 @@ def _dia_atoms(rows, inner, q):
     """Atoms whose scaled row puts mass at least q on the inner atom set."""
     out = []
     for k, (d, cols, nums) in enumerate(rows):
-        mass = sum(num for j, num in zip(cols, nums) if j in inner)
+        mass = sum(compress(nums, map(inner.__contains__, cols)))
         if mass * q.denominator >= q.numerator * d:
             out.append(k)
     return frozenset(out)
@@ -413,7 +414,7 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
     dom_space = FiniteMeasurableSpace.discrete([b[0] for b in dom_partition.blocks])
     cod_space = FiniteMeasurableSpace.discrete([b[0] for b in cod_partition.blocks])
     quotient_rows = [
-        Measure.from_ints(cod_space, scale, masses.items()) for scale, masses in bases
+        Measure.from_ints(cod_space, d, m.keys(), m.values()) for d, m in bases
     ]
     return Kernel(dom_space, cod_space, quotient_rows, kernel.kind)
 
@@ -501,8 +502,7 @@ def solve_coupling(problem):
     flow, rows, flows = transport(supply, demand, support)
     if flow == total:
         prod = product_space(left.space, right.space)
-        entries = [(i * n2 + j, x) for (i, j), x in zip(support, flows)]
-        return Measure.from_ints(prod, big, entries)
+        return Measure.from_ints(prod, big, [i * n2 + j for i, j in support], flows)
     reached = set(rows)
     neighborhood = sorted({j for i, j in support if i in reached})
     certificate = Infeasible(
@@ -652,8 +652,8 @@ def mediate(k1, k2, q1, q2, iso):
     for b, row in zip(quot1.domain.points, quot1.rows):
         d, cols, nums = row.form
         other = quot2.row_at_point(dom_iso[b])
-        renamed = [(image[c], num) for c, num in zip(cols, nums)]
-        if Measure.from_ints(other.space, d, renamed) != other:
+        renamed = map(image.__getitem__, cols)
+        if Measure.from_ints(other.space, d, renamed, nums) != other:
             mine, theirs = (m.ints_over(d * other.form[0]) for m in (row, other))
             c = next(
                 c
@@ -687,13 +687,13 @@ def mediate(k1, k2, q1, q2, iso):
         # w(j1, j2) = n1 n2 / (d2 S_C), taken over d2 times the lcm of the S_C
         masses = _block_masses(cols1, nums1, q1c.block_of_atom)
         scale = lcm(*masses.values())
-        entries = []
+        entries = {}
         for j1, n1 in zip(cols1, nums1):
             c = q1c.block_of_atom[j1]
             factor = n1 * (scale // masses[c])
             for j2, n2 in right.get(image[c], ()):
-                entries.append((b_index[j1, j2], factor * n2))
-        row = Measure.from_ints(b_space, d2 * scale, entries)
+                entries[b_index[j1, j2]] = factor * n2
+        row = Measure.from_ints(b_space, d2 * scale, entries.keys(), entries.values())
         images = (pushforward(zeta1, row), pushforward(zeta2, row))
         if images != (k1.rows[i1], k2.rows[i2]):
             raise AssertionError("mediating row misses a marginal")

@@ -2,13 +2,16 @@
 
 A measure stores its weights as one canonical integer form (D, cols, nums),
 weight nums[i] / D on atom cols[i] and 0 elsewhere; only this module
-converts the form to and from Fractions.  Decompositions, Radon-Nikodym
+converts the form to and from Fractions, and from_ints builds it from two
+int columns, atoms and numerators.  Decompositions, Radon-Nikodym
 derivatives and the Daniell/Riesz correspondence are exact; only q-th
 roots of norms leave the rationals.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from operator import lt, mul, not_
 
 from .errors import (
     AbsoluteContinuityViolated,
@@ -26,12 +29,6 @@ from .integrate import (
 from .rational import as_fraction
 
 
-def _scaled(values):
-    """(D, nums): Fractions as numerators over D, the lcm of their denominators."""
-    d = lcm(*(w.denominator for w in values))
-    return d, [w.numerator * (d // w.denominator) for w in values]
-
-
 class SignedMeasure:
     """A rational weight per atom, any sign, held as the form (D, cols, nums)."""
 
@@ -44,28 +41,34 @@ class SignedMeasure:
             raise ValueError(
                 f"expected {space.n_atoms} atom weights, got {len(weights)}"
             )
-        cols = [j for j, w in enumerate(weights) if w]
-        self._init(space, *_scaled([weights[j] for j in cols]), cols)
-
-    def _init(self, space, d, nums, cols):
-        if self._require_nonnegative and any(num < 0 for num in nums):
-            raise ValueError("measure weights must be nonnegative")
+        d = lcm(*(w.denominator for w in weights))
+        nums = [w.numerator * (d // w.denominator) for w in weights]
         self.space = space
-        self.form = (d, tuple(cols), tuple(nums))
+        self.form = self.from_ints(space, d, range(len(nums)), nums).form
 
     @classmethod
-    def from_ints(cls, space, d, entries):
-        """The measure with weight num / d on atom j for each int entry
-        (j, num), atoms distinct and in any order.  Zero entries are dropped
-        and the gcd of d and the nums divided out: the form is canonical."""
-        kept = sorted((j, num) for j, num in entries if num)
-        cols = [j for j, _ in kept]
-        bounds = [-1, *cols, space.n_atoms]
-        if d <= 0 or not all(a < b for a, b in zip(bounds, bounds[1:])):
+    def from_ints(cls, space, d, cols, nums):
+        """The measure with weight nums[i] / d on atom cols[i] for two aligned
+        int columns (a dict's keys() and values(), or range(n) and a list),
+        atoms distinct and in any order.  Zeros are dropped and the gcd of d
+        and the nums divided out, in C-level passes: the form is canonical."""
+        cols, nums = tuple(cols), tuple(nums)
+        if not all(nums):
+            cols, nums = tuple(compress(cols, nums)), tuple(filter(None, nums))
+        distinct = all(map(lt, cols, cols[1:]))
+        if not distinct:
+            cols, nums = zip(*sorted(zip(cols, nums)))
+            distinct = all(map(lt, cols, cols[1:]))
+        in_space = not cols or 0 <= cols[0] and cols[-1] < space.n_atoms
+        if d <= 0 or not (distinct and in_space):
             raise ValueError("d must be positive and atoms distinct and in the space")
-        g = gcd(d, *(num for _, num in kept))
+        if cls._require_nonnegative and min(nums, default=0) < 0:
+            raise ValueError("measure weights must be nonnegative")
+        g = gcd(d, *nums)
+        if g > 1:
+            d, nums = d // g, tuple(map(g.__rfloordiv__, nums))
         measure = cls.__new__(cls)
-        measure._init(space, d // g, [num // g for _, num in kept], cols)
+        measure.space, measure.form = space, (d, cols, nums)
         return measure
 
     @classmethod
@@ -73,9 +76,8 @@ class SignedMeasure:
         """The measure with weight n / q on atom k for each ratio
         weights[k] = (n, q) of ints, q > 0, and 0 elsewhere."""
         d = lcm(*(q for _, q in weights.values()))
-        return cls.from_ints(
-            space, d, [(k, n * (d // q)) for k, (n, q) in weights.items()]
-        )
+        nums = [n * (d // q) for n, q in weights.values()]
+        return cls.from_ints(space, d, weights.keys(), nums)
 
     @property
     def weights(self):
@@ -137,11 +139,11 @@ class Measure(SignedMeasure):
 
     @classmethod
     def zero(cls, space):
-        return cls.from_ints(space, 1, ())
+        return cls.from_ints(space, 1, (), ())
 
     @classmethod
     def dirac(cls, space, point):
-        return cls.from_ints(space, 1, [(space.atom_index_of_point(point), 1)])
+        return cls.from_ints(space, 1, (space.atom_index_of_point(point),), (1,))
 
     def is_probability(self):
         d, _, nums = self.form
@@ -154,15 +156,15 @@ class Measure(SignedMeasure):
         sums = dict(zip(cols, (num * (scale // d) for num in nums)))
         for j, num in zip(other_cols, other_nums):
             sums[j] = sums.get(j, 0) + num * (scale // e)
-        return Measure.from_ints(self.space, scale, sums.items())
+        return Measure.from_ints(self.space, scale, sums.keys(), sums.values())
 
     def scale(self, c):
         c = as_fraction(c)
         if c < 0:
             raise ValueError("use SignedMeasure for negative scalings")
         d, cols, nums = self.form
-        scaled = zip(cols, (num * c.numerator for num in nums))
-        return Measure.from_ints(self.space, d * c.denominator, scaled)
+        scaled = map(c.numerator.__mul__, nums)
+        return Measure.from_ints(self.space, d * c.denominator, cols, scaled)
 
     def support_atoms(self):
         return self.form[1]
@@ -211,10 +213,9 @@ def jordan_decompose(nu):
     atoms, so plus and minus are mutually singular by construction.
     """
     d, cols, nums = nu.form
-    entries = list(zip(cols, nums))
-    plus = Measure.from_ints(nu.space, d, [(j, num) for j, num in entries if num > 0])
-    minus = Measure.from_ints(nu.space, d, [(j, -num) for j, num in entries if num < 0])
-    variation = Measure.from_ints(nu.space, d, [(j, abs(num)) for j, num in entries])
+    plus = Measure.from_ints(nu.space, d, cols, [max(num, 0) for num in nums])
+    minus = Measure.from_ints(nu.space, d, cols, [max(-num, 0) for num in nums])
+    variation = Measure.from_ints(nu.space, d, cols, map(abs, nums))
     return plus, minus, variation
 
 
@@ -233,19 +234,16 @@ def mutually_singular(mu, nu):
 
 
 def _density(mu, nu):
-    """(h, carried, singular): the density h = mu/nu on the atoms nu
-    charges and 0 elsewhere, and mu's form entries (j, num) on and off
-    those atoms, each in atom order."""
+    """(h, carried): the density h = mu/nu on the atoms nu charges and 0
+    elsewhere, and for each of mu's form entries whether nu charges its atom."""
     mu._check(nu)
     (d, cols, nums), (e, nu_cols, nu_nums) = mu.form, nu.form
     den = dict(zip(nu_cols, nu_nums))
+    carried = list(map(den.__contains__, cols))
     values = [0] * mu.space.n_atoms
-    parts = ([], [])
-    for j, num in zip(cols, nums):
-        if j in den:
-            values[j] = Fraction(num * e, d * den[j])
-        parts[j not in den].append((j, num))
-    return StepFunction(mu.space, values), *parts
+    for j, num in compress(zip(cols, nums), carried):
+        values[j] = Fraction(num * e, d * den[j])
+    return StepFunction(mu.space, values), carried
 
 
 def lebesgue_decompose(mu, nu):
@@ -255,8 +253,10 @@ def lebesgue_decompose(mu, nu):
     atoms all of mu is singular and the density is fixed to 0 so results
     are reproducible.
     """
-    density, *parts = _density(mu, nu)
-    absolutely, singular = (Measure.from_ints(mu.space, mu.form[0], p) for p in parts)
+    density, carried = _density(mu, nu)
+    d, cols, nums = mu.form
+    absolutely = Measure.from_ints(mu.space, d, cols, map(mul, nums, carried))
+    singular = Measure.from_ints(mu.space, d, cols, map(mul, nums, map(not_, carried)))
     return absolutely, singular, density
 
 
@@ -267,9 +267,9 @@ def radon_nikodym(mu, nu):
     integral f dmu = integral f h dnu.  The first atom that nu misses and
     mu charges is the witness of a violation.
     """
-    density, _, singular = _density(mu, nu)
-    if singular:
-        atom = mu.space.atoms[singular[0][0]]
+    density, carried = _density(mu, nu)
+    if not all(carried):
+        atom = mu.space.atoms[mu.form[1][carried.index(False)]]
         raise AbsoluteContinuityViolated(
             f"nu vanishes on atom {atom!r} but mu does not", witness_atom=atom
         )
@@ -304,9 +304,9 @@ def lp_dual_density(functional, mu, p):
         raise SpaceMismatch("functional and measure live on different spaces")
     represented = measure_from_functional(functional)
     p = validate_exponent(p)
-    g, _, singular = _density(represented, mu)
-    if singular:
-        atom = mu.space.atoms[singular[0][0]]
+    g, carried = _density(represented, mu)
+    if not all(carried):
+        atom = mu.space.atoms[represented.form[1][carried.index(False)]]
         raise UnsupportedFunctional(f"functional charges the mu-null atom {atom!r}")
     return g, lp_norm(g, mu, conjugate_exponent(p))
 

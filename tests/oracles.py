@@ -90,6 +90,10 @@ So are the Lebesgue split's, the Radon-Nikodym density's and the Lp
 dual density's loops over the dense weights, which one helper over the two
 forms replaced.
 
+Measure.from_ints now takes its entries as two aligned columns, atoms and
+numerators, and runs each of its passes in C.  The constructor over
+(atom, num) pairs is kept as from_ints_reference.
+
 Formulas are now read with one token pattern and one stack loop.  The
 hand-written scanner and the parser class it fed are kept as
 parse_formula_reference.
@@ -109,6 +113,7 @@ from collections import deque
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, permutations
+from math import gcd
 
 from finmeas.cli import _Rows
 from finmeas.errors import (
@@ -1010,6 +1015,24 @@ class DenseMeasure(DenseSignedMeasure):
         return tuple(k for k, w in enumerate(self.weights) if w > 0)
 
 
+def from_ints_reference(cls, space, d, entries):
+    """cls.from_ints as it was when it took (atom, num) pairs: the measure
+    with weight num / d on atom j for each int entry (j, num), atoms
+    distinct and in any order, zeros dropped and the gcd divided out."""
+    kept = sorted((j, num) for j, num in entries if num)
+    cols = [j for j, _ in kept]
+    bounds = [-1, *cols, space.n_atoms]
+    if d <= 0 or not all(a < b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError("d must be positive and atoms distinct and in the space")
+    g = gcd(d, *(num for _, num in kept))
+    if cls._require_nonnegative and any(num < 0 for _, num in kept):
+        raise ValueError("measure weights must be nonnegative")
+    measure = cls.__new__(cls)
+    measure.space = space
+    measure.form = (d // g, tuple(cols), tuple(num // g for _, num in kept))
+    return measure
+
+
 def jordan_decompose_dense(nu):
     """(plus, minus, total variation) of a signed measure, atom by atom
     over its dense weights."""
@@ -1025,12 +1048,12 @@ def lebesgue_decompose_dense(mu, nu):
     mu._check(nu)
     d, cols, nums = mu.form
     carried = {j for j, num in zip(*nu.form[1:]) if num > 0}
-    absolutely = [(j, num) for j, num in zip(cols, nums) if j in carried]
-    singular = [(j, num) for j, num in zip(cols, nums) if j not in carried]
+    absolutely = [num if j in carried else 0 for j, num in zip(cols, nums)]
+    singular = [0 if j in carried else num for j, num in zip(cols, nums)]
     density = [mw / nw if nw > 0 else 0 for mw, nw in zip(mu.weights, nu.weights)]
     return (
-        Measure.from_ints(mu.space, d, absolutely),
-        Measure.from_ints(mu.space, d, singular),
+        Measure.from_ints(mu.space, d, cols, absolutely),
+        Measure.from_ints(mu.space, d, cols, singular),
         StepFunction(mu.space, density),
     )
 

@@ -57,6 +57,9 @@ from oracles import (
 )
 
 COPRIME = (7, 11, 13, 17)
+# pairwise coprime denominators past 2^40: the lcm of two of them needs
+# packed slots past 64 bits, of all five past 192
+WIDE = (2**40 + 1, 2**41 + 1, 2**43 + 2, 2**45 + 5, 2**47 + 5)
 
 
 @st.composite
@@ -101,14 +104,15 @@ def rows_on(draw, space, kind, den, sparse=False):
 
 
 @st.composite
-def kernels(draw, domain, codomain, kind=None, sparse=None):
+def kernels(draw, domain, codomain, kind=None, sparse=None, dens=None):
     """A kernel of a drawn (or given) kind, dense or with one or two
     entries per row (drawn, unless given); each row's denominator is one of
-    a few small numbers or, half the time, one of 7, 11, 13 and 17, so the
-    rows carry pairwise coprime scales."""
+    the given dens, else one of a few small numbers or, half the time, one
+    of 7, 11, 13 and 17, so the rows carry pairwise coprime scales."""
     if kind is None:
         kind = draw(st.sampled_from([MARKOV, SUB_MARKOV, FINITE]))
-    dens = COPRIME if draw(st.booleans()) else (1, 2, 3, 4, 6, 12)
+    if dens is None:
+        dens = COPRIME if draw(st.booleans()) else (1, 2, 3, 4, 6, 12)
     if sparse is None:
         sparse = draw(st.booleans())
     rows = [
@@ -210,8 +214,10 @@ def test_sparse_convolve_equals_dense(data):
 @given(st.data())
 def test_packed_and_sparse_convolve_rows_equal_dense(data):
     """Both of convolve's paths, forced, on kernels of every kind, dense
-    (forced, half the time) or sparse, with zero rows, coprime row scales
-    and now and then a one-atom codomain: the oracle's rows, form for form."""
+    (forced, half the time) or sparse, with zero rows, coprime row scales,
+    now and then a one-atom codomain and, a quarter of the time, left row
+    denominators past 2^40, so packed slots span more than 64 bits:
+    the oracle's rows, form for form."""
     a = data.draw(spaces(prefix="a"))
     b = data.draw(spaces(prefix="b"))
     if data.draw(st.integers(0, 4)) == 0:
@@ -219,14 +225,40 @@ def test_packed_and_sparse_convolve_rows_equal_dense(data):
     else:
         c = data.draw(spaces(prefix="c"))
     sparse = False if data.draw(st.booleans()) else None
+    wide = WIDE if data.draw(st.integers(0, 3)) == 0 else None
     right = data.draw(kernels(a, b, sparse=sparse))
-    left = data.draw(kernels(b, c, sparse=sparse))
+    left = data.draw(kernels(b, c, sparse=sparse, dens=wide))
     expected = [row.form for row in convolve_dense(left, right).rows]
     packed = list(_packed_rows(left, right, *_slot(left, right)))
     mixed = [_mix(row, left.rows, left.codomain) for row in right.rows]
     assert [row.form for row in packed] == expected
     assert [row.form for row in mixed] == expected
     assert all(row.space == c for row in packed + mixed)
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+def test_packed_rows_join_multi_limb_slots(count):
+    """Dense kernels whose left rows take the first 2, 3 or all 5 of the
+    wide denominators, so each slot spans more than 64 bits, in five or
+    more 16-bit limbs: the packed rows equal the oracle's, form for form."""
+    dens = WIDE[:count]
+    rng = random.Random(7)
+    n = 6
+    space = FiniteMeasurableSpace.discrete([f"s{k}" for k in range(n)])
+
+    def dense(den):
+        cuts = sorted(rng.randint(0, den) for _ in range(n - 1))
+        nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+        return Measure.from_ints(space, den, range(n), nums)
+
+    left = Kernel(space, space, [dense(dens[k % len(dens)]) for k in range(n)])
+    right = Kernel(space, space, [dense(12) for _ in range(n)])
+    scale, limbs = _slot(left, right)
+    assert limbs >= 5
+    packed = list(_packed_rows(left, right, scale, limbs))
+    assert [row.form for row in packed] == [
+        row.form for row in convolve_dense(left, right).rows
+    ]
 
 
 def _path_taken(monkeypatch, left, right):
@@ -263,23 +295,21 @@ def test_convolve_packs_dense_rows_and_mixes_sparse_ones(monkeypatch):
     for _ in range(n):
         cuts = sorted(rng.randint(0, 2 * n) for _ in range(n - 1))
         nums = [b - a for a, b in zip([0, *cuts], [*cuts, 2 * n])]
-        rows.append(Measure.from_ints(space, 2 * n, enumerate(nums)))
+        rows.append(Measure.from_ints(space, 2 * n, range(n), nums))
     dense = Kernel(space, space, rows)
     assert _path_taken(monkeypatch, dense, dense) == "packed"
 
     n = 1000
     space = FiniteMeasurableSpace.discrete([f"s{k}" for k in range(n)])
-    shift = Kernel(
-        space, space,
-        [Measure.from_ints(space, 1, [(k + 1, 1)] if k + 1 < n else []) for k in range(n)],
-    )
+    rows = [Measure.from_ints(space, 1, [k + 1], [1]) for k in range(n - 1)]
+    shift = Kernel(space, space, rows + [Measure.zero(space)])
     assert _path_taken(monkeypatch, shift, shift) == "dict"
     rows = []
     for _ in range(n):
         den = rng.choice((2, 3, 4, 6) + COPRIME)
         cuts = sorted(rng.randint(0, den) for _ in range(2))
         nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
-        rows.append(Measure.from_ints(space, den, zip(rng.sample(range(n), 3), nums)))
+        rows.append(Measure.from_ints(space, den, rng.sample(range(n), 3), nums))
     chain = Kernel(space, space, rows)
     assert _path_taken(monkeypatch, chain, chain) == "dict"
 

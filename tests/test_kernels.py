@@ -469,11 +469,8 @@ def test_convolving_a_long_shift_chain_costs_its_nonzeros():
     """The 8,000-state dead-end shift chain composed with itself; summing
     each row into a dense accumulator took about 3 s."""
     space = FiniteMeasurableSpace.discrete([f"s{i}" for i in range(8000)])
-    rows = [
-        Measure.from_ints(space, 1, [(i + 1, 1)] if i < 7999 else [])
-        for i in range(8000)
-    ]
-    chain = Kernel(space, space, rows)
+    rows = [Measure.from_ints(space, 1, [i + 1], [1]) for i in range(7999)]
+    chain = Kernel(space, space, rows + [Measure.zero(space)])
     started = time.perf_counter()
     square = convolve(chain, chain)
     assert time.perf_counter() - started < 1

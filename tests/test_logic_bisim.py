@@ -873,8 +873,8 @@ def permuted_chains(m):
     )
     kernels = []
     for loop in (lambda c: c + 2, lambda c: m + 1 - c):
-        rows = [Measure.from_ints(space, 1, [(k + m, 1)]) for k in range(2 * m)]
-        rows += [Measure.from_ints(space, loop(c), [(2 * m + c, 1)]) for c in range(m)]
+        rows = [Measure.from_ints(space, 1, [k + m], [1]) for k in range(2 * m)]
+        rows += [Measure.from_ints(space, loop(c), [2 * m + c], [1]) for c in range(m)]
         kernels.append(Kernel(space, space, rows))
     return kernels
 
@@ -930,11 +930,8 @@ def test_find_quotient_iso_checks_only_the_shared_nonzeros():
     # the 4,000-block quotient of the shift chain: checking every assigned
     # position for each candidate took about 2.8 s
     space = FiniteMeasurableSpace.discrete([f"s{i}" for i in range(4000)])
-    rows = [
-        Measure.from_ints(space, 1, [(i + 1, 1)] if i < 3999 else [])
-        for i in range(4000)
-    ]
-    k = Kernel(space, space, rows)
+    rows = [Measure.from_ints(space, 1, [i + 1], [1]) for i in range(3999)]
+    k = Kernel(space, space, rows + [Measure.zero(space)])
     quotient = quotient_kernel(k, logical_equivalence(k))
     started = time.perf_counter()
     dom_iso, cod_iso = find_quotient_iso(quotient, quotient)

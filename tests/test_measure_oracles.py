@@ -25,6 +25,7 @@ from finmeas.spaces import FiniteMeasurableSpace
 from oracles import (
     DenseMeasure,
     DenseSignedMeasure,
+    from_ints_reference,
     jordan_decompose_dense,
     lebesgue_decompose_dense,
     lp_dual_density_dense,
@@ -106,12 +107,50 @@ def test_unnormalized_integers_give_the_canonical_form(case, factor):
     d = factor * lcm(*(w.denominator for w in weights)) * 2
     nums = [w.numerator * (d // w.denominator) for w in weights]
     cls = Measure if all(w >= 0 for w in weights) else SignedMeasure
-    built = cls.from_ints(space, d, enumerate(nums))
+    built = cls.from_ints(space, d, range(len(nums)), nums)
     expected = cls(space, weights)
     _check_form(built)
     assert built == expected
     assert hash(built) == hash(expected)
     assert built.weights == tuple(weights)
+
+
+@st.composite
+def int_entries(draw):
+    """A space of n atoms, a scale d in -2..24 and int entries (j, num):
+    atoms -1..n, so out of the space now and then, unsorted, distinct half
+    the time and else with repeats, zero or not; nums zero a quarter of the
+    time and negative only when drawn signed."""
+    n = draw(st.integers(1, 6))
+    space = FiniteMeasurableSpace.discrete([f"p{k}" for k in range(n)])
+    low = draw(st.sampled_from([0, -6]))
+    num = st.integers(low, 30) | st.just(0)
+    entry = st.tuples(st.integers(-1, n), num)
+    unique_by = (lambda e: e[0]) if draw(st.booleans()) else None
+    entries = draw(st.lists(entry, max_size=8, unique_by=unique_by))
+    return space, draw(st.integers(-2, 24)), entries
+
+
+@settings(max_examples=1000, deadline=None)
+@given(int_entries())
+def test_from_ints_columns_match_the_pair_constructor(case):
+    """The column constructor and the one over (atom, num) pairs (kept in
+    ``oracles``) give the same form, or raise the same ValueError, for
+    Measure and SignedMeasure alike."""
+    space, d, entries = case
+    cols, nums = [j for j, _ in entries], [num for _, num in entries]
+    for cls in (Measure, SignedMeasure):
+        try:
+            expected = from_ints_reference(cls, space, d, entries)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                cls.from_ints(space, d, cols, nums)
+            assert str(got.value) == str(err)
+            continue
+        built = cls.from_ints(space, d, cols, nums)
+        _check_form(built)
+        assert type(built) is cls and built.space is space
+        assert built.form == expected.form
 
 
 @settings(max_examples=300, deadline=None)
