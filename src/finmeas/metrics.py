@@ -12,7 +12,9 @@ max-flow/min-cut duality, with no further flow.  The Hutchinson
 distance is a min-cost transshipment to a ground point, whose shortest-path
 potentials are the optimal Lipschitz witness.  The weak-limit check's
 portmanteau excess is the largest sum of positive parts of the tail's
-per-atom differences.
+per-atom differences; its verdicts compare those ints with the tolerance
+exactly, and its witness is the positive atoms of a maximal row, with no
+2^n scan.
 """
 
 import math
@@ -343,8 +345,13 @@ def check_weak_limit(sequence, limit, metric, tol):
     (i) per-atom weights of the tail stay within tol of the limit's,
     (ii) every subset F has tail mass at most limit(F) + tol,
     (iii) total masses of the tail stay within tol of the limit's.
-    Returns a WeakLimitReport; witness_set is a maximally violating subset
-    when (ii) fails.  tol must be finite and nonnegative (ValueError).
+    The residuals are ints over one scale and each verdict compares them
+    with tol exactly (a float tol converts exactly); only the reported
+    residuals are floats.  Returns a WeakLimitReport; when (ii) fails,
+    witness_set is the set an exact scan of all atom masks in counting
+    order keeps: the positive atoms of the least-mask row among the tail
+    rows of largest positive part.  tol must be finite and nonnegative
+    (ValueError).
     """
     if (isinstance(tol, float) and not math.isfinite(tol)) or tol < 0:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -356,56 +363,37 @@ def check_weak_limit(sequence, limit, metric, tol):
             raise SpaceMismatch("sequence measures must live on the metric's space")
     if limit.space != metric.space:
         raise SpaceMismatch("limit must live on the metric's space")
-    n = metric.space.n_atoms
-    tol = Fraction(tol) if not isinstance(tol, float) else tol
+    tol = Fraction(tol)
     tail = sequence[len(sequence) // 2 :]
     scale = lcm(limit.form[0], *(m.form[0] for m in tail))
     limit_ints = limit.ints_over(scale)
     diffs = [list(map(sub, m.ints_over(scale), limit_ints)) for m in tail]
+    per_atom = max(abs(d) for row in diffs for d in row)
+    mass = max(abs(sum(row)) for row in diffs)
+    positive = [sum(d for d in row if d > 0) for row in diffs]
+    excess = max(positive)
 
-    def reported(x):  # int division rounds correctly: each maximum converts once
-        return to_float(Fraction(x, scale))
+    def within(x):  # x / scale <= tol, on ints
+        return x * tol.denominator <= tol.numerator * scale
 
-    per_atom_residual = reported(max(abs(d) for row in diffs for d in row))
-    mass_residual = reported(max(abs(sum(row)) for row in diffs))
-    portmanteau_excess = reported(max(sum(d for d in row if d > 0) for row in diffs))
-    per_atom_ok = per_atom_residual <= tol
-    portmanteau_ok = portmanteau_excess <= tol
-    mass_ok = mass_residual <= tol
+    portmanteau_ok = within(excess)
     witness_set = None
-    if not portmanteau_ok and portmanteau_excess > 0:
-        mask = min(_first_mask(row, scale, portmanteau_excess) for row in diffs)
-        witness_set = metric.space.set_of_atoms(
-            [k for k in range(n) if mask >> k & 1]
+    if not portmanteau_ok:
+        mask = min(
+            sum(1 << k for k, d in enumerate(row) if d > 0)
+            for row, x in zip(diffs, positive)
+            if x == excess
         )
+        witness_set = metric.space.set_of_atoms(
+            [k for k in range(metric.space.n_atoms) if mask >> k & 1]
+        )
+    # int division rounds correctly: each maximum converts once
     return WeakLimitReport(
-        per_atom_ok,
+        within(per_atom),
         portmanteau_ok,
-        mass_ok,
-        per_atom_residual,
-        portmanteau_excess,
-        mass_residual,
+        within(mass),
+        to_float(Fraction(per_atom, scale)),
+        to_float(Fraction(excess, scale)),
+        to_float(Fraction(mass, scale)),
         witness_set,
     )
-
-
-def _first_mask(diffs, scale, excess):
-    """Least atom mask S with (sum of diffs over S) / scale == excess, if any.
-
-    This is the set a scan of all atom masks in counting order would keep.
-    The positive diffs give the largest sum and float rounding is monotone,
-    so, from the top bit down, a bit may stay clear exactly when the best
-    completion below it still rounds to excess.  Returns 1 << len(diffs),
-    above every mask, when this row never reaches excess.
-    """
-    below = [0]
-    for d in diffs:
-        below.append(below[-1] + max(d, 0))
-    if below[-1] / scale != excess:
-        return 1 << len(diffs)
-    mask, fixed = 0, 0
-    for k in reversed(range(len(diffs))):
-        if (fixed + below[k]) / scale != excess:
-            mask |= 1 << k
-            fixed += diffs[k]
-    return mask

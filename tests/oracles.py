@@ -2,12 +2,13 @@
 
 The library now computes these quantities with network flows and closed
 forms.  The scans below are the earlier implementations, kept unchanged
-apart from their names, as independent oracles for small spaces: the
-Prohorov distance and feasibility by enumerating every subset, the
-weak-limit check and the pi-system uniqueness witness by enumerating every
-measurable set, the Hutchinson distance as the dense bounded-Lipschitz LP
-for the rational simplex, and coupling feasibility as the transportation
-LP for the rational simplex with a separate max-flow Hall cut.
+apart from their names (the weak-limit scan now compares in Fractions), as
+independent oracles for small spaces: the Prohorov distance and
+feasibility by enumerating every subset, the weak-limit check and the
+pi-system uniqueness witness by enumerating every measurable set, the
+Hutchinson distance as the dense bounded-Lipschitz LP for the rational
+simplex, and coupling feasibility as the transportation LP for the
+rational simplex with a separate max-flow Hall cut.
 
 The kernel and refinement layers now run on sparse integer rows with
 splitter-based lumping.  Their dense Fraction loops are kept here too:
@@ -322,43 +323,39 @@ def prohorov_feasible_per_direction(mu, nu, metric, eps):
 
 def check_weak_limit_scan(sequence, limit, metric, tol):
     """The weak-limit report with the portmanteau excess maximised over
-    every measurable set in mask order."""
+    every measurable set in mask order, all in Fractions: the first set of
+    strictly larger exact excess is kept, and only the residuals are
+    reported as floats."""
     sequence = list(sequence)
     n = len(metric.space.atoms)
     if n > ENUMERATION_CAP:
         raise CapacityExceeded(
             f"{n} atoms exceed the subset-enumeration cap {ENUMERATION_CAP}"
         )
-    tol = Fraction(tol) if not isinstance(tol, float) else tol
+    tol = Fraction(tol)
     tail = sequence[len(sequence) // 2 :]
-
-    per_atom_residual = max(
-        abs(float(m.weights[k] - limit.weights[k]))
-        for m in tail
-        for k in range(n)
+    per_atom = max(
+        abs(m.weights[k] - limit.weights[k]) for m in tail for k in range(n)
     )
-    mass_residual = max(abs(float(m.total() - limit.total())) for m in tail)
+    mass = max(abs(m.total() - limit.total()) for m in tail)
 
-    portmanteau_excess = 0.0
+    portmanteau = Fraction(0)
     witness_set = None
     for mset in metric.space.measurable_sets():
         limit_mass = limit.eval(mset)
         for m in tail:
-            excess = float(m.eval(mset) - limit_mass)
-            if excess > portmanteau_excess:
-                portmanteau_excess = excess
+            excess = m.eval(mset) - limit_mass
+            if excess > portmanteau:
+                portmanteau = excess
                 witness_set = mset
-    per_atom_ok = per_atom_residual <= tol
-    portmanteau_ok = portmanteau_excess <= tol
-    mass_ok = mass_residual <= tol
     return WeakLimitReport(
-        per_atom_ok,
-        portmanteau_ok,
-        mass_ok,
-        per_atom_residual,
-        portmanteau_excess,
-        mass_residual,
-        witness_set if not portmanteau_ok else None,
+        per_atom <= tol,
+        portmanteau <= tol,
+        mass <= tol,
+        float(per_atom),
+        float(portmanteau),
+        float(mass),
+        witness_set if portmanteau > tol else None,
     )
 
 

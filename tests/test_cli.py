@@ -565,6 +565,28 @@ def test_weak_check_rejects_a_non_finite_or_negative_tol(capsys, tol):
     assert err.startswith("error[input]: tol must be a finite number >= 0")
 
 
+def test_weak_check_decides_a_float_tol_exactly(capsys, tmp_path):
+    """The residual 1/10 + 10^-17 rounds to the float 0.1 but exceeds it."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "metrics": {"d": {"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}},
+        "measures": {
+            "mu": {"space": "d", "weights": {
+                "a": "60000000000000001/100000000000000000",
+                "b": "39999999999999999/100000000000000000",
+            }},
+            "lim": {"space": "d", "weights": {"a": "1/2", "b": "1/2"}},
+        },
+    }))
+    code, out, err = run(
+        capsys, "weak-check", "-m", str(path), "--sequence", "mu", "--limit", "lim",
+        "--metric", "d", "--tol", "0.1",
+    )
+    assert code == 0 and err == ""
+    assert "converges = false\n" in out
+    assert out.endswith("witness set: {a}\n")
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

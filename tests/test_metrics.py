@@ -218,6 +218,16 @@ def test_weak_limit_mass_escapes():
     assert report.criteria_agree()
 
 
+def test_weak_limit_residuals_equal_to_tol_converge():
+    """Every residual is exactly 1/100, which float(1/100) would exceed."""
+    space = HALF.space
+    limit = Measure(space, [Fraction(1, 2), Fraction(1, 2)])
+    tail = Measure(space, [Fraction(51, 100), Fraction(49, 100)])
+    report = check_weak_limit([tail], limit, HALF, Fraction(1, 100))
+    assert report.converges
+    assert report.witness_set is None
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1, -1e-9, Fraction(-1, 3)])
 def test_weak_limit_rejects_a_non_finite_or_negative_tol(tol):
     space = HALF.space

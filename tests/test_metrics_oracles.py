@@ -385,7 +385,8 @@ def weak_cases(draw):
     sequence = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=6))
     tol = draw(
         st.sampled_from(
-            [Fraction(0), Fraction(1, 100), Fraction(1, 5), 1e-3, 1e-17, 0.0]
+            [Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(1, 5),
+             1e-3, 1e-17, 0.0, 0.1]
         )
     )
     return sequence, limit, metric, tol
@@ -422,14 +423,14 @@ def test_weak_check_witness_on_float_ties():
     to_a = Measure(space, [Fraction(1, 2), 0])
     to_b = Measure(space, [0, Fraction(1, 2)])
     cases = [
-        # {a, b} has the larger exact excess, but {b} rounds to the same float
+        # {a, b} has the larger exact excess; {b}'s rounds to the same float
         [Measure(space, [Fraction(1, 4) + tiny, Fraction(1, 4) + Fraction(1, 3)])],
         # the two tail measures tie exactly on different sets: {a} has the
         # lower mask, in either order
         [to_b, to_a, to_b, to_a],
         [to_a, to_b, to_a, to_b],
     ]
-    expected = [["b"], ["a"], ["a"]]
+    expected = [["a", "b"], ["a"], ["a"]]
     for sequence, points in zip(cases, expected):
         got = check_weak_limit(sequence, limit, metric, 0)
         assert_same_report(got, check_weak_limit_scan(sequence, limit, metric, 0))
