@@ -14,9 +14,6 @@ from .rational import as_fraction, to_float
 
 INF = math.inf
 
-# natural logs just outside the normal float range
-_LOG_MAX = math.log(sys.float_info.max) + 1
-_LOG_MIN = math.log(sys.float_info.min) - 1
 _POWER_BITS = 1 << 16  # the most bits lp_norm spends on an exact power sum
 
 
@@ -143,9 +140,11 @@ def lp_norm(f, mu, p):
     Exact Fraction for p = 1 and p = infinity (essential sup on positive
     atoms); a float for every other exponent, where the p-th root is
     generally irrational.  See lp_norm_power for the exact p-th power.
-    When the p-th power leaves the float range or its exact sum grows too
-    long, the norm is M (integral (|f|/M)^p dmu)^(1/p) with M = max |f| on
-    the support; FloatRange when the norm itself is beyond the largest float.
+    This is the one place where an Lp norm becomes a float.  The p-th power
+    is taken as a float first; when it comes out beyond or below the normal
+    float range, or its exact sum would pass _POWER_BITS bits, the norm is
+    M (integral (|f|/M)^p dmu)^(1/p) with M = max |f| on the support;
+    FloatRange when the norm itself is beyond the largest float.
     """
     _check_pair(f, mu)
     p = validate_exponent(p)
@@ -159,17 +158,12 @@ def lp_norm(f, mu, p):
     if not support:
         return 0.0
     q = to_float(p)
-    m, w_m = max(support)
-    # the p-th power has its log between q log m + log w_m and q log m + log
-    # mu(support); it is not computed outside the float range or past _POWER_BITS
-    mass = sum((w for _, w in support), start=Fraction(0))
-    low, high = (q * _log(m) + _log(x) for x in (w_m, mass))
     bits = p * sum((v.numerator * v.denominator).bit_length() for v, _ in support)
     cheap = p.denominator > 1 or bits <= _POWER_BITS
-    fits = cheap and _LOG_MIN < high and low < _LOG_MAX
-    total = _float_power(support, p) if fits else 0.0
+    total = _float_power(support, p) if cheap else 0.0
     if sys.float_info.min <= total < math.inf:
         return total ** (1.0 / q)
+    m = max(v for v, _ in support)
     scaled = sum(
         (Fraction(float(v / m) ** q) * w for v, w in support), start=Fraction(0)
     )
@@ -225,23 +219,22 @@ def check_hoelder(f, g, mu, p):
 
     Requires p > 1 (p may be infinity).  The comparison is exact for
     p = 2 (squared) and p = infinity; other exponents are certified in
-    floats with slack 1e-9.  Returns (lhs, rhs, holds).
+    floats with slack 1e-9.  rhs is the product of the two lp_norm values;
+    FloatRange when it is beyond the largest float.  Returns (lhs, rhs, holds).
     """
     _check_pair(f, mu)
     _check_pair(g, mu)
     p = validate_exponent(p)
     if p == 1:
         raise InvalidExponent("Hoelder here needs p > 1; p = 1 pairs with q = inf")
-    q = conjugate_exponent(p)
     lhs = integral(abs(f * g), mu)
-    if p == 2:
-        rhs_sq = lp_norm_squared(f, mu) * lp_norm_squared(g, mu)
-        holds = lhs * lhs <= rhs_sq
-        return lhs, math.sqrt(to_float(rhs_sq)), holds
+    rhs = lp_norm(f, mu, p) * lp_norm(g, mu, conjugate_exponent(p))
+    if rhs == INF:
+        raise FloatRange("the Hoelder bound is beyond the largest float")
     if p == INF:
-        rhs = lp_norm(f, mu, INF) * lp_norm(g, mu, 1)
         return lhs, rhs, lhs <= rhs
-    rhs = lp_norm(f, mu, p) * lp_norm(g, mu, q)
+    if p == 2:
+        return lhs, rhs, lhs * lhs <= lp_norm_squared(f, mu) * lp_norm_squared(g, mu)
     return lhs, rhs, to_float(lhs) <= rhs + 1e-9
 
 
@@ -250,27 +243,24 @@ def check_minkowski(f, g, mu, p):
 
     Exact for p = 1 and p = infinity; for p = 2 the inequality is decided
     exactly by squaring twice; other exponents use floats with slack 1e-9.
-    Returns (lhs, rhs, holds).
+    lhs and rhs are lp_norm values and their sum; FloatRange when the sum
+    is beyond the largest float.  Returns (lhs, rhs, holds).
     """
     _check_pair(f, mu)
     _check_pair(g, mu)
     p = validate_exponent(p)
     s = f + g
-    if p == 1 or p == INF:
-        lhs = lp_norm(s, mu, p)
-        rhs = lp_norm(f, mu, p) + lp_norm(g, mu, p)
-        return lhs, rhs, lhs <= rhs
-    if p == 2:
-        a = lp_norm_squared(s, mu)
-        b = lp_norm_squared(f, mu)
-        c = lp_norm_squared(g, mu)
-        # lhs <= rhs  iff  a - b - c <= 2 sqrt(b c), squared once more
-        gap = a - b - c
-        holds = gap <= 0 or gap * gap <= 4 * b * c
-        lhs = math.sqrt(to_float(a))
-        return lhs, math.sqrt(to_float(b)) + math.sqrt(to_float(c)), holds
     lhs = lp_norm(s, mu, p)
     rhs = lp_norm(f, mu, p) + lp_norm(g, mu, p)
+    if rhs == INF:
+        raise FloatRange("the Minkowski bound is beyond the largest float")
+    if p == 1 or p == INF:
+        return lhs, rhs, lhs <= rhs
+    if p == 2:
+        a, b, c = (lp_norm_squared(h, mu) for h in (s, f, g))
+        # lhs <= rhs  iff  a - b - c <= 2 sqrt(b c), squared once more
+        gap = a - b - c
+        return lhs, rhs, gap <= 0 or gap * gap <= 4 * b * c
     return lhs, rhs, lhs <= rhs + 1e-9
 
 

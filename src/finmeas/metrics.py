@@ -51,20 +51,21 @@ class FiniteMetric:
         rows = tuple(
             tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows
         )
+        # each unordered pair once: a failing (j, i), j > i, fails first as (i, j)
         for i in range(n):
             if rows[i][i] != 0:
                 raise ValueError("distance matrix needs a zero diagonal")
-            for j in range(n):
+            for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("distance matrix must be symmetric")
-                if i != j and rows[i][j] <= 0:
+                if rows[i][j] <= 0:
                     raise ValueError("off-diagonal distances must be positive")
         # rows is symmetric now, so column j is row j: the first k with
         # d(i, j) > d(i, k) + d(k, j) is the first with rows[i][j] above
         # rows[i][k] + rows[j][k]
         for i in range(n):
             row_i = rows[i]
-            for j in range(n):
+            for j in range(i + 1, n):
                 row_j = rows[j]
                 if min(map(add, row_i, row_j)) < row_i[j]:
                     k = next(k for k in range(n) if row_i[j] > row_i[k] + row_j[k])

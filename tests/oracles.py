@@ -388,7 +388,10 @@ def hutchinson_lp(mu, nu, metric, gamma):
 
 
 def finite_metric_rows_fraction(space, dist):
-    """The metric validation on the dense Fraction matrix; returns its rows."""
+    """The metric validation on the dense Fraction matrix; returns its rows.
+
+    Every ordered pair (i, j) is checked, where the library checks i < j.
+    """
     if any(len(atom) != 1 for atom in space.atoms):
         raise ValueError("metric carrier must have singleton atoms")
     n = len(space.points)

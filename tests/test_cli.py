@@ -451,6 +451,27 @@ def test_kernel_row_keys_resolve_like_weights(capsys, tmp_path, rows, message):
     assert err == f"error[input]: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"kernels": {"K": {"domain": "X", "codomain": "X",
+                            "rows": {"a": {"a": "-1/2", "b": 1}, "b": {"a": 1}}}}},
+         "kernel 'K': measure weights must be nonnegative"),
+        ({"kernels": {"L": {"domain": "X", "codomain": "X", "kind": "Markov",
+                            "rows": {"a": {"a": "1/2"}, "b": {"a": 1}}}}},
+         "kernel 'L': declared kind Markov is unsound, rows support only subMarkov"),
+        ({"relations": {"R": {"left": "X", "right": "X", "pairs": [["a", "zz"]]}}},
+         "relation 'R': unknown pair point in ['a', 'zz']"),
+    ],
+    ids=["negative-row-weight", "unsound-kind", "unknown-pair-point"],
+)
+def test_model_refuses_unsound_kernels_and_relations(capsys, tmp_path, section, message):
+    path = _write(tmp_path, {"spaces": {"X": {"points": ["a", "b"]}}, **section})
+    assert run(capsys, "space", "-m", path, "--name", "X") == (
+        2, "", f"error[input]: {message}\n"
+    )
+
+
 def test_model_refuses_a_product_chain_past_the_point_limit_at_once(capsys, tmp_path):
     # P1 = A x A and each P(k+1) = Pk x Pk: P4 has 2^16 points, P5 2^32
     spaces = {"A": {"points": ["a", "b"]}, "P1": {"product": ["A", "A"]}}
@@ -565,6 +586,22 @@ def test_weak_check_rejects_a_non_finite_or_negative_tol(capsys, tol):
     assert err.startswith("error[input]: tol must be a finite number >= 0")
 
 
+@pytest.mark.parametrize(
+    "sequence, expected",
+    [
+        (",", (2, "", "error[input]: need at least one element in the sequence\n")),
+        ("w1,dirac_a", (1, "", "error[SpaceMismatch]: sequence measures must live on "
+                               "the metric's space\n")),
+    ],
+    ids=["empty", "other-space"],
+)
+def test_weak_check_refuses_an_empty_or_foreign_sequence(capsys, sequence, expected):
+    assert run(
+        capsys, "weak-check", "-m", METRIC, "--sequence", sequence, "--limit", "wlim",
+        "--metric", "d3", "--tol", "0.1",
+    ) == expected
+
+
 def test_weak_check_decides_a_float_tol_exactly(capsys, tmp_path):
     """The residual 1/10 + 10^-17 rounds to the float 0.1 but exceeds it."""
     path = tmp_path / "model.json"
@@ -629,6 +666,47 @@ def test_values_beyond_the_float_range_are_a_domain_error(capsys, tmp_path, argv
     exact = run(capsys, "integrate", "--function", "big", "--measure", "eta",
                 "-m", str(path))
     assert exact == (0, f"integral big deta = {Fraction(10**340 + 1, 2)}\n", "")
+
+
+def _lp_model(tmp_path):
+    """X2 with eta = (1/2, 1/2), g31 = (3, 1) and functions past the sqrt range."""
+    doc = json.loads(open(DECOMP, encoding="utf-8").read())
+    for name, a, b in [("f", "1e200", 1), ("t", "1e-200", 0), ("F", "1e200", 0),
+                       ("G", 0, "1e200"), ("H", "1.7e308", 0), ("K", 0, "1.7e308")]:
+        doc["functions"][name] = {"space": "X2", "values": {"a": a, "b": b}}
+    return _write(tmp_path, doc)
+
+
+@pytest.mark.parametrize(
+    "argv, bounds",
+    [
+        (["hoelder", "--left", "f", "--right", "g31"], ["rhs = 1.58113883008e+200"]),
+        (["minkowski", "--left", "f", "--right", "g31"],
+         ["lhs = 7.07106781187e+199", "rhs = 7.07106781187e+199"]),
+        (["hoelder", "--left", "t", "--right", "g31"], ["rhs = 1.58113883008e-200"]),
+        (["minkowski", "--left", "t", "--right", "t"],
+         ["lhs = 1.41421356237e-200", "rhs = 1.41421356237e-200"]),
+    ],
+    ids=["hoelder-big", "minkowski-big", "hoelder-tiny", "minkowski-tiny"],
+)
+def test_p2_bounds_past_the_sqrt_range_are_printed(capsys, tmp_path, argv, bounds):
+    code, out, err = run(capsys, "ineq", *argv, "--measure", "eta", "--p", "2",
+                         "-m", _lp_model(tmp_path))
+    assert code == 0 and err == ""
+    assert all(bound in out for bound in bounds) and out.endswith("holds = true\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["hoelder", "--left", "F", "--right", "G"], ["minkowski", "--left", "H", "--right", "K"]],
+    ids=["hoelder", "minkowski"],
+)
+def test_a_bound_past_the_largest_float_is_a_domain_error(capsys, tmp_path, argv, mode):
+    code, out, err = run(capsys, "ineq", *argv, "--measure", "eta", "--p", "3", *mode,
+                         "-m", _lp_model(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error[FloatRange]: the {argv[0].capitalize()} bound is beyond the largest float\n"
 
 
 def test_deep_formula_runs_without_recursion():

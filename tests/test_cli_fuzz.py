@@ -2,7 +2,8 @@
 
 Whatever the model file and the arguments, ``finmeas.cli.main`` must end
 with exit code 0, 1 or 2, argparse's own exit counting as 2, and no
-exception may escape it.
+exception may escape it.  A ``--json`` run that exits 0 prints strict JSON:
+no Infinity or NaN.
 """
 
 import copy
@@ -181,6 +182,11 @@ INEQ = ["--left", "f12", "--right", "g31", "--measure", "eta"]
 # the same dict set twice, the second time inside the first
 @example(("decomposition", [("set", ("spaces",), NESTED), ("set", ("spaces", "a"), NESTED)],
           ["space", "--name", "G"]))
+# a Hoelder bound past the largest float from two norms that fit
+@example(("decomposition",
+          [("set", ("functions", "f12", "values"), {"a": "1e200", "b": 0}),
+           ("set", ("functions", "g31", "values"), {"a": 0, "b": "1e200"})],
+          ["ineq", "hoelder", *INEQ, "--p", "3", "--json"]))
 @example(("metrics", [], WEAK + ["--tol", "nan"]))
 @example(("metrics", [], WEAK + ["--tol", "inf"]))
 @example(("metrics", [], WEAK + ["--tol", "-1"]))
@@ -191,6 +197,12 @@ def test_cli_exits_0_1_or_2_without_an_escaping_exception(model_file, case):
     for marker, raw in RAW.items():
         text = text.replace(json.dumps(marker), raw)
     model_file.write_text(text, "utf-8")
-    code, _, err = run_main([*argv, "-m", str(model_file)])
+    code, out, err = run_main([*argv, "-m", str(model_file)])
     assert code in (0, 1, 2)
     assert code == 0 or err.startswith(("error[", "usage: "))
+    if code == 0 and "--json" in argv:
+        json.loads(out, parse_constant=_refuse)
+
+
+def _refuse(constant):
+    raise AssertionError(f"--json output holds the non-JSON number {constant}")

@@ -205,9 +205,12 @@ def test_integral_is_linear(fv, gv):
     assert integral(f + g, ETA) == integral(f, ETA) + integral(g, ETA)
 
 
-def _decimal_lp_norm(values, weights, p):
+DECIMAL = Context(prec=60, Emax=10**15, Emin=-(10**15))
+
+
+def _decimal_norm(values, weights, p):
     """(sum |v|^p w)^(1/p) in 60-digit decimals with an unbounded exponent."""
-    ctx = Context(prec=60, Emax=10**15, Emin=-(10**15))
+    ctx = DECIMAL
 
     def dec(x):
         return ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
@@ -216,7 +219,11 @@ def _decimal_lp_norm(values, weights, p):
     total = Decimal(0)
     for v, w in zip(values, weights):
         total = ctx.add(total, ctx.multiply(ctx.power(abs(dec(v)), q), dec(w)))
-    return float(ctx.power(total, ctx.divide(Decimal(1), q)))
+    return ctx.power(total, ctx.divide(Decimal(1), q))
+
+
+def _decimal_lp_norm(values, weights, p):
+    return float(_decimal_norm(values, weights, p))
 
 
 @pytest.mark.parametrize(
@@ -273,8 +280,61 @@ def test_inequalities_with_a_large_exponent():
     assert holds and rhs == pytest.approx(4, rel=1e-4)
     lhs, rhs, holds = check_minkowski(f, g, ETA, Fraction(100001, 3))
     assert holds and lhs == pytest.approx(4, rel=1e-3)
-    with pytest.raises(FloatRange):
-        check_hoelder(StepFunction(TWO, [10**200, 1]), g, ETA, 2)
+    lhs, rhs, holds = check_hoelder(StepFunction(TWO, [10**200, 1]), g, ETA, 2)
+    assert holds and format_float(rhs) == "1.58113883008e+200"
+    with pytest.raises(FloatRange, match="Hoelder bound"):
+        check_hoelder(StepFunction(TWO, [10**200, 0]), StepFunction(TWO, [0, 10**200]), ETA, 2)
+
+
+BIG, TINY = 10**200, Fraction(1, 10**200)
+
+
+def _magnitudes():
+    tenth = st.integers(-400, 400).map(lambda e: Fraction(10) ** e)
+    value = st.builds(
+        lambda m, e, sign: sign * m * e, st.integers(1, 999), tenth, st.sampled_from([1, -1])
+    )
+    return st.lists(st.one_of(st.just(Fraction(0)), value), min_size=2, max_size=2)
+
+
+LARGEST, SMALLEST = Decimal(sys.float_info.max), Decimal(sys.float_info.min)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_magnitudes(), _magnitudes(), st.sampled_from([Fraction(2), Fraction(3), Fraction(5, 2)]))
+@example([BIG, 1], [3, 1], Fraction(2))
+@example([TINY, 0], [TINY, 0], Fraction(2))
+@example([BIG, 0], [0, BIG], Fraction(3))
+@example([10**400, 0], [0, Fraction(1, 10**400)], Fraction(2))
+@example([17 * 10**307, 0], [0, 17 * 10**307], Fraction(3))
+@example([Fraction(1, 10**318), 0], [10**300, 0], Fraction(2))
+def test_inequality_floats_match_a_decimal_reference(fv, gv, p):
+    """Each reported float is the 60-digit reference, FloatRange past the largest float.
+
+    A factor norm below the normal float range carries fewer than 53 bits, so
+    there only the absence of an error is checked.
+    """
+    f, g = StepFunction(TWO, fv), StepFunction(TWO, gv)
+    nf, ng, nq, ns = (
+        _decimal_norm(v, ETA.weights, e)
+        for v, e in [(fv, p), (gv, p), (gv, p / (p - 1)), ((f + g).values, p)]
+    )
+    for check, norms, bound in [
+        (check_hoelder, [nf, nq], DECIMAL.multiply(nf, nq)),
+        (check_minkowski, [nf, ng, ns], DECIMAL.add(nf, ng)),
+    ]:
+        if any(abs(r / LARGEST - 1) < Decimal("1e-9") for r in [*norms, bound]):
+            continue  # too close to the largest float for the float sum to decide
+        if max(*norms, bound) > LARGEST:
+            with pytest.raises(FloatRange):
+                check(f, g, ETA, p)
+            continue
+        lhs, rhs, _ = check(f, g, ETA, p)
+        if any(0 < r < SMALLEST for r in norms[:2]):
+            continue
+        assert rhs == pytest.approx(float(bound), rel=1e-12, abs=sys.float_info.min)
+        if check is check_minkowski:
+            assert lhs == pytest.approx(float(ns), rel=1e-12, abs=sys.float_info.min)
 
 
 @settings(max_examples=200, deadline=None)

@@ -725,6 +725,32 @@ def test_mediate_rejects_malformed_iso():
         mediate(k, k, p, p, ({"a": "a"}, {"a": "a"}))
 
 
+def test_mediate_refuses_mismatched_partitions_and_isos():
+    k = kernel_from_matrix(S, S, [[1, 0], [0, Fraction(1, 2)]])
+    p = logical_equivalence(k)
+    assert p == Partition(S, [("a",), ("b",)])
+    xyz = FiniteMeasurableSpace.discrete("xyz")
+    onto = kernel_from_matrix(S, xyz, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="a single partition fits only an endokernel"):
+        mediate(onto, onto, p, p, {})
+    with pytest.raises(ValueError, match="iso must biject onto the second quotient's blocks"):
+        mediate(k, k, p, p, {"a": "a", "b": "a"})
+    z = FiniteMeasurableSpace.discrete("z")
+    kz = kernel_from_matrix(z, z, [[1]])
+    with pytest.raises(NotBisimilar, match="quotient block counts differ"):
+        mediate(k, kz, p, logical_equivalence(kz), {"a": "z"})
+
+
+def test_quotient_kernel_pair_refuses_a_partition_on_another_space():
+    k = kernel_from_matrix(S, S, [[1, 0], [0, Fraction(1, 2)]])
+    p = logical_equivalence(k)
+    other = Partition(FiniteMeasurableSpace.discrete("xyz"), [("x", "y", "z")])
+    with pytest.raises(SpaceMismatch, match="^domain partition lives on a different space"):
+        quotient_kernel_pair(k, other, p)
+    with pytest.raises(SpaceMismatch, match="codomain partition lives on a different space"):
+        quotient_kernel_pair(k, p, other)
+
+
 def test_mediate_wraps_non_congruence():
     three = FiniteMeasurableSpace.discrete("abc")
     k = kernel_from_matrix(three, three, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])

@@ -23,6 +23,7 @@ from finmeas.metrics import (
     prohorov_distance,
     prohorov_feasible,
 )
+from finmeas.spaces import FiniteMeasurableSpace
 
 from conftest import rand_metric
 from oracles import (
@@ -201,6 +202,29 @@ def test_integer_metric_checks_refuse_what_the_fraction_checks_refuse(metric, da
     else:
         assert got.dist == want
         assert got.normalized == all(v <= 1 for row in want for v in row)
+
+
+@st.composite
+def square_matrices(draw):
+    # zero diagonal and symmetry each drawn, so every check gets to fail first
+    n = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-1, 5), st.integers(1, 3))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = Fraction(0)
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(square_matrices())
+def test_unordered_pair_checks_match_the_ordered_pair_scan(rows):
+    space = FiniteMeasurableSpace.discrete([f"x{k}" for k in range(len(rows))])
+    got = _outcome(lambda: FiniteMetric(space, rows))
+    want = _outcome(lambda: finite_metric_rows_fraction(space, rows))
+    assert got == want if isinstance(want, str) else got.dist == want
 
 
 LINE = FiniteMetric.from_points(
