@@ -359,7 +359,13 @@ def _parse_point_set(space, text):
 # command name and the echoed arguments in front and renders the report
 # once, as JSON, and as text only for a text report.
 
-Command = namedtuple("Command", "path handler flags refs text help echo options")
+class Command(namedtuple("Command", "path handler flags refs text help echo options")):
+    def build(self, parser):
+        """Add the command's flags to the parser made for it; func runs it."""
+        for flag in self.flags:
+            parser.add_argument(flag, **{"required": True, **self.options.get(flag, {})})
+        parser.set_defaults(func=functools.partial(_run, self))
+
 
 _COMMANDS = []
 
@@ -891,26 +897,40 @@ def _common_parent():
     return parent
 
 
+class _Deferred:
+    """A subparser built when it parses: argparse parses only the chosen one."""
+
+    def __init__(self, build, **kwargs):
+        self.build, self.kwargs = build, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        self.build(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def _add_commands(parser, parent, group=""):
+    """Add the group's commands to parser, at the top its groups too."""
+    dest = "subcommand" if group else "command"
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Deferred)
+    for command in _COMMANDS:
+        head, _, name = command.path.rpartition(" ")
+        if head == group:
+            described = {"help": command.help} if command.help else {}
+            sub.add_parser(name, parents=[parent], build=command.build, **described)
+        elif not group and head not in sub.choices:
+            build = functools.partial(_add_commands, parent=parent, group=head)
+            sub.add_parser(head, help=_GROUPS[head], build=build)
+
+
 def build_parser():
-    """The argparse tree of the command table; each leaf's func runs _run."""
-    parent = _common_parent()
+    """The argparse tree of the command table; each leaf's func runs _run.
+    Group and leaf parsers are made only when a command line selects them."""
     parser = argparse.ArgumentParser(
         prog="finmeas",
         description="Exact measure theory on finite spaces, batch interface.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    groups = {"": sub}
-    for command in _COMMANDS:
-        group, _, name = command.path.rpartition(" ")
-        if group not in groups:
-            groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
-                dest="subcommand", required=True
-            )
-        described = {"help": command.help} if command.help else {}
-        p = groups[group].add_parser(name, parents=[parent], **described)
-        for flag in command.flags:
-            p.add_argument(flag, **{"required": True, **command.options.get(flag, {})})
-        p.set_defaults(func=functools.partial(_run, command))
+    _add_commands(parser, _common_parent())
     return parser
 
 

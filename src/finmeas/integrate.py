@@ -151,42 +151,74 @@ def lp_norm(f, mu, p):
     if p == 1:
         return integral(abs(f), mu)
     d, cols, nums = mu.form
-    pairs = [(abs(f.values[j]), Fraction(num, d)) for j, num in zip(cols, nums)]
     if p == INF:
-        return max((v for v, w in pairs if w > 0), default=Fraction(0))
-    support = [(v, w) for v, w in pairs if v]
+        values = (abs(f.values[j]) for j, num in zip(cols, nums) if num > 0)
+        return max(values, default=Fraction(0))
+    support = _support(f, mu)
     if not support:
         return 0.0
     q = to_float(p)
     bits = p * sum((v.numerator * v.denominator).bit_length() for v, _ in support)
     cheap = p.denominator > 1 or bits <= _POWER_BITS
-    total = _float_power(support, p) if cheap else 0.0
+    total = _float_power(support, d, p) if cheap else 0.0
     if sys.float_info.min <= total < math.inf:
         return total ** (1.0 / q)
-    m = max(v for v, _ in support)
-    scaled = sum(
-        (Fraction(float(v / m) ** q) * w for v, w in support), start=Fraction(0)
-    )
+    m, scaled = _scaled_power(support, d, q)
     try:
         return math.exp(_log(m) + _log(scaled) / q)
     except OverflowError:
         raise FloatRange("the Lp norm is beyond the largest float") from None
 
 
-def _float_power(support, p):
-    """integral |f|^p dmu as a float, inf when it overflows."""
+def _support(f, mu):
+    """The pairs (|f|, num) on the atoms where f and mu's weight num / d are
+    nonzero, d = mu.form[0]."""
+    d, cols, nums = mu.form
+    return [(abs(f.values[j]), num) for j, num in zip(cols, nums) if f.values[j]]
+
+
+def _float_power(support, d, p):
+    """integral |f|^p dmu as a float, inf when it overflows.  For integer p
+    the exact sum is one int over L^p d, L the lcm of the values'
+    denominators, converted once."""
     try:
         if p.denominator == 1:
             k = int(p)
-            return float(sum((v**k * w for v, w in support), start=Fraction(0)))
-        return sum(float(v) ** float(p) * float(w) for v, w in support)
+            big = math.lcm(*(v.denominator for v, _ in support))
+            total = sum(
+                (v.numerator * (big // v.denominator)) ** k * num for v, num in support
+            )
+            return total / (big**k * d)
+        return sum(float(v) ** float(p) * (num / d) for v, num in support)
     except OverflowError:
         return math.inf
+
+
+def _scaled_power(support, d, q):
+    """(M, integral (|f|/M)^q dmu) for M = max |f| on the support, each
+    power a float: the norm is M times the q-th root of the integral."""
+    m = max(v for v, _ in support)
+    return m, Fraction(sum(Fraction(float(v / m) ** q) * num for v, num in support), d)
 
 
 def _log(x):
     """Natural log of a positive Fraction of any size."""
     return math.log(x.numerator) - math.log(x.denominator)
+
+
+def _log_product(f, g, mu, p, q):
+    """||f||_p ||g||_q for float p, q, each norm M s^(1/p) by _scaled_power,
+    as the exp of log(M_f M_g) + log(s_f) / p + log(s_g) / q; inf past the
+    largest float."""
+    d = mu.form[0]
+    fs, gs = _support(f, mu), _support(g, mu)
+    if not (fs and gs):
+        return 0.0
+    (m, s), (n, t) = _scaled_power(fs, d, p), _scaled_power(gs, d, q)
+    try:
+        return math.exp(_log(m * n) + _log(s) / p + _log(t) / q)
+    except OverflowError:
+        return INF
 
 
 def lp_norm_power(f, mu, p):
@@ -219,8 +251,9 @@ def check_hoelder(f, g, mu, p):
 
     Requires p > 1 (p may be infinity).  The comparison is exact for
     p = 2 (squared) and p = infinity; other exponents are certified in
-    floats with slack 1e-9.  rhs is the product of the two lp_norm values;
-    FloatRange when it is beyond the largest float.  Returns (lhs, rhs, holds).
+    floats with slack 1e-9.  rhs is the product of the two lp_norm values,
+    taken on logs when one of them is past the float range; FloatRange when
+    it is beyond the largest float.  Returns (lhs, rhs, holds).
     """
     _check_pair(f, mu)
     _check_pair(g, mu)
@@ -228,7 +261,11 @@ def check_hoelder(f, g, mu, p):
     if p == 1:
         raise InvalidExponent("Hoelder here needs p > 1; p = 1 pairs with q = inf")
     lhs = integral(abs(f * g), mu)
-    rhs = lp_norm(f, mu, p) * lp_norm(g, mu, conjugate_exponent(p))
+    q = conjugate_exponent(p)
+    try:
+        rhs = lp_norm(f, mu, p) * lp_norm(g, mu, q)
+    except FloatRange:  # a factor norm is past the float range: multiply on logs
+        rhs = _log_product(f, g, mu, to_float(p), to_float(q))
     if rhs == INF:
         raise FloatRange("the Hoelder bound is beyond the largest float")
     if p == INF:

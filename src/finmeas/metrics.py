@@ -23,7 +23,6 @@ from math import lcm
 from operator import add, gt, itemgetter, sub
 
 from .errors import InvalidGamma, SpaceMismatch
-from .flow import min_cost_transshipment, transport, transport_sweep
 from .rational import as_fraction, to_float
 from .simplex import maximize  # noqa: F401  bench/spans.py wraps this attribute
 from .spaces import FiniteMeasurableSpace
@@ -170,6 +169,8 @@ def prohorov_distance(mu, nu, metric):
     the Hall cut of piece k (or of piece k - 1, when d_P is t[k]) are the
     certificate that ``_prohorov_certified`` checks.
     """
+    from .flow import transport_sweep
+
     instance = _prohorov_instance(mu, nu, metric)
     big, supply, demand, pairs = instance
     scale = metric.scaled[0]
@@ -203,6 +204,8 @@ def prohorov_feasible(mu, nu, metric, eps):
     1965) each maximum is a total less the max flow F over the joined
     support pairs (ints over L, the lcm of the scales): one F serves both.
     """
+    from .flow import transport
+
     big, supply, demand, pairs = _prohorov_instance(mu, nu, metric)
     eps = as_fraction(eps)
     p, q, scale = eps.numerator, eps.denominator, metric.scaled[0]
@@ -262,6 +265,8 @@ def hutchinson_distance(mu, nu, metric, gamma):
     H <= value, and the witness attains it, so H >= value.  Returns
     (value, LipschitzWitness).
     """
+    from .flow import min_cost_transshipment
+
     _check_metric_pair(mu, nu, metric)
     gamma = as_fraction(gamma)
     if gamma <= 0:

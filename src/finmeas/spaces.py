@@ -99,8 +99,10 @@ class FiniteMeasurableSpace:
             raise ValueError(f"unknown point {point!r}") from None
 
     def atom_index_of_point(self, point):
-        self.point_index(point)
-        return self._atom_of[point]
+        try:
+            return self._atom_of[point]
+        except KeyError:
+            raise ValueError(f"unknown point {point!r}") from None
 
     def full_set(self):
         return MeasurableSet(self, self.points)

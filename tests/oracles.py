@@ -51,7 +51,9 @@ form, kept as it was.
 
 Lp norms for a non-integer or finite exponent other than 1 used to be
 taken in plain floats only; that form is kept for the exponents where it
-stays in the normal float range.  The convergence-in-measure distance is
+stays in the normal float range.  An integer power is now summed as one
+int over a common denominator; lp_norm_fraction_sum is the norm with the
+Fraction weight per atom and the Fraction sum it replaced.  The convergence-in-measure distance is
 now one sweep over the sorted levels of |f - g|; the scan that summed the
 tail mass again for each candidate is kept as
 conv_in_measure_distance_scan.
@@ -110,6 +112,8 @@ FiniteMetric method), and CouplingFailed, which only the flow mediation
 oracle raises.
 """
 
+import math
+import sys
 from collections import deque
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -122,6 +126,7 @@ from finmeas.errors import (
     CapacityExceeded,
     EmptyCarrier,
     FinmeasError,
+    FloatRange,
     MassMismatch,
     NegativeFunctional,
     NotACongruence,
@@ -157,8 +162,12 @@ from finmeas.logic_bisim import (
     solve_coupling,
 )
 from finmeas.integrate import (
+    _POWER_BITS,
+    INF,
     StepFunction,
+    _log,
     conjugate_exponent,
+    integral,
     lp_norm,
     validate_exponent,
 )
@@ -1646,6 +1655,46 @@ def plain_dense(value, float_mode):
 
 
 # ------------------------------------------------------------------ Lp norms
+
+
+def lp_norm_fraction_sum(f, mu, p):
+    """The Lp norm as the library took it with one Fraction weight per atom:
+    the integer-p power summed one Fraction at a time, then converted."""
+    p = validate_exponent(p)
+    if p == 1:
+        return integral(abs(f), mu)
+    d, cols, nums = mu.form
+    pairs = [(abs(f.values[j]), Fraction(num, d)) for j, num in zip(cols, nums)]
+    if p == INF:
+        return max((v for v, w in pairs if w > 0), default=Fraction(0))
+    support = [(v, w) for v, w in pairs if v]
+    if not support:
+        return 0.0
+    q = to_float(p)
+    bits = p * sum((v.numerator * v.denominator).bit_length() for v, _ in support)
+    cheap = p.denominator > 1 or bits <= _POWER_BITS
+    total = _float_power_fraction_sum(support, p) if cheap else 0.0
+    if sys.float_info.min <= total < math.inf:
+        return total ** (1.0 / q)
+    m = max(v for v, _ in support)
+    scaled = sum(
+        (Fraction(float(v / m) ** q) * w for v, w in support), start=Fraction(0)
+    )
+    try:
+        return math.exp(_log(m) + _log(scaled) / q)
+    except OverflowError:
+        raise FloatRange("the Lp norm is beyond the largest float") from None
+
+
+def _float_power_fraction_sum(support, p):
+    """integral |f|^p dmu as a float, inf when it overflows."""
+    try:
+        if p.denominator == 1:
+            k = int(p)
+            return float(sum((v**k * w for v, w in support), start=Fraction(0)))
+        return sum(float(v) ** float(p) * float(w) for v, w in support)
+    except OverflowError:
+        return math.inf
 
 
 def lp_norm_float(f, mu, p):

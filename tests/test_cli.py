@@ -12,6 +12,7 @@ from finmeas import cli
 from finmeas.cli import ModelError, load_model, main, parse_model
 from finmeas.rational import format_float, format_fraction
 from finmeas.spaces import MeasurableSet
+from conftest import run_main
 from test_cli_fuzz import COMMANDS as WORKING
 from test_cli_fuzz import MODELS
 
@@ -669,10 +670,12 @@ def test_values_beyond_the_float_range_are_a_domain_error(capsys, tmp_path, argv
 
 
 def _lp_model(tmp_path):
-    """X2 with eta = (1/2, 1/2), g31 = (3, 1) and functions past the sqrt range."""
+    """X2 with eta = (1/2, 1/2), g31 = (3, 1) and functions past the sqrt range
+    or, P and Q, with norms past the float range."""
     doc = json.loads(open(DECOMP, encoding="utf-8").read())
     for name, a, b in [("f", "1e200", 1), ("t", "1e-200", 0), ("F", "1e200", 0),
-                       ("G", 0, "1e200"), ("H", "1.7e308", 0), ("K", 0, "1.7e308")]:
+                       ("G", 0, "1e200"), ("H", "1.7e308", 0), ("K", 0, "1.7e308"),
+                       ("P", "1e340", 0), ("Q", "1e-340", 0)]:
         doc["functions"][name] = {"space": "X2", "values": {"a": a, "b": b}}
     return _write(tmp_path, doc)
 
@@ -707,6 +710,13 @@ def test_a_bound_past_the_largest_float_is_a_domain_error(capsys, tmp_path, argv
                          "-m", _lp_model(tmp_path))
     assert (code, out) == (1, "")
     assert err == f"error[FloatRange]: the {argv[0].capitalize()} bound is beyond the largest float\n"
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_a_hoelder_bound_in_range_is_printed_when_a_factor_norm_is_not(capsys, tmp_path, p):
+    code, out, err = run(capsys, "ineq", "hoelder", "--left", "P", "--right", "Q",
+                         "--measure", "eta", "--p", p, "-m", _lp_model(tmp_path))
+    assert (code, out, err) == (0, f"hoelder p={p}: lhs = 1/2, rhs = 0.5, holds = true\n", "")
 
 
 def test_deep_formula_runs_without_recursion():
@@ -899,3 +909,46 @@ def test_a_quotient_report_formats_each_row_and_nonzero_at_most_twice(
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 3 + 300
     assert len(floats) <= 2 * (300 + 299)
+
+
+_TOP_USAGE = (
+    "usage: finmeas [-h]\n"
+    "               {space,measure,decompose,rn,integrate,lp-norm,ineq,delta,"
+    "product,fubini,kernel,disintegrate,dist,weak-check,logic,bisim,functional}\n"
+    "               ...\n"
+)
+_KERNEL_USAGE = "usage: finmeas kernel [-h] {compose,lift,path} ...\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["nope"],
+            _TOP_USAGE + "finmeas: error: argument command: invalid choice: 'nope' "
+            "(choose from 'space', 'measure', 'decompose', 'rn', 'integrate', "
+            "'lp-norm', 'ineq', 'delta', 'product', 'fubini', 'kernel', "
+            "'disintegrate', 'dist', 'weak-check', 'logic', 'bisim', 'functional')\n",
+        ),
+        (
+            ["kernel", "nope"],
+            _KERNEL_USAGE + "finmeas kernel: error: argument subcommand: invalid "
+            "choice: 'nope' (choose from 'compose', 'lift', 'path')\n",
+        ),
+        (
+            ["kernel"],
+            _KERNEL_USAGE
+            + "finmeas kernel: error: the following arguments are required: subcommand\n",
+        ),
+        (
+            ["space", "--name", "G", "-m", DECOMP, "extra"],
+            _TOP_USAGE + "finmeas: error: unrecognized arguments: extra\n",
+        ),
+    ],
+    ids=["top choice", "group choice", "no subcommand", "trailing argument"],
+)
+def test_usage_errors_name_the_choices(monkeypatch, argv, err):
+    # the top and group parsers report every choice, though a command line
+    # makes only the parsers it selects
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_main(argv) == (2, "", err)

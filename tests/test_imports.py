@@ -1,6 +1,7 @@
 """What importing the package loads: ``import finmeas`` binds each public
-name on first access, and the CLI imports the logic module only for the
-commands that run it."""
+name on first access, the CLI imports the logic module only for the
+commands that run it, the flow core loads with the first flow, and a
+command line makes only the argument parsers it selects."""
 
 import json
 import os
@@ -36,15 +37,20 @@ sigma_from_generator solve_coupling support to_float validity_set
 """.split()
 
 
-def _loaded_after(code):
-    """The finmeas modules a fresh interpreter holds after running code."""
-    code += "\nimport sys, json\n"
-    code += "print(json.dumps(sorted(m for m in sys.modules if m.startswith('finmeas'))))"
+def _last_line(code):
+    """The last line a fresh interpreter prints after running code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()[-1]
+
+
+def _loaded_after(code):
+    """The finmeas modules a fresh interpreter holds after running code."""
+    code += "\nimport sys, json\n"
+    code += "print(json.dumps(sorted(m for m in sys.modules if m.startswith('finmeas'))))"
+    return json.loads(_last_line(code))
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -66,6 +72,42 @@ def test_a_logic_command_loads_the_logic_module():
         f"    assert main(['logic', 'quotient', '--kernel', 'K', '-m', {str(path)!r}]) == 0"
     )
     assert "finmeas.logic_bisim" in loaded
+
+
+def test_importing_the_cli_leaves_out_the_flow_core():
+    assert "finmeas.flow" not in _loaded_after("import finmeas.cli")
+
+
+def test_a_distance_command_loads_the_flow_core():
+    path = SRC / "finmeas" / "examples" / "metrics.json"
+    argv = ["dist", "prohorov", "--left", "dirac_a", "--right", "nu_p", "--metric", "d2"]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from finmeas.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv + ['-m', str(path)]!r}) == 0"
+    )
+    assert "finmeas.flow" in loaded
+
+
+def test_a_command_makes_at_most_four_parsers():
+    # the common flags, the top level, the command's group and the command;
+    # the whole tree is 34 parsers
+    path = SRC / "finmeas" / "examples" / "decomposition.json"
+    made = _last_line(
+        "import argparse, contextlib, io\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    made.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from finmeas.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['space', '--name', 'G', '-m', {str(path)!r}]) == 0\n"
+        "print(len(made))"
+    )
+    assert 1 <= int(made) <= 4
 
 
 def test_the_public_names_are_unchanged_and_are_their_modules_objects():

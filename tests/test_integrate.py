@@ -29,7 +29,7 @@ from finmeas.rational import format_float
 from finmeas.spaces import FiniteMeasurableSpace, MeasurableSet
 
 from conftest import rand_measure, rand_space
-from oracles import conv_in_measure_distance_scan, lp_norm_float
+from oracles import conv_in_measure_distance_scan, lp_norm_float, lp_norm_fraction_sum
 
 TWO = FiniteMeasurableSpace.discrete("ab")
 QUARTER = Measure(TWO, [Fraction(1, 4), Fraction(3, 4)])
@@ -308,11 +308,15 @@ LARGEST, SMALLEST = Decimal(sys.float_info.max), Decimal(sys.float_info.min)
 @example([10**400, 0], [0, Fraction(1, 10**400)], Fraction(2))
 @example([17 * 10**307, 0], [0, 17 * 10**307], Fraction(3))
 @example([Fraction(1, 10**318), 0], [10**300, 0], Fraction(2))
+@example([10**340, 0], [Fraction(1, 10**340), 0], Fraction(2))
+@example([10**340, 0], [Fraction(1, 10**340), 0], Fraction(3))
 def test_inequality_floats_match_a_decimal_reference(fv, gv, p):
-    """Each reported float is the 60-digit reference, FloatRange past the largest float.
+    """Each reported float is the 60-digit reference, FloatRange when the
+    bound is past the largest float, even if a factor norm is not.
 
     A factor norm below the normal float range carries fewer than 53 bits, so
-    there only the absence of an error is checked.
+    there, with both factor norms in the float range, only the absence of an
+    error is checked.
     """
     f, g = StepFunction(TWO, fv), StepFunction(TWO, gv)
     nf, ng, nq, ns = (
@@ -325,16 +329,65 @@ def test_inequality_floats_match_a_decimal_reference(fv, gv, p):
     ]:
         if any(abs(r / LARGEST - 1) < Decimal("1e-9") for r in [*norms, bound]):
             continue  # too close to the largest float for the float sum to decide
-        if max(*norms, bound) > LARGEST:
+        if bound > LARGEST:  # a Minkowski bound is at least each of its norms
             with pytest.raises(FloatRange):
                 check(f, g, ETA, p)
             continue
         lhs, rhs, _ = check(f, g, ETA, p)
-        if any(0 < r < SMALLEST for r in norms[:2]):
+        if max(norms) <= LARGEST and any(0 < r < SMALLEST for r in norms[:2]):
             continue
         assert rhs == pytest.approx(float(bound), rel=1e-12, abs=sys.float_info.min)
         if check is check_minkowski:
             assert lhs == pytest.approx(float(ns), rel=1e-12, abs=sys.float_info.min)
+
+
+def test_hoelder_bound_with_a_factor_norm_past_the_float_range():
+    f = StepFunction(TWO, [10**340, 0])
+    g = StepFunction(TWO, [Fraction(1, 10**340), 0])
+    for p in (2, 3):
+        with pytest.raises(FloatRange, match="Lp norm"):
+            lp_norm(f, ETA, p)
+        assert check_hoelder(f, g, ETA, p) == (Fraction(1, 2), 0.5, True)
+        assert check_hoelder(g, f, ETA, p) == (Fraction(1, 2), 0.5, True)
+        assert check_hoelder(f, StepFunction(TWO, [0, 0]), ETA, p)[1] == 0.0
+        with pytest.raises(FloatRange, match="Hoelder bound"):
+            check_hoelder(f, StepFunction(TWO, [1, 1]), ETA, p)
+
+
+def _norm_or_error(f, mu, p, norm):
+    try:
+        return norm(f, mu, p)
+    except FloatRange:
+        return "FloatRange"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.just(Fraction(0)),
+            st.builds(
+                lambda m, k, e: Fraction(m, k) * Fraction(10) ** e,
+                st.integers(-999, 999),
+                st.integers(1, 999),
+                st.integers(-400, 400),
+            ),
+        ),
+        min_size=3,
+        max_size=3,
+    ),
+    st.lists(st.fractions(0, 3, max_denominator=1000), min_size=3, max_size=3),
+    st.sampled_from([2, 3, 5]),
+)
+@example([10**340, 0, 0], [Fraction(1, 2), Fraction(1, 2), 0], 2)
+@example([Fraction(1, 10**400), Fraction(3, 10**399), 7], [1, Fraction(1, 3), 0], 5)
+def test_lp_norm_integer_power_matches_the_fraction_sum(values, weights, p):
+    """The one int sum over a common denominator is the same rational as the
+    Fraction sum, so the norms are the same floats, or both FloatRange."""
+    three = FiniteMeasurableSpace.discrete("abc")
+    f, mu = StepFunction(three, values), Measure(three, weights)
+    got = _norm_or_error(f, mu, p, lp_norm)
+    assert got == _norm_or_error(f, mu, p, lp_norm_fraction_sum)
 
 
 @settings(max_examples=200, deadline=None)

@@ -497,8 +497,8 @@ def test_hutchinson_refuses_flows_that_miss_the_supplies():
     metric = FiniteMetric.from_points("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     mu, nu = Measure.dirac(metric.space, "a"), Measure.dirac(metric.space, "b")
     assert hutchinson_distance(mu, nu, metric, 1)[0] == 1
-    solve = _cost_neutral(metrics.min_cost_transshipment)
-    with mock.patch.object(metrics, "min_cost_transshipment", solve):
+    solve = _cost_neutral(flow.min_cost_transshipment)
+    with mock.patch.object(flow, "min_cost_transshipment", solve):
         with pytest.raises(AssertionError, match="do not meet the supplies"):
             hutchinson_distance(mu, nu, metric, 1)
 
@@ -507,7 +507,7 @@ def test_self_checks_survive_python_optimize():
     script = """
 import sys
 from fractions import Fraction
-from finmeas import metrics
+from finmeas import flow, metrics
 from finmeas.measures import Measure
 
 if not sys.flags.optimize:
@@ -520,7 +520,7 @@ try:
     metrics.prohorov_distance(mu, nu, metric)
 except AssertionError:
     print("prohorov probe raised")
-solve = metrics.min_cost_transshipment
+solve = flow.min_cost_transshipment
 def perturbed(n, arcs, supply, root):
     flows, potentials = solve(n, arcs, supply, root)
     a = next(k for k, f in enumerate(flows) if f)
@@ -528,12 +528,12 @@ def perturbed(n, arcs, supply, root):
     flows[a] += arcs[b][2]
     flows[b] -= arcs[a][2]
     return flows, potentials
-metrics.min_cost_transshipment = perturbed
+flow.min_cost_transshipment = perturbed
 try:
     metrics.hutchinson_distance(mu, nu, metric, 1)
 except AssertionError:
     print("hutchinson flow check raised")
-metrics.min_cost_transshipment = solve
+flow.min_cost_transshipment = solve
 metrics.LipschitzWitness.objective = lambda self, mu, nu: Fraction(-1)
 try:
     metrics.hutchinson_distance(mu, nu, metric, 1)
