@@ -8,7 +8,8 @@ certificates.  All arithmetic is rational; floats appear only where a
 p-th root forces them.
 
 Importing the package loads no submodule: each public name, and each
-submodule as an attribute, is imported on first access.
+submodule as an attribute, is imported on first access.  Submodules
+import each other at their tops; only CLI command handlers import later.
 """
 
 from importlib import import_module as _import_module
@@ -36,11 +37,10 @@ _PUBLIC = {  # submodule -> the public names it defines
         change_of_measure integration_functional jordan_decompose
         lebesgue_decompose lp_dual_density measure_from_functional
         mutually_singular radon_nikodym""",
-    "metrics": """FiniteMetric LipschitzWitness WeakLimitReport
-        check_weak_limit hutchinson_distance prohorov_distance
-        prohorov_feasible support""",
+    "metrics": """LipschitzWitness WeakLimitReport check_weak_limit
+        hutchinson_distance prohorov_distance prohorov_feasible support""",
     "rational": "as_fraction format_float format_fraction to_float",
-    "spaces": """FiniteMeasurableSpace MeasurableSet Partition
+    "spaces": """FiniteMeasurableSpace FiniteMetric MeasurableSet Partition
         check_pi_system_uniqueness product_space sigma_from_generator""",
 }
 _SOURCE = {name: module for module, names in _PUBLIC.items() for name in names.split()}

@@ -50,12 +50,6 @@ from .measures import (
     measure_from_functional,
     radon_nikodym,
 )
-from .metrics import (
-    FiniteMetric,
-    check_weak_limit,
-    hutchinson_distance,
-    prohorov_distance,
-)
 from .rational import as_fraction, as_ratio, format_float, format_fraction, to_float
 from .spaces import FiniteMeasurableSpace, MeasurableSet, product_space, sigma_from_generator
 
@@ -194,7 +188,7 @@ def parse_model(doc):
         if name in model.spaces or name in pending_products:
             raise ModelError(f"metric {name!r} collides with a space name")
         try:  # a bad distance is as_ratio's ValueError, named here once
-            metric = FiniteMetric.from_points(
+            metric = spaces.FiniteMetric.from_points(
                 _strings(entry["points"], "points"),
                 [[Fraction(*as_ratio(v)) for v in row] for row in entry["dist"]],
             )
@@ -616,6 +610,8 @@ def _disintegrate(args, joint):
 
 @_command("dist prohorov", "--left=measure --right=measure --metric=metric", "{value}")
 def _dist_prohorov(args, mu, nu, metric):
+    from .metrics import prohorov_distance
+
     return {"value": prohorov_distance(mu, nu, metric)}
 
 
@@ -625,6 +621,8 @@ def _dist_prohorov(args, mu, nu, metric):
     "{value}\nwitness: {witness:[]}",
 )
 def _dist_hutchinson(args, mu, nu, metric):
+    from .metrics import hutchinson_distance
+
     gamma = _rational(args.gamma, "--gamma")
     value, witness = hutchinson_distance(mu, nu, metric, gamma)
     return {"gamma": format_fraction(gamma), "value": value, "witness": witness.values}
@@ -647,6 +645,8 @@ def _dist_hutchinson(args, mu, nu, metric):
     },
 )
 def _weak_check(args, sequence, limit, metric):
+    from .metrics import check_weak_limit
+
     report = check_weak_limit(sequence, limit, metric, args.tol)
     return {
         "converges": report.converges,

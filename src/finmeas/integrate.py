@@ -252,8 +252,9 @@ def check_hoelder(f, g, mu, p):
     Requires p > 1 (p may be infinity).  The comparison is exact for
     p = 2 (squared) and p = infinity; other exponents are certified in
     floats with slack 1e-9.  rhs is the product of the two lp_norm values,
-    taken on logs when one of them is past the float range; FloatRange when
-    it is beyond the largest float.  Returns (lhs, rhs, holds).
+    taken on logs for finite p when one is outside the normal float range
+    (0.0 or subnormal on a nonempty support, or past the largest float);
+    FloatRange when it is beyond the largest float.  Returns (lhs, rhs, holds).
     """
     _check_pair(f, mu)
     _check_pair(g, mu)
@@ -263,8 +264,11 @@ def check_hoelder(f, g, mu, p):
     lhs = integral(abs(f * g), mu)
     q = conjugate_exponent(p)
     try:
-        rhs = lp_norm(f, mu, p) * lp_norm(g, mu, q)
-    except FloatRange:  # a factor norm is past the float range: multiply on logs
+        a, b = lp_norm(f, mu, p), lp_norm(g, mu, q)
+    except FloatRange:  # a factor norm is past the largest float
+        a = b = 0.0
+    rhs = a * b
+    if p != INF and min(a, b) < sys.float_info.min:  # a float norm out of range: on logs
         rhs = _log_product(f, g, mu, to_float(p), to_float(q))
     if rhs == INF:
         raise FloatRange("the Hoelder bound is beyond the largest float")

@@ -1,4 +1,4 @@
-"""Metrics on measures over finite metric spaces.
+"""Metrics on measures over the finite metric spaces of ``spaces.FiniteMetric``.
 
 Everything is exact and runs on the network-flow core in ``flow``, on
 ints: each instance is scaled once from the measures' and the metric's
@@ -20,78 +20,13 @@ exactly, and its witness is the positive atoms of a maximal row, with no
 import math
 from fractions import Fraction
 from math import lcm
-from operator import add, gt, itemgetter, sub
+from operator import gt, itemgetter, sub
 
 from .errors import InvalidGamma, SpaceMismatch
+from .flow import min_cost_transshipment, transport, transport_sweep
 from .rational import as_fraction, to_float
 from .simplex import maximize  # noqa: F401  bench/spans.py wraps this attribute
-from .spaces import FiniteMeasurableSpace
-
-
-class FiniteMetric:
-    """A metric on a finite carrier with singleton atoms.
-
-    The distances are held once as the integer form ``scaled`` = (D, rows):
-    d(i, j) is rows[i][j] / D over the lcm D of their denominators.
-    Validates, on those ints, symmetry, zero diagonal, positivity off the
-    diagonal and the triangle inequality.  ``normalized`` records whether
-    all distances are at most one, which the Dirac isometry property
-    requires.
-    """
-
-    def __init__(self, space, dist):
-        if any(len(atom) != 1 for atom in space.atoms):
-            raise ValueError("metric carrier must have singleton atoms")
-        n = len(space.points)
-        rows = [tuple(as_fraction(v) for v in row) for row in dist]
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError(f"distance matrix must be {n}x{n}")
-        scale = lcm(*(v.denominator for row in rows for v in row))
-        rows = tuple(
-            tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows
-        )
-        # each unordered pair once: a failing (j, i), j > i, fails first as (i, j)
-        for i in range(n):
-            if rows[i][i] != 0:
-                raise ValueError("distance matrix needs a zero diagonal")
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("distance matrix must be symmetric")
-                if rows[i][j] <= 0:
-                    raise ValueError("off-diagonal distances must be positive")
-        # rows is symmetric now, so column j is row j: the first k with
-        # d(i, j) > d(i, k) + d(k, j) is the first with rows[i][j] above
-        # rows[i][k] + rows[j][k]
-        for i in range(n):
-            row_i = rows[i]
-            for j in range(i + 1, n):
-                row_j = rows[j]
-                if min(map(add, row_i, row_j)) < row_i[j]:
-                    k = next(k for k in range(n) if row_i[j] > row_i[k] + row_j[k])
-                    raise ValueError(
-                        "triangle inequality fails at "
-                        f"({space.points[i]},{space.points[j]},{space.points[k]})"
-                    )
-        self.space = space
-        self.scaled = (scale, rows)
-        self.normalized = all(v <= scale for row in rows for v in row)
-
-    @classmethod
-    def from_points(cls, points, dist):
-        return cls(FiniteMeasurableSpace.discrete(points), dist)
-
-    @property
-    def dist(self):
-        """The dense matrix of Fraction distances, built on each access."""
-        scale, rows = self.scaled
-        return [tuple(Fraction(v, scale) for v in row) for row in rows]
-
-    def d(self, i, j):
-        scale, rows = self.scaled
-        return Fraction(rows[i][j], scale)
-
-    def d_points(self, p, q):
-        return self.d(self.space.point_index(p), self.space.point_index(q))
+from .spaces import FiniteMetric  # noqa: F401  bench/ and tests import FiniteMetric from here
 
 
 class LipschitzWitness:
@@ -169,8 +104,6 @@ def prohorov_distance(mu, nu, metric):
     the Hall cut of piece k (or of piece k - 1, when d_P is t[k]) are the
     certificate that ``_prohorov_certified`` checks.
     """
-    from .flow import transport_sweep
-
     instance = _prohorov_instance(mu, nu, metric)
     big, supply, demand, pairs = instance
     scale = metric.scaled[0]
@@ -204,8 +137,6 @@ def prohorov_feasible(mu, nu, metric, eps):
     1965) each maximum is a total less the max flow F over the joined
     support pairs (ints over L, the lcm of the scales): one F serves both.
     """
-    from .flow import transport
-
     big, supply, demand, pairs = _prohorov_instance(mu, nu, metric)
     eps = as_fraction(eps)
     p, q, scale = eps.numerator, eps.denominator, metric.scaled[0]
@@ -265,8 +196,6 @@ def hutchinson_distance(mu, nu, metric, gamma):
     H <= value, and the witness attains it, so H >= value.  Returns
     (value, LipschitzWitness).
     """
-    from .flow import min_cost_transshipment
-
     _check_metric_pair(mu, nu, metric)
     gamma = as_fraction(gamma)
     if gamma <= 0:

@@ -5,12 +5,16 @@ carrier into its atoms; every measurable set is a union of atoms.  Atom
 order is canonical (sorted by least contained point index), so spaces,
 sets and partitions compare structurally.  A product of finitely many
 spaces is listed in one pass on first read, labels linear in the factors.
+A ``FiniteMetric`` holds a discrete space's distances as ints over one scale.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
+from operator import add
 
 from .errors import CapacityExceeded, EmptyCarrier, GeneratorNotPiSystem, SpaceMismatch
+from .rational import as_fraction
 
 ENUMERATION_CAP = 16  # the most atoms whose 2^n sets measurable_sets lists
 
@@ -367,3 +371,66 @@ def check_pi_system_uniqueness(space, mu, nu, generator):
         if a != b:
             return False, space.set_of_atoms([k])
     return True, None
+
+
+class FiniteMetric:
+    """A metric on a finite carrier with singleton atoms.
+
+    The distances are held once as the integer form ``scaled`` = (D, rows):
+    d(i, j) is rows[i][j] / D over the lcm D of their denominators.
+    Validates, on those ints, symmetry, zero diagonal, positivity off the
+    diagonal and the triangle inequality.
+    """
+
+    def __init__(self, space, dist):
+        if any(len(atom) != 1 for atom in space.atoms):
+            raise ValueError("metric carrier must have singleton atoms")
+        n = len(space.points)
+        rows = [tuple(as_fraction(v) for v in row) for row in dist]
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"distance matrix must be {n}x{n}")
+        scale = lcm(*(v.denominator for row in rows for v in row))
+        rows = tuple(
+            tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows
+        )
+        # each unordered pair once: a failing (j, i), j > i, fails first as (i, j)
+        for i in range(n):
+            if rows[i][i] != 0:
+                raise ValueError("distance matrix needs a zero diagonal")
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
+                    raise ValueError("distance matrix must be symmetric")
+                if rows[i][j] <= 0:
+                    raise ValueError("off-diagonal distances must be positive")
+        # rows is symmetric now, so column j is row j: the first k with
+        # d(i, j) > d(i, k) + d(k, j) is the first with rows[i][j] above
+        # rows[i][k] + rows[j][k]
+        for i in range(n):
+            row_i = rows[i]
+            for j in range(i + 1, n):
+                row_j = rows[j]
+                if min(map(add, row_i, row_j)) < row_i[j]:
+                    k = next(k for k in range(n) if row_i[j] > row_i[k] + row_j[k])
+                    raise ValueError(
+                        "triangle inequality fails at "
+                        f"({space.points[i]},{space.points[j]},{space.points[k]})"
+                    )
+        self.space = space
+        self.scaled = (scale, rows)
+
+    @classmethod
+    def from_points(cls, points, dist):
+        return cls(FiniteMeasurableSpace.discrete(points), dist)
+
+    @property
+    def dist(self):
+        """The dense matrix of Fraction distances, built on each access."""
+        scale, rows = self.scaled
+        return [tuple(Fraction(v, scale) for v in row) for row in rows]
+
+    def d(self, i, j):
+        scale, rows = self.scaled
+        return Fraction(rows[i][j], scale)
+
+    def d_points(self, p, q):
+        return self.d(self.space.point_index(p), self.space.point_index(q))

@@ -671,11 +671,12 @@ def test_values_beyond_the_float_range_are_a_domain_error(capsys, tmp_path, argv
 
 def _lp_model(tmp_path):
     """X2 with eta = (1/2, 1/2), g31 = (3, 1) and functions past the sqrt range
-    or, P and Q, with norms past the float range."""
+    or, P and Q, U and V, with norms past or below the float range, and Z = 0."""
     doc = json.loads(open(DECOMP, encoding="utf-8").read())
     for name, a, b in [("f", "1e200", 1), ("t", "1e-200", 0), ("F", "1e200", 0),
                        ("G", 0, "1e200"), ("H", "1.7e308", 0), ("K", 0, "1.7e308"),
-                       ("P", "1e340", 0), ("Q", "1e-340", 0)]:
+                       ("P", "1e340", 0), ("Q", "1e-340", 0), ("U", "1e-400", 0),
+                       ("V", "1e300", 0), ("Z", 0, 0)]:
         doc["functions"][name] = {"space": "X2", "values": {"a": a, "b": b}}
     return _write(tmp_path, doc)
 
@@ -713,10 +714,31 @@ def test_a_bound_past_the_largest_float_is_a_domain_error(capsys, tmp_path, argv
 
 
 @pytest.mark.parametrize("p", ["2", "3"])
-def test_a_hoelder_bound_in_range_is_printed_when_a_factor_norm_is_not(capsys, tmp_path, p):
-    code, out, err = run(capsys, "ineq", "hoelder", "--left", "P", "--right", "Q",
+@pytest.mark.parametrize(
+    "left, right, lhs, rhs",
+    [("P", "Q", "1/2", "0.5"), ("U", "V", f"1/{2 * 10**100}", "5e-101")],
+    ids=["above", "below"],
+)
+def test_a_hoelder_bound_in_range_is_printed_when_a_factor_norm_is_not(
+    capsys, tmp_path, left, right, lhs, rhs, p
+):
+    code, out, err = run(capsys, "ineq", "hoelder", "--left", left, "--right", right,
                          "--measure", "eta", "--p", p, "-m", _lp_model(tmp_path))
-    assert (code, out, err) == (0, f"hoelder p={p}: lhs = 1/2, rhs = 0.5, holds = true\n", "")
+    assert (code, out, err) == (0, f"hoelder p={p}: lhs = {lhs}, rhs = {rhs}, holds = true\n", "")
+
+
+@pytest.mark.parametrize(
+    "right, lhs, rhs",
+    [("V", f"1/{2 * 10**100}", f"1/{2 * 10**100}"), ("Z", "0", "0")],
+    ids=["tiny", "zero"],
+)
+def test_a_hoelder_bound_at_infinity_stays_exact_when_a_factor_norm_is_out_of_range(
+    capsys, tmp_path, right, lhs, rhs
+):
+    code, out, err = run(capsys, "ineq", "hoelder", "--left", "U", "--right", right,
+                         "--measure", "eta", "--p", "infinity", "--json", "-m", _lp_model(tmp_path))
+    assert (code, err) == (0, "")
+    assert (json.loads(out)["lhs"], json.loads(out)["rhs"]) == (lhs, rhs)
 
 
 def test_deep_formula_runs_without_recursion():

@@ -1,13 +1,15 @@
 """What importing the package loads: ``import finmeas`` binds each public
-name on first access, the CLI imports the logic module only for the
-commands that run it, the flow core loads with the first flow, and a
-command line makes only the argument parsers it selects."""
+name on first access, the CLI imports the logic module and the distance
+layers (``metrics``, ``flow``, ``simplex``) only for the commands that run
+them, and a command line makes only the argument parsers it selects."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import finmeas
 
@@ -74,20 +76,45 @@ def test_a_logic_command_loads_the_logic_module():
     assert "finmeas.logic_bisim" in loaded
 
 
-def test_importing_the_cli_leaves_out_the_flow_core():
-    assert "finmeas.flow" not in _loaded_after("import finmeas.cli")
+DISTANCE_LAYERS = ["finmeas.flow", "finmeas.metrics", "finmeas.simplex"]
 
 
-def test_a_distance_command_loads_the_flow_core():
-    path = SRC / "finmeas" / "examples" / "metrics.json"
-    argv = ["dist", "prohorov", "--left", "dirac_a", "--right", "nu_p", "--metric", "d2"]
-    loaded = _loaded_after(
+def _loaded_by_command(argv):
+    """The finmeas modules a fresh interpreter holds after main(argv) on the
+    bundled metrics model."""
+    argv = [*argv, "-m", str(SRC / "finmeas" / "examples" / "metrics.json")]
+    return _loaded_after(
         "import contextlib, io\n"
         "from finmeas.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv + ['-m', str(path)]!r}) == 0"
+        f"    assert main({argv!r}) == 0"
     )
-    assert "finmeas.flow" in loaded
+
+
+def test_importing_the_cli_leaves_out_the_distance_layers():
+    loaded = _loaded_after("import finmeas.cli")
+    assert [m for m in DISTANCE_LAYERS if m in loaded] == []
+
+
+def test_a_command_on_a_model_with_a_metric_loads_no_distance_layer():
+    loaded = _loaded_by_command(["space", "--name", "d2"])
+    assert [m for m in [*DISTANCE_LAYERS, "finmeas.logic_bisim"] if m in loaded] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "prohorov", "--left", "dirac_a", "--right", "nu_p", "--metric", "d2"],
+        ["dist", "hutchinson", "--left", "dirac_a", "--right", "nu_p", "--metric", "d2",
+         "--gamma", "1"],
+        ["weak-check", "--sequence", "dirac_a,nu_p", "--limit", "nu_p", "--metric", "d2",
+         "--tol", "0.1"],
+    ],
+    ids=["prohorov", "hutchinson", "weak-check"],
+)
+def test_every_distance_command_loads_metrics_and_the_flow_core(argv):
+    loaded = _loaded_by_command(argv)
+    assert "finmeas.metrics" in loaded and "finmeas.flow" in loaded
 
 
 def test_a_command_makes_at_most_four_parsers():
@@ -116,6 +143,7 @@ def test_the_public_names_are_unchanged_and_are_their_modules_objects():
         value = getattr(finmeas, name)
         module = finmeas._SOURCE[name]
         assert value is getattr(getattr(finmeas, module), name), name
+    assert finmeas.FiniteMetric is finmeas.spaces.FiniteMetric is finmeas.metrics.FiniteMetric
 
 
 def test_star_import_binds_every_public_name():

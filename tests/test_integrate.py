@@ -310,13 +310,15 @@ LARGEST, SMALLEST = Decimal(sys.float_info.max), Decimal(sys.float_info.min)
 @example([Fraction(1, 10**318), 0], [10**300, 0], Fraction(2))
 @example([10**340, 0], [Fraction(1, 10**340), 0], Fraction(2))
 @example([10**340, 0], [Fraction(1, 10**340), 0], Fraction(3))
+@example([Fraction(1, 10**400), 0], [10**300, 0], Fraction(2))
+@example([Fraction(1, 10**400), 0], [10**300, 0], Fraction(3))
 def test_inequality_floats_match_a_decimal_reference(fv, gv, p):
     """Each reported float is the 60-digit reference, FloatRange when the
     bound is past the largest float, even if a factor norm is not.
 
-    A factor norm below the normal float range carries fewer than 53 bits, so
-    there, with both factor norms in the float range, only the absence of an
-    error is checked.
+    A Minkowski norm below the normal float range carries fewer than 53
+    bits, so there, with every norm in the float range, only the absence of
+    an error is checked; a Hoelder bound is taken on logs then.
     """
     f, g = StepFunction(TWO, fv), StepFunction(TWO, gv)
     nf, ng, nq, ns = (
@@ -334,7 +336,11 @@ def test_inequality_floats_match_a_decimal_reference(fv, gv, p):
                 check(f, g, ETA, p)
             continue
         lhs, rhs, _ = check(f, g, ETA, p)
-        if max(norms) <= LARGEST and any(0 < r < SMALLEST for r in norms[:2]):
+        if (
+            check is check_minkowski
+            and max(norms) <= LARGEST
+            and any(0 < r < SMALLEST for r in norms[:2])
+        ):
             continue
         assert rhs == pytest.approx(float(bound), rel=1e-12, abs=sys.float_info.min)
         if check is check_minkowski:
@@ -352,6 +358,18 @@ def test_hoelder_bound_with_a_factor_norm_past_the_float_range():
         assert check_hoelder(f, StepFunction(TWO, [0, 0]), ETA, p)[1] == 0.0
         with pytest.raises(FloatRange, match="Hoelder bound"):
             check_hoelder(f, StepFunction(TWO, [1, 1]), ETA, p)
+
+
+def test_hoelder_bound_at_infinity_stays_exact_outside_the_float_range():
+    tiny, huge = Fraction(1, 10**400), 10**400
+    f = StepFunction(TWO, [tiny, 0])
+    one = StepFunction(TWO, [1, 1])
+    assert check_hoelder(f, one, ETA, INF) == (tiny / 2, tiny, True)
+    assert check_hoelder(StepFunction(TWO, [huge, 0]), f, ETA, INF) == (
+        Fraction(1, 2), Fraction(1, 2), True
+    )
+    lhs, rhs, holds = check_hoelder(StepFunction(TWO, [0, 0]), one, ETA, INF)
+    assert (lhs, rhs, holds) == (0, 0, True) and type(rhs) is Fraction
 
 
 def _norm_or_error(f, mu, p, norm):

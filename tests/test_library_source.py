@@ -162,20 +162,20 @@ def test_only_the_spaces_module_writes_the_label_bar():
     assert found == []
 
 
+def _is_cli_handler(node):
+    """Whether node is a function registered through cli._command."""
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_command"
+        for d in node.decorator_list
+    )
+
+
 def test_no_cli_handler_reads_the_model():
     # model references are read in one place, the cli._READ table: a
     # handler registered through _command takes the entries its flags
     # declare, and neither has a model parameter nor reads the name
     tree = ast.parse((Path(finmeas.__file__).parent / "cli.py").read_text())
-    handlers = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-        and any(
-            isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_command"
-            for d in node.decorator_list
-        )
-    ]
+    handlers = [node for node in ast.walk(tree) if _is_cli_handler(node)]
     found = [
         f"{node.name}:{sub.lineno}"
         for node in handlers
@@ -184,6 +184,21 @@ def test_no_cli_handler_reads_the_model():
         or isinstance(sub, ast.Name) and sub.id == "model"
     ]
     assert len(handlers) == len(cli._COMMANDS)
+    assert found == []
+
+
+def test_only_cli_handlers_import_inside_a_function():
+    # a module imports its siblings once, at its top; only a CLI command
+    # handler defers an import, so a command loads the layers it runs
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(func, ast.FunctionDef)
+        and not (path.name == "cli.py" and _is_cli_handler(func))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
     assert found == []
 
 
