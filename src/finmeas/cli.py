@@ -188,9 +188,13 @@ def parse_model(doc):
         if name in model.spaces or name in pending_products:
             raise ModelError(f"metric {name!r} collides with a space name")
         try:  # a bad distance is as_ratio's ValueError, named here once
+            points = _strings(entry["points"], "points")
+            rows = entry["dist"]
+            # a string would iterate as a row of one-character distances
+            if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+                raise ModelError("dist must be a list of lists")
             metric = spaces.FiniteMetric.from_points(
-                _strings(entry["points"], "points"),
-                [[Fraction(*as_ratio(v)) for v in row] for row in entry["dist"]],
+                points, [[Fraction(*as_ratio(v)) for v in row] for row in rows]
             )
         except (FinmeasError, ValueError, TypeError, KeyError) as err:
             raise ModelError(f"metric {name!r}: {err}") from None

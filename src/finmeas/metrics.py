@@ -9,18 +9,18 @@ both directions (Strassen's coupling characterisation of the subset
 constraints: the joined relation is symmetric); the sweep's own flow and
 Hall cut then certify its two optimality conditions exactly, by weak
 max-flow/min-cut duality, with no further flow.  The Hutchinson
-distance is a min-cost transshipment to a ground point, whose shortest-path
-potentials are the optimal Lipschitz witness.  The weak-limit check's
-portmanteau excess is the largest sum of positive parts of the tail's
-per-atom differences; its verdicts compare those ints with the tolerance
-exactly, and its witness is the positive atoms of a maximal row, with no
-2^n scan.
+distance is a min-cost transshipment to a ground point over the metric's
+backbone, whose shortest-path potentials are the optimal Lipschitz
+witness.  The weak-limit check's portmanteau excess is the largest sum of
+positive parts of the tail's per-atom differences; its verdicts compare
+those ints with the tolerance exactly, and its witness is the positive
+atoms of a maximal row, with no 2^n scan.
 """
 
 import math
 from fractions import Fraction
 from math import lcm
-from operator import gt, itemgetter, sub
+from operator import gt, itemgetter, mul, sub
 
 from .errors import InvalidGamma, SpaceMismatch
 from .flow import min_cost_transshipment, transport, transport_sweep
@@ -46,10 +46,10 @@ class LipschitzWitness:
         common = lcm(scale, *(v.denominator for v in values))
         ints = [v.numerator * (common // v.denominator) for v in values]
         factor = common // scale
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(ints[i] - ints[j]) > rows[i][j] * factor:
-                    raise ValueError("witness is not 1-Lipschitz")
+        # a bound on each backbone arc telescopes along its paths to every pair
+        for i, j in metric.backbone:
+            if abs(ints[i] - ints[j]) > rows[i][j] * factor:
+                raise ValueError("witness is not 1-Lipschitz")
         self.metric = metric
         self.values = values
         self.gamma = gamma
@@ -186,15 +186,17 @@ def hutchinson_distance(mu, nu, metric, gamma):
     1-Lipschitz f bounded by gamma.  By Kantorovich-Rubinstein duality with
     a ground point g (Hanin 1992) this is the cheapest transshipment of the
     supplies mu - nu, with g absorbing or supplying the mass gap, over arcs
-    of cost d(x, y) between points and gamma between each point and g;
-    arcs of cost 2 gamma or more are left out, since the route through g is
-    as cheap.  The witness is f(x) = pi(g) - pi(x) for the residual
-    shortest-path distances pi from g.  The transshipment runs on ints:
-    costs over the lcm of the metric's scale and gamma's denominator,
-    supplies over the lcm of the measures' scales.  The value is checked
-    from both sides: the flows are nonnegative and meet every supply, so
-    H <= value, and the witness attains it, so H >= value.  Returns
-    (value, LipschitzWitness).
+    of cost gamma between each point and g and of cost d(x, y) both ways on
+    the backbone arcs cheaper than 2 gamma: every other pair's dual bound
+    is implied, along a backbone path of shorter arcs or through g.  The
+    witness is f(x) = pi(g) - pi(x) for the residual shortest-path
+    distances pi from g, the largest optimal dual with pi(g) = 0, and so
+    the same as over all pairs.  The transshipment runs on ints: costs over
+    the lcm of the metric's scale and gamma's denominator, supplies over
+    the lcm of the measures' scales.  The value is checked from both sides
+    on ints: the flows are nonnegative and meet every supply, so H <=
+    value, and the witness attains it, so H >= value.  Returns (value,
+    LipschitzWitness).
     """
     _check_metric_pair(mu, nu, metric)
     gamma = as_fraction(gamma)
@@ -211,12 +213,11 @@ def hutchinson_distance(mu, nu, metric, gamma):
     ]
     supply.append(-sum(supply))
     ground = n
-    arcs = [
-        (i, j, d * factor)
-        for i, row in enumerate(dist)
-        for j, d in enumerate(row)
-        if i != j and d * factor < 2 * ground_cost
-    ]
+    arcs = []
+    for i, j in metric.backbone:
+        d = dist[i][j] * factor
+        if d < 2 * ground_cost:
+            arcs += [(i, j, d), (j, i, d)]
     for i in range(n):
         arcs += [(i, ground, ground_cost), (ground, i, ground_cost)]
     flows, potentials = min_cost_transshipment(n + 1, arcs, supply, ground)
@@ -225,19 +226,15 @@ def hutchinson_distance(mu, nu, metric, gamma):
         net[u], net[v] = net[u] + f, net[v] - f
     if net != supply or min(flows, default=0) < 0:
         raise AssertionError("Hutchinson flows do not meet the supplies")
-    value = Fraction(
-        sum(f * cost for f, (_, _, cost) in zip(flows, arcs) if f),
-        mass_scale * cost_scale,
-    )
-    witness = LipschitzWitness(
-        metric,
-        [Fraction(potentials[ground] - potentials[i], cost_scale) for i in range(n)],
-        gamma,
-    )
-    if witness.objective(mu, nu) != value:
-        raise AssertionError(
-            f"Hutchinson witness attains {witness.objective(mu, nu)}, not {value}"
-        )
+    cost = sum(f * c for f, (_, _, c) in zip(flows, arcs) if f)
+    value = Fraction(cost, mass_scale * cost_scale)
+    ints = [potentials[ground] - potentials[i] for i in range(n)]
+    witness = LipschitzWitness(metric, [Fraction(v, cost_scale) for v in ints], gamma)
+    # the witness's objective is sum(ints * supply) over the same two scales
+    attained = sum(map(mul, ints, supply))
+    if attained != cost:
+        got = Fraction(attained, mass_scale * cost_scale)
+        raise AssertionError(f"Hutchinson witness attains {got}, not {value}")
     return value, witness
 
 

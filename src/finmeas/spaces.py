@@ -11,7 +11,6 @@ A ``FiniteMetric`` holds a discrete space's distances as ints over one scale.
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
-from operator import add
 
 from .errors import CapacityExceeded, EmptyCarrier, GeneratorNotPiSystem, SpaceMismatch
 from .rational import as_fraction
@@ -379,7 +378,9 @@ class FiniteMetric:
     The distances are held once as the integer form ``scaled`` = (D, rows):
     d(i, j) is rows[i][j] / D over the lcm D of their denominators.
     Validates, on those ints, symmetry, zero diagonal, positivity off the
-    diagonal and the triangle inequality.
+    diagonal and the triangle inequality.  ``backbone`` lists the pairs (i, j),
+    i < j, that no k splits as d(i, k) + d(k, j) = d(i, j): every distance is
+    the length of a path of these arcs.
     """
 
     def __init__(self, space, dist):
@@ -402,21 +403,32 @@ class FiniteMetric:
                     raise ValueError("distance matrix must be symmetric")
                 if rows[i][j] <= 0:
                     raise ValueError("off-diagonal distances must be positive")
-        # rows is symmetric now, so column j is row j: the first k with
-        # d(i, j) > d(i, k) + d(k, j) is the first with rows[i][j] above
-        # rows[i][k] + rows[j][k]
+        # rows is symmetric now.  Packed into width-byte fields with half > 2 max d,
+        # field k of t is d(i, k) + d(k, j) - d(i, j) + half and never carries:
+        # the triangle fails where a field is below half, and {i, j} is a backbone
+        # arc when only k = i and k = j leave their field at exactly half
+        width = (2 * max(map(max, rows), default=0)).bit_length() // 8 + 1
+        ones = int.from_bytes(b"\1".ljust(width, b"\0") * n, "little")
+        tops = ones << (8 * width - 1)
+        packed = [b"".join(v.to_bytes(width, "little") for v in row) for row in rows]
+        packed = [int.from_bytes(p, "little") for p in packed]
+        backbone = []
         for i in range(n):
-            row_i = rows[i]
+            row_i, top_i = rows[i], packed[i] + tops
             for j in range(i + 1, n):
-                row_j = rows[j]
-                if min(map(add, row_i, row_j)) < row_i[j]:
-                    k = next(k for k in range(n) if row_i[j] > row_i[k] + row_j[k])
+                d = row_i[j]
+                t = top_i + packed[j] - d * ones
+                if t & tops != tops:
+                    k = next(k for k in range(n) if row_i[k] + rows[j][k] < d)
                     raise ValueError(
                         "triangle inequality fails at "
                         f"({space.points[i]},{space.points[j]},{space.points[k]})"
                     )
+                if ((t - ones) & tops).bit_count() == n - 2:
+                    backbone.append((i, j))
         self.space = space
         self.scaled = (scale, rows)
+        self.backbone = backbone
 
     @classmethod
     def from_points(cls, points, dist):

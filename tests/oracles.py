@@ -110,6 +110,13 @@ Five names only tests used have moved here from the library:
 split_pair_label, generated_equivalence, factor_map, d_to_set (once a
 FiniteMetric method), and CouplingFailed, which only the flow mediation
 oracle raises.
+
+The Hutchinson transshipment now runs over the metric's backbone arcs
+(the pairs no third point splits), and a Lipschitz witness is checked on
+those arcs only.  The integer transshipment over every ordered pair
+cheaper than 2 gamma is kept as hutchinson_full_arcs, and the check of
+every pair as lipschitz_all_pairs; backbone_closure, Floyd-Warshall over
+the backbone, must give back every distance.
 """
 
 import math
@@ -118,7 +125,7 @@ from collections import deque
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, lcm
 
 from finmeas.cli import _Rows
 from finmeas.errors import (
@@ -528,6 +535,95 @@ def hutchinson_distance_fraction(mu, nu, metric, gamma):
     if objective != value:
         raise AssertionError(f"Hutchinson witness attains {objective}, not {value}")
     return value, values
+
+
+def lipschitz_all_pairs(metric, values, gamma):
+    """LipschitzWitness's checks with the Lipschitz bound on every pair
+    i < j, not only on the backbone arcs; raises its ValueErrors in its
+    order and returns the values as Fractions."""
+    values = tuple(as_fraction(v) for v in values)
+    gamma = as_fraction(gamma)
+    n = len(metric.space.points)
+    if len(values) != n:
+        raise ValueError(f"expected {n} values")
+    for v in values:
+        if abs(v) > gamma:
+            raise ValueError("witness exceeds the gamma bound")
+    scale, rows = metric.scaled
+    common = lcm(scale, *(v.denominator for v in values))
+    ints = [v.numerator * (common // v.denominator) for v in values]
+    factor = common // scale
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(ints[i] - ints[j]) > rows[i][j] * factor:
+                raise ValueError("witness is not 1-Lipschitz")
+    return values
+
+
+def hutchinson_full_arcs(mu, nu, metric, gamma):
+    """The integer Hutchinson transshipment over every ordered pair cheaper
+    than 2 gamma, with the all-pairs Lipschitz check and the witness
+    objective over the measures; returns (value, witness values)."""
+    _check_metric_pair(mu, nu, metric)
+    gamma = as_fraction(gamma)
+    n = len(metric.space.points)
+    scale, dist = metric.scaled
+    cost_scale = lcm(scale, gamma.denominator)
+    factor = cost_scale // scale
+    ground_cost = gamma.numerator * (cost_scale // gamma.denominator)
+    mass_scale = lcm(mu.form[0], nu.form[0])
+    supply = [
+        a - b for a, b in zip(mu.ints_over(mass_scale), nu.ints_over(mass_scale))
+    ]
+    supply.append(-sum(supply))
+    ground = n
+    arcs = [
+        (i, j, d * factor)
+        for i, row in enumerate(dist)
+        for j, d in enumerate(row)
+        if i != j and d * factor < 2 * ground_cost
+    ]
+    for i in range(n):
+        arcs += [(i, ground, ground_cost), (ground, i, ground_cost)]
+    flows, potentials = min_cost_transshipment(n + 1, arcs, supply, ground)
+    net = [0] * (n + 1)
+    for f, (u, v, _) in zip(flows, arcs):
+        net[u], net[v] = net[u] + f, net[v] - f
+    if net != supply or min(flows, default=0) < 0:
+        raise AssertionError("Hutchinson flows do not meet the supplies")
+    value = Fraction(
+        sum(f * cost for f, (_, _, cost) in zip(flows, arcs) if f),
+        mass_scale * cost_scale,
+    )
+    values = lipschitz_all_pairs(
+        metric,
+        [Fraction(potentials[ground] - potentials[i], cost_scale) for i in range(n)],
+        gamma,
+    )
+    diffs = [a - b for a, b in zip(mu.ints_over(mass_scale), nu.ints_over(mass_scale))]
+    objective = Fraction(sum(v * d for v, d in zip(values, diffs)), mass_scale)
+    if objective != value:
+        raise AssertionError(f"Hutchinson witness attains {objective}, not {value}")
+    return value, values
+
+
+def backbone_closure(metric):
+    """Floyd-Warshall over the backbone arcs alone, on the scaled ints:
+    the shortest-path distance of each ordered pair, None if unreachable."""
+    n = len(metric.space.points)
+    rows = metric.scaled[1]
+    dist = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    for i, j in metric.backbone:
+        dist[i][j] = dist[j][i] = rows[i][j]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] is None or dist[k][j] is None:
+                    continue
+                via = dist[i][k] + dist[k][j]
+                if dist[i][j] is None or via < dist[i][j]:
+                    dist[i][j] = via
+    return dist
 
 
 def pi_system_witness_scan(space, mu, nu):

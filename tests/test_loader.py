@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from finmeas import cli
 from finmeas.rational import as_fraction, as_ratio
 
+from conftest import run_main
 from oracles import dense_model_sections
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
@@ -164,9 +165,38 @@ def test_generated_models_load_as_the_dense_oracle_builds_them(tmp_path):
          "metric 'd': not a rational: [1] (floats are not exact, use 'p/q')"),
         ({"points": ["a", 1], "dist": [[0, 1], [1, 0]]},
          "metric 'd': points must be a list of strings"),
+        ({"points": ["a", 1], "dist": "x"},
+         "metric 'd': points must be a list of strings"),
+        ({"points": ["a", "b"], "dist": ["01", "10"]},
+         "metric 'd': dist must be a list of lists"),
+        ({"points": ["a", "b"], "dist": "x"},
+         "metric 'd': dist must be a list of lists"),
+        ({"points": ["a", "b"], "dist": [[0, 1], "10"]},
+         "metric 'd': dist must be a list of lists"),
+        ({"points": ["a", "b"], "dist": {"a": [0, 1]}},
+         "metric 'd': dist must be a list of lists"),
     ],
 )
 def test_bad_metric_entries_name_the_metric_once(entry, message):
     with pytest.raises(cli.ModelError) as err:
         cli.parse_model({"metrics": {"d": entry}})
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("dist", [["01", "10"], "x"], ids=["strings", "string"])
+def test_a_dist_of_strings_exits_2_before_any_distance(tmp_path, dist):
+    # a string iterates as characters: ["01", "10"] once loaded as the 0/1 metric
+    path = tmp_path / "model.json"
+    doc = {
+        "metrics": {"d": {"points": ["a", "b"], "dist": dist}},
+        "measures": {
+            "m": {"space": "d", "weights": {"a": 1}},
+            "n": {"space": "d", "weights": {"b": 1}},
+        },
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["dist", "hutchinson", "--left", "m", "--right", "n", "--metric", "d",
+            "--gamma", "1", "-m", str(path)]
+    code, out, err = run_main(argv)
+    assert (code, out) == (2, "")
+    assert err == "error[input]: metric 'd': dist must be a list of lists\n"

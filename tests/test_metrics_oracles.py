@@ -28,10 +28,13 @@ from finmeas.spaces import FiniteMeasurableSpace
 from conftest import rand_metric
 from oracles import (
     _deficit_fraction,
+    backbone_closure,
     check_weak_limit_scan,
     finite_metric_rows_fraction,
     hutchinson_distance_fraction,
+    hutchinson_full_arcs,
     hutchinson_lp,
+    lipschitz_all_pairs,
     prohorov_distance_fraction,
     prohorov_distance_per_direction,
     prohorov_distance_scan,
@@ -220,6 +223,16 @@ def square_matrices(draw):
 @settings(max_examples=500, deadline=None)
 @given(square_matrices())
 def test_unordered_pair_checks_match_the_ordered_pair_scan(rows):
+    space = FiniteMeasurableSpace.discrete([f"x{k}" for k in range(len(rows))])
+    got = _outcome(lambda: FiniteMetric(space, rows))
+    want = _outcome(lambda: finite_metric_rows_fraction(space, rows))
+    assert got == want if isinstance(want, str) else got.dist == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices(), st.sampled_from([2, 21, 32, 64, 85, 128, 2**15, 10**20]))
+def test_metric_checks_match_the_ordered_pair_scan_across_field_widths(rows, m):
+    rows = [[v * m for v in row] for row in rows]
     space = FiniteMeasurableSpace.discrete([f"x{k}" for k in range(len(rows))])
     got = _outcome(lambda: FiniteMetric(space, rows))
     want = _outcome(lambda: finite_metric_rows_fraction(space, rows))
@@ -477,6 +490,107 @@ def test_hutchinson_flow_equals_dense_lp():
         assert witness.objective(mu, nu) == value
 
 
+# multipliers that put 2 max d on either side of the byte boundaries of
+# FiniteMetric's packed fields
+WIDTHS = [1, 1, 1, 21, 32, 64, 85, 128, 2**15, 2**15 + 1, 10**20]
+
+
+@st.composite
+def backbone_metrics(draw, max_points=14):
+    """A line, sparse-graph or discrete metric on up to max_points points,
+    in steps of m/q: points on a line split most pairs, a path with a few
+    chords closed under shortest paths splits many with ties, and the
+    discrete metric (every distance the same) splits none."""
+    n = draw(st.integers(1, max_points))
+    unit = Fraction(draw(st.sampled_from(WIDTHS)), draw(st.integers(1, 4)))
+    kind = draw(st.sampled_from(["line", "graph", "discrete"]))
+    if kind == "line":
+        coords = draw(st.lists(st.integers(0, 3 * n), min_size=n, max_size=n, unique=True))
+        steps = [[abs(a - b) for b in coords] for a in coords]
+    elif kind == "discrete":
+        steps = [[int(a != b) for b in range(n)] for a in range(n)]
+    else:
+        far = 6 * n
+        steps = [[0 if i == j else far for j in range(n)] for i in range(n)]
+        edges = [(i, i + 1) for i in range(n - 1)]
+        if n > 2:
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            edges += [(i, j) for i, j in draw(st.lists(pairs, max_size=n)) if i != j]
+        for i, j in edges:
+            steps[i][j] = steps[j][i] = min(steps[i][j], draw(st.integers(1, 5)))
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    steps[i][j] = min(steps[i][j], steps[i][k] + steps[k][j])
+    dist = [[v * unit for v in row] for row in steps]
+    return FiniteMetric.from_points([f"x{k}" for k in range(n)], dist)
+
+
+def _diameter(metric):
+    scale, rows = metric.scaled
+    return Fraction(max(map(max, rows)), scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(backbone_metrics(), st.data())
+def test_hutchinson_on_the_backbone_equals_the_full_arc_set(metric, data):
+    # the same value and the same witness, entry for entry: both witnesses
+    # are the largest optimal dual with pi(g) = 0 of one dual polyhedron
+    mu = data.draw(subprobabilities(metric.space))
+    nu = data.draw(subprobabilities(metric.space))
+    top = int(8 * _diameter(metric)) + 16
+    gamma = Fraction(data.draw(st.integers(1, top)), 8)
+    value, witness = hutchinson_distance(mu, nu, metric, gamma)
+    assert (value, witness.values) == hutchinson_full_arcs(mu, nu, metric, gamma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(backbone_metrics())
+def test_backbone_paths_give_back_every_distance(metric):
+    n = len(metric.space.points)
+    rows = metric.scaled[1]
+    split = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if all(rows[i][k] + rows[k][j] != rows[i][j] for k in range(n) if k not in (i, j))
+    ]
+    assert metric.backbone == split
+    assert backbone_closure(metric) == [list(row) for row in rows]
+
+
+@st.composite
+def values_and_gamma(draw, metric):
+    """Values mostly 1-Lipschitz and on the bound along shortest paths (the
+    least of a few anchor distances plus offsets), perhaps with one value
+    nudged by a half step either way; gamma their largest magnitude, a
+    step above or below it, or the diameter."""
+    n = len(metric.space.points)
+    scale, rows = metric.scaled
+    if draw(st.integers(0, 4)):
+        anchors = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        offsets = [draw(st.integers(-2 * scale, 2 * scale)) for _ in anchors]
+        ints = [min(rows[a][x] + c for a, c in zip(anchors, offsets)) for x in range(n)]
+        values = [Fraction(v, scale) for v in ints]
+        if draw(st.booleans()):
+            k = draw(st.integers(0, n - 1))
+            values[k] += Fraction(draw(st.sampled_from([-1, 1])), 2 * scale)
+    else:
+        values = [Fraction(draw(st.integers(-3 * scale, 3 * scale)), scale) for _ in range(n)]
+    top = max(map(abs, values))
+    step = Fraction(1, 2 * scale)
+    gamma = draw(st.sampled_from([top, top + step, top - step, _diameter(metric)]))
+    return values, gamma
+
+
+@settings(max_examples=400, deadline=None)
+@given(backbone_metrics(), st.data())
+def test_lipschitz_witness_checks_the_backbone_as_the_all_pairs_check(metric, data):
+    values, gamma = data.draw(values_and_gamma(metric))
+    got = _outcome(lambda: LipschitzWitness(metric, values, gamma).values)
+    assert got == _outcome(lambda: lipschitz_all_pairs(metric, values, gamma))
+
+
 def _cost_neutral(solve):
     """solve with +c_b on its first flow-carrying arc a and -c_a on
     another arc b: the total cost and the potentials stay."""
@@ -532,8 +646,11 @@ try:
     metrics.hutchinson_distance(mu, nu, metric, 1)
 except AssertionError:
     print("hutchinson flow check raised")
-metrics.min_cost_transshipment = solve
-metrics.LipschitzWitness.objective = lambda self, mu, nu: Fraction(-1)
+def halved(n, arcs, supply, root):
+    # still gamma-bounded and 1-Lipschitz, but short of the value
+    flows, potentials = solve(n, arcs, supply, root)
+    return flows, [p // 2 for p in potentials]
+metrics.min_cost_transshipment = halved
 try:
     metrics.hutchinson_distance(mu, nu, metric, 1)
 except AssertionError:
