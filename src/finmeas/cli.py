@@ -651,7 +651,10 @@ def _dist_hutchinson(args, mu, nu, metric):
 def _weak_check(args, sequence, limit, metric):
     from .metrics import check_weak_limit
 
-    report = check_weak_limit(sequence, limit, metric, args.tol)
+    tol = args.tol
+    if 0 <= tol < INF:  # decide with the decimal typed, not the float nearest it
+        tol = Fraction(repr(tol))
+    report = check_weak_limit(sequence, limit, metric, tol)
     return {
         "converges": report.converges,
         "per_atom_ok": report.per_atom_ok,

@@ -121,7 +121,8 @@ def integral(f, mu):
     """Integral of a step function: the weight-weighted sum of atom values."""
     _check_pair(f, mu)
     d, cols, nums = mu.form
-    return Fraction(sum(f.values[j] * num for j, num in zip(cols, nums)), d)
+    pairs = [(f.values[j], num) for j, num in zip(cols, nums)]
+    return Fraction(*_power_sum(pairs, d, 1))
 
 
 def validate_exponent(p):
@@ -163,9 +164,9 @@ def lp_norm(f, mu, p):
     total = _float_power(support, d, p) if cheap else 0.0
     if sys.float_info.min <= total < math.inf:
         return total ** (1.0 / q)
-    m, scaled = _scaled_power(support, d, q)
+    m, x = _scaled_power(support, d, q)
     try:
-        return math.exp(_log(m) + _log(scaled) / q)
+        return math.exp(_log(m) + x)
     except OverflowError:
         raise FloatRange("the Lp norm is beyond the largest float") from None
 
@@ -177,48 +178,36 @@ def _support(f, mu):
     return [(abs(f.values[j]), num) for j, num in zip(cols, nums) if f.values[j]]
 
 
+def _power_sum(pairs, d, k):
+    """sum v^k num over the (value, num) pairs as two ints: a numerator over
+    L^k d, with L the lcm of the values' denominators."""
+    big = math.lcm(*(v.denominator for v, _ in pairs))
+    total = sum((v.numerator * (big // v.denominator)) ** k * num for v, num in pairs)
+    return total, big**k * d
+
+
 def _float_power(support, d, p):
-    """integral |f|^p dmu as a float, inf when it overflows.  For integer p
-    the exact sum is one int over L^p d, L the lcm of the values'
-    denominators, converted once."""
+    """integral |f|^p dmu as a float, inf on overflow; integer p sums exactly."""
     try:
         if p.denominator == 1:
-            k = int(p)
-            big = math.lcm(*(v.denominator for v, _ in support))
-            total = sum(
-                (v.numerator * (big // v.denominator)) ** k * num for v, num in support
-            )
-            return total / (big**k * d)
+            total, scale = _power_sum(support, d, int(p))
+            return total / scale
         return sum(float(v) ** float(p) * (num / d) for v, num in support)
     except OverflowError:
         return math.inf
 
 
 def _scaled_power(support, d, q):
-    """(M, integral (|f|/M)^q dmu) for M = max |f| on the support, each
-    power a float: the norm is M times the q-th root of the integral."""
+    """(M, log(integral (|f|/M)^q dmu) / q) for M = max |f| on the support,
+    each power a float: the log of the norm is log M plus the second."""
     m = max(v for v, _ in support)
-    return m, Fraction(sum(Fraction(float(v / m) ** q) * num for v, num in support), d)
+    s = _power_sum([(Fraction(float(v / m) ** q), num) for v, num in support], d, 1)
+    return m, _log(Fraction(*s)) / q
 
 
 def _log(x):
     """Natural log of a positive Fraction of any size."""
     return math.log(x.numerator) - math.log(x.denominator)
-
-
-def _log_product(f, g, mu, p, q):
-    """||f||_p ||g||_q for float p, q, each norm M s^(1/p) by _scaled_power,
-    as the exp of log(M_f M_g) + log(s_f) / p + log(s_g) / q; inf past the
-    largest float."""
-    d = mu.form[0]
-    fs, gs = _support(f, mu), _support(g, mu)
-    if not (fs and gs):
-        return 0.0
-    (m, s), (n, t) = _scaled_power(fs, d, p), _scaled_power(gs, d, q)
-    try:
-        return math.exp(_log(m * n) + _log(s) / p + _log(t) / q)
-    except OverflowError:
-        return INF
 
 
 def lp_norm_power(f, mu, p):
@@ -227,9 +216,7 @@ def lp_norm_power(f, mu, p):
     p = validate_exponent(p)
     if p == INF or p.denominator != 1:
         raise InvalidExponent("exact powers need an integer exponent")
-    k = int(p)
-    d, cols, nums = mu.form
-    return Fraction(sum(abs(f.values[j]) ** k * num for j, num in zip(cols, nums)), d)
+    return Fraction(*_power_sum(_support(f, mu), mu.form[0], int(p)))
 
 
 def lp_norm_squared(f, mu):
@@ -269,7 +256,14 @@ def check_hoelder(f, g, mu, p):
         a = b = 0.0
     rhs = a * b
     if p != INF and min(a, b) < sys.float_info.min:  # a float norm out of range: on logs
-        rhs = _log_product(f, g, mu, to_float(p), to_float(q))
+        fs, gs, d = _support(f, mu), _support(g, mu), mu.form[0]
+        if fs and gs:
+            m, x = _scaled_power(fs, d, to_float(p))
+            n, y = _scaled_power(gs, d, to_float(q))
+            try:
+                rhs = math.exp(_log(m * n) + x + y)
+            except OverflowError:
+                rhs = INF
     if rhs == INF:
         raise FloatRange("the Hoelder bound is beyond the largest float")
     if p == INF:

@@ -53,7 +53,11 @@ Lp norms for a non-integer or finite exponent other than 1 used to be
 taken in plain floats only; that form is kept for the exponents where it
 stays in the normal float range.  An integer power is now summed as one
 int over a common denominator; lp_norm_fraction_sum is the norm with the
-Fraction weight per atom and the Fraction sum it replaced.  The convergence-in-measure distance is
+Fraction weight per atom and the Fraction sum it replaced.  The integral and
+the exact integer power are now that one int sum too (the values'
+numerators over the lcm of their denominators); the Fraction sums over the
+charged atoms they replaced are kept as integral_fraction_sum and
+lp_norm_power_fraction_sum.  The convergence-in-measure distance is
 now one sweep over the sorted levels of |f - g|; the scan that summed the
 tail mass again for each candidate is kept as
 conv_in_measure_distance_scan.
@@ -134,6 +138,7 @@ from finmeas.errors import (
     EmptyCarrier,
     FinmeasError,
     FloatRange,
+    InvalidExponent,
     MassMismatch,
     NegativeFunctional,
     NotACongruence,
@@ -174,7 +179,6 @@ from finmeas.integrate import (
     StepFunction,
     _log,
     conjugate_exponent,
-    integral,
     lp_norm,
     validate_exponent,
 )
@@ -1753,12 +1757,29 @@ def plain_dense(value, float_mode):
 # ------------------------------------------------------------------ Lp norms
 
 
+def integral_fraction_sum(f, mu):
+    """The integral as one sum of the atom values times their weights'
+    numerators, a Fraction sum when the values are Fractions, over D."""
+    d, cols, nums = mu.form
+    return Fraction(sum(f.values[j] * num for j, num in zip(cols, nums)), d)
+
+
+def lp_norm_power_fraction_sum(f, mu, p):
+    """integral |f|^p dmu for an integer p >= 1, summed the same way."""
+    p = validate_exponent(p)
+    if p == INF or p.denominator != 1:
+        raise InvalidExponent("exact powers need an integer exponent")
+    k = int(p)
+    d, cols, nums = mu.form
+    return Fraction(sum(abs(f.values[j]) ** k * num for j, num in zip(cols, nums)), d)
+
+
 def lp_norm_fraction_sum(f, mu, p):
     """The Lp norm as the library took it with one Fraction weight per atom:
     the integer-p power summed one Fraction at a time, then converted."""
     p = validate_exponent(p)
     if p == 1:
-        return integral(abs(f), mu)
+        return integral_fraction_sum(abs(f), mu)
     d, cols, nums = mu.form
     pairs = [(abs(f.values[j]), Fraction(num, d)) for j, num in zip(cols, nums)]
     if p == INF:

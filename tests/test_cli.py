@@ -625,6 +625,34 @@ def test_weak_check_decides_a_float_tol_exactly(capsys, tmp_path):
     assert out.endswith("witness set: {a}\n")
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_weak_check_decides_with_the_decimal_tol_typed(capsys, tmp_path, json_flag):
+    """The residual 3/10 is within --tol 0.3, though the float 0.3 is below 3/10;
+    --json still echoes the tol as the float."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "metrics": {"d": {"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}},
+        "measures": {
+            "w": {"space": "d", "weights": {"a": 1, "b": 0}},
+            "lim": {"space": "d", "weights": {"a": "7/10", "b": "3/10"}},
+        },
+    }))
+    code, out, err = run(
+        capsys, "weak-check", "-m", str(path), "--sequence", "w", "--limit", "lim",
+        "--metric", "d", "--tol", "0.3", *json_flag,
+    )
+    assert code == 0 and err == ""
+    if json_flag:
+        payload = json.loads(out)
+        assert payload["tol"] == 0.3 and payload["converges"] is True
+        assert payload["per_atom_ok"] is payload["portmanteau_ok"] is True
+    else:
+        assert out.startswith(
+            "converges = true\nper-atom ok = true (residual 0.3)\n"
+            "portmanteau ok = true (excess 0.3)\n"
+        )
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

@@ -29,7 +29,13 @@ from finmeas.rational import format_float
 from finmeas.spaces import FiniteMeasurableSpace, MeasurableSet
 
 from conftest import rand_measure, rand_space
-from oracles import conv_in_measure_distance_scan, lp_norm_float, lp_norm_fraction_sum
+from oracles import (
+    conv_in_measure_distance_scan,
+    integral_fraction_sum,
+    lp_norm_float,
+    lp_norm_fraction_sum,
+    lp_norm_power_fraction_sum,
+)
 
 TWO = FiniteMeasurableSpace.discrete("ab")
 QUARTER = Measure(TWO, [Fraction(1, 4), Fraction(3, 4)])
@@ -408,6 +414,44 @@ def test_lp_norm_integer_power_matches_the_fraction_sum(values, weights, p):
     assert got == _norm_or_error(f, mu, p, lp_norm_fraction_sum)
 
 
+_WIDE = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        lambda m, k, e: Fraction(m, k) * Fraction(10) ** e,
+        st.integers(-999, 999),
+        st.integers(1, 999),
+        st.integers(-400, 400),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(_WIDE, min_size=n, max_size=n),
+            st.lists(st.fractions(-3, 3, max_denominator=1000), min_size=n, max_size=n),
+        )
+    ),
+    st.booleans(),
+    st.integers(1, 7),
+)
+@example(([0, 0], [1, 1]), False, 2)
+@example(([1, 2], [0, 0]), True, 3)
+@example(([Fraction(-3, 10**400), 10**400], [Fraction(1, 3), Fraction(-1, 7)]), True, 7)
+def test_integral_and_exact_powers_match_the_fraction_sums(case, signed, k):
+    """One int sum over L^k D is the very Fraction the per-atom sums give:
+    signed values and measures, zero values and empty supports."""
+    values, weights = case
+    space = FiniteMeasurableSpace.discrete([f"x{i}" for i in range(len(values))])
+    f = StepFunction(space, values)
+    mu = SignedMeasure(space, weights) if signed else Measure(space, map(abs, weights))
+    assert integral(f, mu) == integral_fraction_sum(f, mu)
+    got = lp_norm_power(f, mu, k)
+    assert got == lp_norm_power_fraction_sum(f, mu, k) and type(got) is Fraction
+    assert lp_norm(f, mu, 1) == integral_fraction_sum(abs(f), mu)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.fractions(-50, 50, max_denominator=40), min_size=2, max_size=2),
@@ -432,3 +476,21 @@ def test_lp_norm_in_the_float_range_is_unchanged(values, weights, p):
     if 0 < old ** float(p) < sys.float_info.min:
         return
     assert lp_norm(f, mu, p) == old
+
+
+XY = FiniteMeasurableSpace.discrete("xy")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: StepFunction(TWO, [1]), ValueError, "expected 2 atom values, got 1"),
+        (lambda: StepFunction(TWO, [1, 2]) + StepFunction(XY, [1, 2]), SpaceMismatch,
+         "step functions live on different spaces"),
+    ],
+    ids=["length", "add-across-spaces"],
+)
+def test_step_function_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

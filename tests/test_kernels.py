@@ -475,3 +475,47 @@ def test_convolving_a_long_shift_chain_costs_its_nonzeros():
     square = convolve(chain, chain)
     assert time.perf_counter() - started < 1
     assert [row.form[1] for row in square.rows[7997:]] == [(7999,), (), ()]
+
+
+_AB = spaces.FiniteMeasurableSpace.discrete("ab")
+_XY = spaces.FiniteMeasurableSpace.discrete("xy")
+_HALVES_AB = Measure(_AB, [Fraction(1, 2)] * 2)
+_HALVES_XY = Measure(_XY, [Fraction(1, 2)] * 2)
+_K_AB = Kernel(_AB, _AB, [_HALVES_AB] * 2)
+_MAP = AtomMap(_AB, _XY, {"a": "x", "b": "y"})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Kernel(_AB, _AB, [_HALVES_AB]), ValueError, "expected 2 rows, got 1"),
+        (lambda: Kernel(_AB, _AB, [_HALVES_AB, _HALVES_XY]), SpaceMismatch,
+         "kernel row lives on the wrong codomain"),
+        (lambda: Kernel(_AB, _AB, [_HALVES_AB] * 2, "stochastic"), ValueError,
+         "unknown kernel kind 'stochastic'"),
+        (lambda: kleisli_lift(_K_AB, _HALVES_XY), SpaceMismatch,
+         "measure lives on a different space than the domain"),
+        (lambda: measure_kernel_product(_HALVES_XY, _K_AB), SpaceMismatch,
+         "measure lives on a different space than the domain"),
+        (lambda: pushforward(_MAP, _HALVES_XY), SpaceMismatch,
+         "measure lives on a different space than the map domain"),
+        (lambda: AtomMap(_AB, _XY, {"a": "x"}), NotAtomMap,
+         "map not defined at point 'b'"),
+        (lambda: _MAP.compose_function(StepFunction(_AB, [1, 2])), SpaceMismatch,
+         "function lives on a different space"),
+        (lambda: pushforward({"a": "x", "b": "y"}, _HALVES_AB), TypeError,
+         "wrap the point map in AtomMap(domain, codomain, mapping)"),
+        # the fiber over a carries +1 and -1: its mass is 0, its weights are not
+        (lambda: disintegrate(SignedMeasure(product_space(_AB, _XY), [1, -1, 1, 0])),
+         ValueError, "joint has a zero-mass fiber with nonzero weights"),
+    ],
+    ids=[
+        "row-count", "row-codomain", "unknown-kind", "lift-space", "product-space",
+        "pushforward-space", "map-missing-point", "compose-space", "pushforward-dict",
+        "cancelling-fiber",
+    ],
+)
+def test_kernel_and_map_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -200,3 +200,21 @@ def test_a_dist_of_strings_exits_2_before_any_distance(tmp_path, dist):
     code, out, err = run_main(argv)
     assert (code, out) == (2, "")
     assert err == "error[input]: metric 'd': dist must be a list of lists\n"
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"kernels": {"K": {"domain": "X", "codomain": "X", "rows": {"a": {"a": 1}}}}},
+         "kernel 'K': needs one row per domain atom"),
+        ({"relations": {"R": {"left": "X", "right": "X", "pairs": [["a", "b", "a"]]}}},
+         "relation 'R': pairs must be 2-lists"),
+    ],
+    ids=["kernel-missing-a-row", "relation-triple"],
+)
+def test_a_kernel_short_of_rows_or_a_relation_triple_exits_2(tmp_path, section,
+                                                              message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"spaces": {"X": {"points": ["a", "b"]}}, **section}))
+    code, out, err = run_main(["space", "--name", "X", "-m", str(path)])
+    assert (code, out, err) == (2, "", f"error[input]: {message}\n")

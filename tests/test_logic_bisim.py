@@ -973,3 +973,25 @@ def test_find_quotient_iso_deeper_than_the_recursion_limit():
     assert len(quotient.domain.atoms) > sys.getrecursionlimit()
     dom_iso, cod_iso = find_quotient_iso(quotient, quotient)
     assert dom_iso == cod_iso == {x: x for x in quotient.domain.points}
+
+
+def _one_atom_kernel():
+    # one atom {a, b} that a label map can split
+    space = FiniteMeasurableSpace("ab", [("a", "b")])
+    return Kernel(space, space, [Measure(space, [1])])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: validity_set(_one_atom_kernel(), "T"), TypeError,
+         "not a formula: 'T'"),
+        (lambda: logical_equivalence(_one_atom_kernel(), {"a": 0, "b": 1}), ValueError,
+         "label map splits atom ('a', 'b')"),
+    ],
+    ids=["not-a-formula", "label-splits-atom"],
+)
+def test_formula_and_label_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

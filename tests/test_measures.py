@@ -218,3 +218,30 @@ def test_jordan_random_minimality():
         for s in space.measurable_sets():
             assert nu.eval(s) == plus.eval(s) - minus.eval(s)
             assert variation.eval(s) == plus.eval(s) + minus.eval(s)
+
+
+_XY = FiniteMeasurableSpace.discrete("xy")
+_AB = FiniteMeasurableSpace.discrete("ab")
+_ON_X = Measure.dirac(_XY, "x")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: SignedMeasure(X3, [1]), ValueError, "expected 3 atom weights, got 1"),
+        (lambda: LinearFunctional(X3, [1]), ValueError,
+         "expected 3 indicator values, got 1"),
+        (lambda: Measure(_AB, [1, 1]).add(Measure(_XY, [1, 1])), SpaceMismatch,
+         "measures live on different spaces"),
+        (lambda: LinearFunctional(_AB, [1, 1])(StepFunction(_XY, [1, 2])),
+         SpaceMismatch, "function lives on a different space"),
+        (lambda: lp_dual_density(LinearFunctional(_AB, [1, 1]), _ON_X, 2), SpaceMismatch,
+         "functional and measure live on different spaces"),
+    ],
+    ids=["weights-length", "functional-length", "add-across-spaces",
+         "functional-on-other-space", "dual-on-other-space"],
+)
+def test_measure_and_functional_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

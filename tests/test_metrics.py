@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from finmeas.errors import InvalidGamma
+from finmeas.errors import InvalidGamma, SpaceMismatch
 from finmeas.measures import Measure
 from finmeas.metrics import (
     FiniteMetric,
@@ -15,7 +15,7 @@ from finmeas.metrics import (
     prohorov_feasible,
     support,
 )
-from finmeas.spaces import sigma_from_generator
+from finmeas.spaces import FiniteMeasurableSpace, sigma_from_generator
 
 from conftest import rand_metric, rand_probability
 from oracles import d_to_set
@@ -229,3 +229,24 @@ def test_weak_limit_rejects_a_non_finite_or_negative_tol(tol):
     with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
         check_weak_limit([limit], limit, HALF, tol)
     assert check_weak_limit([limit], limit, HALF, 0).converges
+
+
+_XY = FiniteMeasurableSpace.discrete("xy")
+_ON_XY = Measure.dirac(_XY, "x")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: LipschitzWitness(HALF, [0], 1), ValueError, "expected 2 values"),
+        (lambda: prohorov_distance(_ON_XY, dirac(HALF, "a"), HALF), SpaceMismatch,
+         "measures must live on the metric's space"),
+        (lambda: hutchinson_distance(dirac(HALF, "a"), _ON_XY, HALF, 1), SpaceMismatch,
+         "measures must live on the metric's space"),
+    ],
+    ids=["witness-length", "prohorov-off-space", "hutchinson-off-space"],
+)
+def test_witness_and_measure_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

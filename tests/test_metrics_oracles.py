@@ -669,6 +669,13 @@ try:
     logic_bisim.mediate(kernel, kernel, part, part, iso)
 except AssertionError:
     print("mediate check raised")
+logic_bisim.transport = lambda *args: (0, [], [])  # no flow, and a cut of no rows
+halves = Measure(space, [half, half])
+problem = logic_bisim.CouplingProblem(halves, halves, [(0, 0), (1, 1)])
+try:
+    logic_bisim.solve_coupling(problem)
+except AssertionError:
+    print("coupling check raised")
 """
     src = str(Path(metrics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -682,4 +689,5 @@ except AssertionError:
         "hutchinson flow check raised",
         "hutchinson check raised",
         "mediate check raised",
+        "coupling check raised",
     ]

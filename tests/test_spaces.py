@@ -10,6 +10,7 @@ from finmeas.errors import (
     CapacityExceeded,
     EmptyCarrier,
     GeneratorNotPiSystem,
+    SpaceMismatch,
 )
 from finmeas import spaces
 from finmeas.measures import Measure
@@ -226,3 +227,35 @@ def test_sigma_generation_matches_bruteforce(seed):
     space = sigma_from_generator(points, family)
     closure = sigma_closure_bruteforce(points, family)
     assert {s.members for s in space.measurable_sets()} == closure
+
+
+_AB = FiniteMeasurableSpace.discrete("ab")
+_XY = FiniteMeasurableSpace.discrete("xy")
+_HALVES = Measure(_AB, [Fraction(1, 2)] * 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MeasurableSet(_AB, "a").union(MeasurableSet(_XY, "x")), SpaceMismatch,
+         "sets live on different spaces"),
+        (lambda: MeasurableSet(_AB, "a").intersection(MeasurableSet(_XY, "x")),
+         SpaceMismatch, "sets live on different spaces"),
+        (lambda: check_pi_system_uniqueness(
+            _AB, _HALVES, _HALVES, [_AB.full_set(), MeasurableSet(_XY, "x")]),
+         SpaceMismatch, "generator sets live on a different space"),
+        (lambda: check_pi_system_uniqueness(
+            _AB, _HALVES, Measure.dirac(_XY, "x"), [_AB.full_set()]),
+         SpaceMismatch, "measures live on a different space"),
+        (lambda: spaces.FiniteMetric.from_points("ab", [[0, 1]]), ValueError,
+         "distance matrix must be 2x2"),
+        (lambda: spaces.FiniteMetric.from_points("ab", [[0, 1], [1]]), ValueError,
+         "distance matrix must be 2x2"),
+    ],
+    ids=["union", "intersection", "pi-generator", "pi-measure", "short-matrix",
+         "short-row"],
+)
+def test_cross_space_and_shape_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
