@@ -302,18 +302,23 @@ def check_minkowski(f, g, mu, p):
 def layered_integral(f, mu):
     """Layered (Choquet) form: sum over levels r_j of (r_j - r_{j-1}) mu({f >= r_j}).
 
-    Defined for nonnegative f; always equals integral(f, mu).
+    Defined for nonnegative f; always equals integral(f, mu).  A level that
+    no charged atom takes leaves mu({f >= r}) as it is, so one upward sweep
+    over the charged levels, with a running tail, gives the sum.
     """
     _check_pair(f, mu)
     if not f.is_nonnegative():
         raise NegativeFunction("the layered representation needs f >= 0")
-    levels = sorted({v for v in f.values if v > 0})
-    total = Fraction(0)
-    previous = Fraction(0)
-    for r in levels:
-        total += (r - previous) * mu.eval(f.superlevel_set(r))
-        previous = r
-    return total
+    d, cols, nums = mu.form
+    mass = {}  # d times mu({f = level}) for each positive level
+    for j, num in zip(cols, nums):
+        if f.values[j] > 0:
+            mass[f.values[j]] = mass.get(f.values[j], 0) + num
+    total, previous, tail = Fraction(0), 0, sum(mass.values())
+    for r in sorted(mass):
+        total += (r - previous) * tail  # tail is d times mu({f >= r})
+        previous, tail = r, tail - mass[r]
+    return total / d
 
 
 def conv_in_measure_distance(f, g, mu):

@@ -60,7 +60,10 @@ charged atoms they replaced are kept as integral_fraction_sum and
 lp_norm_power_fraction_sum.  The convergence-in-measure distance is
 now one sweep over the sorted levels of |f - g|; the scan that summed the
 tail mass again for each candidate is kept as
-conv_in_measure_distance_scan.
+conv_in_measure_distance_scan.  The layered integral is one sweep over
+the charged levels of f too; the loop that evaluated mu on the
+superlevel set of every positive level is kept as
+layered_integral_per_level.
 
 A measure now holds only its integer form (D, cols, nums) over its nonzero
 atoms.  The dense measure it replaced, a tuple of one Fraction per atom,
@@ -1842,6 +1845,18 @@ def conv_in_measure_distance_scan(f, g, mu):
     candidates |= {tail(v) for v in list(candidates)}
     feasible = [c for c in candidates if c >= 0 and tail(c) <= c]
     return min(feasible)
+
+
+def layered_integral_per_level(f, mu):
+    """The layered integral of f >= 0 as the sum over every positive level
+    r_j of (r_j - r_{j-1}) mu({f >= r_j}), one superlevel set per level."""
+    levels = sorted({v for v in f.values if v > 0})
+    total = Fraction(0)
+    previous = Fraction(0)
+    for r in levels:
+        total += (r - previous) * mu.eval(f.superlevel_set(r))
+        previous = r
+    return total
 
 
 class _ResidualReference:

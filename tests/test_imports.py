@@ -1,7 +1,8 @@
 """What importing the package loads: ``import finmeas`` binds each public
 name on first access, the CLI imports the logic module and the distance
 layers (``metrics``, ``flow``, ``simplex``) only for the commands that run
-them, and a command line makes only the argument parsers it selects."""
+them, a command line makes only the argument parsers it selects, and
+``tests/cost_report.py`` loads without running a section."""
 
 import json
 import os
@@ -117,11 +118,11 @@ def test_every_distance_command_loads_metrics_and_the_flow_core(argv):
     assert "finmeas.metrics" in loaded and "finmeas.flow" in loaded
 
 
-def test_a_command_makes_at_most_four_parsers():
-    # the common flags, the top level, the command's group and the command;
-    # the whole tree is 34 parsers
-    path = SRC / "finmeas" / "examples" / "decomposition.json"
-    made = _last_line(
+def _parsers_made(argv, model):
+    """The argparse parsers a fresh interpreter builds to run main(argv) on
+    a bundled model."""
+    argv = [*argv, "-m", str(SRC / "finmeas" / "examples" / model)]
+    return int(_last_line(
         "import argparse, contextlib, io\n"
         "made = []\n"
         "init = argparse.ArgumentParser.__init__\n"
@@ -131,10 +132,17 @@ def test_a_command_makes_at_most_four_parsers():
         "argparse.ArgumentParser.__init__ = counted\n"
         "from finmeas.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main(['space', '--name', 'G', '-m', {str(path)!r}]) == 0\n"
+        f"    assert main({argv!r}) == 0\n"
         "print(len(made))"
-    )
-    assert 1 <= int(made) <= 4
+    ))
+
+
+def test_a_command_makes_at_most_four_parsers():
+    # the common flags, the top level and the command, with the command's
+    # group in between for a grouped command; the whole tree is 34 parsers
+    assert _parsers_made(["space", "--name", "G"], "decomposition.json") == 3
+    argv = ["kernel", "compose", "--left", "K", "--right", "K"]
+    assert _parsers_made(argv, "processes.json") == 4
 
 
 def test_the_public_names_are_unchanged_and_are_their_modules_objects():
@@ -156,3 +164,14 @@ def test_submodules_resolve_as_attributes():
     loaded = _loaded_after("import finmeas\nassert finmeas.simplex.maximize")
     assert loaded == ["finmeas", "finmeas.simplex"]
     assert {"cli", "flow", "logic_bisim", "Measure"} <= set(dir(finmeas))
+
+
+def test_the_cost_report_resolves_its_imports_and_runs_no_section_on_load():
+    # CI runs the report as a step that may fail, so a library name it
+    # imports and that no longer exists has to fail here
+    path = Path(__file__).with_name("cost_report.py")
+    code = f"import runpy\nrunpy.run_path({str(path)!r}, run_name='cost_report')"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "" and done.stderr == ""

@@ -32,6 +32,7 @@ from conftest import rand_measure, rand_space
 from oracles import (
     conv_in_measure_distance_scan,
     integral_fraction_sum,
+    layered_integral_per_level,
     lp_norm_float,
     lp_norm_fraction_sum,
     lp_norm_power_fraction_sum,
@@ -158,6 +159,38 @@ def test_layered_with_rational_values():
             [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in space.atoms],
         )
         assert layered_integral(f, mu) == integral(f, mu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_layered_sweep_matches_the_per_level_loop(data):
+    # ties between levels, zero values, uncharged atoms and signed measures
+    n = data.draw(st.integers(1, 8))
+    space = FiniteMeasurableSpace.discrete([f"p{k}" for k in range(n)])
+
+    def values(low, high, den):
+        entries = st.fractions(low, high, max_denominator=den)
+        return data.draw(st.lists(entries, min_size=n, max_size=n))
+
+    f = StepFunction(space, values(0, 3, 3))
+    cls = data.draw(st.sampled_from([Measure, SignedMeasure]))
+    mu = cls(space, values(0 if cls is Measure else -2, 2, 6))
+    value = layered_integral(f, mu)
+    assert type(value) is Fraction
+    assert value == layered_integral_per_level(f, mu) == integral(f, mu)
+
+
+def test_layered_integral_evaluates_no_superlevel_set():
+    # one sweep over the levels: no measure of a set per level
+    space = FiniteMeasurableSpace.discrete("abcd")
+    f = StepFunction(space, [Fraction(1, 2), 0, 2, Fraction(1, 2)])
+    mu = SignedMeasure(space, [Fraction(1, 3), 5, Fraction(-1, 6), 1])
+    refuse = mock.Mock(side_effect=AssertionError("per-level evaluation"))
+    with mock.patch.object(SignedMeasure, "eval", refuse), mock.patch.object(
+        StepFunction, "superlevel_set", refuse
+    ):
+        assert layered_integral(f, mu) == Fraction(1, 3)
+    assert refuse.call_count == 0
 
 
 def test_delta_examples():
