@@ -1,30 +1,33 @@
 """Modal logic over kernels, quotients, couplings and mediating kernels.
 
 The logic is negation-free: T, conjunction, and the threshold modality
-dia>=q with q in [0, 1].  Logical equivalence is computed by splitter-based
-partition refinement (lumping) over the integer forms (D, cols, nums) of
-the kernel's rows, which list only their nonzero atoms, and the invariant
-sigma-algebra of a nesting depth by that many rounds of block-mass
-refinement.  For kernels whose rows have mass at most 1, their blocks are
-those cut out by the validity sets of all formulas (of that depth).
-Validity sets and quotient kernels sum only the nonzero row entries, and
-formulas are split into tokens by one pattern, then parsed and evaluated
-with explicit stacks, so nesting depth costs no recursion.  Two logical
-quotients are matched by the same refinement, run once on their disjoint
-union.  Round-based refinement, formula enumeration, the validity-set
-closure, the permutation and backtracking iso searches and the earlier
-hand-written formula scanner serve as test oracles only.  A coupling of two
-marginals inside a support is one ``flow.transport`` max flow: a full flow
-is the coupling, and a short one yields a Hall-style cut certificate from
-the residual graph.  A mediating kernel needs no flow: each row is the
-class-conditional product of the two, over nonzero entries.
+dia>=q with q in [0, 1].  Refinement, validity sets and the congruence
+check of a quotient read one primitive, built once per kernel: the masses
+every row puts on an atom set (_RowMasses), from predecessor lists of
+sparse rows' nonzeros or from packed columns of dense rows.  Logical
+equivalence is splitter-based partition refinement (lumping) over it, and
+the invariant sigma-algebra of a nesting depth that many rounds of
+block-mass refinement.  For kernels whose rows have mass at most 1, their
+blocks are those cut out by the validity sets of all formulas (of that
+depth).  Formulas are split into tokens by one pattern, then parsed and
+evaluated with explicit stacks, so nesting depth costs no recursion.  Two
+logical quotients are matched by the same refinement, run once on their
+disjoint union.  Round-based refinement, formula enumeration, the
+validity-set closure, the permutation and backtracking iso searches and
+the earlier hand-written formula scanner serve as test oracles only.  A
+coupling inside a support is one ``flow.transport`` max flow: a full flow
+is the coupling, a short one yields a Hall-style cut certificate.  A
+mediating kernel's rows are class-conditional products, with no flow.
 """
 
 import re
+import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
+from operator import lshift, or_
 
 from .errors import (
     CapacityExceeded,
@@ -175,24 +178,87 @@ def _require_endo(kernel):
         raise SpaceMismatch("this operation needs an endokernel")
 
 
-def _dia_atoms(rows, inner, q):
-    """Atoms whose scaled row puts mass at least q on the inner atom set."""
-    out = []
-    for k, (d, cols, nums) in enumerate(rows):
-        mass = sum(compress(nums, map(inner.__contains__, cols)))
-        if mass * q.denominator >= q.numerator * d:
-            out.append(k)
-    return frozenset(out)
+class _RowMasses:
+    """on(S) is {i: row i's mass on the atom set S, over scale[i]} for rows
+    of nonzero mass.  Sparse rows keep predecessor lists (i, num) per atom,
+    over their own D.  Dense rows pack as convolve's left rows do: slot i of
+    column j, ``words`` little-endian 64-bit words, holds row i's mass on j
+    over L, the lcm of the row scales, and never carries, as it holds the
+    row's whole mass.  Rows pack when their nonzeros reach a quarter of the
+    packed words and a column has 16 slots, below which packing costs more.
+    """
+
+    def __init__(self, rows, n_cols):
+        n, words = len(rows), 0
+        scale, cols, _ = zip(*rows)
+        self.scale, nnz = list(scale), sum(map(len, cols))
+        if n >= 16 and 4 * nnz >= n * n_cols:  # no pass for L over sparse rows
+            big = lcm(*self.scale)
+            top = max(sum(nums) * (big // d) for d, _, nums in rows)
+            words = top.bit_length() // 64 + 1
+        self.words = words if 4 * nnz >= n * n_cols * words else 0
+        if not self.words:
+            pred = self.pred = [[] for _ in range(n_cols)]
+            for i, (_, cols, nums) in enumerate(rows):
+                for j, num in zip(cols, nums):
+                    pred[j].append((i, num))
+            return
+        # slot i of column j at j n + i; wider slots go through int.to_bytes
+        slots = [0] * (n * n_cols) if words > 1 else array("Q", bytes(8 * n * n_cols))
+        for i, (d, cols, nums) in enumerate(rows):
+            f = big // d
+            for j, num in zip(cols, nums):
+                slots[j * n + i] = num * f
+        if words > 1:
+            width = repeat(8 * words)
+            slots = b"".join(map(int.to_bytes, slots, width, repeat("little")))
+        elif sys.byteorder == "big":
+            slots.byteswap()
+        view, step = memoryview(slots).cast("B"), 8 * words * n
+        at = range(0, len(view), step)
+        self.columns = [int.from_bytes(view[a : a + step], "little") for a in at]
+        self.scale = [big] * n
+
+    def on(self, atoms):
+        words = self.words
+        if not words:
+            mass, pred = {}, self.pred
+            for j in atoms:
+                for i, num in pred[j]:
+                    mass[i] = mass.get(i, 0) + num
+            return mass
+        total = sum(map(self.columns.__getitem__, atoms))
+        raw = array("Q", total.to_bytes(8 * words * len(self.scale), "little"))
+        if sys.byteorder == "big":
+            raw.byteswap()
+        masses = raw[::words]
+        for t in range(1, words):
+            masses = list(map(or_, masses, map(lshift, raw[t::words], repeat(64 * t))))
+        return dict(compress(enumerate(masses), masses))
 
 
-def _validity_atoms(rows, phi):
+def _row_masses(kernel):
+    """The kernel's _RowMasses, built once: a Kernel never changes."""
+    if "_row_masses" not in vars(kernel):
+        rows = [row.form for row in kernel.rows]
+        kernel._row_masses = _RowMasses(rows, kernel.codomain.n_atoms)
+    return kernel._row_masses
+
+
+def _dia_atoms(masses, inner, q):
+    """Atoms whose row puts mass at least q on the inner atom set."""
+    mass, a, b = masses.on(inner).get, q.numerator, q.denominator
+    return frozenset(i for i, d in enumerate(masses.scale) if mass(i, 0) * b >= a * d)
+
+
+def _validity_atoms(masses, phi):
     """The atoms where phi holds, evaluated bottom-up with an explicit stack."""
     values = []
     stack = [(phi, False)]
     while stack:
         node, ready = stack.pop()
         if isinstance(node, Top):
-            values.append(frozenset(range(len(rows))))
+            values.append(frozenset(range(len(masses.scale))))
         elif isinstance(node, And):
             if ready:
                 right = values.pop()
@@ -201,7 +267,7 @@ def _validity_atoms(rows, phi):
                 stack += [(node, True), (node.right, False), (node.left, False)]
         elif isinstance(node, Dia):
             if ready:
-                values.append(_dia_atoms(rows, values.pop(), node.threshold))
+                values.append(_dia_atoms(masses, values.pop(), node.threshold))
             else:
                 stack += [(node, True), (node.body, False)]
         else:
@@ -212,7 +278,7 @@ def _validity_atoms(rows, phi):
 def validity_set(kernel, phi):
     """The set where phi holds, always a union of atoms."""
     _require_endo(kernel)
-    atoms = _validity_atoms([row.form for row in kernel.rows], phi)
+    atoms = _validity_atoms(_row_masses(kernel), phi)
     return kernel.domain.set_of_atoms(sorted(atoms))
 
 
@@ -230,26 +296,22 @@ def _initial_blocks(space, labels):
     return list(by_label.values())
 
 
-def _lump(rows, blocks):
+def _lump(masses, blocks):
     """The coarsest refinement of the index blocks whose members' rows put
     equal masses on every block, as a list of index sets.
 
     Splitter refinement (Paige-Tarjan, in the lumping form of Valmari and
-    Franceschinis, TACAS 2010) over predecessor lists of the scaled rows
-    (D, cols, nums).  Every block starts on a worklist; popping a splitter
-    S sums each predecessor's mass into S and splits the touched states of
-    each touched block by that mass, the untouched states (mass 0) keeping
-    the block.  The pieces of a split block are queued, except the largest
-    when the block itself is not queued: its mass is then the block's minus
-    the others'.
+    Franceschinis, TACAS 2010) over the rows' masses (_RowMasses).  Every
+    block starts on a worklist; popping a splitter S takes each row's mass
+    on S and splits the touched states of each touched block by that mass,
+    the untouched states (mass 0) keeping the block.  The pieces of a split
+    block are queued, except the largest when the block itself is not
+    queued: its mass is then the block's minus the others'.
     """
-    scale = [d for d, _, _ in rows]
-    pred = [[] for _ in rows]
-    for i, (_, cols, nums) in enumerate(rows):
-        for j, num in zip(cols, nums):
-            pred[j].append((i, num))
+    scale = masses.scale
+    common = len(set(scale)) < 2
     members = [set(block) for block in blocks]
-    block_of = [0] * len(rows)
+    block_of = [0] * len(scale)
     for b, block in enumerate(members):
         for k in block:
             block_of[k] = b
@@ -258,20 +320,22 @@ def _lump(rows, blocks):
     while queue:
         splitter = queue.pop()
         queued[splitter] = False
-        mass = {}
-        for j in members[splitter]:
-            for i, num in pred[j]:
-                mass[i] = mass.get(i, 0) + num
+        mass = masses.on(members[splitter])
         touched = {}
         for i in mass:
             touched.setdefault(block_of[i], []).append(i)
         for b, states in touched.items():
-            # masses of different rows compare as reduced fractions of
-            # their own row scales, never over one common denominator
+            # masses compare as reduced fractions of their row scales, or as
+            # ints when all rows share one: sparse rows never use the lcm of
+            # their scales, which can be huge; packed rows share L, which
+            # the slot width bounds
             groups = {}
             for i in states:
-                g = gcd(mass[i], scale[i])
-                groups.setdefault((mass[i] // g, scale[i] // g), []).append(i)
+                if common:
+                    groups.setdefault(mass[i], []).append(i)
+                else:
+                    g = gcd(mass[i], scale[i])
+                    groups.setdefault((mass[i] // g, scale[i] // g), []).append(i)
             pieces = list(groups.values())
             if len(states) == len(members[b]):
                 if len(pieces) == 1:
@@ -306,8 +370,7 @@ def logical_equivalence(kernel, labels=None):
     """
     _require_endo(kernel)
     space = kernel.domain
-    rows = [row.form for row in kernel.rows]
-    members = _lump(rows, _initial_blocks(space, labels))
+    members = _lump(_row_masses(kernel), _initial_blocks(space, labels))
     return Partition(
         space,
         [[p for k in block for p in space.atoms[k]] for block in members],
@@ -368,8 +431,9 @@ def _block_masses(cols, nums, block_of_atom):
     return masses
 
 
-def _congruence_masses(rows, dom_partition, cod_partition):
-    """(None, each domain block's (D, block masses)) or (witness pair, None)."""
+def _congruence_masses(masses, dom_partition, cod_partition):
+    """(None, each domain block's (D, block masses)) or (witness pair, None),
+    the first row whose codomain block masses differ from its block's first."""
     for partition in (dom_partition, cod_partition):
         if not partition.refines_atoms:
             # the first atom the partition splits, and its first point
@@ -380,18 +444,22 @@ def _congruence_masses(rows, dom_partition, cod_partition):
                 p for p in atom if partition.block_index_of_point(p) != first
             )
             return (atom[0], other), None
-    atoms = dom_partition.space.atoms
+    atoms, scale = dom_partition.space.atoms, masses.scale
+    by_block = [{} for _ in scale]
+    blocks = map(cod_partition.block_atom_indices, range(len(cod_partition.blocks)))
+    for c, column in enumerate(map(masses.on, blocks)):
+        for i, m in column.items():
+            by_block[i][c] = m
     bases = []
     for b in range(len(dom_partition.blocks)):
         members = dom_partition.block_atom_indices(b)
-        base_scale, base_cols, base_nums = rows[members[0]]
-        base = _block_masses(base_cols, base_nums, cod_partition.block_of_atom)
+        base, base_scale = by_block[members[0]], scale[members[0]]
         for k in members[1:]:
-            scale, cols, nums = rows[k]
-            masses = _block_masses(cols, nums, cod_partition.block_of_atom)
-            if masses.keys() != base.keys() or any(
-                m * base_scale != base[c] * scale for c, m in masses.items()
-            ):
+            row, d = by_block[k], scale[k]
+            same = row == base if d == base_scale else base.keys() == row.keys() and all(
+                m * base_scale == base[c] * d for c, m in row.items()
+            )
+            if not same:
                 return (atoms[members[0]][0], atoms[k][0]), None
         bases.append((base_scale, base))
     return None, bases
@@ -403,8 +471,8 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
         raise SpaceMismatch("domain partition lives on a different space")
     if cod_partition.space != kernel.codomain:
         raise SpaceMismatch("codomain partition lives on a different space")
-    rows = [row.form for row in kernel.rows]
-    witness, bases = _congruence_masses(rows, dom_partition, cod_partition)
+    masses = _row_masses(kernel)
+    witness, bases = _congruence_masses(masses, dom_partition, cod_partition)
     if witness is not None:
         raise NotACongruence(
             f"rows of {witness[0]!r} and {witness[1]!r} differ at block "
@@ -412,7 +480,9 @@ def quotient_kernel_pair(kernel, dom_partition, cod_partition):
             witness=witness,
         )
     dom_space = FiniteMeasurableSpace.discrete([b[0] for b in dom_partition.blocks])
-    cod_space = FiniteMeasurableSpace.discrete([b[0] for b in cod_partition.blocks])
+    cod_space = dom_space  # one space when both partitions are one
+    if cod_partition is not dom_partition:
+        cod_space = FiniteMeasurableSpace.discrete([b[0] for b in cod_partition.blocks])
     quotient_rows = [
         Measure.from_ints(cod_space, d, m.keys(), m.values()) for d, m in bases
     ]
@@ -728,7 +798,7 @@ def find_quotient_iso(quot1, quot2):
     rows = [row.form for row in quot1.rows]
     for d, cols, nums in (row.form for row in quot2.rows):
         rows.append((d, [j + n for j in cols], nums))
-    classes = [sorted(c) for c in _lump(rows, [range(2 * n)])]
+    classes = [sorted(c) for c in _lump(_RowMasses(rows, 2 * n), [range(2 * n)])]
     for offset, quot, name in ((0, quot1, "first"), (n, quot2, "second")):
         for c in classes:
             mine = [k - offset for k in c if offset <= k < offset + n]

@@ -1,4 +1,4 @@
-"""Report what the library costs, layer by layer, in six sections.
+"""Report what the library costs, layer by layer, in seven sections.
 
 Source lines (``wc -l src/finmeas/*.py``); import cost (the finmeas lines
 of ``python -X importtime -c "import finmeas.cli"``, microseconds self and
@@ -8,10 +8,14 @@ distance cost (backbone arcs and median in-process ms of 3 calls of
 ``FiniteMetric``, ``prohorov_distance`` and ``hutchinson_distance`` at
 n = 100 and 200 on a line and a sparse shortest-path metric); compose and
 path cost (median ms of 5 calls of ``convolve`` on dense kernels and the
-4,000-state shift chain, and of ``path_measure`` on two dense chains); Lp
-cost (median ms of 31 calls of ``integral``, ``lp_norm_squared``,
-``check_minkowski`` and ``check_hoelder`` at p = 2, 3 on 350 atoms, and the
-best of 5 x 200 ``integral`` calls on 350 random rationals).
+4,000-state shift chain, and of ``path_measure`` on two dense chains);
+refinement cost (median ms of 5 calls of ``logical_equivalence``,
+``quotient_kernel`` and ``validity_set`` on a dense 80-state kernel and the
+4,000-state dead-end shift chain, each on a new copy of the kernel, the
+first touch, and on one that has its row masses, warm); Lp cost (median ms
+of 31 calls of ``integral``, ``lp_norm_squared``, ``check_minkowski`` and
+``check_hoelder`` at p = 2, 3 on 350 atoms, and the best of 5 x 200
+``integral`` calls on 350 random rationals).
 
 Every child and this process compile the package from source and write no
 bytecode; when ``src/finmeas/__pycache__`` exists the children read it,
@@ -40,6 +44,8 @@ sys.dont_write_bytecode = True
 from finmeas.integrate import (  # noqa: E402
     StepFunction, check_hoelder, check_minkowski, integral, lp_norm_squared)
 from finmeas.kernels import Kernel, convolve, path_measure  # noqa: E402
+from finmeas.logic_bisim import (  # noqa: E402
+    logical_equivalence, parse_formula, quotient_kernel, validity_set)
 from finmeas.measures import Measure  # noqa: E402
 from finmeas.metrics import FiniteMetric, hutchinson_distance, prohorov_distance  # noqa: E402
 from finmeas.spaces import FiniteMeasurableSpace, product_space  # noqa: E402
@@ -177,6 +183,43 @@ def compose_and_path_cost():
         print(f"path_measure {sizes} horizon {horizon}: {ms:.2f} ms")
 
 
+def refinement_cost():
+    """A dense kernel on 80 states in 16 classes of 5, whose rows put equal
+    masses on each class, which packs its row masses, and the 4,000-state
+    dead-end shift chain, which keeps predecessor lists."""
+    rng = random.Random(5)
+    phi = parse_formula("(dia>=1/4 dia>=1/2 T & dia>=1/8 T)")
+
+    def lumpable(n=80, m=16):
+        space = discrete(n, "s")
+        base = [[rng.randint(1, 9) for _ in range(m)] for _ in range(m)]
+        rows = []
+        for k in range(n):
+            nums = [0] * n
+            for c in range(m):
+                for _ in range(base[k % m][c]):
+                    nums[c + m * rng.randrange(n // m)] += 1
+            rows.append(Measure.from_ints(space, sum(base[k % m]), range(n), nums))
+        return Kernel(space, space, rows)
+
+    def chain(n=4000):
+        space = discrete(n, "s")
+        rows = [Measure.from_ints(space, 1, [k + 1], [1]) for k in range(n - 1)]
+        return Kernel(space, space, rows + [Measure.zero(space)])
+
+    for name, k in (("dense n=80", lumpable()), ("shift n=4000", chain())):
+        partition = logical_equivalence(k)
+        calls = {"logical_equivalence": logical_equivalence,
+                 "quotient_kernel": lambda k: quotient_kernel(k, partition),
+                 "validity_set": lambda k: validity_set(k, phi)}
+        for label, call in calls.items():
+            # first touch: a copy of the kernel with no row masses built yet
+            fresh = [Kernel(k.domain, k.codomain, k.rows, k.kind) for _ in range(5)]
+            first = median_ms(lambda: call(fresh.pop()), 5)
+            warm = median_ms(lambda: call(k), 5)
+            print(f"{label} {name}: {first:.2f} ms first touch, {warm:.2f} ms warm")
+
+
 def lp_cost(n=350):
     rng = random.Random(5)
     space = discrete(n, "x")
@@ -205,5 +248,5 @@ def lp_cost(n=350):
 
 if __name__ == "__main__":
     for section in (source_lines, import_cost, command_cost, distance_cost,
-                    compose_and_path_cost, lp_cost):
+                    compose_and_path_cost, refinement_cost, lp_cost):
         section()

@@ -173,6 +173,7 @@ from finmeas.logic_bisim import (
     _dia_atoms,
     _matching_pair_space,
     _require_endo,
+    _row_masses,
     quotient_kernel_pair,
     solve_coupling,
 )
@@ -1450,7 +1451,7 @@ def invariant_sigma_algebra_closure(kernel, depth):
             }
             for q in masses:
                 if 0 < q <= 1:
-                    layer.add(_dia_atoms(rows, inner, q))
+                    layer.add(_dia_atoms(_row_masses(kernel), inner, q))
         frontier = layer
         closed = set(layer)
         while frontier:
